@@ -16,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from . import backends, likelihood
@@ -26,8 +27,13 @@ from .alternatives import (
     generate_alternatives,
 )
 from .backends import BackendError, BackendProfile, load_profiles, open_backend
-from .detect import DetectionRun, UnparseableBackendOutput, detect
-from .detect import DetectionOutcome, parse_detector_response
+from .detect import (
+    DetectionOutcome,
+    StageExchange,
+    UnparseableBackendOutput,
+    detect,
+    parse_detector_response,
+)
 from .evaluate import (
     JudgedResult,
     build_report,
@@ -66,10 +72,6 @@ _STRATEGY_FLAGS = {
     "ref_conventional": "ref_conventional",
     "ref_matching": "ref_matching",
 }
-
-
-class UserAbort(Exception):
-    pass
 
 
 # --- ingest ---
@@ -139,7 +141,6 @@ def cmd_gen_alt(args) -> int:
         try:
             candidates = generate_alternatives(
                 record, k=args.k, seed=args.seed, max_rewrites=args.max_rewrites,
-                route=args.route,
             )
         except (CompositionError, NoPermutationsAvailable) as err:
             failures += 1
@@ -198,7 +199,10 @@ def cmd_review(args) -> int:
         if choice == "r":
             entry = {"source_id": source, "decision": "reject"}
         else:
-            rank = int(choice) if choice else (group[0].candidate_rank or 1)
+            try:
+                rank = int(choice) if choice else (group[0].candidate_rank or 1)
+            except ValueError:
+                rank = choice
             if rank not in {r.candidate_rank for r in group}:
                 print(f"no candidate ranked {rank}; rejecting nothing, try again")
                 aborted = True
@@ -301,40 +305,87 @@ def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
 # --- detect / evaluate / run ---
 
 
+_FAILED_STAGE = "failed"
+_TRANSCRIPT_NAME = re.compile(r"(?P<profile>.+)__(?P<strategy>.+)__seed(?P<seed>\d+)\.jsonl$")
+
+
 def _transcript_path(outdir: Path, profile: str, strategy: str, seed: int) -> Path:
     return outdir / "transcripts" / f"{profile}__{strategy}__seed{seed}.jsonl"
 
 
-def _write_transcripts(path: Path, runs: list[DetectionRun]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as handle:
-        for run in runs:
-            for exchange in run.transcript:
-                handle.write(
-                    json.dumps(
-                        {
-                            "record_id": run.record_id,
-                            "strategy": run.strategy,
-                            "stage": exchange.stage,
-                            "prompt": exchange.prompt,
-                            "response": exchange.response,
-                        },
-                        sort_keys=True,
-                        ensure_ascii=False,
+def _transcript_lines(record_id: str, strategy: str, exchanges) -> str:
+    return "".join(
+        json.dumps(
+            {
+                "record_id": record_id,
+                "strategy": strategy,
+                "stage": exchange.stage,
+                "prompt": exchange.prompt,
+                "response": exchange.response,
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        + "\n"
+        for exchange in exchanges
+    )
+
+
+def _read_outcomes(path: Path) -> dict[str, StageExchange]:
+    """Each record's last `reg` or `failed` line, in order of first appearance."""
+    outcomes: dict[str, StageExchange] = {}
+    if not path.exists():
+        return outcomes
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+                if entry["stage"] in ("reg", _FAILED_STAGE):
+                    outcomes[entry["record_id"]] = StageExchange(
+                        entry["stage"], entry["prompt"], entry["response"]
                     )
-                    + "\n"
-                )
+            except (json.JSONDecodeError, KeyError, TypeError) as err:
+                raise SchemaViolation(f"bad transcript line in {path}: {err}", line=number) from err
+    return outcomes
 
 
-def _existing_record_ids(path: Path) -> set[str]:
-    ids: set[str] = set()
-    if path.exists():
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    ids.add(json.loads(line)["record_id"])
-    return ids
+def _judge_transcript(path: Path, gold: dict[str, SolutionRecord], profile: str,
+                      strategy: str, seed: int) -> list[JudgedResult]:
+    """Judges one cell's transcript by each record's last outcome. A
+    `failed` line is an invalid outcome, so it counts against accuracy."""
+    judged = []
+    for record_id, line in _read_outcomes(path).items():
+        record = gold.get(record_id)
+        if record is None:
+            raise SchemaViolation(f"gold corpus lacks record {record_id}")
+        if line.stage == _FAILED_STAGE:
+            outcome = DetectionOutcome.invalid_response("", line.response)
+        else:
+            outcome = parse_detector_response(line.response, len(record.steps))
+        judged.append(
+            JudgedResult(
+                record_id=record_id,
+                profile=profile,
+                strategy=strategy,
+                origin=record.origin,
+                seed=seed,
+                gold=record.label,
+                predicted=outcome.predicted,
+                valid=outcome.valid,
+                correct=judge(record.label, outcome),
+            )
+        )
+    return judged
+
+
+def _write_reports(outdir: Path, judged: list[JudgedResult], seeds) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    report = build_report(judged, seeds=sorted(set(seeds)))
+    (outdir / "report.csv").write_text(render_report_csv(report))
+    (outdir / "report.md").write_text(render_report_markdown(report))
+    (outdir / "results.csv").write_text(render_results_csv(judged))
 
 
 def _reference_pool(paths: list[str]) -> dict[str, SolutionRecord]:
@@ -381,32 +432,41 @@ def _run_detection(
     reference_pool: dict[str, SolutionRecord] | None,
     resume: bool,
     workers: int = 4,
-) -> list[tuple[SolutionRecord, DetectionRun]]:
+) -> Path:
+    """Detects one (profile, strategy, seed) cell into its transcript, one
+    record at a time as each finishes. With `resume`, a record whose last
+    outcome is a `reg` line is kept; a `failed` one is detected again."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
-    if not resume and path.exists():
-        path.unlink()
-    done = _existing_record_ids(path) if resume else set()
+    if resume:
+        done = {rid for rid, line in _read_outcomes(path).items() if line.stage == "reg"}
+    else:
+        done = set()
+        path.unlink(missing_ok=True)
     pending = [r for r in records if r.record_id not in done]
 
-    def one(record: SolutionRecord) -> DetectionRun:
+    def one(record: SolutionRecord) -> str:
+        # Serialized here, in the worker: a main thread that only writes
+        # holds the interpreter lock briefly, and detection keeps its pace.
         reference = None
         if strategy in ("ref_conventional", "ref_matching"):
             reference = _resolve_reference(record, strategy, reference_pool or {})
         try:
-            return detect(record, profile, strategy, reference=reference, backend=backend)
+            exchanges = detect(record, profile, strategy, reference=reference,
+                               backend=backend).transcript
         except (UnparseableBackendOutput, backends.MalformedResponse,
                 backends.RateLimited) as err:
-            # per-record failures become invalid outcomes; auth errors abort
-            outcome = DetectionOutcome.invalid_response("", f"stage failure: {err}")
-            return DetectionRun(
-                record_id=record.record_id, strategy=strategy,
-                outcome=outcome, transcript=(),
-            )
+            # a per-record failure is one `failed` line, judged invalid;
+            # auth errors abort
+            exchanges = (StageExchange(_FAILED_STAGE, "", f"stage failure: {err}"),)
+        return _transcript_lines(record.record_id, strategy, exchanges)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        runs = list(pool.map(one, pending))
-    _write_transcripts(path, runs)
-    return list(zip(pending, runs))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=workers) as pool, \
+            open(path, "a", encoding="utf-8") as handle:
+        for lines in pool.map(one, pending):
+            handle.write(lines)
+            handle.flush()
+    return path
 
 
 def cmd_detect(args) -> int:
@@ -417,85 +477,33 @@ def cmd_detect(args) -> int:
     backend = open_backend(profile, strict_scripted=args.strict_scripted)
     strategy = _STRATEGY_FLAGS[args.strategy]
     records = read_jsonl(args.infile)
+    gold = {r.record_id: r for r in records}
     reference_pool = _reference_pool([args.ref_corpus]) if args.ref_corpus else None
     outdir = Path(args.out)
     judged = []
-    for seed in args.seeds:
-        pairs = _run_detection(
+    for seed in sorted(set(args.seeds)):
+        path = _run_detection(
             records, profile, backend, strategy, seed, outdir,
             reference_pool, args.resume,
         )
-        for record, run in pairs:
-            judged.append(_judge_pair(record, run, profile.name, seed))
-    (outdir / "results.csv").parent.mkdir(parents=True, exist_ok=True)
+        judged.extend(_judge_transcript(path, gold, profile.name, strategy, seed))
     (outdir / "results.csv").write_text(render_results_csv(judged))
     print(f"detected {len(judged)} (record, seed) pairs -> {outdir}")
     return EXIT_OK
 
 
-def _judge_pair(record: SolutionRecord, run: DetectionRun, profile: str, seed: int):
-    return JudgedResult(
-        record_id=record.record_id,
-        profile=profile,
-        strategy=run.strategy,
-        origin=record.origin,
-        seed=seed,
-        gold=record.label,
-        predicted=run.outcome.predicted,
-        valid=run.outcome.valid,
-        correct=judge(record.label, run.outcome),
-    )
-
-
-_TRANSCRIPT_NAME = re.compile(r"(?P<profile>.+)__(?P<strategy>.+)__seed(?P<seed>\d+)\.jsonl$")
-
-
 def cmd_evaluate(args) -> int:
     gold = {r.record_id: r for r in read_jsonl(args.gold)}
-    judged: list[JudgedResult] = []
-    seeds: list[int] = []
-    transcripts_dir = Path(args.transcripts)
-    for path in sorted(transcripts_dir.glob("*.jsonl")):
+    cells = []
+    for path in Path(args.transcripts).glob("*.jsonl"):
         name = _TRANSCRIPT_NAME.match(path.name)
-        if not name:
-            continue
-        profile = name.group("profile")
-        strategy = name.group("strategy")
-        seed = int(name.group("seed"))
-        if seed not in seeds:
-            seeds.append(seed)
-        grading: dict[str, str] = {}
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if entry["stage"] == "reg":
-                grading[entry["record_id"]] = entry["response"]
-        for record_id, response in grading.items():
-            record = gold.get(record_id)
-            if record is None:
-                raise SchemaViolation(f"gold corpus lacks record {record_id}")
-            outcome = parse_detector_response(response, len(record.steps))
-            judged.append(
-                JudgedResult(
-                    record_id=record_id,
-                    profile=profile,
-                    strategy=strategy,
-                    origin=record.origin,
-                    seed=seed,
-                    gold=record.label,
-                    predicted=outcome.predicted,
-                    valid=outcome.valid,
-                    correct=judge(record.label, outcome),
-                )
-            )
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = build_report(judged, seeds=sorted(seeds))
-    (outdir / "report.csv").write_text(render_report_csv(report))
-    (outdir / "report.md").write_text(render_report_markdown(report))
-    (outdir / "results.csv").write_text(render_results_csv(judged))
-    print(f"evaluated {len(judged)} judged results -> {outdir}")
+        if name:
+            cells.append((name["profile"], name["strategy"], int(name["seed"]), path))
+    judged: list[JudgedResult] = []
+    for profile, strategy, seed, path in sorted(cells):
+        judged.extend(_judge_transcript(path, gold, profile, strategy, seed))
+    _write_reports(Path(args.out), judged, [cell[2] for cell in cells])
+    print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK
 
 
@@ -555,25 +563,18 @@ def cmd_run(args) -> int:
         _reference_pool([config.reference_corpus]) if config.reference_corpus else None
     )
 
+    gold = {r.record_id: r for r in records}
+    opened = {name: open_backend(profiles[name], strict_scripted=strict) for name in names}
     outdir = Path(config.out)
     judged: list[JudgedResult] = []
-    for name in names:
-        profile = profiles[name]
-        backend = open_backend(profile, strict_scripted=strict)
-        for strategy in config.strategies:
-            for seed in config.seeds:
-                pairs = _run_detection(
-                    records, profile, backend, strategy, seed, outdir,
-                    reference_pool, resume=args.resume, workers=config.workers,
-                )
-                for record, run in pairs:
-                    judged.append(_judge_pair(record, run, profile.name, seed))
+    for name, strategy, seed in sorted(set(product(names, config.strategies, config.seeds))):
+        path = _run_detection(
+            records, profiles[name], opened[name], strategy, seed, outdir,
+            reference_pool, resume=args.resume, workers=config.workers,
+        )
+        judged.extend(_judge_transcript(path, gold, name, strategy, seed))
 
-    outdir.mkdir(parents=True, exist_ok=True)
-    report = build_report(judged, seeds=sorted(set(config.seeds)))
-    (outdir / "report.csv").write_text(render_report_csv(report))
-    (outdir / "report.md").write_text(render_report_markdown(report))
-    (outdir / "results.csv").write_text(render_results_csv(judged))
+    _write_reports(outdir, judged, config.seeds)
     stats = compute_stats(records)
     (outdir / "stats.txt").write_text(stats.as_table() + "\n")
     print(f"ran {len(judged)} (record, strategy, seed) detections -> {outdir}")
@@ -603,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-rewrites", type=int, default=3)
-    p.add_argument("--route", choices=["templated", "backend"], default="templated")
     p.set_defaults(func=cmd_gen_alt)
 
     p = sub.add_parser("review", help="interactively curate candidates into an alternative corpus")
@@ -670,7 +670,7 @@ def main(argv=None) -> int:
     except BackendError as err:
         print(f"backend error: {err}", file=sys.stderr)
         return EXIT_BACKEND
-    except (KeyboardInterrupt, UserAbort):
+    except KeyboardInterrupt:
         print("aborted", file=sys.stderr)
         return EXIT_ABORT
 

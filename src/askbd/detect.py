@@ -38,7 +38,6 @@ STRATEGIES = (
 
 TAG_CORRECT = "correct"
 TAG_SECONDARY = "secondary"
-_TAG_CATEGORY = {"calc": "calc", "ref": "ref", "missing": "missing", "halluc": "halluc"}
 _TAG_SPELLINGS = {
     "correct": "correct",
     "calculation error": "calc",
@@ -178,7 +177,7 @@ def parse_detector_response(text: str, n_steps: int) -> DetectionOutcome:
     predicted = CORRECT_LABEL
     for index, tag in enumerate(tags, start=1):
         if tag not in (TAG_CORRECT, TAG_SECONDARY):
-            predicted = ErrorLabel(index, _TAG_CATEGORY[tag])
+            predicted = ErrorLabel(index, tag)
             break
     thinking = None
     if first_tag_line:

@@ -45,20 +45,6 @@ class JudgedResult:
     correct: bool
 
 
-def judge_run(record, run, profile_name: str, seed: int) -> JudgedResult:
-    return JudgedResult(
-        record_id=record.record_id,
-        profile=profile_name,
-        strategy=run.strategy,
-        origin=record.origin,
-        seed=seed,
-        gold=record.label,
-        predicted=run.outcome.predicted,
-        valid=run.outcome.valid,
-        correct=judge(record.label, run.outcome),
-    )
-
-
 def dataset_accuracy(results: Sequence[JudgedResult]) -> Fraction:
     if not results:
         raise EmptySelection("no judged results selected")

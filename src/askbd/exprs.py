@@ -311,11 +311,6 @@ def _struct_key(e: Expr):
     return (1, OPS.index(e.op), _struct_key(e.left), _struct_key(e.right))
 
 
-def canonical_key(e: Expr) -> str:
-    """Lexicographic ordering key for canonical forms."""
-    return to_text(canonical_form(e))
-
-
 # --- Rewrite rules ---
 
 

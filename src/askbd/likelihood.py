@@ -163,28 +163,6 @@ def write_scores_jsonl(scores: Iterable[ScoredSolution], path) -> None:
             )
 
 
-def read_scores_jsonl(path) -> list[ScoredSolution]:
-    import json
-
-    out = []
-    with open(path, encoding="utf-8") as handle:
-        for raw in handle:
-            raw = raw.strip()
-            if not raw:
-                continue
-            obj = json.loads(raw)
-            out.append(
-                ScoredSolution(
-                    record_id=obj["record_id"],
-                    backend=obj["backend"],
-                    total=obj["total"],
-                    token_count=obj["token_count"],
-                    indicator=obj["indicator"],
-                )
-            )
-    return out
-
-
 def write_analysis_csv(
     path,
     indicators: Mapping[str, float],

@@ -1,7 +1,11 @@
+import csv
+import io
+import itertools
 import json
 
 import pytest
 
+from askbd import cli
 from askbd.cli import main
 from askbd.demo import build_demo
 from askbd.records import read_jsonl, write_jsonl
@@ -97,6 +101,18 @@ class TestGenAltAndReview:
         selected = read_jsonl(out)
         assert len(selected) == 1
         assert selected[0].candidate_rank == 1
+
+    def test_review_rejects_non_numeric_choice(self, tmp_path, monkeypatch):
+        conventional, _ = _small_corpus(tmp_path)
+        candidates = tmp_path / "candidates.jsonl"
+        main(["gen-alt", "--in", str(conventional), "--out", str(candidates),
+              "--k", "2", "--seed", "5"])
+        audit = tmp_path / "audit.jsonl"
+        monkeypatch.setattr("builtins.input", lambda prompt="": "x")
+        rc = main(["review", "--candidates", str(candidates),
+                   "--out", str(tmp_path / "dprime.jsonl"), "--audit", str(audit)])
+        assert rc == 4
+        assert not audit.exists()  # nothing decided
 
 
 def _small_corpus(tmp_path):
@@ -221,8 +237,10 @@ class TestDetectEvaluateRun:
         assert main(args) == 0
         path = next((detect_dir / "transcripts").glob("*.jsonl"))
         before = path.read_bytes()
+        results = (detect_dir / "results.csv").read_bytes()
         assert main(args) == 0
         assert path.read_bytes() == before  # nothing re-run
+        assert (detect_dir / "results.csv").read_bytes() == results  # still judged
 
     def test_strict_scripted_refuses_network_profiles(self, demo_dir, tmp_path):
         profiles = tmp_path / "net.json"
@@ -298,3 +316,106 @@ class TestDetectEvaluateRun:
         # must complete and persist results
         assert rc == 0
         assert (tmp_path / "ref" / "results.csv").exists()
+
+
+REPORTS = ("report.md", "report.csv", "results.csv")
+
+
+def _reports(outdir):
+    return {name: (outdir / name).read_bytes() for name in REPORTS}
+
+
+def _evaluate(info, outdir):
+    assert main(["evaluate", "--transcripts", str(info["config"].parent / "out" / "transcripts"),
+                 "--gold", str(info["corpus"]), "--out", str(outdir)]) == 0
+    return _reports(outdir)
+
+
+class TestOnePathToReports:
+    """`run`, `evaluate` and `run --resume` judge the same transcripts the
+    same way, so their reports agree byte for byte."""
+
+    def test_seeds_across_a_digit_boundary(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(9, 10))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        assert reports == _evaluate(info, tmp_path / "eval")
+        seeds = [line.split(",")[3] for line in reports["results.csv"].decode().splitlines()[1:]]
+        assert seeds.index("10") > seeds.index("9")
+
+    def test_resume_after_complete_run(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
+        assert _reports(tmp_path / "out") == reports
+        assert len(reports["results.csv"].splitlines()) == 1 + info["n_records"] * 4 * 2
+
+    def test_stage_failures_are_judged_invalid(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        lines = info["cassette"].read_text().splitlines(keepends=True)
+        info["cassette"].write_text("".join(l for i, l in enumerate(lines, 1) if i % 7))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        assert reports == _evaluate(info, tmp_path / "eval")
+
+        transcripts = sorted((tmp_path / "out" / "transcripts").glob("*.jsonl"))
+        failed = set()
+        for path in transcripts:
+            seed = path.stem.rsplit("seed", 1)[1]
+            for line in path.read_text().splitlines():
+                entry = json.loads(line)
+                if entry["stage"] == "failed":
+                    assert entry["prompt"] == ""
+                    assert entry["response"].startswith("stage failure: ")
+                    failed.add((entry["record_id"], entry["strategy"], seed))
+        assert failed
+        rows = list(csv.DictReader(io.StringIO(reports["results.csv"].decode())))
+        assert len(rows) == info["n_records"] * 4 * 2
+        invalid = {(r["record_id"], r["strategy"], r["seed"]) for r in rows if r["valid"] == "0"}
+        assert failed <= invalid
+
+        # resuming re-detects exactly the failed records, which fail again
+        size = sum(len(path.read_text().splitlines()) for path in transcripts)
+        assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
+        assert _reports(tmp_path / "out") == reports
+        assert sum(len(path.read_text().splitlines()) for path in transcripts) == \
+            size + len(failed)
+
+    def test_interrupted_run_resumes_to_the_same_reports(self, tmp_path, monkeypatch):
+        whole = build_demo(tmp_path / "whole", n_questions=2, seeds=(1, 2))
+        cut = build_demo(tmp_path / "cut", n_questions=2, seeds=(1, 2))
+        assert main(["run", "--config", str(whole["config"])]) == 0
+
+        calls = itertools.count()
+        real_detect = cli.detect
+
+        def interrupted(*args, **kwargs):
+            if next(calls) == 25:
+                raise KeyboardInterrupt
+            return real_detect(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "detect", interrupted)
+        assert main(["run", "--config", str(cut["config"])]) == 4
+        # the 26th detection is the 6th of the second cell; the records
+        # finished before it were kept
+        cell = "demo__M0__seed2.jsonl"
+        partial = (tmp_path / "cut" / "out" / "transcripts" / cell).read_text()
+        whole_cell = (tmp_path / "whole" / "out" / "transcripts" / cell).read_text()
+        assert 0 < len(partial) < len(whole_cell)
+        assert whole_cell.startswith(partial)
+        monkeypatch.setattr(cli, "detect", real_detect)
+        assert main(["run", "--config", str(cut["config"]), "--resume"]) == 0
+
+        assert _reports(tmp_path / "cut" / "out") == _reports(tmp_path / "whole" / "out")
+        for path in (tmp_path / "whole" / "out" / "transcripts").glob("*.jsonl"):
+            resumed = tmp_path / "cut" / "out" / "transcripts" / path.name
+            assert resumed.read_bytes() == path.read_bytes(), path.name
+
+    def test_evaluate_rejects_a_corrupt_transcript(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+        transcripts = tmp_path / "out" / "transcripts"
+        transcripts.mkdir(parents=True)
+        (transcripts / "demo__M0__seed1.jsonl").write_text('{"record_id": "x", "sta\n')
+        assert main(["evaluate", "--transcripts", str(transcripts),
+                     "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
