@@ -153,16 +153,14 @@ def permute_solving_expression(
 ) -> list[Expr]:
     """Equivalent rewrites of a verified solving expression.
 
-    Delegates to the rewrite enumerator and re-applies the execution
-    filter, so every survivor evaluates to the gold answer.
+    The rewrite enumerator applies the execution filter, so every
+    rewrite evaluates to the gold answer.
     """
     if not se.verified:
         raise ValueError("cannot permute an unverified solving expression")
-    gold = eval_expr(se.expr)
-    permuted = enumerate_permutations(
+    return enumerate_permutations(
         se.expr, max_rewrites=cfg.max_rewrites, limit=cfg.limit, seed=cfg.seed
     )
-    return [p for p in permuted if eval_expr(p) == gold]
 
 
 _EXPLAIN_INSTRUCTION = """\
@@ -236,8 +234,8 @@ def explain_expression(
 
     if route != ROUTE_BACKEND:
         raise ValueError(f"unknown explain route {route!r}")
-    if profile is None:
-        raise ValueError("backend route needs a generation profile")
+    if profile is None or backend is None:
+        raise ValueError("backend route needs a generation profile and its opened backend")
     prompt = _EXPLAIN_INSTRUCTION.format(
         question=question,
         expression=to_text(e, "step_brackets"),

@@ -1,9 +1,10 @@
 """Text-generation and token-scoring transports.
 
 One wire format (chat completions for generation, echoed completions for
-per-token log-probabilities), three transports: a real HTTP client with
-retries and a sliding-window rate limiter, a scripted/replay backend fed
-by cassette files, and deterministic offline mocks for scoring.
+per-token log-probabilities) and one transport per profile: a real HTTP
+client with retries and a sliding-window rate limiter; an exchange store
+that replays a cassette file and, in front of the HTTP client, records
+the exchanges it misses into it; or a deterministic offline mock scorer.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
+
+from .records import SchemaViolation
 
 log = logging.getLogger(__name__)
 
@@ -53,7 +56,7 @@ class CapabilityMissing(BackendError):
 
 
 class UnscriptedRequest(MalformedResponse):
-    """A request with no matching scripted exchange, in strict mode."""
+    """A request the exchange store holds no answer for and has no transport to ask."""
 
 
 class StrictScriptedViolation(BackendError):
@@ -272,62 +275,59 @@ class HttpBackend:
         return scores
 
 
-class ScriptedBackend:
-    """Replays canned exchanges keyed by request fingerprint."""
+class ExchangeStore:
+    """Exchanges keyed by request fingerprint, replayed and recorded.
 
-    def __init__(self, entries: Mapping[str, Mapping], model: str, strict: bool = True):
+    A hit replays the stored exchange. A miss raises UnscriptedRequest, or,
+    with a live `inner` transport, asks it once, keeps the answer and
+    appends one line to the cassette at `path`, so a replay of that
+    cassette answers exactly as the recording run was answered.
+    """
+
+    def __init__(self, entries: Mapping[str, Mapping], model: str, inner=None, path=None):
         self.entries = dict(entries)
         self.model = model
-        self.strict = strict
+        self.inner = inner
+        self.path = None if path is None else Path(path)
+        self._lock = threading.Lock()
+        self._asking: dict[str, threading.Lock] = {}
+
+    def _exchange(self, key: str, field: str, ask: Callable[[], object]):
+        entry = self.entries.get(key)
+        if entry is not None and field in entry:
+            return entry[field]
+        if self.inner is None:
+            raise UnscriptedRequest(f"no scripted {field} for request {key[:12]}")
+        with self._lock:
+            asking = self._asking.setdefault(key, threading.Lock())
+        # a thread that misses on a fingerprint another thread is asking
+        # waits for that answer instead of sending the request again
+        with asking:
+            entry = self.entries.get(key)
+            if entry is None or field not in entry:
+                entry = {field: ask()}
+                with self._lock:
+                    self.entries[key] = entry
+                    if self.path is not None:
+                        self.path.parent.mkdir(parents=True, exist_ok=True)
+                        with open(self.path, "a", encoding="utf-8") as handle:
+                            handle.write(cassette_line(key, entry))
+        return entry[field]
 
     def generate(self, messages: Messages, params: GenerationParams) -> str:
         key = generate_fingerprint(self.model, messages, params)
-        entry = self.entries.get(key)
-        if entry is None or "response" not in entry:
-            if self.strict:
-                raise UnscriptedRequest(f"no scripted response for request {key[:12]}")
-            return f"[unscripted:{key[:12]}]"
-        return entry["response"]
+        return self._exchange(key, "response", lambda: self.inner.generate(messages, params))
 
     def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
         if not continuation:
             return []
         key = score_fingerprint(self.model, prefix, continuation)
-        entry = self.entries.get(key)
-        if entry is None or "token_scores" not in entry:
-            if self.strict:
-                raise UnscriptedRequest(f"no scripted scores for request {key[:12]}")
-            return []
-        return [TokenScore(token, logprob) for token, logprob in entry["token_scores"]]
-
-
-class RecordingBackend:
-    """Wraps a live backend and appends every exchange to a cassette."""
-
-    def __init__(self, inner, model: str, cassette_path):
-        self.inner = inner
-        self.model = model
-        self.cassette_path = Path(cassette_path)
-
-    def _append(self, entry: dict) -> None:
-        self.cassette_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.cassette_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
-
-    def generate(self, messages: Messages, params: GenerationParams) -> str:
-        response = self.inner.generate(messages, params)
-        key = generate_fingerprint(self.model, messages, params)
-        self._append({"request_hash": key, "response": response})
-        return response
-
-    def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
-        scores = self.inner.score_tokens(prefix, continuation)
-        if continuation:
-            key = score_fingerprint(self.model, prefix, continuation)
-            self._append(
-                {"request_hash": key, "token_scores": [[s.token, s.logprob] for s in scores]}
-            )
-        return scores
+        pairs = self._exchange(
+            key,
+            "token_scores",
+            lambda: [[s.token, s.logprob] for s in self.inner.score_tokens(prefix, continuation)],
+        )
+        return [TokenScore(token, logprob) for token, logprob in pairs]
 
 
 class MockScoreBackend:
@@ -371,15 +371,33 @@ def resolve_cassette_path(path) -> Path:
     return path
 
 
+def cassette_line(key: str, entry: Mapping) -> str:
+    """One cassette line: an exchange's fields and its `request_hash`."""
+    return json.dumps({**entry, "request_hash": key}, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 def load_cassette(path) -> dict[str, dict]:
+    """Exchanges by request fingerprint. A missing file or a malformed
+    line is a SchemaViolation naming the cassette (and the line)."""
+    path = resolve_cassette_path(path)
     entries: dict[str, dict] = {}
-    with open(resolve_cassette_path(path), encoding="utf-8") as handle:
-        for raw in handle:
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as err:
+        raise SchemaViolation(f"cannot read cassette: {err}") from err
+    with handle:
+        for number, raw in enumerate(handle, start=1):
             raw = raw.strip()
             if not raw:
                 continue
-            entry = json.loads(raw)
-            entries[entry["request_hash"]] = entry
+            try:
+                entry = json.loads(raw)
+            except json.JSONDecodeError as err:
+                raise SchemaViolation(f"invalid JSON in cassette {path}: {err}", line=number) from err
+            key = entry.get("request_hash") if isinstance(entry, dict) else None
+            if not isinstance(key, str):
+                raise SchemaViolation(f"no request_hash in cassette {path}", line=number)
+            entries[key] = entry
     return entries
 
 
@@ -414,63 +432,54 @@ def open_backend(
     transport=None,
     api_key: str | None = None,
 ):
-    """Resolve a profile to a transport.
+    """Resolve a profile to its one transport.
 
-    scripted:<path> endpoints and replay cassettes never touch the
-    network; under strict_scripted an http(s) endpoint is refused before
-    any socket is opened.
+    scripted:<path> endpoints and replay cassettes are an ExchangeStore
+    that never touches the network; under strict_scripted an http(s)
+    endpoint is refused before any socket is opened. A recording cassette
+    is an ExchangeStore in front of the HTTP client, and with no cassette
+    the HTTP client answers directly.
     """
     endpoint = profile.endpoint
     if endpoint.startswith("scripted:"):
-        path = endpoint.split(":", 1)[1]
-        return ScriptedBackend(load_cassette(path), profile.model, strict=True)
+        return ExchangeStore(load_cassette(endpoint.split(":", 1)[1]), profile.model)
     if endpoint.startswith("mock:"):
         return MockScoreBackend(endpoint)
     if profile.cassette and not profile.record:
-        return ScriptedBackend(load_cassette(profile.cassette), profile.model, strict=True)
+        return ExchangeStore(load_cassette(profile.cassette), profile.model)
     if strict_scripted:
         raise StrictScriptedViolation(
             f"profile {profile.name!r} needs network endpoint {endpoint!r}"
         )
     backend = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep, transport=transport)
-    if profile.record and profile.cassette:
-        return RecordingBackend(backend, profile.model, resolve_cassette_path(profile.cassette))
-    return backend
-
-
-_backend_cache: dict[tuple[BackendProfile, bool], object] = {}
-_cache_lock = threading.Lock()
-
-
-def _resolve(profile: BackendProfile, backend, strict_scripted: bool = False):
-    if backend is not None:
+    if not (profile.record and profile.cassette):
         return backend
-    with _cache_lock:
-        key = (profile, strict_scripted)
-        if key not in _backend_cache:
-            _backend_cache[key] = open_backend(profile, strict_scripted=strict_scripted)
-        return _backend_cache[key]
+    path = resolve_cassette_path(profile.cassette)
+    entries = load_cassette(profile.cassette) if path.exists() else {}
+    return ExchangeStore(entries, profile.model, inner=backend, path=path)
 
 
 def generate(
     profile: BackendProfile,
     messages: Messages,
     params: GenerationParams = GenerationParams(),
-    backend=None,
+    *,
+    backend,
 ) -> str:
     if CAP_GENERATE not in profile.capabilities:
         raise CapabilityMissing(f"profile {profile.name!r} cannot generate")
-    return _resolve(profile, backend).generate(messages, params)
+    return backend.generate(messages, params)
 
 
 def score_tokens(
     profile: BackendProfile,
     prefix: str,
     continuation: str,
-    backend=None,
+    *,
+    backend,
 ) -> list[TokenScore]:
     if CAP_SCORE_TOKENS not in profile.capabilities:
         raise CapabilityMissing(f"profile {profile.name!r} cannot score tokens")
     if not continuation:
         return []
-    return _resolve(profile, backend).score_tokens(prefix, continuation)
+    return backend.score_tokens(prefix, continuation)

@@ -266,7 +266,7 @@ def cmd_score_likelihood(args) -> int:
             for profile in chosen
         ]
         scored.extend(per_backend)
-        indicators[record.record_id] = sum(s.indicator for s in per_backend) / len(per_backend)
+        indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
     likelihood.write_scores_jsonl(scored, args.out)
     print(f"scored {len(records)} records with {len(chosen)} profiles -> {args.out}")
 

@@ -22,7 +22,7 @@ from .alternatives import (
     candidate_to_record,
     generate_alternatives,
 )
-from .backends import GenerationParams, generate_fingerprint
+from .backends import GenerationParams, cassette_line, generate_fingerprint
 from .detect import STRATEGY_ASKBD, STRATEGY_ASKBD_COT, STRATEGY_COT, load_template
 from .inject import InjectionError, inject_batch
 from .records import (
@@ -31,6 +31,7 @@ from .records import (
     SolutionStep,
     condition_values,
     make_record,
+    number_tokens,
     render_solution_text,
     write_jsonl,
 )
@@ -139,12 +140,6 @@ def _build_record(question: str, rows, answer: int) -> SolutionRecord:
     return make_record(question=question, steps=steps, answer=answer)
 
 
-def _operand_values(expression: str) -> list[Fraction]:
-    import re
-
-    return [Fraction(m.group()) for m in re.finditer(r"\d+(?:\.\d+)?", expression)]
-
-
 def oracle_clean(record: SolutionRecord) -> bool:
     """Invariants that make the recompute-and-resolve checker exact:
     distinct positive integer values, full resolvability, and each
@@ -165,7 +160,7 @@ def oracle_clean(record: SolutionRecord) -> bool:
     for step in record.steps:
         if step.expression is None:
             continue
-        for operand in _operand_values(step.expression):
+        for _, _, operand in number_tokens(step.expression):
             if operand in consumption and operand in priors:
                 consumption[operand] += 1
             elif operand not in condition_set:
@@ -382,12 +377,7 @@ def write_cassette(entries: dict[str, dict], path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for key in sorted(entries):
-            handle.write(
-                json.dumps(
-                    {"request_hash": key, **entries[key]}, sort_keys=True, ensure_ascii=False
-                )
-                + "\n"
-            )
+            handle.write(cassette_line(key, entries[key]))
 
 
 def build_demo(outdir, n_questions: int = 4, seeds: Sequence[int] = (1, 2, 3)) -> dict:

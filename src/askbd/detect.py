@@ -203,7 +203,7 @@ def _ask(
     profile: BackendProfile,
     prompt: str,
     parser: Callable[[str], object],
-    backend=None,
+    backend,
     params: GenerationParams = GenerationParams(),
 ):
     """One re-ask on unparseable output, then fail."""
@@ -233,7 +233,7 @@ def _parse_cqe(text: str) -> ExtractedQuestionParts:
 
 
 def cqe(
-    question: str, profile: BackendProfile, backend=None,
+    question: str, profile: BackendProfile, backend,
     params: GenerationParams = GenerationParams(),
 ) -> tuple[ExtractedQuestionParts, StageExchange]:
     prompt = load_template("cqe").render(question=question)
@@ -245,7 +245,7 @@ _QUESTION_LINE = re.compile(r"^\s*question\s*(\d+)\s*[:.]\s*(.+?)\s*$", re.IGNOR
 
 
 def ssi(
-    record: SolutionRecord, inquiry: str, profile: BackendProfile, backend=None,
+    record: SolutionRecord, inquiry: str, profile: BackendProfile, backend,
     params: GenerationParams = GenerationParams(),
 ) -> tuple[StepQuestionList, StageExchange]:
     """One conclusion-first question per solution step, inquiry appended."""
@@ -270,7 +270,7 @@ def ssi(
 
 
 def sqr(
-    conditions: str, questions: StepQuestionList, profile: BackendProfile, backend=None,
+    conditions: str, questions: StepQuestionList, profile: BackendProfile, backend,
     params: GenerationParams = GenerationParams(),
 ) -> tuple[str, StageExchange]:
     """Answer the step questions in order into a reference solution."""
@@ -295,7 +295,8 @@ def reg(
     reference: str,
     profile: BackendProfile,
     mode: str = "naive",
-    backend=None,
+    *,
+    backend,
     params: GenerationParams = GenerationParams(),
 ) -> tuple[DetectionOutcome, list[StageExchange]]:
     """Grade with the reference attached; invalid output is kept as an
@@ -335,7 +336,8 @@ def detect(
     profile: BackendProfile,
     strategy: str,
     reference: str | None = None,
-    backend=None,
+    *,
+    backend,
     params: GenerationParams = GenerationParams(),
 ) -> DetectionRun:
     """Run one detection strategy and return the outcome with its full
@@ -355,7 +357,9 @@ def detect(
     elif strategy in (STRATEGY_REF_CONVENTIONAL, STRATEGY_REF_MATCHING):
         if reference is None:
             raise ValueError(f"strategy {strategy} requires a reference solution")
-        outcome, exchanges = reg(record, reference, profile, "naive", backend, params)
+        outcome, exchanges = reg(
+            record, reference, profile, "naive", backend=backend, params=params
+        )
         transcript.extend(exchanges)
     else:
         parts, exchange = cqe(record.question, profile, backend, params)
@@ -365,7 +369,9 @@ def detect(
         generated_reference, exchange = sqr(parts.conditions, questions, profile, backend, params)
         transcript.append(exchange)
         mode = "cot" if strategy == STRATEGY_ASKBD_COT else "naive"
-        outcome, exchanges = reg(record, generated_reference, profile, mode, backend, params)
+        outcome, exchanges = reg(
+            record, generated_reference, profile, mode, backend=backend, params=params
+        )
         transcript.extend(exchanges)
 
     return DetectionRun(

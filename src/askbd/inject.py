@@ -27,8 +27,8 @@ from .records import (
     SolutionStep,
     compute_record_id,
     condition_values,
-    _EXPRESSION_EQ,
-    _NUM,
+    last_equation,
+    number_tokens,
 )
 
 DEFAULT_OFFSETS = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
@@ -87,26 +87,9 @@ def _relabel(
     )
 
 
-_NUM_RE = re.compile(_NUM)
-
-
-def _operand_tokens(expression: str) -> list[tuple[int, int, Fraction]]:
-    return [
-        (m.start(), m.end(), Fraction(m.group()))
-        for m in _NUM_RE.finditer(expression)
-    ]
-
-
-def _equation_match(statement: str):
-    match = None
-    for match in _EXPRESSION_EQ.finditer(statement):
-        pass
-    return match
-
-
 def _swap_equation(statement: str, new_lhs: str | None, new_rhs: str) -> str:
     """Rewrite the trailing `lhs = rhs` calculation inside a statement."""
-    match = _equation_match(statement)
+    match = last_equation(statement)
     if match is None:
         return statement
     lhs = new_lhs if new_lhs is not None else match.group(1)
@@ -121,7 +104,7 @@ def _swap_equation(statement: str, new_lhs: str | None, new_rhs: str) -> str:
 
 def _swap_mentions_outside_equation(statement: str, old: Fraction, new: Fraction) -> str:
     """Replace standalone mentions of `old` outside the trailing equation."""
-    match = _equation_match(statement)
+    match = last_equation(statement)
     token = re.compile(rf"(?<![\d.]){re.escape(format_value(old))}(?![\d.])")
     if match is None:
         return token.sub(format_value(new), statement)
@@ -177,7 +160,7 @@ def inject_reference(
             continue
         resolvable = conditions | _prior_results(record, step.index)
         spots = []
-        for start, end, value in _operand_tokens(step.expression):
+        for start, end, value in number_tokens(step.expression):
             if value not in resolvable:
                 continue
             usable = [
@@ -235,7 +218,7 @@ def inject_missing(
         for later in record.steps:
             if later.index <= step.index or later.expression is None:
                 continue
-            if any(v == step.stated_result for _, _, v in _operand_tokens(later.expression)):
+            if any(v == step.stated_result for _, _, v in number_tokens(later.expression)):
                 consumer = later.index
                 break
         if consumer is not None:

@@ -21,8 +21,8 @@ from .records import (
     ErrorLabel,
     SolutionRecord,
     condition_values,
+    number_tokens,
 )
-from .inject import _operand_tokens
 
 
 def scan_record(record: SolutionRecord) -> ErrorLabel:
@@ -49,7 +49,7 @@ def scan_record(record: SolutionRecord) -> ErrorLabel:
     for step in record.steps:
         if step.expression is None:
             continue
-        for _, _, value in _operand_tokens(step.expression):
+        for _, _, value in number_tokens(step.expression):
             if value not in conditions and value not in priors:
                 unresolved.append((step.index, value))
         priors.add(step.stated_result)

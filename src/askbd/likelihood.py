@@ -53,7 +53,7 @@ class ScoredSolution:
 
 
 def score_solution(
-    record: SolutionRecord, profile: BackendProfile, backend=None
+    record: SolutionRecord, profile: BackendProfile, backend
 ) -> ScoredSolution:
     """Score the rendered solution text conditioned on the question."""
     prefix = record.question + "\n"
@@ -71,19 +71,11 @@ def score_solution(
     )
 
 
-def pseudo_indicator(
-    record: SolutionRecord,
-    profiles: Sequence[BackendProfile],
-    backends_by_name: Mapping[str, object] | None = None,
-) -> float:
-    """Unweighted mean of per-backend indicators."""
-    if not profiles:
-        raise ValueError("need at least one scoring profile")
-    indicators = []
-    for profile in profiles:
-        backend = backends_by_name.get(profile.name) if backends_by_name else None
-        indicators.append(score_solution(record, profile, backend=backend).indicator)
-    return math.fsum(indicators) / len(indicators)
+def pseudo_indicator(scored: Sequence[ScoredSolution]) -> float:
+    """Unweighted mean of one record's per-backend indicators."""
+    if not scored:
+        raise ValueError("need at least one scored solution")
+    return math.fsum(s.indicator for s in scored) / len(scored)
 
 
 @dataclass(frozen=True)

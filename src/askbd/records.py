@@ -188,9 +188,24 @@ def make_record(
 
 _STEP_MARKER = re.compile(r"Step\s+(\d+)\s*[.:]\s*")
 _NUM = r"\d+(?:\.\d+)?"
+_NUMBER = re.compile(_NUM)
 _EXPRESSION_EQ = re.compile(
     rf"({_NUM}(?:\s*[+−×*/÷-]\s*{_NUM})+)\s*=\s*({_NUM})"
 )
+
+
+def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
+    """(start, end, value) of every unsigned decimal number in `text`."""
+    return [(m.start(), m.end(), Fraction(m.group())) for m in _NUMBER.finditer(text)]
+
+
+def last_equation(statement: str) -> re.Match | None:
+    """The statement's last `lhs = rhs` calculation: group 1 is the
+    left-hand expression, group 2 the stated result."""
+    match = None
+    for match in _EXPRESSION_EQ.finditer(statement):
+        pass
+    return match
 
 
 def normalize_math_text(text: str) -> str:
@@ -202,9 +217,7 @@ def normalize_math_text(text: str) -> str:
 
 def extract_expression(statement: str) -> tuple[str, Rational] | None:
     """The trailing `a <op> b = c` calculation of a statement, if any."""
-    match = None
-    for match in _EXPRESSION_EQ.finditer(statement):
-        pass
+    match = last_equation(statement)
     if match is None:
         return None
     return match.group(1).strip(), Fraction(match.group(2))
@@ -245,7 +258,7 @@ def parse_structured_solution(text: str) -> list[SolutionStep]:
 
 def condition_values(question: str) -> list[Rational]:
     """Numbers stated by the question, in order of appearance."""
-    return [Fraction(m.group()) for m in re.finditer(_NUM, question)]
+    return [value for _, _, value in number_tokens(question)]
 
 
 # --- JSONL serialization ---

@@ -19,8 +19,8 @@ from askbd.alternatives import (
 from askbd.backends import (
     CAP_GENERATE,
     BackendProfile,
+    ExchangeStore,
     GenerationParams,
-    ScriptedBackend,
     generate_fingerprint,
 )
 from askbd.exprs import canonical_form, eval_expr, parse_expr, to_text
@@ -108,16 +108,6 @@ class TestPermute:
         with pytest.raises(ValueError):
             permute_solving_expression(replace(se, verified=False))
 
-    def test_filter_rejects_corrupted_permutations(self, leaf_record, monkeypatch):
-        # even if the enumerator misbehaved, nothing off-value can survive
-        se = compose_solving_expression(leaf_record)
-        corrupted = [parse_expr("5 * 11"), parse_expr("(5 - 2) * 11"), parse_expr("34")]
-        monkeypatch.setattr(
-            "askbd.alternatives.enumerate_permutations", lambda *a, **k: corrupted
-        )
-        survivors = permute_solving_expression(se)
-        assert survivors == [corrupted[1]]
-
 
 class TestExplainTemplated:
     def test_factored_leaf_two_steps(self):
@@ -155,7 +145,7 @@ def scripted_explain_backend(question, expr, response, model="m"):
     )
     params = GenerationParams(temperature=0.7)
     key = generate_fingerprint(model, [{"role": "user", "content": prompt}], params)
-    return ScriptedBackend({key: {"response": response}}, model)
+    return ExchangeStore({key: {"response": response}}, model)
 
 
 EXPLAIN_PROFILE = BackendProfile(
@@ -188,6 +178,15 @@ class TestExplainBackend:
                 leaf_record.question, expr, route="backend",
                 profile=EXPLAIN_PROFILE, backend=backend,
             )
+
+    def test_backend_route_needs_profile_and_backend(self, leaf_record):
+        expr = parse_expr("(5 - 2) * 11")
+        for profile, backend in ((None, ExchangeStore({}, "m")), (EXPLAIN_PROFILE, None)):
+            with pytest.raises(ValueError, match="backend route needs"):
+                explain_expression(
+                    leaf_record.question, expr, route="backend",
+                    profile=profile, backend=backend,
+                )
 
 
 class TestGenerateAlternatives:

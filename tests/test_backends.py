@@ -1,4 +1,8 @@
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -8,14 +12,13 @@ from askbd.backends import (
     CAP_SCORE_TOKENS,
     BackendProfile,
     CapabilityMissing,
+    ExchangeStore,
     GenerationParams,
     HttpBackend,
     MalformedResponse,
     MockScoreBackend,
     RateLimiter,
-    RecordingBackend,
     RetryPolicy,
-    ScriptedBackend,
     StrictScriptedViolation,
     TokenScore,
     Unauthorized,
@@ -76,11 +79,11 @@ def chat_body(text):
 class TestScripted:
     def test_echoes_scripted_response(self):
         key = generate_fingerprint("test-model", MESSAGES, PARAMS)
-        backend = ScriptedBackend({key: {"response": "Step 1: <correct>"}}, "test-model")
+        backend = ExchangeStore({key: {"response": "Step 1: <correct>"}}, "test-model")
         assert backend.generate(MESSAGES, PARAMS) == "Step 1: <correct>"
 
     def test_strict_mode_unknown_prompt(self):
-        backend = ScriptedBackend({}, "test-model", strict=True)
+        backend = ExchangeStore({}, "test-model")
         with pytest.raises(UnscriptedRequest):
             backend.generate(MESSAGES, PARAMS)
 
@@ -90,13 +93,13 @@ class TestScripted:
     def test_deterministic_across_instances(self):
         key = generate_fingerprint("test-model", MESSAGES, PARAMS)
         entries = {key: {"response": "hello"}}
-        a = ScriptedBackend(dict(entries), "test-model")
-        b = ScriptedBackend(dict(entries), "test-model")
+        a = ExchangeStore(dict(entries), "test-model")
+        b = ExchangeStore(dict(entries), "test-model")
         assert a.generate(MESSAGES, PARAMS) == b.generate(MESSAGES, PARAMS)
 
     def test_scripted_scores(self):
         key = score_fingerprint("test-model", "q", "a b")
-        backend = ScriptedBackend(
+        backend = ExchangeStore(
             {key: {"token_scores": [["a", -0.5], ["b", -1.5]]}}, "test-model"
         )
         assert backend.score_tokens("q", "a b") == [
@@ -213,11 +216,101 @@ class TestRecordReplay:
             sleep=clock.sleep,
             transport=FaultInjectingTransport([(200, body)]),
         )
-        recorder = RecordingBackend(live, "test-model", cassette)
+        recorder = ExchangeStore({}, "test-model", inner=live, path=cassette)
         recorded = recorder.score_tokens("q", "xy")
 
-        replay = ScriptedBackend(load_cassette(cassette), "test-model")
+        replay = ExchangeStore(load_cassette(cassette), "test-model")
         assert replay.score_tokens("q", "xy") == recorded
+
+    def recording_profile(self, cassette, record=True):
+        return make_profile(cassette=str(cassette), record=record)
+
+    def open_recorder(self, cassette, transport, record=True):
+        clock = VirtualClock()
+        return open_backend(
+            self.recording_profile(cassette, record), clock=clock, sleep=clock.sleep,
+            transport=transport, api_key="k",
+        )
+
+    def test_record_then_replay_answers_alike_including_reasks(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        transport = FaultInjectingTransport([(200, chat_body(t)) for t in "ABCD"])
+        recorder = self.open_recorder(cassette, transport)
+        # ask, re-ask, then the same two for a second seed
+        recorded = [recorder.generate(MESSAGES, PARAMS) for _ in range(4)]
+        replay = open_backend(self.recording_profile(cassette, record=False))
+        assert [replay.generate(MESSAGES, PARAMS) for _ in range(4)] == recorded == ["A"] * 4
+        assert transport.calls == 1
+
+    def test_reopened_cassette_sends_nothing_and_keeps_one_line_per_request(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        second = [{"role": "user", "content": "another request"}]
+        first = self.open_recorder(
+            cassette, FaultInjectingTransport([(200, chat_body("one")), (200, chat_body("two"))])
+        )
+        answers = [first.generate(MESSAGES, PARAMS), first.generate(second, PARAMS)]
+        transport = FaultInjectingTransport([])
+        again = self.open_recorder(cassette, transport)
+        assert [again.generate(MESSAGES, PARAMS), again.generate(second, PARAMS)] == answers
+        assert transport.calls == 0
+        hashes = [json.loads(line)["request_hash"] for line in cassette.read_text().splitlines()]
+        assert sorted(hashes) == sorted(
+            {generate_fingerprint("test-model", m, PARAMS) for m in (MESSAGES, second)}
+        )
+
+
+class CountingGenerator:
+    """A live transport stand-in that answers after `delay` seconds."""
+
+    def __init__(self, delay=0.0):
+        self.delay = delay
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def generate(self, messages, params):
+        with self._lock:
+            self.calls += 1
+        time.sleep(self.delay)
+        return "answer to " + messages[0]["content"]
+
+
+def in_threads(work, n_threads):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            futures = [pool.submit(work, i) for i in range(n_threads)]
+            return [f.result(timeout=30) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestStoreThreads:
+    def test_four_threads_append_only_whole_lines(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        inner = CountingGenerator()
+        store = ExchangeStore({}, "test-model", inner=inner, path=cassette)
+
+        def record(thread):
+            for i in range(50):
+                prompt = [{"role": "user", "content": f"thread {thread} prompt {i} " + "x" * 500}]
+                store.generate(prompt, PARAMS)
+
+        in_threads(record, 4)
+        lines = cassette.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == inner.calls == 200
+        entries = [json.loads(line) for line in lines]
+        assert {e["request_hash"] for e in entries} == set(store.entries)
+        assert all(e["response"].startswith("answer to thread ") for e in entries)
+
+    def test_concurrent_misses_on_one_request_ask_once(self, tmp_path):
+        cassette = tmp_path / "cassette.jsonl"
+        inner = CountingGenerator(delay=0.05)
+        store = ExchangeStore({}, "test-model", inner=inner, path=cassette)
+        answers = in_threads(lambda _: store.generate(MESSAGES, PARAMS), 4)
+        assert answers == ["answer to naive-prompt request"] * 4
+        assert inner.calls == 1
+        assert len(cassette.read_text().splitlines()) == 1
 
 
 class TestModuleOps:

@@ -412,10 +412,25 @@ class TestOnePathToReports:
             resumed = tmp_path / "cut" / "out" / "transcripts" / path.name
             assert resumed.read_bytes() == path.read_bytes(), path.name
 
-    def test_evaluate_rejects_a_corrupt_transcript(self, tmp_path):
+    def test_a_corrupt_transcript_or_cassette_exits_2(self, tmp_path, capsys):
         info = build_demo(tmp_path, n_questions=1, seeds=(1,))
         transcripts = tmp_path / "out" / "transcripts"
         transcripts.mkdir(parents=True)
         (transcripts / "demo__M0__seed1.jsonl").write_text('{"record_id": "x", "sta\n')
         assert main(["evaluate", "--transcripts", str(transcripts),
                      "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.startswith("schema error:")
+
+        cassette = info["cassette"]
+        lines = cassette.read_text().splitlines(keepends=True)
+        no_hash = json.dumps({"response": "Step 1: <correct>"}) + "\n"
+        cases = [(None, ""), ('{"request_hash": \n', "(line 3)"), (no_hash, "(line 3)")]
+        for third_line, where in cases:
+            if third_line is None:
+                cassette.unlink()
+            else:
+                cassette.write_text("".join(lines[:2] + [third_line] + lines[3:]))
+            assert main(["run", "--config", str(info["config"])]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(cassette) in err, err
+            assert where in err, err

@@ -6,8 +6,8 @@ import pytest
 from askbd.backends import (
     CAP_GENERATE,
     BackendProfile,
+    ExchangeStore,
     GenerationParams,
-    ScriptedBackend,
     generate_fingerprint,
 )
 from askbd.detect import (
@@ -41,7 +41,7 @@ def script_for(pairs):
             MODEL, [{"role": "user", "content": prompt}], GenerationParams()
         )
         entries[key] = {"response": response}
-    return ScriptedBackend(entries, MODEL)
+    return ExchangeStore(entries, MODEL)
 
 
 # The published detector instructions, frozen for the golden comparison.
@@ -378,7 +378,7 @@ class TestDetect:
 
     def test_ref_strategies_require_reference(self, leaf_record):
         with pytest.raises(ValueError):
-            detect(leaf_record, PROFILE, "ref_matching")
+            detect(leaf_record, PROFILE, "ref_matching", backend=script_for({}))
 
     def test_ref_matching_scripted(self, leaf_record):
         reference = render_solution_text(leaf_record)
@@ -395,7 +395,7 @@ class TestDetect:
 
     def test_unknown_strategy(self, leaf_record):
         with pytest.raises(ValueError):
-            detect(leaf_record, PROFILE, "M9")
+            detect(leaf_record, PROFILE, "M9", backend=script_for({}))
 
     def test_scripted_error_fixture_detects_injected_step(self, leaf_record):
         from askbd.inject import inject_calculation

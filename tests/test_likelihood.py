@@ -98,34 +98,25 @@ class TestScoring:
     def test_pseudo_indicator_is_mean(self, leaf_record):
         a = scoring_profile("a", "mock:score?logprob=-1.0")
         b = scoring_profile("b", "mock:score?logprob=-3.0")
-        value = pseudo_indicator(
-            leaf_record,
-            [a, b],
-            backends_by_name={
-                "a": MockScoreBackend(a.endpoint),
-                "b": MockScoreBackend(b.endpoint),
-            },
-        )
-        assert value == -2.0
+        assert pseudo_indicator(score_each(leaf_record, [a, b])) == -2.0
 
     def test_pseudo_indicator_single_backend_identity(self, leaf_record):
         a = scoring_profile("a", "mock:score?logprob=-1.5")
-        value = pseudo_indicator(
-            leaf_record, [a], backends_by_name={"a": MockScoreBackend(a.endpoint)}
-        )
-        assert value == -1.5
+        assert pseudo_indicator(score_each(leaf_record, [a])) == -1.5
 
     def test_four_backend_mean(self, leaf_record):
         profiles = [
             scoring_profile(name, f"mock:score?logprob=-{k}.0")
             for k, name in enumerate(["w", "x", "y", "z"], start=1)
         ]
-        value = pseudo_indicator(
-            leaf_record,
-            profiles,
-            backends_by_name={p.name: MockScoreBackend(p.endpoint) for p in profiles},
-        )
+        value = pseudo_indicator(score_each(leaf_record, profiles))
         assert value == -(1 + 2 + 3 + 4) / 4
+
+
+def score_each(record, profiles):
+    return [
+        score_solution(record, p, backend=MockScoreBackend(p.endpoint)) for p in profiles
+    ]
 
 
 class TestQuartiles:
