@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .records import SchemaViolation
+from .records import SchemaViolation, read_json_file
 
 log = logging.getLogger(__name__)
 
@@ -94,7 +94,6 @@ class TokenScore:
 @dataclass(frozen=True)
 class GenerationParams:
     temperature: float = 0.0
-    seed: int | None = None
     max_tokens: int = 1024
 
 
@@ -102,8 +101,8 @@ Messages = Sequence[Mapping[str, str]]
 
 
 def request_fingerprint(kind: str, model: str, payload: Mapping) -> str:
-    """Stable hash of a normalized request; sampling seed is excluded so
-    replay matches regardless of the seed recorded for a run."""
+    """Stable hash of a normalized request. No request carries a seed, so
+    every seed of a run replays the same exchanges."""
     body = json.dumps(
         {"kind": kind, "model": model, "payload": payload},
         sort_keys=True,
@@ -235,8 +234,6 @@ class HttpBackend:
             "temperature": params.temperature,
             "max_tokens": params.max_tokens,
         }
-        if params.seed is not None:
-            payload["seed"] = params.seed
         body = self._post("/chat/completions", payload)
         try:
             text = body["choices"][0]["message"]["content"]
@@ -402,10 +399,14 @@ def load_cassette(path) -> dict[str, dict]:
 
 
 def load_profiles(path) -> dict[str, BackendProfile]:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    """Profiles by name. A missing or malformed file, or a bad entry, is a
+    SchemaViolation naming the file."""
+    data = read_json_file(path, "profiles file")
+    raw_profiles = data.get("profiles", []) if isinstance(data, dict) else None
+    if not isinstance(raw_profiles, list):
+        raise SchemaViolation(f"profiles file {path} has no list of profiles")
     profiles: dict[str, BackendProfile] = {}
-    for raw in data.get("profiles", []):
+    for raw in raw_profiles:
         try:
             retry = RetryPolicy(**raw.get("retry", {}))
             profile = BackendProfile(
@@ -418,8 +419,8 @@ def load_profiles(path) -> dict[str, BackendProfile]:
                 cassette=raw.get("cassette"),
                 record=raw.get("record", False),
             )
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"bad profile entry {raw!r}: {err}") from err
+        except (KeyError, TypeError, AttributeError) as err:
+            raise SchemaViolation(f"bad profile entry {raw!r} in {path}: {err!r}") from err
         profiles[profile.name] = profile
     return profiles
 

@@ -28,9 +28,12 @@ from .alternatives import (
 )
 from .backends import BackendError, BackendProfile, load_profiles, open_backend
 from .detect import (
+    FAILED_STAGE,
+    REFERENCE_STRATEGIES,
+    STRATEGIES,
+    STRATEGY_REF_MATCHING,
     DetectionOutcome,
     StageExchange,
-    UnparseableBackendOutput,
     detect,
     parse_detector_response,
 )
@@ -51,6 +54,7 @@ from .records import (
     compute_stats,
     make_record,
     parse_structured_solution,
+    read_json_file,
     read_jsonl,
     render_solution_text,
     render_step,
@@ -62,15 +66,9 @@ EXIT_SCHEMA = 2
 EXIT_BACKEND = 3
 EXIT_ABORT = 4
 
+# each strategy by its name and by its `-` spelling
 _STRATEGY_FLAGS = {
-    "M0": "M0",
-    "M1": "M1",
-    "M2": "M2",
-    "M3": "M3",
-    "ref-conventional": "ref_conventional",
-    "ref-matching": "ref_matching",
-    "ref_conventional": "ref_conventional",
-    "ref_matching": "ref_matching",
+    spelling: name for name in STRATEGIES for spelling in (name, name.replace("_", "-"))
 }
 
 
@@ -305,7 +303,6 @@ def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
 # --- detect / evaluate / run ---
 
 
-_FAILED_STAGE = "failed"
 _TRANSCRIPT_NAME = re.compile(r"(?P<profile>.+)__(?P<strategy>.+)__seed(?P<seed>\d+)\.jsonl$")
 
 
@@ -342,7 +339,7 @@ def _read_outcomes(path: Path) -> dict[str, StageExchange]:
                 continue
             try:
                 entry = json.loads(line)
-                if entry["stage"] in ("reg", _FAILED_STAGE):
+                if entry["stage"] in ("reg", FAILED_STAGE):
                     outcomes[entry["record_id"]] = StageExchange(
                         entry["stage"], entry["prompt"], entry["response"]
                     )
@@ -360,7 +357,7 @@ def _judge_transcript(path: Path, gold: dict[str, SolutionRecord], profile: str,
         record = gold.get(record_id)
         if record is None:
             raise SchemaViolation(f"gold corpus lacks record {record_id}")
-        if line.stage == _FAILED_STAGE:
+        if line.stage == FAILED_STAGE:
             outcome = DetectionOutcome.invalid_response("", line.response)
         else:
             outcome = parse_detector_response(line.response, len(record.steps))
@@ -409,7 +406,7 @@ def _resolve_reference(record: SolutionRecord, strategy: str,
         return pool[parent]
 
     base = record
-    if strategy == "ref_matching":
+    if strategy == STRATEGY_REF_MATCHING:
         if base.label.is_error:
             base = parent_of(base)
         return render_solution_text(base)
@@ -448,17 +445,10 @@ def _run_detection(
         # Serialized here, in the worker: a main thread that only writes
         # holds the interpreter lock briefly, and detection keeps its pace.
         reference = None
-        if strategy in ("ref_conventional", "ref_matching"):
+        if strategy in REFERENCE_STRATEGIES:
             reference = _resolve_reference(record, strategy, reference_pool or {})
-        try:
-            exchanges = detect(record, profile, strategy, reference=reference,
-                               backend=backend).transcript
-        except (UnparseableBackendOutput, backends.MalformedResponse,
-                backends.RateLimited) as err:
-            # a per-record failure is one `failed` line, judged invalid;
-            # auth errors abort
-            exchanges = (StageExchange(_FAILED_STAGE, "", f"stage failure: {err}"),)
-        return _transcript_lines(record.record_id, strategy, exchanges)
+        run = detect(record, profile, strategy, reference=reference, backend=backend)
+        return _transcript_lines(record.record_id, strategy, run.transcript)
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=workers) as pool, \
@@ -521,14 +511,27 @@ class RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+    """The run config in the file at `path`. Anything wrong with it is a
+    SchemaViolation naming the file."""
+    data = read_json_file(path, "run config")
+    if not isinstance(data, dict):
+        raise SchemaViolation(f"run config {path} is not a JSON object")
     try:
+        strategies, seeds = data["strategies"], data["seeds"]
+        if not isinstance(strategies, list) or not all(s in _STRATEGY_FLAGS for s in strategies):
+            raise SchemaViolation(
+                f"run config {path}: strategies must be a list of {sorted(_STRATEGY_FLAGS)}, "
+                f"got {strategies!r}"
+            )
+        if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
+            raise SchemaViolation(
+                f"run config {path}: seeds must be a nonempty list of integers, got {seeds!r}"
+            )
         config = RunConfig(
             profiles_path=data["profiles"],
             profile_names=tuple(data.get("profile_names", [])),
-            strategies=tuple(_STRATEGY_FLAGS[s] for s in data["strategies"]),
-            seeds=tuple(data["seeds"]),
+            strategies=tuple(_STRATEGY_FLAGS[s] for s in strategies),
+            seeds=tuple(seeds),
             corpora=tuple(data["corpora"]),
             out=data["out"],
             strict_scripted=data.get("strict_scripted", False),
@@ -536,9 +539,7 @@ def load_run_config(path) -> RunConfig:
             workers=data.get("workers", 4),
         )
     except KeyError as err:
-        raise SchemaViolation(f"run config missing key {err.args[0]!r}") from err
-    if not config.seeds:
-        raise SchemaViolation("run config needs at least one seed")
+        raise SchemaViolation(f"run config {path} missing key {err.args[0]!r}") from err
     for path_ in (config.profiles_path, *config.corpora):
         if not Path(path_).exists():
             raise SchemaViolation(f"referenced file does not exist: {path_}")

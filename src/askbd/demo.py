@@ -23,7 +23,14 @@ from .alternatives import (
     generate_alternatives,
 )
 from .backends import GenerationParams, cassette_line, generate_fingerprint
-from .detect import STRATEGY_ASKBD, STRATEGY_ASKBD_COT, STRATEGY_COT, load_template
+from .detect import (
+    STRATEGY_ASKBD_COT,
+    STRATEGY_COT,
+    cqe_prompt,
+    grading_prompt,
+    sqr_prompt,
+    ssi_prompt,
+)
 from .inject import InjectionError, inject_batch
 from .records import (
     CATEGORIES,
@@ -32,7 +39,6 @@ from .records import (
     condition_values,
     make_record,
     number_tokens,
-    render_solution_text,
     write_jsonl,
 )
 
@@ -324,27 +330,16 @@ def build_cassette(
         entries[key] = {"response": response}
 
     for record in records:
-        solution = render_solution_text(record)
         conditions, inquiry = _split_question(record)
+        step_questions = _step_questions(record)
         reference = _reference_text(record)
 
-        questions = _step_questions(record) + [inquiry]
-        numbered = "\n".join(f"Question {i}: {q}" for i, q in enumerate(questions, 1))
-
+        script(cqe_prompt(record), f"<conditions> {conditions}\n<inquiry> {inquiry}")
         script(
-            load_template("cqe").render(question=record.question),
-            f"<conditions> {conditions}\n<inquiry> {inquiry}",
+            ssi_prompt(record),
+            "\n".join(f"Question {i}: {q}" for i, q in enumerate(step_questions, start=1)),
         )
-        script(
-            load_template("ssi").render(solution=solution),
-            "\n".join(
-                f"Question {i}: {q}" for i, q in enumerate(questions[:-1], start=1)
-            ),
-        )
-        script(
-            load_template("sqr").render(conditions=conditions, questions=numbered),
-            reference,
-        )
+        script(sqr_prompt(conditions, [*step_questions, inquiry]), reference)
 
         for strategy in ("M0", "M1", "M2", "M3"):
             correct = rng.random() < ACCURACY_TARGETS[(strategy, record.origin)]
@@ -352,23 +347,7 @@ def build_cassette(
             body = _render_tags(tags)
             if strategy in (STRATEGY_COT, STRATEGY_ASKBD_COT):
                 body = "Let me verify each step against the question.\n" + body
-            if strategy == "M0":
-                prompt = load_template("naive").render(
-                    question=record.question, solution=solution
-                )
-            elif strategy == "M1":
-                prompt = load_template("cot").render(
-                    question=record.question, solution=solution
-                )
-            elif strategy == STRATEGY_ASKBD:
-                prompt = load_template("reference_naive").render(
-                    question=record.question, solution=solution, reference=reference
-                )
-            else:
-                prompt = load_template("reference_cot").render(
-                    question=record.question, solution=solution, reference=reference
-                )
-            script(prompt, body)
+            script(grading_prompt(record, strategy, reference), body)
     return entries
 
 

@@ -2,9 +2,10 @@
 
 Plain and chain-of-thought prompting, reference-conditioned prompting,
 and the four-stage ask-then-detect flow: split the question into
-conditions and inquiry, turn the solution's steps into questions, answer
-them into a reference solution, then grade with the reference attached.
-Response parsing is total: every detector reply maps to a valid or
+conditions and inquiry (cqe), turn the solution's steps into questions
+(ssi), answer them into a reference solution (sqr), then grade with the
+reference attached (reg). This module alone builds what each stage
+sends. Response parsing is total: every detector reply maps to a valid or
 invalid outcome, never an exception.
 """
 
@@ -13,10 +14,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from typing import Callable, Sequence
 
 from . import backends
-from .backends import BackendProfile, GenerationParams
+from .backends import BackendProfile
 from .records import CORRECT_LABEL, ErrorLabel, SolutionRecord, render_solution_text
 
 TEMPLATE_IDS = ("naive", "cot", "reference_naive", "reference_cot", "cqe", "ssi", "sqr")
@@ -27,14 +28,23 @@ STRATEGY_ASKBD = "M2"
 STRATEGY_ASKBD_COT = "M3"
 STRATEGY_REF_CONVENTIONAL = "ref_conventional"
 STRATEGY_REF_MATCHING = "ref_matching"
-STRATEGIES = (
-    STRATEGY_NAIVE,
-    STRATEGY_COT,
-    STRATEGY_ASKBD,
-    STRATEGY_ASKBD_COT,
-    STRATEGY_REF_CONVENTIONAL,
-    STRATEGY_REF_MATCHING,
-)
+# the template each strategy grades with
+_GRADING_TEMPLATES = {
+    STRATEGY_NAIVE: "naive",
+    STRATEGY_COT: "cot",
+    STRATEGY_ASKBD: "reference_naive",
+    STRATEGY_ASKBD_COT: "reference_cot",
+    STRATEGY_REF_CONVENTIONAL: "reference_naive",
+    STRATEGY_REF_MATCHING: "reference_naive",
+}
+STRATEGIES = tuple(_GRADING_TEMPLATES)
+# strategies that build their own reference before grading
+ASKBD_STRATEGIES = (STRATEGY_ASKBD, STRATEGY_ASKBD_COT)
+# strategies that grade with a given reference solution
+REFERENCE_STRATEGIES = (STRATEGY_REF_CONVENTIONAL, STRATEGY_REF_MATCHING)
+
+# the transcript stage of a record whose detection failed
+FAILED_STAGE = "failed"
 
 TAG_CORRECT = "correct"
 TAG_SECONDARY = "secondary"
@@ -75,28 +85,6 @@ def load_template(template_id: str) -> PromptTemplate:
         .read_text(encoding="utf-8")
     )
     return PromptTemplate(template_id=template_id, text=text.rstrip("\n"))
-
-
-@dataclass(frozen=True)
-class ExtractedQuestionParts:
-    conditions: str
-    inquiry: str
-
-    def __post_init__(self):
-        if not self.conditions.strip() or not self.inquiry.strip():
-            raise ValueError("conditions and inquiry must both be nonempty")
-
-
-@dataclass(frozen=True)
-class StepQuestionList:
-    questions: tuple[str, ...]
-    inquiry: str
-
-    def __post_init__(self):
-        if not self.questions:
-            raise ValueError("question list is empty")
-        if self.questions[-1] != self.inquiry:
-            raise ValueError("the final question must be the inquiry text")
 
 
 @dataclass(frozen=True)
@@ -192,143 +180,94 @@ def parse_detector_response(text: str, n_steps: int) -> DetectionOutcome:
     )
 
 
-# --- Stage operations ---
 
 
-def _user_message(prompt: str) -> list[dict[str, str]]:
-    return [{"role": "user", "content": prompt}]
+# --- Prompts: what each stage sends ---
 
 
-def _ask(
-    profile: BackendProfile,
-    prompt: str,
-    parser: Callable[[str], object],
-    backend,
-    params: GenerationParams = GenerationParams(),
-):
-    """One re-ask on unparseable output, then fail."""
-    last_error: UnparseableBackendOutput | None = None
-    for _ in range(2):
-        text = backends.generate(profile, _user_message(prompt), params, backend=backend)
-        try:
-            return parser(text), text
-        except UnparseableBackendOutput as err:
-            last_error = err
-    raise last_error
+def cqe_prompt(record: SolutionRecord) -> str:
+    """Split the question into its conditions and its inquiry."""
+    return load_template("cqe").render(question=record.question)
+
+
+def ssi_prompt(record: SolutionRecord) -> str:
+    """Turn each solution step into a conclusion-first question."""
+    return load_template("ssi").render(solution=render_solution_text(record))
+
+
+def sqr_prompt(conditions: str, questions: Sequence[str]) -> str:
+    """Answer the step questions, the inquiry last, into a reference solution."""
+    numbered = "\n".join(f"Question {i}: {q}" for i, q in enumerate(questions, start=1))
+    return load_template("sqr").render(conditions=conditions, questions=numbered)
+
+
+def grading_prompt(
+    record: SolutionRecord, strategy: str, reference: str | None = None
+) -> str:
+    """Grade the solution with `strategy`'s template; the templates that
+    take a reference attach `reference`, and render fails without one."""
+    values = {"question": record.question, "solution": render_solution_text(record)}
+    if reference is not None:
+        values["reference"] = reference
+    return load_template(_GRADING_TEMPLATES[strategy]).render(**values)
+
+
+# --- Reply parsers: each raises UnparseableBackendOutput to ask again ---
 
 
 _CQE_RESPONSE = re.compile(
     r"<conditions>\s*(.*?)\s*<inquiry>\s*(.*)", re.IGNORECASE | re.DOTALL
 )
+_QUESTION_LINE = re.compile(r"^\s*question\s*(\d+)\s*[:.]\s*(.+?)\s*$", re.IGNORECASE)
 
 
-def _parse_cqe(text: str) -> ExtractedQuestionParts:
+def _parse_cqe(text: str) -> tuple[str, str]:
     match = _CQE_RESPONSE.search(text)
     if not match:
         raise UnparseableBackendOutput("no <conditions>/<inquiry> sections in response")
     conditions, inquiry = match.group(1).strip(), match.group(2).strip()
     if not conditions or not inquiry:
         raise UnparseableBackendOutput("empty conditions or inquiry section")
-    return ExtractedQuestionParts(conditions=conditions, inquiry=inquiry)
+    return conditions, inquiry
 
 
-def cqe(
-    question: str, profile: BackendProfile, backend,
-    params: GenerationParams = GenerationParams(),
-) -> tuple[ExtractedQuestionParts, StageExchange]:
-    prompt = load_template("cqe").render(question=question)
-    parts, response = _ask(profile, prompt, _parse_cqe, backend, params)
-    return parts, StageExchange("cqe", prompt, response)
+def _parse_ssi(text: str, n_steps: int) -> list[str]:
+    """One question per solution step, in step order."""
+    numbered: dict[int, str] = {}
+    for line in text.splitlines():
+        match = _QUESTION_LINE.match(line)
+        if match:
+            numbered[int(match.group(1))] = match.group(2)
+    expected = list(range(1, n_steps + 1))
+    if sorted(numbered) != expected:
+        raise UnparseableBackendOutput(
+            f"expected questions 1..{n_steps}, got {sorted(numbered)}"
+        )
+    return [numbered[i] for i in expected]
 
 
-_QUESTION_LINE = re.compile(r"^\s*question\s*(\d+)\s*[:.]\s*(.+?)\s*$", re.IGNORECASE)
+def _parse_sqr(text: str) -> str:
+    if not text.strip():
+        raise UnparseableBackendOutput("empty reference solution")
+    return text.strip()
 
 
-def ssi(
-    record: SolutionRecord, inquiry: str, profile: BackendProfile, backend,
-    params: GenerationParams = GenerationParams(),
-) -> tuple[StepQuestionList, StageExchange]:
-    """One conclusion-first question per solution step, inquiry appended."""
-    prompt = load_template("ssi").render(solution=render_solution_text(record))
-
-    def parse(text: str) -> StepQuestionList:
-        numbered: dict[int, str] = {}
-        for line in text.splitlines():
-            match = _QUESTION_LINE.match(line)
-            if match:
-                numbered[int(match.group(1))] = match.group(2)
-        expected = list(range(1, len(record.steps) + 1))
-        if sorted(numbered) != expected:
-            raise UnparseableBackendOutput(
-                f"expected questions 1..{len(record.steps)}, got {sorted(numbered)}"
-            )
-        questions = tuple(numbered[i] for i in expected) + (inquiry,)
-        return StepQuestionList(questions=questions, inquiry=inquiry)
-
-    questions, response = _ask(profile, prompt, parse, backend, params)
-    return questions, StageExchange("ssi", prompt, response)
+def _parse_grading(text: str, n_steps: int) -> DetectionOutcome:
+    outcome = parse_detector_response(text, n_steps)
+    if not outcome.valid:
+        raise UnparseableBackendOutput(outcome.invalid_reason)
+    return outcome
 
 
-def sqr(
-    conditions: str, questions: StepQuestionList, profile: BackendProfile, backend,
-    params: GenerationParams = GenerationParams(),
-) -> tuple[str, StageExchange]:
-    """Answer the step questions in order into a reference solution."""
-    if not conditions.strip():
-        raise ValueError("condition text is empty")
-    numbered = "\n".join(
-        f"Question {i}: {q}" for i, q in enumerate(questions.questions, start=1)
-    )
-    prompt = load_template("sqr").render(conditions=conditions, questions=numbered)
-
-    def parse(text: str) -> str:
-        if not text.strip():
-            raise UnparseableBackendOutput("empty reference solution")
-        return text.strip()
-
-    reference, response = _ask(profile, prompt, parse, backend, params)
-    return reference, StageExchange("sqr", prompt, response)
+# --- Detection ---
 
 
-def reg(
-    record: SolutionRecord,
-    reference: str,
-    profile: BackendProfile,
-    mode: str = "naive",
-    *,
-    backend,
-    params: GenerationParams = GenerationParams(),
-) -> tuple[DetectionOutcome, list[StageExchange]]:
-    """Grade with the reference attached; invalid output is kept as an
-    invalid outcome (judged incorrect downstream), with one re-ask."""
-    if not reference.strip():
-        raise ValueError("reference text is empty")
-    template = load_template("reference_cot" if mode == "cot" else "reference_naive")
-    prompt = template.render(
-        question=record.question,
-        solution=render_solution_text(record),
-        reference=reference,
-    )
-    return _graded_exchanges("reg", prompt, record, profile, backend, params)
+def _user_message(prompt: str) -> list[dict[str, str]]:
+    return [{"role": "user", "content": prompt}]
 
 
-def _graded_exchanges(
-    stage: str,
-    prompt: str,
-    record: SolutionRecord,
-    profile: BackendProfile,
-    backend,
-    params: GenerationParams,
-) -> tuple[DetectionOutcome, list[StageExchange]]:
-    exchanges: list[StageExchange] = []
-    outcome = None
-    for _ in range(2):
-        response = backends.generate(profile, _user_message(prompt), params, backend=backend)
-        exchanges.append(StageExchange(stage, prompt, response))
-        outcome = parse_detector_response(response, len(record.steps))
-        if outcome.valid:
-            break
-    return outcome, exchanges
+# failures confined to one record: the run records them and goes on
+_RECORD_FAILURES = (UnparseableBackendOutput, backends.MalformedResponse, backends.RateLimited)
 
 
 def detect(
@@ -338,41 +277,48 @@ def detect(
     reference: str | None = None,
     *,
     backend,
-    params: GenerationParams = GenerationParams(),
 ) -> DetectionRun:
-    """Run one detection strategy and return the outcome with its full
-    transcript. The ask-then-detect strategies compose the four stages in
-    order; reference strategies require `reference`."""
+    """Run one detection strategy and return the outcome with every
+    exchange it made, re-asks included. M2 and M3 build their reference
+    with the cqe, ssi and sqr stages before grading; the ref_* strategies
+    grade with the given `reference`. A grading reply that stays
+    unparseable is an invalid outcome. Any other per-record failure ends
+    the transcript with one `failed` line naming the stage and the error
+    class, and the outcome is invalid; other backend errors propagate."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     transcript: list[StageExchange] = []
+    stage = ""
 
-    if strategy in (STRATEGY_NAIVE, STRATEGY_COT):
-        template = load_template("cot" if strategy == STRATEGY_COT else "naive")
-        prompt = template.render(
-            question=record.question, solution=render_solution_text(record)
-        )
-        outcome, exchanges = _graded_exchanges("reg", prompt, record, profile, backend, params)
-        transcript.extend(exchanges)
-    elif strategy in (STRATEGY_REF_CONVENTIONAL, STRATEGY_REF_MATCHING):
-        if reference is None:
-            raise ValueError(f"strategy {strategy} requires a reference solution")
-        outcome, exchanges = reg(
-            record, reference, profile, "naive", backend=backend, params=params
-        )
-        transcript.extend(exchanges)
-    else:
-        parts, exchange = cqe(record.question, profile, backend, params)
-        transcript.append(exchange)
-        questions, exchange = ssi(record, parts.inquiry, profile, backend, params)
-        transcript.append(exchange)
-        generated_reference, exchange = sqr(parts.conditions, questions, profile, backend, params)
-        transcript.append(exchange)
-        mode = "cot" if strategy == STRATEGY_ASKBD_COT else "naive"
-        outcome, exchanges = reg(
-            record, generated_reference, profile, mode, backend=backend, params=params
-        )
-        transcript.extend(exchanges)
+    def ask(this_stage: str, prompt: str, parse: Callable[[str], object]):
+        """Send `prompt`, and once more if `parse` rejects the reply; a
+        second rejection raises. Every exchange joins the transcript."""
+        nonlocal stage
+        stage = this_stage
+        for reask in (False, True):
+            response = backends.generate(profile, _user_message(prompt), backend=backend)
+            transcript.append(StageExchange(stage, prompt, response))
+            try:
+                return parse(response)
+            except UnparseableBackendOutput:
+                if reask:
+                    raise
+
+    n_steps = len(record.steps)
+    try:
+        if strategy in ASKBD_STRATEGIES:
+            conditions, inquiry = ask("cqe", cqe_prompt(record), _parse_cqe)
+            questions = ask("ssi", ssi_prompt(record), lambda text: _parse_ssi(text, n_steps))
+            reference = ask("sqr", sqr_prompt(conditions, [*questions, inquiry]), _parse_sqr)
+        prompt = grading_prompt(record, strategy, reference)
+        try:
+            outcome = ask("reg", prompt, lambda text: _parse_grading(text, n_steps))
+        except UnparseableBackendOutput as err:
+            outcome = DetectionOutcome.invalid_response(transcript[-1].response, str(err))
+    except _RECORD_FAILURES as err:
+        failure = f"stage failure: {stage}: {type(err).__name__}: {err}"
+        transcript.append(StageExchange(FAILED_STAGE, "", failure))
+        outcome = DetectionOutcome.invalid_response("", failure)
 
     return DetectionRun(
         record_id=record.record_id,

@@ -338,6 +338,18 @@ def record_from_json(obj: dict, line: int | None = None) -> SolutionRecord:
         raise SchemaViolation(str(err), line=line) from err
 
 
+def read_json_file(path, what: str):
+    """The JSON document in the file at `path`. A missing, unreadable or
+    malformed file is a SchemaViolation naming `what` and the file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as err:
+        raise SchemaViolation(f"cannot read {what}: {err}") from err
+    except ValueError as err:
+        raise SchemaViolation(f"invalid JSON in {what} {path}: {err}") from err
+
+
 def read_jsonl(path) -> list[SolutionRecord]:
     records = []
     with open(path, encoding="utf-8") as handle:

@@ -2,6 +2,8 @@ import csv
 import io
 import itertools
 import json
+import re
+from collections import Counter
 
 import pytest
 
@@ -172,14 +174,28 @@ class TestScoreLikelihoodCli:
         header = analysis.read_text().splitlines()[0]
         assert header == "record_id,indicator,bucket,correct"
 
-    def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path):
-        rc = main([
-            "score-likelihood", "--profiles", "nope",
-            "--profiles-file", str(demo_dir / "profiles.json"),
-            "--in", str(demo_dir / "corpus.jsonl"),
-            "--out", str(tmp_path / "s.jsonl"),
-        ])
-        assert rc == 2
+    def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
+        def score(profiles_file):
+            return main([
+                "score-likelihood", "--profiles", "nope",
+                "--profiles-file", str(profiles_file),
+                "--in", str(demo_dir / "corpus.jsonl"),
+                "--out", str(tmp_path / "s.jsonl"),
+            ])
+
+        assert score(demo_dir / "profiles.json") == 2
+        capsys.readouterr()
+        # a missing or malformed profiles file, or an entry without an
+        # endpoint, is a schema error that names the file
+        profiles = tmp_path / "profiles.json"
+        for text in (None, '{"profiles": [', '{"profiles": [{"name": "x", "model": "m"}]}'):
+            if text is None:
+                profiles.unlink(missing_ok=True)
+            else:
+                profiles.write_text(text)
+            assert score(profiles) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(profiles) in err, err
 
 
 class TestDetectEvaluateRun:
@@ -260,16 +276,30 @@ class TestDetectEvaluateRun:
         ])
         assert rc == 3
 
-    def test_missing_config_file_reference(self, tmp_path):
+    def test_missing_config_file_reference(self, tmp_path, capsys):
         config = tmp_path / "run.json"
-        config.write_text(json.dumps({
+        fields = {
             "profiles": str(tmp_path / "missing.json"),
             "strategies": ["M0"],
             "seeds": [1],
             "corpora": [],
             "out": str(tmp_path / "out"),
-        }))
+        }
+        config.write_text(json.dumps(fields))
         assert main(["run", "--config", str(config)]) == 2
+        capsys.readouterr()
+        # a missing or malformed config, an unknown strategy or seeds that
+        # are not a list of integers is a schema error naming the config
+        cases = [None, '{"strategies": [', json.dumps({**fields, "strategies": ["M9"]}),
+                 json.dumps({**fields, "seeds": "12"}), json.dumps({**fields, "seeds": []})]
+        for text in cases:
+            if text is None:
+                config.unlink()
+            else:
+                config.write_text(text)
+            assert main(["run", "--config", str(config)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(config) in err, err
 
     def test_strict_scripted_run_makes_zero_network_calls(self, demo_dir, monkeypatch):
         import socket
@@ -361,13 +391,17 @@ class TestOnePathToReports:
 
         transcripts = sorted((tmp_path / "out" / "transcripts").glob("*.jsonl"))
         failed = set()
+        lines_per_record = Counter()
         for path in transcripts:
             seed = path.stem.rsplit("seed", 1)[1]
             for line in path.read_text().splitlines():
                 entry = json.loads(line)
+                lines_per_record[(entry["record_id"], entry["strategy"], seed)] += 1
                 if entry["stage"] == "failed":
                     assert entry["prompt"] == ""
-                    assert entry["response"].startswith("stage failure: ")
+                    assert re.match(
+                        r"stage failure: (cqe|ssi|sqr|reg): UnscriptedRequest: ", entry["response"]
+                    ), entry["response"]
                     failed.add((entry["record_id"], entry["strategy"], seed))
         assert failed
         rows = list(csv.DictReader(io.StringIO(reports["results.csv"].decode())))
@@ -375,12 +409,27 @@ class TestOnePathToReports:
         invalid = {(r["record_id"], r["strategy"], r["seed"]) for r in rows if r["valid"] == "0"}
         assert failed <= invalid
 
-        # resuming re-detects exactly the failed records, which fail again
-        size = sum(len(path.read_text().splitlines()) for path in transcripts)
+        # resuming re-detects exactly the failed records, which fail again:
+        # it appends the lines their first attempts wrote, once more
+        size = sum(lines_per_record.values())
         assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
         assert _reports(tmp_path / "out") == reports
         assert sum(len(path.read_text().splitlines()) for path in transcripts) == \
-            size + len(failed)
+            size + sum(lines_per_record[key] for key in failed)
+
+    def test_a_scripted_run_asks_every_stage_once(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1,))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        for strategy, expected in (("M0", ["reg"]), ("M1", ["reg"]),
+                                   ("M2", ["cqe", "ssi", "sqr", "reg"]),
+                                   ("M3", ["cqe", "ssi", "sqr", "reg"])):
+            path = tmp_path / "out" / "transcripts" / f"demo__{strategy}__seed1.jsonl"
+            stages = {}
+            for line in path.read_text().splitlines():
+                entry = json.loads(line)
+                stages.setdefault(entry["record_id"], []).append(entry["stage"])
+            assert len(stages) == info["n_records"]
+            assert all(found == expected for found in stages.values()), strategy
 
     def test_interrupted_run_resumes_to_the_same_reports(self, tmp_path, monkeypatch):
         whole = build_demo(tmp_path / "whole", n_questions=2, seeds=(1, 2))

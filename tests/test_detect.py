@@ -12,15 +12,13 @@ from askbd.backends import (
 )
 from askbd.detect import (
     DetectionOutcome,
-    StepQuestionList,
-    UnparseableBackendOutput,
-    cqe,
+    cqe_prompt,
     detect,
+    grading_prompt,
     load_template,
     parse_detector_response,
-    reg,
-    sqr,
-    ssi,
+    sqr_prompt,
+    ssi_prompt,
 )
 from askbd.records import CORRECT_LABEL, ErrorLabel, render_solution_text
 
@@ -42,6 +40,20 @@ def script_for(pairs):
         )
         entries[key] = {"response": response}
     return ExchangeStore(entries, MODEL)
+
+
+class SequenceBackend:
+    """Answers each prompt with the next of its scripted responses."""
+
+    def __init__(self, pairs):
+        self.replies = {prompt: list(responses) for prompt, responses in pairs.items()}
+
+    def generate(self, messages, params):
+        return self.replies[messages[0]["content"]].pop(0)
+
+
+def stages(run):
+    return [exchange.stage for exchange in run.transcript]
 
 
 # The published detector instructions, frozen for the golden comparison.
@@ -186,6 +198,7 @@ class TestParseDetectorResponse:
         assert parse_detector_response(text2, 3).predicted == predicted
 
 
+LEAF_INQUIRY = "How far down the sidewalk has the leaf traveled after 11 gusts?"
 LEAF_CQE_RESPONSE = (
     "<conditions> Each gust blows the leaf 5 feet forward; each swirl blows it "
     "back 2 feet; there are 11 gusts.\n"
@@ -202,12 +215,11 @@ def leaf_scripts(leaf_record):
         "Question 2: How far back do 11 swirls blow the leaf?\n"
         "Question 3: How far has the leaf traveled after 11 gusts?"
     )
-    inquiry = "How far down the sidewalk has the leaf traveled after 11 gusts?"
     questions = [
         "How far forward do 11 gusts blow the leaf?",
         "How far back do 11 swirls blow the leaf?",
         "How far has the leaf traveled after 11 gusts?",
-        inquiry,
+        LEAF_INQUIRY,
     ]
     conditions = (
         "Each gust blows the leaf 5 feet forward; each swirl blows it back 2 "
@@ -237,51 +249,59 @@ def leaf_scripts(leaf_record):
 
 class TestStages:
     def test_cqe_parses_fixture(self, leaf_record):
-        prompt = load_template("cqe").render(question=leaf_record.question)
-        backend = script_for({prompt: LEAF_CQE_RESPONSE})
-        parts, exchange = cqe(leaf_record.question, PROFILE, backend=backend)
-        assert "5 feet forward" in parts.conditions
-        assert parts.inquiry.startswith("How far")
-        assert exchange.stage == "cqe"
+        run = detect(leaf_record, PROFILE, "M2", backend=script_for(leaf_scripts(leaf_record)))
+        cqe, sqr = run.transcript[0], run.transcript[2]
+        assert (cqe.stage, sqr.stage) == ("cqe", "sqr")
+        assert cqe.prompt == load_template("cqe").render(question=leaf_record.question)
+        # the parsed conditions and inquiry are what sqr is asked about
+        assert "<conditions> Each gust blows the leaf 5 feet forward" in sqr.prompt
+        assert f"Question 4: {LEAF_INQUIRY}" in sqr.prompt
 
     def test_cqe_missing_delimiter_fails_after_reask(self, leaf_record):
-        prompt = load_template("cqe").render(question=leaf_record.question)
-        backend = script_for({prompt: "no sections here"})
-        with pytest.raises(UnparseableBackendOutput):
-            cqe(leaf_record.question, PROFILE, backend=backend)
+        scripts = leaf_scripts(leaf_record)
+        scripts[cqe_prompt(leaf_record)] = "no sections here"
+        run = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(run) == ["cqe", "cqe", "failed"]
+        assert run.transcript[-1].response.startswith(
+            "stage failure: cqe: UnparseableBackendOutput: no <conditions>"
+        )
+        assert not run.outcome.valid
 
     def test_ssi_appends_inquiry(self, leaf_record):
-        scripts = leaf_scripts(leaf_record)
-        backend = script_for(scripts)
-        inquiry = "How far down the sidewalk has the leaf traveled after 11 gusts?"
-        questions, exchange = ssi(leaf_record, inquiry, PROFILE, backend=backend)
-        assert len(questions.questions) == 4
-        assert questions.questions[-1] == inquiry
-        assert exchange.stage == "ssi"
+        run = detect(leaf_record, PROFILE, "M2", backend=script_for(leaf_scripts(leaf_record)))
+        ssi, sqr = run.transcript[1], run.transcript[2]
+        assert ssi.stage == "ssi"
+        assert ssi.prompt == load_template("ssi").render(
+            solution=render_solution_text(leaf_record)
+        )
+        # one question per step, then the inquiry
+        assert (
+            "Question 3: How far has the leaf traveled after 11 gusts?\n"
+            f"Question 4: {LEAF_INQUIRY}\n"
+        ) in sqr.prompt
+        assert "Question 5" not in sqr.prompt
 
     def test_ssi_wrong_count_rejected(self, leaf_record):
-        prompt = load_template("ssi").render(solution=render_solution_text(leaf_record))
-        backend = script_for({prompt: "Question 1: only one?"})
-        with pytest.raises(UnparseableBackendOutput):
-            ssi(leaf_record, "inquiry?", PROFILE, backend=backend)
+        scripts = leaf_scripts(leaf_record)
+        scripts[ssi_prompt(leaf_record)] = "Question 1: only one?"
+        run = detect(leaf_record, PROFILE, "M3", backend=script_for(scripts))
+        assert "sqr" not in stages(run)
+        assert "expected questions 1..3, got [1]" in run.transcript[-1].response
+        assert not run.outcome.valid
 
-    def test_sqr_empty_conditions_rejected(self):
-        questions = StepQuestionList(questions=("q?",), inquiry="q?")
-        with pytest.raises(ValueError):
-            sqr("  ", questions, PROFILE, backend=None)
+    def test_sqr_empty_conditions_rejected(self, leaf_record):
+        scripts = leaf_scripts(leaf_record)
+        scripts[cqe_prompt(leaf_record)] = f"<conditions>   \n<inquiry> {LEAF_INQUIRY}"
+        run = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(run) == ["cqe", "cqe", "failed"]
+        assert "empty conditions or inquiry section" in run.transcript[-1].response
 
     def test_sqr_single_question(self):
-        questions = StepQuestionList(questions=("What is 3 + 4?",), inquiry="What is 3 + 4?")
-        prompt = load_template("sqr").render(
+        prompt = sqr_prompt("There are 3 apples and 4 pears.", ["What is 3 + 4?"])
+        assert prompt == load_template("sqr").render(
             conditions="There are 3 apples and 4 pears.",
             questions="Question 1: What is 3 + 4?",
         )
-        backend = script_for({prompt: "Step 1: There are 3 + 4 = 7 fruits."})
-        reference, exchange = sqr(
-            "There are 3 apples and 4 pears.", questions, PROFILE, backend=backend
-        )
-        assert reference.startswith("Step 1:")
-        assert exchange.stage == "sqr"
 
     def test_reg_correct_fixture(self, leaf_record):
         reference = "Step 1: The leaf travels 33 feet."
@@ -290,24 +310,46 @@ class TestStages:
             solution=render_solution_text(leaf_record),
             reference=reference,
         )
+        assert grading_prompt(leaf_record, "ref_conventional", reference) == prompt
         backend = script_for(
             {prompt: "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"}
         )
-        outcome, exchanges = reg(leaf_record, reference, PROFILE, backend=backend)
-        assert outcome.valid and outcome.predicted == CORRECT_LABEL
-        assert [e.stage for e in exchanges] == ["reg"]
+        run = detect(leaf_record, PROFILE, "ref_conventional", reference, backend=backend)
+        assert run.outcome.valid and run.outcome.predicted == CORRECT_LABEL
+        assert stages(run) == ["reg"]
 
     def test_reg_garbage_yields_invalid_outcome(self, leaf_record):
         reference = "Step 1: whatever."
-        prompt = load_template("reference_naive").render(
-            question=leaf_record.question,
-            solution=render_solution_text(leaf_record),
-            reference=reference,
-        )
+        prompt = grading_prompt(leaf_record, "ref_matching", reference)
         backend = script_for({prompt: "I refuse to answer in the required format."})
-        outcome, exchanges = reg(leaf_record, reference, PROFILE, backend=backend)
-        assert not outcome.valid
-        assert len(exchanges) == 2  # one re-ask, then fail
+        run = detect(leaf_record, PROFILE, "ref_matching", reference, backend=backend)
+        assert not run.outcome.valid
+        assert stages(run) == ["reg", "reg"]  # one re-ask, then an invalid outcome
+
+    def test_reasked_cqe_keeps_both_exchanges(self, leaf_record):
+        scripts = {prompt: [response] for prompt, response in leaf_scripts(leaf_record).items()}
+        scripts[cqe_prompt(leaf_record)].insert(0, "no sections here")
+        run = detect(leaf_record, PROFILE, "M2", backend=SequenceBackend(scripts))
+        assert stages(run) == ["cqe", "cqe", "ssi", "sqr", "reg"]
+        assert [e.response for e in run.transcript[:2]] == ["no sections here", LEAF_CQE_RESPONSE]
+        assert run.outcome.valid
+
+    def test_unparseable_ssi_ends_in_a_failed_line(self, leaf_record):
+        scripts = leaf_scripts(leaf_record)
+        scripts[ssi_prompt(leaf_record)] = "no questions here"
+        run = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(run) == ["cqe", "ssi", "ssi", "failed"]
+        failed = run.transcript[-1]
+        assert failed.prompt == ""
+        assert failed.response.startswith("stage failure: ssi: UnparseableBackendOutput: ")
+        assert run.outcome.invalid_reason == failed.response
+
+    def test_backend_failure_names_the_stage_asked(self, leaf_record):
+        # the leaf scripts grade with the M2 template only, so M3's grading
+        # request is unscripted
+        run = detect(leaf_record, PROFILE, "M3", backend=script_for(leaf_scripts(leaf_record)))
+        assert stages(run) == ["cqe", "ssi", "sqr", "failed"]
+        assert run.transcript[-1].response.startswith("stage failure: reg: UnscriptedRequest: ")
 
 
 class TestDetect:
