@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .records import SchemaViolation, read_json_file
+from .records import SchemaViolation, jsonl_line, read_json_file, read_jsonl_lines
 
 log = logging.getLogger(__name__)
 
@@ -370,7 +370,7 @@ def resolve_cassette_path(path) -> Path:
 
 def cassette_line(key: str, entry: Mapping) -> str:
     """One cassette line: an exchange's fields and its `request_hash`."""
-    return json.dumps({**entry, "request_hash": key}, sort_keys=True, ensure_ascii=False) + "\n"
+    return jsonl_line({**entry, "request_hash": key})
 
 
 def load_cassette(path) -> dict[str, dict]:
@@ -378,23 +378,11 @@ def load_cassette(path) -> dict[str, dict]:
     line is a SchemaViolation naming the cassette (and the line)."""
     path = resolve_cassette_path(path)
     entries: dict[str, dict] = {}
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as err:
-        raise SchemaViolation(f"cannot read cassette: {err}") from err
-    with handle:
-        for number, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                entry = json.loads(raw)
-            except json.JSONDecodeError as err:
-                raise SchemaViolation(f"invalid JSON in cassette {path}: {err}", line=number) from err
-            key = entry.get("request_hash") if isinstance(entry, dict) else None
-            if not isinstance(key, str):
-                raise SchemaViolation(f"no request_hash in cassette {path}", line=number)
-            entries[key] = entry
+    for number, entry in read_jsonl_lines(path, "cassette"):
+        key = entry.get("request_hash") if isinstance(entry, dict) else None
+        if not isinstance(key, str):
+            raise SchemaViolation(f"no request_hash in cassette {path}", line=number)
+        entries[key] = entry
     return entries
 
 

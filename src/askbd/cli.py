@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import random
 import re
 import sys
@@ -52,10 +51,12 @@ from .records import (
     SchemaViolation,
     SolutionRecord,
     compute_stats,
+    jsonl_line,
     make_record,
     parse_structured_solution,
     read_json_file,
     read_jsonl,
+    read_jsonl_lines,
     render_solution_text,
     render_step,
     write_jsonl,
@@ -102,16 +103,7 @@ def _raw_to_record(obj: dict) -> SolutionRecord:
 
 
 def cmd_ingest(args) -> int:
-    raw = []
-    with open(args.infile, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw.append(json.loads(line))
-            except json.JSONDecodeError as err:
-                raise SchemaViolation(f"invalid JSON: {err}", line=number) from err
+    raw = [obj for _, obj in read_jsonl_lines(args.infile, "raw ingest file")]
     if args.n is not None and args.n < len(raw):
         rng = random.Random(args.seed)
         picked = sorted(rng.sample(range(len(raw)), args.n))
@@ -120,7 +112,7 @@ def cmd_ingest(args) -> int:
     for obj in raw:
         try:
             records.append(_raw_to_record(obj))
-        except (RecordError, ValueError, KeyError) as err:
+        except (RecordError, ValueError, KeyError, TypeError) as err:
             skipped += 1
             print(f"skipping record: {err}", file=sys.stderr)
     write_jsonl(records, args.out)
@@ -155,14 +147,14 @@ def cmd_gen_alt(args) -> int:
 
 
 def _load_audit(path: Path) -> dict[str, dict]:
+    """Decisions by source id; a later line overrides an earlier one."""
     decisions: dict[str, dict] = {}
     if path.exists():
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    entry = json.loads(line)
-                    decisions[entry["source_id"]] = entry
+        for number, entry in read_jsonl_lines(path, "audit log"):
+            source = entry.get("source_id") if isinstance(entry, dict) else None
+            if not isinstance(source, str):
+                raise SchemaViolation(f"no source_id in audit log {path}", line=number)
+            decisions[source] = entry
     return decisions
 
 
@@ -188,9 +180,12 @@ def cmd_review(args) -> int:
             print(f"\n--- candidate {record.candidate_rank} [{record.permuted_expression}]")
             for step in record.steps:
                 print("   " + render_step(step))
-        choice = input(
-            "\nselect candidate number, Enter for top-ranked, r to reject, q to quit: "
-        ).strip().lower()
+        try:
+            choice = input(
+                "\nselect candidate number, Enter for top-ranked, r to reject, q to quit: "
+            ).strip().lower()
+        except EOFError:  # closed input quits, as q does
+            choice = "q"
         if choice == "q":
             aborted = True
             break
@@ -208,13 +203,13 @@ def cmd_review(args) -> int:
             entry = {"source_id": source, "decision": "select", "candidate_rank": rank}
         decisions[entry["source_id"]] = entry
         with open(audit_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
+            handle.write(jsonl_line(entry))
 
     selected = []
     for source, group in by_source.items():
         entry = decisions.get(source)
-        if entry and entry["decision"] == "select":
-            rank = entry["candidate_rank"]
+        if entry and entry.get("decision") == "select":
+            rank = entry.get("candidate_rank")
             selected.extend(r for r in group if r.candidate_rank == rank)
     write_jsonl(selected, args.out)
     decided = sum(1 for s in by_source if s in decisions)
@@ -287,11 +282,18 @@ def cmd_score_likelihood(args) -> int:
 
 def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
     rows: dict[str, list[bool]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        for row in csv.DictReader(handle):
-            if strategy and row["strategy"] != strategy:
-                continue
-            rows.setdefault(row["record_id"], []).append(row["correct"] == "1")
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.DictReader(handle)
+            missing = {"record_id", "strategy", "correct"} - set(reader.fieldnames or ())
+            if missing:
+                raise SchemaViolation(f"results file {path} lacks columns {sorted(missing)}")
+            for row in reader:
+                if strategy and row["strategy"] != strategy:
+                    continue
+                rows.setdefault(row["record_id"], []).append(row["correct"] == "1")
+    except (OSError, UnicodeDecodeError) as err:
+        raise SchemaViolation(f"cannot read results file: {err}") from err
     ambiguous = [rid for rid, flags in rows.items() if len(flags) > 1 and len(set(flags)) > 1]
     if ambiguous:
         raise SchemaViolation(
@@ -312,18 +314,15 @@ def _transcript_path(outdir: Path, profile: str, strategy: str, seed: int) -> Pa
 
 def _transcript_lines(record_id: str, strategy: str, exchanges) -> str:
     return "".join(
-        json.dumps(
+        jsonl_line(
             {
                 "record_id": record_id,
                 "strategy": strategy,
                 "stage": exchange.stage,
                 "prompt": exchange.prompt,
                 "response": exchange.response,
-            },
-            sort_keys=True,
-            ensure_ascii=False,
+            }
         )
-        + "\n"
         for exchange in exchanges
     )
 
@@ -333,18 +332,14 @@ def _read_outcomes(path: Path) -> dict[str, StageExchange]:
     outcomes: dict[str, StageExchange] = {}
     if not path.exists():
         return outcomes
-    with open(path, encoding="utf-8") as handle:
-        for number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                entry = json.loads(line)
-                if entry["stage"] in ("reg", FAILED_STAGE):
-                    outcomes[entry["record_id"]] = StageExchange(
-                        entry["stage"], entry["prompt"], entry["response"]
-                    )
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise SchemaViolation(f"bad transcript line in {path}: {err}", line=number) from err
+    for number, entry in read_jsonl_lines(path, "transcript"):
+        try:
+            if entry["stage"] in ("reg", FAILED_STAGE):
+                outcomes[entry["record_id"]] = StageExchange(
+                    entry["stage"], entry["prompt"], entry["response"]
+                )
+        except (KeyError, TypeError) as err:
+            raise SchemaViolation(f"bad transcript line in {path}: {err!r}", line=number) from err
     return outcomes
 
 
@@ -527,6 +522,11 @@ def load_run_config(path) -> RunConfig:
             raise SchemaViolation(
                 f"run config {path}: seeds must be a nonempty list of integers, got {seeds!r}"
             )
+        workers = data.get("workers", 4)
+        if type(workers) is not int or workers < 1:
+            raise SchemaViolation(
+                f"run config {path}: workers must be a positive integer, got {workers!r}"
+            )
         config = RunConfig(
             profiles_path=data["profiles"],
             profile_names=tuple(data.get("profile_names", [])),
@@ -536,13 +536,10 @@ def load_run_config(path) -> RunConfig:
             out=data["out"],
             strict_scripted=data.get("strict_scripted", False),
             reference_corpus=data.get("reference_corpus"),
-            workers=data.get("workers", 4),
+            workers=workers,
         )
     except KeyError as err:
         raise SchemaViolation(f"run config {path} missing key {err.args[0]!r}") from err
-    for path_ in (config.profiles_path, *config.corpora):
-        if not Path(path_).exists():
-            raise SchemaViolation(f"referenced file does not exist: {path_}")
     return config
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import backends
 from .backends import BackendProfile, TokenScore
-from .records import SolutionRecord, render_solution_text
+from .records import SolutionRecord, jsonl_line, render_solution_text
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4")
 
@@ -134,25 +134,11 @@ def bucket_accuracy(
 
 
 def write_scores_jsonl(scores: Iterable[ScoredSolution], path) -> None:
-    import json
-
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for s in scores:
-            handle.write(
-                json.dumps(
-                    {
-                        "record_id": s.record_id,
-                        "backend": s.backend,
-                        "total": s.total,
-                        "token_count": s.token_count,
-                        "indicator": s.indicator,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            handle.write(jsonl_line(vars(s)))
 
 
 def write_analysis_csv(

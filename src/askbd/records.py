@@ -1,4 +1,4 @@
-"""Question/solution records, step parsing, JSONL serialization, statistics.
+"""Question/solution records, step parsing, the JSONL codec, statistics.
 
 Records hold expressions as source strings (parse-validated at load) so
 files stay human-editable. LaTeX math markers in solution text are
@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .exprs import Rational, format_value, parse_expr
 
@@ -48,16 +48,9 @@ class NonContiguousIndices(RecordError):
 
 
 class SchemaViolation(RecordError):
-    def __init__(self, message: str, line: int | None = None, field_name: str | None = None):
-        where = []
-        if line is not None:
-            where.append(f"line {line}")
-        if field_name:
-            where.append(f"field {field_name}")
-        suffix = f" ({', '.join(where)})" if where else ""
-        super().__init__(f"{message}{suffix}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"{message} (line {line})")
         self.line = line
-        self.field_name = field_name
 
 
 @dataclass(frozen=True)
@@ -298,7 +291,7 @@ def record_to_json(record: SolutionRecord) -> dict:
     return obj
 
 
-def record_from_json(obj: dict, line: int | None = None) -> SolutionRecord:
+def record_from_json(obj: dict) -> SolutionRecord:
     try:
         steps = []
         for raw in obj["steps"]:
@@ -333,9 +326,9 @@ def record_from_json(obj: dict, line: int | None = None) -> SolutionRecord:
     except SchemaViolation:
         raise
     except KeyError as err:
-        raise SchemaViolation(f"missing field {err.args[0]!r}", line=line) from err
-    except (ValueError, TypeError) as err:
-        raise SchemaViolation(str(err), line=line) from err
+        raise SchemaViolation(f"missing field {err.args[0]!r}") from err
+    except (ValueError, TypeError, AttributeError) as err:
+        raise SchemaViolation(str(err)) from err
 
 
 def read_json_file(path, what: str):
@@ -350,18 +343,41 @@ def read_json_file(path, what: str):
         raise SchemaViolation(f"invalid JSON in {what} {path}: {err}") from err
 
 
+def jsonl_line(obj) -> str:
+    """`obj` as one JSONL line: sorted keys, text left unescaped."""
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def read_jsonl_lines(path, what: str) -> Iterator[tuple[int, object]]:
+    """(line number, value) of each nonblank line of the JSONL file at
+    `path`. A missing or unreadable file, or a line that is not JSON, is a
+    SchemaViolation naming `what`, the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for number, raw in enumerate(handle, start=1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    value = json.loads(raw)
+                except ValueError as err:
+                    raise SchemaViolation(
+                        f"invalid JSON in {what} {path}: {err}", line=number
+                    ) from err
+                yield number, value
+    except (OSError, UnicodeDecodeError) as err:
+        raise SchemaViolation(f"cannot read {what} {path}: {err}") from err
+
+
 def read_jsonl(path) -> list[SolutionRecord]:
+    """The records of the corpus at `path`; a bad record is a
+    SchemaViolation naming the file and the line."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for number, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as err:
-                raise SchemaViolation(f"invalid JSON: {err}", line=number) from err
-            records.append(record_from_json(obj, line=number))
+    for number, obj in read_jsonl_lines(path, "corpus"):
+        try:
+            records.append(record_from_json(obj))
+        except SchemaViolation as err:
+            raise SchemaViolation(f"bad record in corpus {path}: {err}", line=number) from err
     return records
 
 
@@ -370,8 +386,7 @@ def write_jsonl(records: Iterable[SolutionRecord], path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record_to_json(record), sort_keys=True, ensure_ascii=False))
-            handle.write("\n")
+            handle.write(jsonl_line(record_to_json(record)))
 
 
 # --- Statistics ---

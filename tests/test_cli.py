@@ -116,6 +116,26 @@ class TestGenAltAndReview:
         assert rc == 4
         assert not audit.exists()  # nothing decided
 
+    def test_review_quits_on_closed_input(self, tmp_path, monkeypatch):
+        conventional, _ = _small_corpus(tmp_path)
+        candidates = tmp_path / "candidates.jsonl"
+        main(["gen-alt", "--in", str(conventional), "--out", str(candidates),
+              "--k", "2", "--seed", "5"])
+        out, audit = tmp_path / "dprime.jsonl", tmp_path / "audit.jsonl"
+        answers = iter([""])  # accept the top-ranked candidate, then input ends
+
+        def closed_after_one(prompt=""):
+            for answer in answers:
+                return answer
+            raise EOFError
+
+        monkeypatch.setattr("builtins.input", closed_after_one)
+        rc = main(["review", "--candidates", str(candidates), "--out", str(out),
+                   "--audit", str(audit)])
+        assert rc == 4  # like q: the decision made is kept
+        assert len(audit.read_text().splitlines()) == 1
+        assert len(read_jsonl(out)) == 1
+
 
 def _small_corpus(tmp_path):
     conventional, alternative = (tmp_path / "d.jsonl", tmp_path / "dprime.jsonl")
@@ -196,6 +216,22 @@ class TestScoreLikelihoodCli:
             assert score(profiles) == 2
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(profiles) in err, err
+
+    def test_missing_or_malformed_results_is_schema_error(self, demo_dir, tmp_path, capsys):
+        results = tmp_path / "results.csv"
+        for text in (None, "a,b\n1,2\n", "record_id,correct\nx,1\n"):
+            if text is not None:
+                results.write_text(text)
+            rc = main([
+                "score-likelihood", "--profiles", "scorer",
+                "--profiles-file", str(demo_dir / "profiles.json"),
+                "--in", str(demo_dir / "corpus.jsonl"),
+                "--out", str(tmp_path / "s.jsonl"),
+                "--analysis", str(tmp_path / "a.csv"), "--results", str(results),
+            ])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(results) in err, err
 
 
 class TestDetectEvaluateRun:
@@ -288,10 +324,12 @@ class TestDetectEvaluateRun:
         config.write_text(json.dumps(fields))
         assert main(["run", "--config", str(config)]) == 2
         capsys.readouterr()
-        # a missing or malformed config, an unknown strategy or seeds that
-        # are not a list of integers is a schema error naming the config
+        # a missing or malformed config, an unknown strategy, seeds that
+        # are not a list of integers or workers that is not a positive
+        # integer is a schema error naming the config
         cases = [None, '{"strategies": [', json.dumps({**fields, "strategies": ["M9"]}),
                  json.dumps({**fields, "seeds": "12"}), json.dumps({**fields, "seeds": []})]
+        cases += [json.dumps({**fields, "workers": bad}) for bad in (0, -1, "2", True, 1.5)]
         for text in cases:
             if text is None:
                 config.unlink()
@@ -465,10 +503,12 @@ class TestOnePathToReports:
         info = build_demo(tmp_path, n_questions=1, seeds=(1,))
         transcripts = tmp_path / "out" / "transcripts"
         transcripts.mkdir(parents=True)
-        (transcripts / "demo__M0__seed1.jsonl").write_text('{"record_id": "x", "sta\n')
+        transcript = transcripts / "demo__M0__seed1.jsonl"
+        transcript.write_text('{"record_id": "x", "sta\n')
         assert main(["evaluate", "--transcripts", str(transcripts),
                      "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
-        assert capsys.readouterr().err.startswith("schema error:")
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(transcript) in err, err
 
         cassette = info["cassette"]
         lines = cassette.read_text().splitlines(keepends=True)
@@ -483,3 +523,29 @@ class TestOnePathToReports:
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(cassette) in err, err
             assert where in err, err
+
+        # every JSONL input: a missing file or a line that is not JSON
+        cassette.write_text("".join(lines))
+        missing = tmp_path / "missing.jsonl"
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text('{"question": "q", "answer": "1 + 1 = 2\\n#### 2"}\nnot json\n')
+        config = json.loads(info["config"].read_text())
+        no_reference = tmp_path / "no_reference.json"
+        no_reference.write_text(json.dumps({**config, "reference_corpus": str(missing)}))
+        audit = tmp_path / "audit.jsonl"
+        audit.write_text('{"source_id": \n')
+        cases = [
+            (["detect", "--strategy", "M0", "--profile", "demo",
+              "--profiles-file", str(info["profiles"]), "--in", str(missing),
+              "--out", str(tmp_path / "d")], missing),
+            (["evaluate", "--transcripts", str(tmp_path), "--gold", str(missing),
+              "--out", str(tmp_path / "e")], missing),
+            (["ingest", "--in", str(raw), "--out", str(tmp_path / "i.jsonl")], raw),
+            (["run", "--config", str(no_reference)], missing),
+            (["review", "--candidates", str(info["corpus"]), "--out", str(tmp_path / "r.jsonl"),
+              "--audit", str(audit)], audit),
+        ]
+        for argv, path in cases:
+            assert main(argv) == 2, argv[0]
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(path) in err, err

@@ -135,12 +135,18 @@ class TestJsonl:
         with pytest.raises(SchemaViolation) as err:
             read_jsonl(path)
         assert err.value.line == 2
+        # steps that are not a list of objects
+        not_steps = json.dumps({**record_to_json(leaf_record), "steps": "abc"})
+        path.write_text(good + "\n\n" + not_steps + "\n")
+        with pytest.raises(SchemaViolation) as err:
+            read_jsonl(path)
+        assert err.value.line == 3 and str(path) in str(err.value)
 
     def test_expression_parse_validated_at_load(self, leaf_record):
         obj = record_to_json(leaf_record)
         obj["steps"][0]["expression"] = "5 +"
         with pytest.raises(SchemaViolation):
-            record_from_json(obj, line=1)
+            record_from_json(obj)
 
     def test_label_serialization(self, leaf_record):
         obj = record_to_json(leaf_record)
