@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -24,12 +25,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .records import SchemaViolation, jsonl_line, read_json_file, read_jsonl_lines
+from .records import SchemaViolation, from_json, jsonl_line, read_json_file, read_jsonl_lines
 
 log = logging.getLogger(__name__)
 
 CAP_GENERATE = "generate"
 CAP_SCORE_TOKENS = "score_tokens"
+CAPABILITIES = frozenset({CAP_GENERATE, CAP_SCORE_TOKENS})
 
 API_KEY_ENV_PREFIX = "ASKBD_API_KEY_"
 CACHE_DIR_ENV = "ASKBD_CACHE_DIR"
@@ -68,6 +70,12 @@ class RetryPolicy:
     max_attempts: int = 4
     backoff: float = 1.0
 
+    def __post_init__(self):
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
+        if not (self.backoff >= 0 and math.isfinite(self.backoff)):
+            raise ValueError(f"backoff must be a finite number of at least 0, got {self.backoff}")
+
 
 @dataclass(frozen=True)
 class BackendProfile:
@@ -80,9 +88,29 @@ class BackendProfile:
     cassette: str | None = None
     record: bool = False
 
+    def __post_init__(self):
+        if not self.capabilities <= CAPABILITIES:
+            raise ValueError(f"capabilities must be among {sorted(CAPABILITIES)}")
+        if self.rate_limit_per_min < 1:
+            raise ValueError(
+                f"rate_limit_per_min must be at least 1, got {self.rate_limit_per_min}"
+            )
+
     def api_key_env(self) -> str:
         slug = re.sub(r"[^A-Za-z0-9]", "_", self.name).upper()
         return API_KEY_ENV_PREFIX + slug
+
+
+@dataclass(frozen=True)
+class ProfilesFile:
+    """The top level of a profiles file."""
+
+    profiles: tuple[BackendProfile, ...]
+
+    def __post_init__(self):
+        names = [profile.name for profile in self.profiles]
+        if len(set(names)) < len(names):
+            raise ValueError(f"profiles: a name is used twice in {names}")
 
 
 @dataclass(frozen=True)
@@ -387,30 +415,11 @@ def load_cassette(path) -> dict[str, dict]:
 
 
 def load_profiles(path) -> dict[str, BackendProfile]:
-    """Profiles by name. A missing or malformed file, or a bad entry, is a
-    SchemaViolation naming the file."""
+    """Profiles by name. A missing or malformed file, or one that does not
+    match `ProfilesFile`, is a SchemaViolation naming the file."""
     data = read_json_file(path, "profiles file")
-    raw_profiles = data.get("profiles", []) if isinstance(data, dict) else None
-    if not isinstance(raw_profiles, list):
-        raise SchemaViolation(f"profiles file {path} has no list of profiles")
-    profiles: dict[str, BackendProfile] = {}
-    for raw in raw_profiles:
-        try:
-            retry = RetryPolicy(**raw.get("retry", {}))
-            profile = BackendProfile(
-                name=raw["name"],
-                endpoint=raw["endpoint"],
-                model=raw["model"],
-                capabilities=frozenset(raw.get("capabilities", [CAP_GENERATE])),
-                rate_limit_per_min=raw.get("rate_limit_per_min", 60),
-                retry=retry,
-                cassette=raw.get("cassette"),
-                record=raw.get("record", False),
-            )
-        except (KeyError, TypeError, AttributeError) as err:
-            raise SchemaViolation(f"bad profile entry {raw!r} in {path}: {err!r}") from err
-        profiles[profile.name] = profile
-    return profiles
+    loaded = from_json(ProfilesFile, data, f"profiles file {path}")
+    return {profile.name: profile for profile in loaded.profiles}
 
 
 def open_backend(

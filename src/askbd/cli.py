@@ -51,6 +51,7 @@ from .records import (
     SchemaViolation,
     SolutionRecord,
     compute_stats,
+    from_json,
     jsonl_line,
     make_record,
     parse_structured_solution,
@@ -239,16 +240,33 @@ def cmd_inject(args) -> int:
     return EXIT_OK
 
 
+# --- profile selection ---
+
+
+def _select_profiles(path, names, capability: str) -> list[BackendProfile]:
+    """The profiles `names` asks for from the profiles file at `path`, or
+    with no names every profile there that has `capability`. An unknown
+    name, a profile that lacks the capability or an empty selection is a
+    SchemaViolation naming the file."""
+    profiles = load_profiles(path)
+    if not names:
+        names = [name for name, p in profiles.items() if capability in p.capabilities]
+        if not names:
+            raise SchemaViolation(f"profiles file {path}: no profile has {capability!r}")
+    for name in names:
+        if name not in profiles:
+            raise SchemaViolation(f"profiles file {path}: no profile {name!r}")
+        if capability not in profiles[name].capabilities:
+            raise SchemaViolation(f"profiles file {path}: profile {name!r} lacks {capability!r}")
+    return [profiles[name] for name in names]
+
+
 # --- score-likelihood ---
 
 
 def cmd_score_likelihood(args) -> int:
-    profiles = load_profiles(args.profiles_file)
     names = [n.strip() for n in args.profiles.split(",") if n.strip()]
-    missing = [n for n in names if n not in profiles]
-    if missing:
-        raise SchemaViolation(f"unknown profiles {missing}")
-    chosen = [profiles[n] for n in names]
+    chosen = _select_profiles(args.profiles_file, names, backends.CAP_SCORE_TOKENS)
     opened = {p.name: open_backend(p, strict_scripted=args.strict_scripted) for p in chosen}
     records = read_jsonl(args.infile)
     scored: list[likelihood.ScoredSolution] = []
@@ -455,10 +473,7 @@ def _run_detection(
 
 
 def cmd_detect(args) -> int:
-    profiles = load_profiles(args.profiles_file)
-    if args.profile not in profiles:
-        raise SchemaViolation(f"unknown profile {args.profile!r}")
-    profile = profiles[args.profile]
+    (profile,) = _select_profiles(args.profiles_file, [args.profile], backends.CAP_GENERATE)
     backend = open_backend(profile, strict_scripted=args.strict_scripted)
     strategy = _STRATEGY_FLAGS[args.strategy]
     records = read_jsonl(args.infile)
@@ -494,65 +509,39 @@ def cmd_evaluate(args) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    profiles_path: str
-    profile_names: tuple[str, ...]
+    """A run config file; each JSON key is a field's name."""
+
+    profiles: str
     strategies: tuple[str, ...]
     seeds: tuple[int, ...]
     corpora: tuple[str, ...]
     out: str
+    profile_names: tuple[str, ...] = ()
     strict_scripted: bool = False
     reference_corpus: str | None = None
     workers: int = 4
+
+    def __post_init__(self):
+        if not set(self.strategies) <= _STRATEGY_FLAGS.keys():
+            raise ValueError(f"strategies must be among {sorted(_STRATEGY_FLAGS)}")
+        if not self.seeds:
+            raise ValueError("seeds must be nonempty")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
 
 
 def load_run_config(path) -> RunConfig:
     """The run config in the file at `path`. Anything wrong with it is a
     SchemaViolation naming the file."""
-    data = read_json_file(path, "run config")
-    if not isinstance(data, dict):
-        raise SchemaViolation(f"run config {path} is not a JSON object")
-    try:
-        strategies, seeds = data["strategies"], data["seeds"]
-        if not isinstance(strategies, list) or not all(s in _STRATEGY_FLAGS for s in strategies):
-            raise SchemaViolation(
-                f"run config {path}: strategies must be a list of {sorted(_STRATEGY_FLAGS)}, "
-                f"got {strategies!r}"
-            )
-        if not isinstance(seeds, list) or not seeds or not all(type(s) is int for s in seeds):
-            raise SchemaViolation(
-                f"run config {path}: seeds must be a nonempty list of integers, got {seeds!r}"
-            )
-        workers = data.get("workers", 4)
-        if type(workers) is not int or workers < 1:
-            raise SchemaViolation(
-                f"run config {path}: workers must be a positive integer, got {workers!r}"
-            )
-        config = RunConfig(
-            profiles_path=data["profiles"],
-            profile_names=tuple(data.get("profile_names", [])),
-            strategies=tuple(_STRATEGY_FLAGS[s] for s in strategies),
-            seeds=tuple(seeds),
-            corpora=tuple(data["corpora"]),
-            out=data["out"],
-            strict_scripted=data.get("strict_scripted", False),
-            reference_corpus=data.get("reference_corpus"),
-            workers=workers,
-        )
-    except KeyError as err:
-        raise SchemaViolation(f"run config {path} missing key {err.args[0]!r}") from err
-    return config
+    return from_json(RunConfig, read_json_file(path, "run config"), f"run config {path}")
 
 
 def cmd_run(args) -> int:
     config = load_run_config(args.config)
     strict = config.strict_scripted or args.strict_scripted
-    profiles = load_profiles(config.profiles_path)
-    names = config.profile_names or tuple(
-        name for name, p in profiles.items() if backends.CAP_GENERATE in p.capabilities
-    )
-    missing = [n for n in names if n not in profiles]
-    if missing:
-        raise SchemaViolation(f"unknown profiles {missing}")
+    selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
+    profiles = {p.name: p for p in selected}
+    strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
 
     records: list[SolutionRecord] = []
     for corpus in config.corpora:
@@ -562,10 +551,10 @@ def cmd_run(args) -> int:
     )
 
     gold = {r.record_id: r for r in records}
-    opened = {name: open_backend(profiles[name], strict_scripted=strict) for name in names}
+    opened = {name: open_backend(p, strict_scripted=strict) for name, p in profiles.items()}
     outdir = Path(config.out)
     judged: list[JudgedResult] = []
-    for name, strategy, seed in sorted(set(product(names, config.strategies, config.seeds))):
+    for name, strategy, seed in sorted(set(product(profiles, strategies, config.seeds))):
         path = _run_detection(
             records, profiles[name], opened[name], strategy, seed, outdir,
             reference_pool, resume=args.resume, workers=config.workers,

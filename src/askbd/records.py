@@ -7,9 +7,12 @@ normalized to plain operators at ingestion.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import re
+import types
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -311,6 +314,13 @@ def record_from_json(obj: dict) -> SolutionRecord:
             )
         raw_label = obj.get("label") or {}
         label = ErrorLabel(raw_label.get("step"), raw_label.get("category"))
+        lineage = obj.get("lineage")
+        if lineage is not None and not (
+            isinstance(lineage, dict) and isinstance(lineage.get("source_id"), str)
+        ):
+            raise SchemaViolation(
+                f"lineage must be an object with a string source_id, got {lineage!r}"
+            )
         return SolutionRecord(
             record_id=obj["id"],
             question=obj["question"],
@@ -318,7 +328,7 @@ def record_from_json(obj: dict) -> SolutionRecord:
             answer=parse_rational(obj["answer"]),
             origin=obj["origin"],
             label=label,
-            lineage=obj.get("lineage"),
+            lineage=lineage,
             candidate_rank=obj.get("candidate_rank"),
             permuted_expression=obj.get("permuted_expression"),
             route=obj.get("route"),
@@ -341,6 +351,57 @@ def read_json_file(path, what: str):
         raise SchemaViolation(f"cannot read {what}: {err}") from err
     except ValueError as err:
         raise SchemaViolation(f"invalid JSON in {what} {path}: {err}") from err
+
+
+def from_json(cls, data, what: str):
+    """The frozen dataclass `cls` decoded from the JSON value `data`. Each
+    key is a field's name, and each field's type and default come from
+    `cls` alone. A missing required key, an unknown key, a value of the
+    wrong type or one that `cls.__post_init__` rejects with a ValueError is
+    a SchemaViolation naming `what` and the field."""
+    if not isinstance(data, dict):
+        raise SchemaViolation(f"{what} must be a JSON object, got {data!r}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(data) - set(fields))
+    if unknown:
+        raise SchemaViolation(
+            f"{what}: unknown key {unknown[0]!r}; known keys are {sorted(fields)}"
+        )
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, field in fields.items():
+        if name in data:
+            values[name] = _from_json_value(hints[name], data[name], f"{what}: {name}")
+        elif field.default is dataclasses.MISSING and field.default_factory is dataclasses.MISSING:
+            raise SchemaViolation(f"{what}: missing key {name!r}")
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise SchemaViolation(f"{what}: {err}") from err
+
+
+def _from_json_value(hint, value, where: str):
+    """`value` decoded as the type `hint` (see `from_json`)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):  # only `X | None` is declared
+        if value is None:
+            return None
+        (hint,) = [arg for arg in args if arg is not type(None)]
+        return _from_json_value(hint, value, where)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise SchemaViolation(f"{where} must be a list, got {value!r}")
+        return origin(
+            _from_json_value(args[0], item, f"{where}[{i}]") for i, item in enumerate(value)
+        )
+    if dataclasses.is_dataclass(hint):
+        return from_json(hint, value, where)
+    if hint is float and type(value) is int:
+        return float(value)
+    # exact types: JSON `true` is a bool, never an int
+    if type(value) is not hint:
+        raise SchemaViolation(f"{where} must be {hint.__name__}, got {value!r}")
+    return value
 
 
 def jsonl_line(obj) -> str:

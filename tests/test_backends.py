@@ -362,6 +362,12 @@ class TestProfilesFile:
         assert profiles["demo"].model == "demo-model"
         assert profiles["demo"].retry.max_attempts == 2
 
+    def test_out_of_range_values_raise(self):
+        with pytest.raises(ValueError):
+            make_profile(rate_limit_per_min=0)
+        with pytest.raises(ValueError):
+            RetryPolicy(max_attempts=0)
+
     def test_api_key_env_name(self):
         assert make_profile(name="My Prof-1").api_key_env() == "ASKBD_API_KEY_MY_PROF_1"
 

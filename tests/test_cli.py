@@ -195,27 +195,65 @@ class TestScoreLikelihoodCli:
         assert header == "record_id,indicator,bucket,correct"
 
     def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
-        def score(profiles_file):
+        corpus = str(demo_dir / "corpus.jsonl")
+
+        def score(profiles_file, names="nope"):
             return main([
-                "score-likelihood", "--profiles", "nope",
+                "score-likelihood", "--profiles", names,
                 "--profiles-file", str(profiles_file),
-                "--in", str(demo_dir / "corpus.jsonl"),
-                "--out", str(tmp_path / "s.jsonl"),
+                "--in", corpus, "--out", str(tmp_path / "s.jsonl"),
             ])
 
-        assert score(demo_dir / "profiles.json") == 2
-        capsys.readouterr()
-        # a missing or malformed profiles file, or an entry without an
-        # endpoint, is a schema error that names the file
+        def detect(profiles_file, name):
+            return main([
+                "detect", "--strategy", "M0", "--profile", name,
+                "--profiles-file", str(profiles_file),
+                "--in", corpus, "--out", str(tmp_path / "d"),
+            ])
+
+        def run(profiles_file):
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({
+                "profiles": str(profiles_file), "strategies": ["M0"], "seeds": [1],
+                "corpora": [corpus], "out": str(tmp_path / "out"),
+            }))
+            return main(["run", "--config", str(config)])
+
+        # an unknown profile, or one that lacks the capability the command
+        # needs, is a schema error that names the file
+        demo_profiles = demo_dir / "profiles.json"
+        for command, name in ((score, "nope"), (score, "demo"),
+                              (detect, "nope"), (detect, "scorer")):
+            assert command(demo_profiles, name) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(demo_profiles) in err, err
+        # so is a missing or malformed profiles file, an entry with a
+        # missing or unknown key, a value of the wrong type or out of range,
+        # a name used twice, and, for run, no profile that can generate;
+        # each names the file and the offending field
         profiles = tmp_path / "profiles.json"
-        for text in (None, '{"profiles": [', '{"profiles": [{"name": "x", "model": "m"}]}'):
+        entry = {"name": "x", "endpoint": "mock:score", "model": "m",
+                 "capabilities": ["score_tokens"]}
+        cases = [(None, ""), ('{"profiles": [', ""),
+                 ('{"profiles": [{"name": "x", "model": "m"}]}', "endpoint"),
+                 ("{}", "'profiles'"), (json.dumps({"profiles": [entry, entry]}), "name"),
+                 (json.dumps({"profiles": [entry]}), "")]
+        cases += [(json.dumps({"profiles": [{**entry, key: bad}]}), key) for key, bad in (
+            ("endpoint", 5), ("name", ["a"]), ("model", 5), ("capabilities", "generate"),
+            ("capabilities", ["fly"]), ("record", "yes"), ("rate_limit_per_min", 0),
+            ("rate_limit_per_min", "60"), ("retry", {"max_attempts": 0}),
+            ("retry", {"backoff": float("nan")}), ("cassete", "c.jsonl"),
+        )]
+        for text, field in cases:
             if text is None:
                 profiles.unlink(missing_ok=True)
             else:
                 profiles.write_text(text)
-            assert score(profiles) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("schema error:") and str(profiles) in err, err
+            for command in (score, run):
+                assert command(profiles) == 2, (command.__name__, text)
+                err = capsys.readouterr().err
+                assert err.startswith("schema error:") and str(profiles) in err, err
+                assert field in err, (field, err)
 
     def test_missing_or_malformed_results_is_schema_error(self, demo_dir, tmp_path, capsys):
         results = tmp_path / "results.csv"
@@ -324,13 +362,17 @@ class TestDetectEvaluateRun:
         config.write_text(json.dumps(fields))
         assert main(["run", "--config", str(config)]) == 2
         capsys.readouterr()
-        # a missing or malformed config, an unknown strategy, seeds that
-        # are not a list of integers or workers that is not a positive
-        # integer is a schema error naming the config
-        cases = [None, '{"strategies": [', json.dumps({**fields, "strategies": ["M9"]}),
-                 json.dumps({**fields, "seeds": "12"}), json.dumps({**fields, "seeds": []})]
-        cases += [json.dumps({**fields, "workers": bad}) for bad in (0, -1, "2", True, 1.5)]
-        for text in cases:
+        # a missing or malformed config, an unknown key, a value of the
+        # wrong type, an unknown strategy, no seeds or workers that is not
+        # a positive integer is a schema error naming the config and the field
+        cases = [(None, ""), ('{"strategies": [', "")]
+        cases += [(json.dumps({**fields, key: bad}), key) for key, bad in (
+            ("strategies", ["M9"]), ("seeds", "12"), ("seeds", []),
+            *(("workers", bad) for bad in (0, -1, "2", True, 1.5)),
+            ("out", 5), ("profile_names", "demo"), ("corpora", "x.jsonl"), ("profiles", 5),
+            ("reference_corpus", 5), ("strict_scripted", "no"), ("strategy", ["M0"]),
+        )]
+        for text, field in cases:
             if text is None:
                 config.unlink()
             else:
@@ -338,6 +380,7 @@ class TestDetectEvaluateRun:
             assert main(["run", "--config", str(config)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(config) in err, err
+            assert field in err, (field, err)
 
     def test_strict_scripted_run_makes_zero_network_calls(self, demo_dir, monkeypatch):
         import socket

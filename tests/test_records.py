@@ -141,6 +141,13 @@ class TestJsonl:
         with pytest.raises(SchemaViolation) as err:
             read_jsonl(path)
         assert err.value.line == 3 and str(path) in str(err.value)
+        # lineage that is not an object with a string source_id
+        for lineage in (5, {"seed": 1}, {"source_id": 7}):
+            bad_lineage = json.dumps({**record_to_json(leaf_record), "lineage": lineage})
+            path.write_text(good + "\n" + bad_lineage + "\n")
+            with pytest.raises(SchemaViolation) as err:
+                read_jsonl(path)
+            assert err.value.line == 2 and str(path) in str(err.value)
 
     def test_expression_parse_validated_at_load(self, leaf_record):
         obj = record_to_json(leaf_record)
