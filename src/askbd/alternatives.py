@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import backends
 from .exprs import (
-    DEFAULT_MAX_DEPTH,
+    MAX_DEPTH,
     Bin,
     Expr,
     Lit,
@@ -74,25 +74,10 @@ class BackendExplainInvalid(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolvingExpression:
-    expr: Expr
-    record_id: str
-    verified: bool
-
-
-@dataclass(frozen=True)
 class AlternativeCandidate:
     expr: Expr
     steps: tuple[SolutionStep, ...]
     route: str
-    verified: bool
-
-
-@dataclass(frozen=True)
-class PermuteConfig:
-    max_rewrites: int = 3
-    limit: int = 16
-    seed: int = 0
 
 
 def _as_grouped(e: Expr) -> Expr:
@@ -101,13 +86,14 @@ def _as_grouped(e: Expr) -> Expr:
     return e
 
 
-def compose_solving_expression(record: SolutionRecord) -> SolvingExpression:
+def compose_solving_expression(record: SolutionRecord) -> Expr:
     """Back-substitute each step's expression into its consumers.
 
     Operands equal to a prior step's stated result are replaced by that
     step's composed expression (most recent prior step wins); remaining
     operands must match a question condition value. The composed value is
-    verified against the gold answer.
+    verified against the gold answer: what this returns evaluates to it,
+    and anything else raises a CompositionError.
     """
     conditions = set(condition_values(record.question))
     composed: dict[int, Expr] = {}
@@ -140,27 +126,24 @@ def compose_solving_expression(record: SolutionRecord) -> SolvingExpression:
     if last_index is None:
         raise CompositionError(f"record {record.record_id}: no expression-bearing steps")
     root = composed[last_index]
-    if depth(root) > DEFAULT_MAX_DEPTH:
+    if depth(root) > MAX_DEPTH:
         raise CompositionError(f"record {record.record_id}: composed tree too deep")
     value = eval_expr(root)
     if value != record.answer:
         raise VerificationFailed(record.record_id, value, record.answer)
-    return SolvingExpression(expr=root, record_id=record.record_id, verified=True)
+    return root
 
 
 def permute_solving_expression(
-    se: SolvingExpression, cfg: PermuteConfig = PermuteConfig()
+    expr: Expr, max_rewrites: int, limit: int, seed: int
 ) -> list[Expr]:
-    """Equivalent rewrites of a verified solving expression.
+    """Up to `limit` equivalent rewrites of a solving expression, each at
+    most `max_rewrites` rule applications away (see `enumerate_permutations`).
 
     The rewrite enumerator applies the execution filter, so every
     rewrite evaluates to the gold answer.
     """
-    if not se.verified:
-        raise ValueError("cannot permute an unverified solving expression")
-    return enumerate_permutations(
-        se.expr, max_rewrites=cfg.max_rewrites, limit=cfg.limit, seed=cfg.seed
-    )
+    return enumerate_permutations(expr, max_rewrites=max_rewrites, limit=limit, seed=seed)
 
 
 _EXPLAIN_INSTRUCTION = """\
@@ -270,9 +253,9 @@ def generate_alternatives(
     """Up to `k` verified candidates, distinct by canonical form."""
     if k == 0:
         return []
-    se = compose_solving_expression(record)
-    cfg = PermuteConfig(max_rewrites=max_rewrites, limit=max(2 * k, k + 4), seed=seed)
-    permuted = permute_solving_expression(se, cfg)
+    permuted = permute_solving_expression(
+        compose_solving_expression(record), max_rewrites, max(2 * k, k + 4), seed
+    )
     candidates: list[AlternativeCandidate] = []
     for expr in permuted:
         if len(candidates) >= k:
@@ -284,9 +267,7 @@ def generate_alternatives(
         except BackendExplainInvalid as err:
             log.info("dropping candidate for %s: %s", record.record_id, err)
             continue
-        candidates.append(
-            AlternativeCandidate(expr=expr, steps=tuple(steps), route=route, verified=True)
-        )
+        candidates.append(AlternativeCandidate(expr=expr, steps=tuple(steps), route=route))
     if not candidates:
         raise NoPermutationsAvailable(f"record {record.record_id}: no rewrite applies")
     return candidates

@@ -44,7 +44,7 @@ from .evaluate import (
     render_report_markdown,
     render_results_csv,
 )
-from .inject import InjectionConfig, InjectionError, inject
+from .inject import InjectionError, inject
 from .records import (
     CATEGORIES,
     RecordError,
@@ -228,7 +228,7 @@ def cmd_inject(args) -> int:
     for record in records:
         for category in categories:
             try:
-                injected, _ = inject(record, InjectionConfig(category=category, seed=args.seed))
+                injected, _ = inject(record, category, args.seed)
             except InjectionError as err:
                 failures += 1
                 print(f"cannot inject {category} into {record.record_id}: {err}",
@@ -398,12 +398,23 @@ def _write_reports(outdir: Path, judged: list[JudgedResult], seeds) -> None:
     (outdir / "results.csv").write_text(render_results_csv(judged))
 
 
-def _reference_pool(paths: list[str]) -> dict[str, SolutionRecord]:
-    pool: dict[str, SolutionRecord] = {}
-    for path in paths:
-        for record in read_jsonl(path):
-            pool[record.record_id] = record
-    return pool
+def _references(records: list[SolutionRecord], strategies,
+                corpus: str | None) -> dict[str, dict[str, str]]:
+    """The reference text of every record for each reference strategy among
+    `strategies`, by strategy and record id, resolved from the reference
+    corpus at `corpus` before any detection starts. A reference strategy
+    comes with a corpus; the callers check that."""
+    if corpus is None:
+        return {}
+    pool = {record.record_id: record for record in read_jsonl(corpus)}
+    try:
+        return {
+            strategy: {r.record_id: _resolve_reference(r, strategy, pool) for r in records}
+            for strategy in strategies
+            if strategy in REFERENCE_STRATEGIES
+        }
+    except SchemaViolation as err:
+        raise SchemaViolation(f"reference corpus {corpus}: {err}") from err
 
 
 def _resolve_reference(record: SolutionRecord, strategy: str,
@@ -439,13 +450,14 @@ def _run_detection(
     strategy: str,
     seed: int,
     outdir: Path,
-    reference_pool: dict[str, SolutionRecord] | None,
+    references: dict[str, str] | None,
     resume: bool,
-    workers: int = 4,
+    workers: int,
 ) -> Path:
     """Detects one (profile, strategy, seed) cell into its transcript, one
-    record at a time as each finishes. With `resume`, a record whose last
-    outcome is a `reg` line is kept; a `failed` one is detected again."""
+    record at a time as each finishes. `references` holds each record's
+    reference text for a reference strategy. With `resume`, a record whose
+    last outcome is a `reg` line is kept; a `failed` one is detected again."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
     if resume:
         done = {rid for rid, line in _read_outcomes(path).items() if line.stage == "reg"}
@@ -457,9 +469,7 @@ def _run_detection(
     def one(record: SolutionRecord) -> str:
         # Serialized here, in the worker: a main thread that only writes
         # holds the interpreter lock briefly, and detection keeps its pace.
-        reference = None
-        if strategy in REFERENCE_STRATEGIES:
-            reference = _resolve_reference(record, strategy, reference_pool or {})
+        reference = references[record.record_id] if references else None
         run = detect(record, profile, strategy, reference=reference, backend=backend)
         return _transcript_lines(record.record_id, strategy, run.transcript)
 
@@ -476,15 +486,17 @@ def cmd_detect(args) -> int:
     (profile,) = _select_profiles(args.profiles_file, [args.profile], backends.CAP_GENERATE)
     backend = open_backend(profile, strict_scripted=args.strict_scripted)
     strategy = _STRATEGY_FLAGS[args.strategy]
+    if strategy in REFERENCE_STRATEGIES and args.ref_corpus is None:
+        raise SchemaViolation(f"--strategy {args.strategy} needs --ref-corpus")
     records = read_jsonl(args.infile)
     gold = {r.record_id: r for r in records}
-    reference_pool = _reference_pool([args.ref_corpus]) if args.ref_corpus else None
+    references = _references(records, [strategy], args.ref_corpus)
     outdir = Path(args.out)
     judged = []
     for seed in sorted(set(args.seeds)):
         path = _run_detection(
             records, profile, backend, strategy, seed, outdir,
-            reference_pool, args.resume,
+            references.get(strategy), args.resume, RunConfig.workers,
         )
         judged.extend(_judge_transcript(path, gold, profile.name, strategy, seed))
     (outdir / "results.csv").write_text(render_results_csv(judged))
@@ -528,6 +540,9 @@ class RunConfig:
             raise ValueError("seeds must be nonempty")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        for strategy in self.strategies:
+            if _STRATEGY_FLAGS[strategy] in REFERENCE_STRATEGIES and self.reference_corpus is None:
+                raise ValueError(f"strategy {strategy} needs reference_corpus, which is null")
 
 
 def load_run_config(path) -> RunConfig:
@@ -546,9 +561,7 @@ def cmd_run(args) -> int:
     records: list[SolutionRecord] = []
     for corpus in config.corpora:
         records.extend(read_jsonl(corpus))
-    reference_pool = (
-        _reference_pool([config.reference_corpus]) if config.reference_corpus else None
-    )
+    references = _references(records, strategies, config.reference_corpus)
 
     gold = {r.record_id: r for r in records}
     opened = {name: open_backend(p, strict_scripted=strict) for name, p in profiles.items()}
@@ -557,7 +570,7 @@ def cmd_run(args) -> int:
     for name, strategy, seed in sorted(set(product(profiles, strategies, config.seeds))):
         path = _run_detection(
             records, profiles[name], opened[name], strategy, seed, outdir,
-            reference_pool, resume=args.resume, workers=config.workers,
+            references.get(strategy), resume=args.resume, workers=config.workers,
         )
         judged.extend(_judge_transcript(path, gold, name, strategy, seed))
 

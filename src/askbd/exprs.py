@@ -12,13 +12,18 @@ import random
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Iterator, Literal, Union
+from typing import Iterator, Literal, Union
 
 # Exact arithmetic throughout: equality filters must never be fooled by
 # floating-point rounding.
 Rational = Fraction
 
-DEFAULT_MAX_DEPTH = 16
+# deepest tree and deepest bracket nesting any expression may have
+MAX_DEPTH = 16
+
+# an unsigned decimal literal (`12`, `2.5`, `.5`); `askbd.records` tokenizes
+# solution text with the same rule
+NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)"
 
 OPS = ("+", "-", "*", "/")
 _OP_ALIASES = {"×": "*", "÷": "/", "−": "-"}
@@ -40,9 +45,8 @@ class DepthExceeded(ExprError):
 
 
 class DivisionByZero(ExprError):
-    def __init__(self, path: tuple[int, ...] = ()):
-        super().__init__(f"division by zero at node path {path}")
-        self.path = path
+    def __init__(self):
+        super().__init__("division by zero")
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,7 @@ def make_bin(op: str, left: Expr, right: Expr, grouped: bool = False) -> Bin:
         raise ExprError(f"unknown operator {op!r}")
     node = Bin(op, left, right, grouped)
     if op == "/" and eval_expr(right) == 0:
-        raise DivisionByZero(())
+        raise DivisionByZero()
     return node
 
 
@@ -87,14 +91,14 @@ def depth(e: Expr) -> int:
 
 def eval_expr(e: Expr) -> Fraction:
     """Exact rational value of the tree; independent of grouping flags."""
-    return _eval(e, ())
+    return _eval(e)
 
 
-def _eval(e: Expr, path: tuple[int, ...]) -> Fraction:
+def _eval(e: Expr) -> Fraction:
     if isinstance(e, Lit):
         return e.value
-    lv = _eval(e.left, path + (0,))
-    rv = _eval(e.right, path + (1,))
+    lv = _eval(e.left)
+    rv = _eval(e.right)
     if e.op == "+":
         return lv + rv
     if e.op == "-":
@@ -102,13 +106,13 @@ def _eval(e: Expr, path: tuple[int, ...]) -> Fraction:
     if e.op == "*":
         return lv * rv
     if rv == 0:
-        raise DivisionByZero(path)
+        raise DivisionByZero()
     return lv / rv
 
 
 # --- Parsing ---
 
-_NUMBER = re.compile(r"\d+(?:\.\d+)?|\.\d+")
+_NUMBER = re.compile(NUMBER)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -141,11 +145,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, max_depth: int):
+    def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.max_depth = max_depth
         self.nesting = 0
 
     def peek(self) -> tuple[str, str, int] | None:
@@ -184,8 +187,8 @@ class _Parser:
             return Lit(Fraction(value))
         if kind == "lparen":
             self.nesting += 1
-            if self.nesting > self.max_depth:
-                raise DepthExceeded(f"bracket nesting exceeds {self.max_depth}")
+            if self.nesting > MAX_DEPTH:
+                raise DepthExceeded(f"bracket nesting exceeds {MAX_DEPTH}")
             inner = self.expr()
             kind, _, pos = self.take()
             if kind != "rparen":
@@ -197,20 +200,20 @@ class _Parser:
         raise ExprSyntaxError(f"expected a number or '('", pos)
 
 
-def parse_expr(text: str, max_depth: int = DEFAULT_MAX_DEPTH) -> Expr:
+def parse_expr(text: str) -> Expr:
     """Parse integers/decimals joined by + - * / (aliases accepted) and brackets.
 
     Decimals become exact rationals. Raises ExprSyntaxError with the
-    offending position, DepthExceeded past `max_depth`, or DivisionByZero
+    offending position, DepthExceeded past MAX_DEPTH, or DivisionByZero
     when a divisor evaluates to exactly zero.
     """
-    parser = _Parser(text, max_depth)
+    parser = _Parser(text)
     node = parser.expr()
     tok = parser.peek()
     if tok is not None:
         raise ExprSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
-    if depth(node) > max_depth:
-        raise DepthExceeded(f"tree depth exceeds {max_depth}")
+    if depth(node) > MAX_DEPTH:
+        raise DepthExceeded(f"tree depth exceeds {MAX_DEPTH}")
     return node
 
 
@@ -312,38 +315,24 @@ def _struct_key(e: Expr):
 
 
 # --- Rewrite rules ---
-
-
-@dataclass(frozen=True)
-class RewriteRule:
-    """A value-preserving local transform with an applicability predicate."""
-
-    rule_id: str
-    applies: Callable[[Expr], bool]
-    transform: Callable[[Expr], tuple[Expr, ...]]
+#
+# Each rule maps a node to the nodes it rewrites to, or () where it does
+# not apply.
 
 
 def _is_op(e: Expr, ops: str) -> bool:
     return isinstance(e, Bin) and e.op in ops
 
 
-def _commute_applies(op: str) -> Callable[[Expr], bool]:
-    return lambda e: isinstance(e, Bin) and e.op == op
-
-
 def _commute(e: Expr) -> tuple[Expr, ...]:
-    assert isinstance(e, Bin)
+    if not _is_op(e, "+*"):
+        return ()
     return (Bin(e.op, e.right, e.left),)
 
 
-def _reassoc_applies(e: Expr) -> bool:
-    return _is_op(e, "+*") and (
-        _is_op(e.left, e.op) or _is_op(e.right, e.op)  # type: ignore[union-attr]
-    )
-
-
 def _reassoc(e: Expr) -> tuple[Expr, ...]:
-    assert isinstance(e, Bin)
+    if not _is_op(e, "+*"):
+        return ()
     out: list[Expr] = []
     if _is_op(e.left, e.op):
         out.append(Bin(e.op, e.left.left, Bin(e.op, e.left.right, e.right)))
@@ -352,14 +341,9 @@ def _reassoc(e: Expr) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-def _distribute_applies(e: Expr) -> bool:
-    return isinstance(e, Bin) and e.op == "*" and (
-        _is_op(e.left, "+-") or _is_op(e.right, "+-")
-    )
-
-
 def _distribute(e: Expr) -> tuple[Expr, ...]:
-    assert isinstance(e, Bin)
+    if not _is_op(e, "*"):
+        return ()
     out: list[Expr] = []
     if _is_op(e.right, "+-"):
         inner = e.right
@@ -374,12 +358,9 @@ def _distribute(e: Expr) -> tuple[Expr, ...]:
     return tuple(out)
 
 
-def _factor_applies(e: Expr) -> bool:
-    return _is_op(e, "+-") and _is_op(e.left, "*") and _is_op(e.right, "*")  # type: ignore[union-attr]
-
-
 def _factor(e: Expr) -> tuple[Expr, ...]:
-    assert isinstance(e, Bin) and isinstance(e.left, Bin) and isinstance(e.right, Bin)
+    if not (_is_op(e, "+-") and _is_op(e.left, "*") and _is_op(e.right, "*")):
+        return ()
     a, b = e.left.left, e.left.right
     c, d = e.right.left, e.right.right
     ca, cb, cc, cd = (canonical_form(x) for x in (a, b, c, d))
@@ -398,13 +379,7 @@ def _factor(e: Expr) -> tuple[Expr, ...]:
 # Division nodes are never restructured by any rule; rewrites inside their
 # children are reached through subtree traversal, which keeps every
 # transform value-preserving.
-REWRITE_RULES: tuple[RewriteRule, ...] = (
-    RewriteRule("commute_add", _commute_applies("+"), _commute),
-    RewriteRule("commute_mul", _commute_applies("*"), _commute),
-    RewriteRule("reassociate", _reassoc_applies, _reassoc),
-    RewriteRule("distribute", _distribute_applies, _distribute),
-    RewriteRule("factor", _factor_applies, _factor),
-)
+REWRITE_RULES = (_commute, _reassoc, _distribute, _factor)
 
 
 def _subtree_paths(e: Expr, path: tuple[int, ...] = ()) -> Iterator[tuple[tuple[int, ...], Expr]]:
@@ -427,9 +402,8 @@ def rewrite_neighbors(e: Expr) -> Iterator[Expr]:
     """All expressions reachable from `e` by exactly one rule application."""
     for path, sub in _subtree_paths(e):
         for rule in REWRITE_RULES:
-            if rule.applies(sub):
-                for out in rule.transform(sub):
-                    yield _replace_at(e, path, out)
+            for out in rule(sub):
+                yield _replace_at(e, path, out)
 
 
 def enumerate_permutations(
@@ -437,7 +411,6 @@ def enumerate_permutations(
     max_rewrites: int = 3,
     limit: int = 16,
     seed: int = 0,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> list[Expr]:
     """Breadth-first enumeration of equivalent expressions.
 
@@ -463,7 +436,7 @@ def enumerate_permutations(
         level: dict[Expr, Expr] = {}
         for node in frontier:
             for cand in rewrite_neighbors(node):
-                if depth(cand) > max_depth:
+                if depth(cand) > MAX_DEPTH:
                     continue
                 if eval_expr(cand) != target:
                     continue

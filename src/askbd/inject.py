@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -31,7 +31,9 @@ from .records import (
     number_tokens,
 )
 
-DEFAULT_OFFSETS = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
+# How far a wrong result or a wrong operand lies from the true one: a guess
+# at plausible drift (55 -> 50). Zero is left out, since it is no error.
+OFFSETS = (-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)
 
 
 class InjectionError(ValueError):
@@ -48,23 +50,6 @@ class NoReferencingOperand(InjectionError):
 
 class NoDeletableStep(InjectionError):
     pass
-
-
-@dataclass(frozen=True)
-class InjectionConfig:
-    """Category is the controlled hyper-parameter; the error location is
-    drawn from the seeded generator. Offsets are a guess at plausible
-    perturbation magnitudes (the 55 -> 50 style drift) and configurable."""
-
-    category: str
-    seed: int = 0
-    offsets: tuple[int, ...] = DEFAULT_OFFSETS
-
-    def __post_init__(self):
-        if self.category not in CATEGORIES:
-            raise ValueError(f"unknown category {self.category!r}")
-        if 0 in self.offsets:
-            raise ValueError("offset 0 would produce a non-error")
 
 
 def _rng(seed: int, record: SolutionRecord, category: str) -> random.Random:
@@ -121,9 +106,7 @@ def _prior_results(record: SolutionRecord, before_index: int) -> set[Fraction]:
     }
 
 
-def inject_calculation(
-    record: SolutionRecord, seed: int = 0, offsets: tuple[int, ...] = DEFAULT_OFFSETS
-) -> tuple[SolutionRecord, ErrorLabel]:
+def inject_calculation(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
     """Replace one step's calculated result with a wrong value."""
     rng = _rng(seed, record, CATEGORY_CALCULATION)
     eligible = [s for s in record.steps if s.expression is not None]
@@ -131,7 +114,7 @@ def inject_calculation(
         raise NoExpressionStep(f"record {record.record_id} has no expression step")
     step = eligible[rng.randrange(len(eligible))]
     true_value = step.stated_result
-    valid = [o for o in offsets if true_value + o > 0]
+    valid = [o for o in OFFSETS if true_value + o > 0]
     wrong = true_value + valid[rng.randrange(len(valid))]
     new_step = replace(
         step,
@@ -143,9 +126,7 @@ def inject_calculation(
     return _relabel(record, steps, label, seed), label
 
 
-def inject_reference(
-    record: SolutionRecord, seed: int = 0, offsets: tuple[int, ...] = DEFAULT_OFFSETS
-) -> tuple[SolutionRecord, ErrorLabel]:
+def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
     """Point one operand at a wrong value and recompute the step correctly.
 
     The replacement value stays outside the condition/prior-result pool so
@@ -165,7 +146,7 @@ def inject_reference(
                 continue
             usable = [
                 o
-                for o in offsets
+                for o in OFFSETS
                 if value + o > 0
                 and (value + o) not in resolvable
                 and _recomputes_to_positive_integer(step.expression, start, end, value + o)
@@ -202,9 +183,7 @@ def _recomputes_to_positive_integer(expression: str, start: int, end: int, value
     return result > 0 and result.denominator == 1
 
 
-def inject_missing(
-    record: SolutionRecord, seed: int = 0
-) -> tuple[SolutionRecord, ErrorLabel]:
+def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
     """Delete a supporting step; its consumer keeps the dangling operand."""
     rng = _rng(seed, record, CATEGORY_MISSING)
     if len(record.steps) < 2:
@@ -235,7 +214,7 @@ def inject_missing(
 
 
 def inject_hallucination(
-    record: SolutionRecord, seed: int = 0
+    record: SolutionRecord, seed: int
 ) -> tuple[SolutionRecord, ErrorLabel]:
     """Append a fabricated final step combining a fresh operand with the
     previous final value, computed correctly."""
@@ -268,25 +247,28 @@ def inject_hallucination(
     return _relabel(record, steps, label, seed), label
 
 
+_INJECTORS = {
+    CATEGORY_CALCULATION: inject_calculation,
+    CATEGORY_REFERENCE: inject_reference,
+    CATEGORY_MISSING: inject_missing,
+    CATEGORY_HALLUCINATION: inject_hallucination,
+}
+
+
 def inject(
-    record: SolutionRecord, cfg: InjectionConfig
+    record: SolutionRecord, category: str, seed: int
 ) -> tuple[SolutionRecord, ErrorLabel]:
-    if cfg.category == CATEGORY_CALCULATION:
-        return inject_calculation(record, cfg.seed, cfg.offsets)
-    if cfg.category == CATEGORY_REFERENCE:
-        return inject_reference(record, cfg.seed, cfg.offsets)
-    if cfg.category == CATEGORY_MISSING:
-        return inject_missing(record, cfg.seed)
-    return inject_hallucination(record, cfg.seed)
+    """One error of `category` injected into `record`, at a location drawn
+    from `seed`; raises an InjectionError where the category cannot apply."""
+    if category not in _INJECTORS:
+        raise ValueError(f"unknown category {category!r}")
+    return _INJECTORS[category](record, seed)
 
 
 def inject_batch(
-    records: Iterable[SolutionRecord],
-    seed: int = 0,
-    categories: tuple[str, ...] = CATEGORIES,
-    offsets: tuple[int, ...] = DEFAULT_OFFSETS,
+    records: Iterable[SolutionRecord], seed: int
 ) -> Iterator[tuple[SolutionRecord, ErrorLabel]]:
     """One erroneous record per category per input record."""
     for record in records:
-        for category in categories:
-            yield inject(record, InjectionConfig(category=category, seed=seed, offsets=offsets))
+        for category in CATEGORIES:
+            yield inject(record, category, seed)

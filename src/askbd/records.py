@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .exprs import Rational, format_value, parse_expr
+from .exprs import NUMBER, Rational, format_value, parse_expr
 
 ORIGIN_CONVENTIONAL = "D"
 ORIGIN_ALTERNATIVE = "D1"
@@ -183,10 +183,9 @@ def make_record(
 # --- Structured solution text ---
 
 _STEP_MARKER = re.compile(r"Step\s+(\d+)\s*[.:]\s*")
-_NUM = r"\d+(?:\.\d+)?"
-_NUMBER = re.compile(_NUM)
+_NUMBER = re.compile(NUMBER)
 _EXPRESSION_EQ = re.compile(
-    rf"({_NUM}(?:\s*[+−×*/÷-]\s*{_NUM})+)\s*=\s*({_NUM})"
+    rf"({NUMBER}(?:\s*[+−×*/÷-]\s*{NUMBER})+)\s*=\s*({NUMBER})"
 )
 
 

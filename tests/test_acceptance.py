@@ -115,7 +115,7 @@ def test_alternative_generation_end_to_end(leaf_record):
                     answer=record.answer,
                 )
                 recomposed = compose_solving_expression(rebuilt)
-                assert eval_expr(recomposed.expr) == record.answer
+                assert eval_expr(recomposed) == record.answer
                 if record is records[0]:
                     leaf_classes.add(canonical_form(candidate.expr))
         assert factored in leaf_classes

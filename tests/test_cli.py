@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -174,6 +175,30 @@ class TestInjectCli:
         main(["inject", "--category", "all", "--seed", "9",
               "--in", str(conventional), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestDataConstructionIsPinned:
+    """gen-alt and inject outputs on the demo's conventional records, byte
+    for byte: composing, rewriting, explaining and injecting may be
+    restructured, but what they write may not change."""
+
+    CANDIDATES_SHA256 = "b225e0028905da948eaf0d4eb2fb1ffa2f86d57d461eb83fd42d98db267da4b4"
+    INJECTED_SHA256 = "aad931f02111d55813fcb8215e7e4358e9ddc8357b5fd9153421bc643bdc453f"
+
+    def test_gen_alt_then_inject(self, tmp_path):
+        info = build_demo(tmp_path / "demo", n_questions=4)
+        conventional = tmp_path / "d.jsonl"
+        write_jsonl(
+            [r for r in read_jsonl(info["corpus"]) if r.origin == "D" and not r.label.is_error],
+            conventional,
+        )
+        candidates, injected = tmp_path / "cand.jsonl", tmp_path / "inj.jsonl"
+        assert main(["gen-alt", "--in", str(conventional), "--out", str(candidates),
+                     "--k", "3", "--seed", "0"]) == 0
+        assert main(["inject", "--category", "all", "--seed", "0",
+                     "--in", str(candidates), "--out", str(injected)]) == 0
+        assert hashlib.sha256(candidates.read_bytes()).hexdigest() == self.CANDIDATES_SHA256
+        assert hashlib.sha256(injected.read_bytes()).hexdigest() == self.INJECTED_SHA256
 
 
 class TestScoreLikelihoodCli:
@@ -427,6 +452,33 @@ class TestDetectEvaluateRun:
         # must complete and persist results
         assert rc == 0
         assert (tmp_path / "ref" / "results.csv").exists()
+
+    def test_reference_strategy_needs_a_reference_corpus(self, tmp_path, capsys):
+        info = build_demo(tmp_path / "demo", n_questions=2, seeds=(1,))
+        config = json.loads(info["config"].read_text())
+        no_corpus = tmp_path / "no_corpus.json"
+        no_corpus.write_text(json.dumps({**config, "strategies": ["ref-matching"]}))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        no_ancestor = tmp_path / "no_ancestor.json"
+        no_ancestor.write_text(json.dumps(
+            {**config, "strategies": ["M0", "ref-conventional"], "reference_corpus": str(empty)}
+        ))
+        detect = ["detect", "--strategy", "ref-conventional", "--profile", "demo",
+                  "--profiles-file", str(info["profiles"]), "--in", str(info["corpus"]),
+                  "--out", str(tmp_path / "out")]
+        cases = [
+            (["run", "--config", str(no_corpus)], "reference_corpus"),
+            (detect, "--ref-corpus"),
+            (["run", "--config", str(no_ancestor)], f"reference corpus {empty}"),
+        ]
+        for argv, field in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and field in err, err
+            # the reference is resolved before the first cell starts
+            for outdir in (tmp_path / "out", tmp_path / "demo" / "out"):
+                assert not list(outdir.rglob("*.jsonl")), argv
 
 
 REPORTS = ("report.md", "report.csv", "results.csv")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from askbd.inject import (
-    InjectionConfig,
     NoDeletableStep,
     NoExpressionStep,
     inject,
@@ -22,6 +21,8 @@ from askbd.records import (
     SolutionStep,
     condition_values,
     make_record,
+    number_tokens,
+    parse_structured_solution,
 )
 from askbd.exprs import eval_expr, parse_expr
 
@@ -141,14 +142,9 @@ class TestInjectionProperties:
 
     def test_determinism(self, leaf_record):
         for category in CATEGORIES:
-            cfg = InjectionConfig(category=category, seed=42)
-            first, _ = inject(leaf_record, cfg)
-            second, _ = inject(leaf_record, cfg)
+            first, _ = inject(leaf_record, category, 42)
+            second, _ = inject(leaf_record, category, 42)
             assert first == second
-
-    def test_offsets_must_exclude_zero(self):
-        with pytest.raises(ValueError):
-            InjectionConfig(category="calc", offsets=(0, 1))
 
     def test_batch_emits_one_per_category(self, leaf_record):
         out = list(inject_batch([leaf_record], seed=1))
@@ -160,6 +156,18 @@ class TestInjectionProperties:
 class TestLabelOracle:
     def test_correct_record_has_zero_findings(self, leaf_record):
         assert scan_record(leaf_record) == CORRECT_LABEL
+
+    def test_a_leading_point_decimal_is_one_number(self):
+        # solution text is tokenized by the number rule parse_expr uses,
+        # so `.5` is one half everywhere, never 5
+        record = make_record(
+            question="A scoop holds 0.5 cups. How many cups do 6 scoops hold?",
+            steps=parse_structured_solution("Step 1. Six scoops hold 6 * .5 = 3 cups."),
+            answer=3,
+        )
+        assert record.steps[0].expression == "6 * .5"
+        assert [value for _, _, value in number_tokens("6 * .5")] == [6, Fraction(1, 2)]
+        assert scan_record(record) == CORRECT_LABEL
 
     def test_locates_all_four_categories(self, leaf_record):
         for seed in range(100):
