@@ -13,7 +13,7 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -31,10 +31,9 @@ from .detect import (
     REFERENCE_STRATEGIES,
     STRATEGIES,
     STRATEGY_REF_MATCHING,
-    DetectionOutcome,
     StageExchange,
     detect,
-    parse_detector_response,
+    outcome_of,
 )
 from .evaluate import (
     JudgedResult,
@@ -287,10 +286,11 @@ def cmd_score_likelihood(args) -> int:
             results = _read_correctness(args.results, args.strategy)
         bucketing = likelihood.quartile_buckets(indicators)
         likelihood.write_analysis_csv(args.analysis, indicators, bucketing, results)
-        if results:
-            accuracy = likelihood.bucket_accuracy(
-                bucketing, {rid: results.get(rid, False) for rid in indicators}
-            )
+        if args.results:
+            unjoined = sum(1 for rid in indicators if rid not in results)
+            if unjoined:
+                print(f"{unjoined} scored records have no result row", file=sys.stderr)
+            accuracy = likelihood.bucket_accuracy(bucketing, results)
             for bucket in likelihood.QUARTILES:
                 value = accuracy[bucket]
                 print(f"{bucket}: {'undefined' if value is None else f'{value:.3f}'}")
@@ -323,7 +323,7 @@ def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
 # --- detect / evaluate / run ---
 
 
-_TRANSCRIPT_NAME = re.compile(r"(?P<profile>.+)__(?P<strategy>.+)__seed(?P<seed>\d+)\.jsonl$")
+_TRANSCRIPT_NAME = re.compile(r"(?P<profile>.+)__(?P<strategy>.+)__seed(?P<seed>-?\d+)\.jsonl$")
 
 
 def _transcript_path(outdir: Path, profile: str, strategy: str, seed: int) -> Path:
@@ -370,10 +370,7 @@ def _judge_transcript(path: Path, gold: dict[str, SolutionRecord], profile: str,
         record = gold.get(record_id)
         if record is None:
             raise SchemaViolation(f"gold corpus lacks record {record_id}")
-        if line.stage == FAILED_STAGE:
-            outcome = DetectionOutcome.invalid_response("", line.response)
-        else:
-            outcome = parse_detector_response(line.response, len(record.steps))
+        outcome = outcome_of(line, len(record.steps))
         judged.append(
             JudgedResult(
                 record_id=record_id,
@@ -390,9 +387,9 @@ def _judge_transcript(path: Path, gold: dict[str, SolutionRecord], profile: str,
     return judged
 
 
-def _write_reports(outdir: Path, judged: list[JudgedResult], seeds) -> None:
+def _write_reports(outdir: Path, judged: list[JudgedResult]) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    report = build_report(judged, seeds=sorted(set(seeds)))
+    report = build_report(judged)
     (outdir / "report.csv").write_text(render_report_csv(report))
     (outdir / "report.md").write_text(render_report_markdown(report))
     (outdir / "results.csv").write_text(render_results_csv(judged))
@@ -470,8 +467,8 @@ def _run_detection(
         # Serialized here, in the worker: a main thread that only writes
         # holds the interpreter lock briefly, and detection keeps its pace.
         reference = references[record.record_id] if references else None
-        run = detect(record, profile, strategy, reference=reference, backend=backend)
-        return _transcript_lines(record.record_id, strategy, run.transcript)
+        exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
+        return _transcript_lines(record.record_id, strategy, exchanges)
 
     path.parent.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=workers) as pool, \
@@ -482,23 +479,36 @@ def _run_detection(
     return path
 
 
-def cmd_detect(args) -> int:
-    (profile,) = _select_profiles(args.profiles_file, [args.profile], backends.CAP_GENERATE)
-    backend = open_backend(profile, strict_scripted=args.strict_scripted)
-    strategy = _STRATEGY_FLAGS[args.strategy]
-    if strategy in REFERENCE_STRATEGIES and args.ref_corpus is None:
-        raise SchemaViolation(f"--strategy {args.strategy} needs --ref-corpus")
-    records = read_jsonl(args.infile)
+def _detect_cells(config: RunConfig, records: list[SolutionRecord],
+                  resume: bool) -> list[JudgedResult]:
+    """Detects `records` in every (profile, strategy, integer seed) cell of
+    `config`, in that order, and judges each cell's whole transcript."""
+    selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
+    profiles = {p.name: p for p in selected}
+    strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
+    references = _references(records, strategies, config.reference_corpus)
+    opened = {p.name: open_backend(p, strict_scripted=config.strict_scripted) for p in selected}
     gold = {r.record_id: r for r in records}
-    references = _references(records, [strategy], args.ref_corpus)
-    outdir = Path(args.out)
-    judged = []
-    for seed in sorted(set(args.seeds)):
+    judged: list[JudgedResult] = []
+    for name, strategy, seed in sorted(set(product(profiles, strategies, config.seeds))):
         path = _run_detection(
-            records, profile, backend, strategy, seed, outdir,
-            references.get(strategy), args.resume, RunConfig.workers,
+            records, profiles[name], opened[name], strategy, seed, Path(config.out),
+            references.get(strategy), resume, config.workers,
         )
-        judged.extend(_judge_transcript(path, gold, profile.name, strategy, seed))
+        judged.extend(_judge_transcript(path, gold, name, strategy, seed))
+    return judged
+
+
+def cmd_detect(args) -> int:
+    if _STRATEGY_FLAGS[args.strategy] in REFERENCE_STRATEGIES and args.ref_corpus is None:
+        raise SchemaViolation(f"--strategy {args.strategy} needs --ref-corpus")
+    config = RunConfig(
+        profiles=args.profiles_file, profile_names=(args.profile,),
+        strategies=(args.strategy,), seeds=tuple(args.seeds), corpora=(args.infile,),
+        out=args.out, strict_scripted=args.strict_scripted, reference_corpus=args.ref_corpus,
+    )
+    outdir = Path(args.out)
+    judged = _detect_cells(config, read_jsonl(args.infile), args.resume)
     (outdir / "results.csv").write_text(render_results_csv(judged))
     print(f"detected {len(judged)} (record, seed) pairs -> {outdir}")
     return EXIT_OK
@@ -514,7 +524,7 @@ def cmd_evaluate(args) -> int:
     judged: list[JudgedResult] = []
     for profile, strategy, seed, path in sorted(cells):
         judged.extend(_judge_transcript(path, gold, profile, strategy, seed))
-    _write_reports(Path(args.out), judged, [cell[2] for cell in cells])
+    _write_reports(Path(args.out), judged)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK
 
@@ -553,35 +563,31 @@ def load_run_config(path) -> RunConfig:
 
 def cmd_run(args) -> int:
     config = load_run_config(args.config)
-    strict = config.strict_scripted or args.strict_scripted
-    selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
-    profiles = {p.name: p for p in selected}
-    strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
-
-    records: list[SolutionRecord] = []
-    for corpus in config.corpora:
-        records.extend(read_jsonl(corpus))
-    references = _references(records, strategies, config.reference_corpus)
-
-    gold = {r.record_id: r for r in records}
-    opened = {name: open_backend(p, strict_scripted=strict) for name, p in profiles.items()}
+    if args.strict_scripted:
+        config = replace(config, strict_scripted=True)
+    records = [record for corpus in config.corpora for record in read_jsonl(corpus)]
+    judged = _detect_cells(config, records, args.resume)
     outdir = Path(config.out)
-    judged: list[JudgedResult] = []
-    for name, strategy, seed in sorted(set(product(profiles, strategies, config.seeds))):
-        path = _run_detection(
-            records, profiles[name], opened[name], strategy, seed, outdir,
-            references.get(strategy), resume=args.resume, workers=config.workers,
-        )
-        judged.extend(_judge_transcript(path, gold, name, strategy, seed))
-
-    _write_reports(outdir, judged, config.seeds)
-    stats = compute_stats(records)
-    (outdir / "stats.txt").write_text(stats.as_table() + "\n")
+    _write_reports(outdir, judged)
+    (outdir / "stats.txt").write_text(compute_stats(records).as_table() + "\n")
     print(f"ran {len(judged)} (record, strategy, seed) detections -> {outdir}")
     return EXIT_OK
 
 
 # --- parser ---
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no less than `minimum`. Any other value
+    is a usage error, which exits 2."""
+
+    def parse(text: str) -> int:
+        value = int(text) if re.fullmatch(r"\s*[+-]?\d+\s*", text) else None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -594,16 +600,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="sample a raw question/rationale file into a seed corpus")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_at_least(0), default=None)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("gen-alt", help="generate alternative-solution candidates")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_int_at_least(0), default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-rewrites", type=int, default=3)
+    p.add_argument("--max-rewrites", type=_int_at_least(1), default=3)
     p.set_defaults(func=cmd_gen_alt)
 
     p = sub.add_parser("review", help="interactively curate candidates into an alternative corpus")

@@ -12,6 +12,7 @@ invalid outcome, never an exception.
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
@@ -89,24 +90,15 @@ def load_template(template_id: str) -> PromptTemplate:
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    """Per-step tags plus the label they deterministically imply."""
+    """The label a detector reply implies, or why the reply is invalid."""
 
-    step_tags: tuple[str, ...]
     predicted: ErrorLabel
-    raw_response: str
     valid: bool
-    thinking: str | None = None
     invalid_reason: str | None = None
 
     @classmethod
-    def invalid_response(cls, raw: str, reason: str) -> "DetectionOutcome":
-        return cls(
-            step_tags=(),
-            predicted=CORRECT_LABEL,
-            raw_response=raw,
-            valid=False,
-            invalid_reason=reason,
-        )
+    def invalid_response(cls, reason: str) -> "DetectionOutcome":
+        return cls(predicted=CORRECT_LABEL, valid=False, invalid_reason=reason)
 
 
 @dataclass(frozen=True)
@@ -114,14 +106,6 @@ class StageExchange:
     stage: str
     prompt: str
     response: str
-
-
-@dataclass(frozen=True)
-class DetectionRun:
-    record_id: str
-    strategy: str
-    outcome: DetectionOutcome
-    transcript: tuple[StageExchange, ...]
 
 
 # --- Response parsing ---
@@ -143,43 +127,32 @@ def parse_detector_response(text: str, n_steps: int) -> DetectionOutcome:
     a step count mismatch, mark the outcome invalid instead of raising.
     """
     if n_steps < 1:
-        return DetectionOutcome.invalid_response(text, "solution has no steps")
+        return DetectionOutcome.invalid_response("solution has no steps")
     found: dict[int, str] = {}
-    first_tag_line: int | None = None
-    for line_number, line in enumerate(text.splitlines()):
+    for line in text.splitlines():
         match = _BRACKET_LINE.match(line) or _BARE_LINE.match(line)
         if not match:
             continue
         step = int(match.group(1))
-        tag = _TAG_SPELLINGS[match.group(2).lower()]
         if step in found:
-            return DetectionOutcome.invalid_response(text, f"duplicate line for step {step}")
-        found[step] = tag
-        if first_tag_line is None:
-            first_tag_line = line_number
+            return DetectionOutcome.invalid_response(f"duplicate line for step {step}")
+        found[step] = _TAG_SPELLINGS[match.group(2).lower()]
     if set(found) != set(range(1, n_steps + 1)):
         return DetectionOutcome.invalid_response(
-            text, f"expected steps 1..{n_steps}, got {sorted(found)}"
+            f"expected steps 1..{n_steps}, got {sorted(found)}"
         )
-    tags = tuple(found[i] for i in range(1, n_steps + 1))
-    predicted = CORRECT_LABEL
-    for index, tag in enumerate(tags, start=1):
-        if tag not in (TAG_CORRECT, TAG_SECONDARY):
-            predicted = ErrorLabel(index, tag)
-            break
-    thinking = None
-    if first_tag_line:
-        head = "\n".join(text.splitlines()[:first_tag_line]).strip()
-        thinking = head or None
-    return DetectionOutcome(
-        step_tags=tags,
-        predicted=predicted,
-        raw_response=text,
-        valid=True,
-        thinking=thinking,
-    )
+    for step in range(1, n_steps + 1):
+        if found[step] not in (TAG_CORRECT, TAG_SECONDARY):
+            return DetectionOutcome(ErrorLabel(step, found[step]), valid=True)
+    return DetectionOutcome(CORRECT_LABEL, valid=True)
 
 
+def outcome_of(last: StageExchange, n_steps: int) -> DetectionOutcome:
+    """The outcome of a detection whose last `reg` or `failed` exchange is
+    `last`: a failed stage is invalid, with its response as the reason."""
+    if last.stage == FAILED_STAGE:
+        return DetectionOutcome.invalid_response(last.response)
+    return parse_detector_response(last.response, n_steps)
 
 
 # --- Prompts: what each stage sends ---
@@ -252,11 +225,10 @@ def _parse_sqr(text: str) -> str:
     return text.strip()
 
 
-def _parse_grading(text: str, n_steps: int) -> DetectionOutcome:
+def _parse_grading(text: str, n_steps: int) -> None:
     outcome = parse_detector_response(text, n_steps)
     if not outcome.valid:
         raise UnparseableBackendOutput(outcome.invalid_reason)
-    return outcome
 
 
 # --- Detection ---
@@ -277,14 +249,14 @@ def detect(
     reference: str | None = None,
     *,
     backend,
-) -> DetectionRun:
-    """Run one detection strategy and return the outcome with every
-    exchange it made, re-asks included. M2 and M3 build their reference
+) -> tuple[StageExchange, ...]:
+    """Run one detection strategy and return every exchange it made, re-asks
+    included, for `outcome_of` to judge. M2 and M3 build their reference
     with the cqe, ssi and sqr stages before grading; the ref_* strategies
     grade with the given `reference`. A grading reply that stays
-    unparseable is an invalid outcome. Any other per-record failure ends
-    the transcript with one `failed` line naming the stage and the error
-    class, and the outcome is invalid; other backend errors propagate."""
+    unparseable ends the exchanges. Any other per-record failure ends them
+    with one `failed` line naming the stage and the error class; other
+    backend errors propagate."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     transcript: list[StageExchange] = []
@@ -311,18 +283,9 @@ def detect(
             questions = ask("ssi", ssi_prompt(record), lambda text: _parse_ssi(text, n_steps))
             reference = ask("sqr", sqr_prompt(conditions, [*questions, inquiry]), _parse_sqr)
         prompt = grading_prompt(record, strategy, reference)
-        try:
-            outcome = ask("reg", prompt, lambda text: _parse_grading(text, n_steps))
-        except UnparseableBackendOutput as err:
-            outcome = DetectionOutcome.invalid_response(transcript[-1].response, str(err))
+        with suppress(UnparseableBackendOutput):  # outcome_of judges it invalid
+            ask("reg", prompt, lambda text: _parse_grading(text, n_steps))
     except _RECORD_FAILURES as err:
         failure = f"stage failure: {stage}: {type(err).__name__}: {err}"
         transcript.append(StageExchange(FAILED_STAGE, "", failure))
-        outcome = DetectionOutcome.invalid_response("", failure)
-
-    return DetectionRun(
-        record_id=record.record_id,
-        strategy=strategy,
-        outcome=outcome,
-        transcript=tuple(transcript),
-    )
+    return tuple(transcript)

@@ -77,7 +77,6 @@ class ReportCell:
 class ExperimentReport:
     profiles: tuple[str, ...]
     strategies: tuple[str, ...]
-    seeds: tuple[int, ...]
     cells: Mapping[tuple[str, str, str], ReportCell]
     deltas: Mapping[tuple[str, str], Fraction]
 
@@ -85,7 +84,7 @@ class ExperimentReport:
         return self.cells.get((profile, strategy, origin))
 
 
-def build_report(results: Iterable[JudgedResult], seeds: Sequence[int]) -> ExperimentReport:
+def build_report(results: Iterable[JudgedResult]) -> ExperimentReport:
     """Seed-averaged accuracy per (profile, strategy, origin) cell."""
     seen: set[tuple[str, str, str, int]] = set()
     grouped: dict[tuple[str, str, str, int], list[JudgedResult]] = {}
@@ -102,6 +101,7 @@ def build_report(results: Iterable[JudgedResult], seeds: Sequence[int]) -> Exper
             profiles.append(result.profile)
         if result.strategy not in strategies:
             strategies.append(result.strategy)
+    seeds = sorted({seed for _, _, _, seed in grouped})
 
     cells: dict[tuple[str, str, str], ReportCell] = {}
     for profile in profiles:
@@ -126,7 +126,6 @@ def build_report(results: Iterable[JudgedResult], seeds: Sequence[int]) -> Exper
     return ExperimentReport(
         profiles=tuple(profiles),
         strategies=tuple(strategies),
-        seeds=tuple(seeds),
         cells=cells,
         deltas=deltas,
     )

@@ -29,10 +29,6 @@ class TooFewRecords(ValueError):
     pass
 
 
-class MissingResult(KeyError):
-    pass
-
-
 def sum_logprob(scores: Sequence[TokenScore]) -> float:
     if not scores:
         raise EmptyContinuation("no token scores to sum")
@@ -120,11 +116,12 @@ def quartile_buckets(indicators: Mapping[str, float]) -> QuartileBucketing:
 def bucket_accuracy(
     bucketing: QuartileBucketing, results: Mapping[str, bool]
 ) -> dict[str, float | None]:
-    """Mean 0/1 correctness per bucket; empty buckets stay undefined."""
+    """Mean 0/1 correctness per bucket over the records that have a
+    result; a bucket with none stays undefined."""
     sums: dict[str, list[int]] = {b: [0, 0] for b in QUARTILES}
     for record_id, bucket in bucketing.assignment.items():
         if record_id not in results:
-            raise MissingResult(record_id)
+            continue
         sums[bucket][0] += 1 if results[record_id] else 0
         sums[bucket][1] += 1
     return {

@@ -223,6 +223,8 @@ def parse_structured_solution(text: str) -> list[SolutionStep]:
 
     Statements are preserved verbatim (after math-marker normalization);
     trailing calculations become the step's expression and stated result.
+    Each expression is parse-validated, as `record_from_json` does, so an
+    unreadable one (a division by zero, say) raises an ExprError here.
     """
     normalized = normalize_math_text(text)
     markers = list(_STEP_MARKER.finditer(normalized))
@@ -240,6 +242,7 @@ def parse_structured_solution(text: str) -> list[SolutionStep]:
             steps.append(SolutionStep(index=indices[pos], statement=statement))
         else:
             expression, result = extracted
+            parse_expr(expression)
             steps.append(
                 SolutionStep(
                     index=indices[pos],

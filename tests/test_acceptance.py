@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line. Run with `pytest tests/test_acceptance.py -v -s`."""
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -207,6 +208,27 @@ def test_bias_gap_convention():
         assert bias_gap(0.202, 0.209) == 0.007
 
 
+# sha256 of every output of the 4-question demo run with seeds 1-3
+DEMO_RUN_SHA256 = {
+    "report.csv": "38032bc6bb1f5555180366e015d5b57bc6e187111bbed9cd4fcafd68cb65353e",
+    "report.md": "dacaea4878dbb96dfce3b2137768e90c3ad90a95e3c5c3d03a64bcdf11f28547",
+    "results.csv": "1fed158a4ba91efe8cc917a3a7429248f3de61a1dfde5a7efda43323cf1bf4ac",
+    "stats.txt": "8cee7cebda2f7adf496293f197025ba4ab54d2e207e26933330bb120de521b5a",
+    "transcripts/demo__M0__seed1.jsonl": "5337417c683757ad46c2e8f06070fed1ec39b2c04da3b7509675f018d8845bd7",
+    "transcripts/demo__M0__seed2.jsonl": "5337417c683757ad46c2e8f06070fed1ec39b2c04da3b7509675f018d8845bd7",
+    "transcripts/demo__M0__seed3.jsonl": "5337417c683757ad46c2e8f06070fed1ec39b2c04da3b7509675f018d8845bd7",
+    "transcripts/demo__M1__seed1.jsonl": "6b5f63748fd9662507f9be8b865b533f03d77bdd6911e695fd6522e5ec6c92a7",
+    "transcripts/demo__M1__seed2.jsonl": "6b5f63748fd9662507f9be8b865b533f03d77bdd6911e695fd6522e5ec6c92a7",
+    "transcripts/demo__M1__seed3.jsonl": "6b5f63748fd9662507f9be8b865b533f03d77bdd6911e695fd6522e5ec6c92a7",
+    "transcripts/demo__M2__seed1.jsonl": "286516e989fe7b74f31c0d75ddd55123c53eb13e8ed092baead704855ef628f1",
+    "transcripts/demo__M2__seed2.jsonl": "286516e989fe7b74f31c0d75ddd55123c53eb13e8ed092baead704855ef628f1",
+    "transcripts/demo__M2__seed3.jsonl": "286516e989fe7b74f31c0d75ddd55123c53eb13e8ed092baead704855ef628f1",
+    "transcripts/demo__M3__seed1.jsonl": "a7dc8fd2be92fc9cd19b5880eb805db06a62b69b7e28e96def60a520511086ee",
+    "transcripts/demo__M3__seed2.jsonl": "a7dc8fd2be92fc9cd19b5880eb805db06a62b69b7e28e96def60a520511086ee",
+    "transcripts/demo__M3__seed3.jsonl": "a7dc8fd2be92fc9cd19b5880eb805db06a62b69b7e28e96def60a520511086ee",
+}
+
+
 def test_deterministic_end_to_end_run(tmp_path):
     with criterion("deterministic-run"):
         outputs = []
@@ -219,6 +241,11 @@ def test_deterministic_end_to_end_run(tmp_path):
             first = (outputs[0] / artifact).read_bytes()
             second = (outputs[1] / artifact).read_bytes()
             assert first == second, f"{artifact} differs between runs"
+        produced = {
+            path.relative_to(outputs[0]).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in outputs[0].rglob("*") if path.is_file()
+        }
+        assert produced == DEMO_RUN_SHA256
         report = (outputs[0] / "report.md").read_text()
         for strategy in ("M0", "M1", "M2", "M3"):
             for group in ("D", "D'", "Delta"):

@@ -66,6 +66,33 @@ class TestIngest:
         raw.write_text("not json\n")
         assert main(["ingest", "--in", str(raw), "--out", str(tmp_path / "o.jsonl")]) == 2
 
+    def test_unreadable_expression_is_skipped(self, tmp_path, capsys):
+        # a record that no reader would load is never written
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text(json.dumps({"question": "How many toys does each get?",
+                                   "rationale": "He splits 4 / 0 = 2 toys.", "answer": 2}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "ingested 0 records (1 skipped)" in captured.out
+        assert "division by zero" in captured.err
+        assert read_jsonl(out) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--n", "-1"],
+    ["gen-alt", "--k", "-1"],
+    ["gen-alt", "--max-rewrites", "0"],
+    ["gen-alt", "--k", "three"],
+])
+def test_out_of_range_numeric_flags_are_usage_errors(argv, tmp_path, capsys):
+    command, *flag = argv
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--in", str(tmp_path / "in.jsonl"), "--out", str(tmp_path / "o"), *flag])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and f"argument {flag[0]}" in err and "Traceback" not in err
+
 
 class TestGenAltAndReview:
     def test_gen_alt_writes_candidates(self, tmp_path):
@@ -296,6 +323,37 @@ class TestScoreLikelihoodCli:
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(results) in err, err
 
+    def test_bucket_accuracy_skips_records_without_a_result(self, demo_dir, tmp_path, capsys):
+        assert main(["detect", "--strategy", "M0", "--profile", "demo",
+                     "--profiles-file", str(demo_dir / "profiles.json"),
+                     "--in", str(demo_dir / "corpus.jsonl"), "--out", str(tmp_path / "d"),
+                     "--strict-scripted"]) == 0
+        # keep only the conventional records' rows
+        rows = (tmp_path / "d" / "results.csv").read_text().splitlines(keepends=True)
+        results = tmp_path / "results.csv"
+        results.write_text(rows[0] + "".join(r for r in rows[1:] if r.split(",")[2] == "D"))
+        analysis = tmp_path / "analysis.csv"
+        # a strategy with no rows joins no record at all
+        for strategy in ([], ["--strategy", "M9"]):
+            capsys.readouterr()
+            assert main(["score-likelihood", "--profiles", "scorer",
+                         "--profiles-file", str(demo_dir / "profiles.json"),
+                         "--in", str(demo_dir / "corpus.jsonl"),
+                         "--out", str(tmp_path / "s.jsonl"), "--analysis", str(analysis),
+                         "--results", str(results), *strategy]) == 0
+            captured = capsys.readouterr()
+            with open(analysis, newline="") as handle:
+                cells = list(csv.DictReader(handle))
+            blank = sum(1 for cell in cells if cell["correct"] == "")
+            assert blank > 0
+            assert f"{blank} scored records have no result row" in captured.err
+            printed = dict(re.findall(r"^(Q\d): (\S+)$", captured.out, re.MULTILINE))
+            for bucket in ("Q1", "Q2", "Q3", "Q4"):
+                flags = [int(c["correct"]) for c in cells
+                         if c["bucket"] == bucket and c["correct"]]
+                expected = f"{sum(flags) / len(flags):.3f}" if flags else "undefined"
+                assert printed[bucket] == expected, (strategy, bucket)
+
 
 class TestDetectEvaluateRun:
     def test_run_is_byte_identical_across_directories(self, tmp_path):
@@ -499,12 +557,16 @@ class TestOnePathToReports:
     same way, so their reports agree byte for byte."""
 
     def test_seeds_across_a_digit_boundary(self, tmp_path):
-        info = build_demo(tmp_path, n_questions=2, seeds=(9, 10))
-        assert main(["run", "--config", str(info["config"])]) == 0
-        reports = _reports(tmp_path / "out")
-        assert reports == _evaluate(info, tmp_path / "eval")
-        seeds = [line.split(",")[3] for line in reports["results.csv"].decode().splitlines()[1:]]
-        assert seeds.index("10") > seeds.index("9")
+        # a negative seed's transcript is named `seed-1`, and evaluate reads it
+        for first, second in ((9, 10), (-1, 2)):
+            outdir = tmp_path / f"seeds{first}"
+            info = build_demo(outdir, n_questions=2, seeds=(first, second))
+            assert main(["run", "--config", str(info["config"])]) == 0
+            reports = _reports(outdir / "out")
+            assert reports == _evaluate(info, outdir / "eval")
+            rows = reports["results.csv"].decode().splitlines()[1:]
+            seeds = [line.split(",")[3] for line in rows]
+            assert seeds.index(str(second)) > seeds.index(str(first))
 
     def test_resume_after_complete_run(self, tmp_path):
         info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))

@@ -16,6 +16,7 @@ from askbd.detect import (
     detect,
     grading_prompt,
     load_template,
+    outcome_of,
     parse_detector_response,
     sqr_prompt,
     ssi_prompt,
@@ -52,8 +53,13 @@ class SequenceBackend:
         return self.replies[messages[0]["content"]].pop(0)
 
 
-def stages(run):
-    return [exchange.stage for exchange in run.transcript]
+def stages(exchanges):
+    return [exchange.stage for exchange in exchanges]
+
+
+def outcome(record, exchanges):
+    """What `outcome_of` makes of a detection's last exchange."""
+    return outcome_of(exchanges[-1], len(record.steps))
 
 
 # The published detector instructions, frozen for the golden comparison.
@@ -128,11 +134,14 @@ class TestParseDetectorResponse:
         outcome = parse_detector_response(text, 3)
         assert outcome.valid
         assert outcome.predicted == ErrorLabel(1, "calc")
-        assert outcome.step_tags == ("calc", "correct", "secondary")
 
     def test_all_correct(self):
         text = "Step 1: <correct>\nStep 2: <correct>"
         outcome = parse_detector_response(text, 2)
+        assert outcome.valid
+        assert outcome.predicted == CORRECT_LABEL
+        # a secondary error alone is no primary error
+        outcome = parse_detector_response("Step 1: <secondary error>", 1)
         assert outcome.valid
         assert outcome.predicted == CORRECT_LABEL
 
@@ -159,7 +168,9 @@ class TestParseDetectorResponse:
     def test_thinking_text_captured(self):
         text = "I will check each step.\nThe math looks fine.\nStep 1: <correct>"
         outcome = parse_detector_response(text, 1)
-        assert outcome.thinking == "I will check each step.\nThe math looks fine."
+        # the transcript keeps the thinking; the label comes from the tags
+        assert outcome.valid
+        assert outcome.predicted == CORRECT_LABEL
 
     def test_trailing_commentary_allowed_with_brackets(self):
         text = "Step 1: <missing step> because 55 appears from nowhere"
@@ -249,8 +260,8 @@ def leaf_scripts(leaf_record):
 
 class TestStages:
     def test_cqe_parses_fixture(self, leaf_record):
-        run = detect(leaf_record, PROFILE, "M2", backend=script_for(leaf_scripts(leaf_record)))
-        cqe, sqr = run.transcript[0], run.transcript[2]
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(leaf_scripts(leaf_record)))
+        cqe, sqr = exchanges[0], exchanges[2]
         assert (cqe.stage, sqr.stage) == ("cqe", "sqr")
         assert cqe.prompt == load_template("cqe").render(question=leaf_record.question)
         # the parsed conditions and inquiry are what sqr is asked about
@@ -260,16 +271,16 @@ class TestStages:
     def test_cqe_missing_delimiter_fails_after_reask(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         scripts[cqe_prompt(leaf_record)] = "no sections here"
-        run = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(run) == ["cqe", "cqe", "failed"]
-        assert run.transcript[-1].response.startswith(
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(exchanges) == ["cqe", "cqe", "failed"]
+        assert exchanges[-1].response.startswith(
             "stage failure: cqe: UnparseableBackendOutput: no <conditions>"
         )
-        assert not run.outcome.valid
+        assert not outcome(leaf_record, exchanges).valid
 
     def test_ssi_appends_inquiry(self, leaf_record):
-        run = detect(leaf_record, PROFILE, "M2", backend=script_for(leaf_scripts(leaf_record)))
-        ssi, sqr = run.transcript[1], run.transcript[2]
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(leaf_scripts(leaf_record)))
+        ssi, sqr = exchanges[1], exchanges[2]
         assert ssi.stage == "ssi"
         assert ssi.prompt == load_template("ssi").render(
             solution=render_solution_text(leaf_record)
@@ -284,17 +295,17 @@ class TestStages:
     def test_ssi_wrong_count_rejected(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         scripts[ssi_prompt(leaf_record)] = "Question 1: only one?"
-        run = detect(leaf_record, PROFILE, "M3", backend=script_for(scripts))
-        assert "sqr" not in stages(run)
-        assert "expected questions 1..3, got [1]" in run.transcript[-1].response
-        assert not run.outcome.valid
+        exchanges = detect(leaf_record, PROFILE, "M3", backend=script_for(scripts))
+        assert "sqr" not in stages(exchanges)
+        assert "expected questions 1..3, got [1]" in exchanges[-1].response
+        assert not outcome(leaf_record, exchanges).valid
 
     def test_sqr_empty_conditions_rejected(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         scripts[cqe_prompt(leaf_record)] = f"<conditions>   \n<inquiry> {LEAF_INQUIRY}"
-        run = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(run) == ["cqe", "cqe", "failed"]
-        assert "empty conditions or inquiry section" in run.transcript[-1].response
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(exchanges) == ["cqe", "cqe", "failed"]
+        assert "empty conditions or inquiry section" in exchanges[-1].response
 
     def test_sqr_single_question(self):
         prompt = sqr_prompt("There are 3 apples and 4 pears.", ["What is 3 + 4?"])
@@ -314,42 +325,42 @@ class TestStages:
         backend = script_for(
             {prompt: "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"}
         )
-        run = detect(leaf_record, PROFILE, "ref_conventional", reference, backend=backend)
-        assert run.outcome.valid and run.outcome.predicted == CORRECT_LABEL
-        assert stages(run) == ["reg"]
+        exchanges = detect(leaf_record, PROFILE, "ref_conventional", reference, backend=backend)
+        assert outcome(leaf_record, exchanges) == DetectionOutcome(CORRECT_LABEL, valid=True)
+        assert stages(exchanges) == ["reg"]
 
     def test_reg_garbage_yields_invalid_outcome(self, leaf_record):
         reference = "Step 1: whatever."
         prompt = grading_prompt(leaf_record, "ref_matching", reference)
         backend = script_for({prompt: "I refuse to answer in the required format."})
-        run = detect(leaf_record, PROFILE, "ref_matching", reference, backend=backend)
-        assert not run.outcome.valid
-        assert stages(run) == ["reg", "reg"]  # one re-ask, then an invalid outcome
+        exchanges = detect(leaf_record, PROFILE, "ref_matching", reference, backend=backend)
+        assert not outcome(leaf_record, exchanges).valid
+        assert stages(exchanges) == ["reg", "reg"]  # one re-ask, then an invalid outcome
 
     def test_reasked_cqe_keeps_both_exchanges(self, leaf_record):
         scripts = {prompt: [response] for prompt, response in leaf_scripts(leaf_record).items()}
         scripts[cqe_prompt(leaf_record)].insert(0, "no sections here")
-        run = detect(leaf_record, PROFILE, "M2", backend=SequenceBackend(scripts))
-        assert stages(run) == ["cqe", "cqe", "ssi", "sqr", "reg"]
-        assert [e.response for e in run.transcript[:2]] == ["no sections here", LEAF_CQE_RESPONSE]
-        assert run.outcome.valid
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=SequenceBackend(scripts))
+        assert stages(exchanges) == ["cqe", "cqe", "ssi", "sqr", "reg"]
+        assert [e.response for e in exchanges[:2]] == ["no sections here", LEAF_CQE_RESPONSE]
+        assert outcome(leaf_record, exchanges).valid
 
     def test_unparseable_ssi_ends_in_a_failed_line(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         scripts[ssi_prompt(leaf_record)] = "no questions here"
-        run = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(run) == ["cqe", "ssi", "ssi", "failed"]
-        failed = run.transcript[-1]
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(exchanges) == ["cqe", "ssi", "ssi", "failed"]
+        failed = exchanges[-1]
         assert failed.prompt == ""
         assert failed.response.startswith("stage failure: ssi: UnparseableBackendOutput: ")
-        assert run.outcome.invalid_reason == failed.response
+        assert outcome(leaf_record, exchanges).invalid_reason == failed.response
 
     def test_backend_failure_names_the_stage_asked(self, leaf_record):
         # the leaf scripts grade with the M2 template only, so M3's grading
         # request is unscripted
-        run = detect(leaf_record, PROFILE, "M3", backend=script_for(leaf_scripts(leaf_record)))
-        assert stages(run) == ["cqe", "ssi", "sqr", "failed"]
-        assert run.transcript[-1].response.startswith("stage failure: reg: UnscriptedRequest: ")
+        exchanges = detect(leaf_record, PROFILE, "M3", backend=script_for(leaf_scripts(leaf_record)))
+        assert stages(exchanges) == ["cqe", "ssi", "sqr", "failed"]
+        assert exchanges[-1].response.startswith("stage failure: reg: UnscriptedRequest: ")
 
 
 class TestDetect:
@@ -360,10 +371,10 @@ class TestDetect:
         backend = script_for(
             {prompt: "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"}
         )
-        run = detect(leaf_record, PROFILE, "M0", backend=backend)
-        assert run.outcome.predicted == CORRECT_LABEL
-        assert len(run.transcript) == 1
-        assert run.transcript[0].prompt == prompt
+        exchanges = detect(leaf_record, PROFILE, "M0", backend=backend)
+        assert outcome(leaf_record, exchanges).predicted == CORRECT_LABEL
+        assert len(exchanges) == 1
+        assert exchanges[0].prompt == prompt
 
     def test_m1_captures_thinking(self, leaf_record):
         prompt = load_template("cot").render(
@@ -375,15 +386,16 @@ class TestDetect:
                 "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
             }
         )
-        run = detect(leaf_record, PROFILE, "M1", backend=backend)
-        assert run.outcome.thinking == "Checking each step carefully first."
+        exchanges = detect(leaf_record, PROFILE, "M1", backend=backend)
+        assert outcome(leaf_record, exchanges).valid
+        assert outcome(leaf_record, exchanges).predicted == CORRECT_LABEL
 
     def test_m2_runs_four_stages_in_order(self, leaf_record):
         backend = script_for(leaf_scripts(leaf_record))
-        run = detect(leaf_record, PROFILE, "M2", backend=backend)
-        assert [e.stage for e in run.transcript] == ["cqe", "ssi", "sqr", "reg"]
-        assert run.outcome.valid
-        assert run.outcome.predicted == CORRECT_LABEL
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=backend)
+        assert [e.stage for e in exchanges] == ["cqe", "ssi", "sqr", "reg"]
+        assert outcome(leaf_record, exchanges).valid
+        assert outcome(leaf_record, exchanges).predicted == CORRECT_LABEL
 
     def test_m3_runs_four_stages_with_cot_grading(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
@@ -413,10 +425,10 @@ class TestDetect:
             "Each step matches the reference.\n"
             "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
         )
-        run = detect(leaf_record, PROFILE, "M3", backend=script_for(scripts))
-        assert [e.stage for e in run.transcript] == ["cqe", "ssi", "sqr", "reg"]
-        assert run.outcome.valid
-        assert run.outcome.thinking == "Each step matches the reference."
+        exchanges = detect(leaf_record, PROFILE, "M3", backend=script_for(scripts))
+        assert [e.stage for e in exchanges] == ["cqe", "ssi", "sqr", "reg"]
+        assert outcome(leaf_record, exchanges).valid
+        assert outcome(leaf_record, exchanges).predicted == CORRECT_LABEL
 
     def test_ref_strategies_require_reference(self, leaf_record):
         with pytest.raises(ValueError):
@@ -432,8 +444,8 @@ class TestDetect:
         backend = script_for(
             {prompt: "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"}
         )
-        run = detect(leaf_record, PROFILE, "ref_matching", reference=reference, backend=backend)
-        assert run.outcome.predicted == CORRECT_LABEL
+        exchanges = detect(leaf_record, PROFILE, "ref_matching", reference=reference, backend=backend)
+        assert outcome(leaf_record, exchanges).predicted == CORRECT_LABEL
 
     def test_unknown_strategy(self, leaf_record):
         with pytest.raises(ValueError):
@@ -449,5 +461,5 @@ class TestDetect:
         backend = script_for(
             {prompt: "Step 1: <calculation error>\nStep 2: <correct>\nStep 3: <secondary error>"}
         )
-        run = detect(injected, PROFILE, "M0", backend=backend)
-        assert run.outcome.predicted == label
+        exchanges = detect(injected, PROFILE, "M0", backend=backend)
+        assert outcome(injected, exchanges).predicted == label

@@ -10,7 +10,6 @@ from askbd.backends import (
 )
 from askbd.likelihood import (
     EmptyContinuation,
-    MissingResult,
     TooFewRecords,
     avg_token_logprob,
     bucket_accuracy,
@@ -168,6 +167,7 @@ class TestBucketAccuracy:
         assert acc["Q4"] is None
 
     def test_missing_result(self):
+        # records without a result are skipped, not counted as wrong
         bucketing = quartile_buckets({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
-        with pytest.raises(MissingResult):
-            bucket_accuracy(bucketing, {"a": True})
+        acc = bucket_accuracy(bucketing, {"a": True, "b": False})
+        assert acc == {"Q1": 1.0, "Q2": 0.0, "Q3": None, "Q4": None}
