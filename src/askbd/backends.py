@@ -355,6 +355,13 @@ class ExchangeStore:
         return [TokenScore(token, logprob) for token, logprob in pairs]
 
 
+def waits_on_io(backend) -> bool:
+    """Whether a call on `backend` may wait on I/O. An ExchangeStore with
+    no inner transport answers from memory or raises, so it never does;
+    any other backend, one this module does not know included, may."""
+    return not (isinstance(backend, ExchangeStore) and backend.inner is None)
+
+
 class MockScoreBackend:
     """Deterministic offline scorer; tokens are whitespace words.
 

@@ -454,9 +454,15 @@ def _run_detection(
     """Detects one (profile, strategy, seed) cell into its transcript, one
     record at a time as each finishes. `references` holds each record's
     reference text for a reference strategy. With `resume`, a record whose
-    last outcome is a `reg` line is kept; a `failed` one is detected again."""
+    last outcome is a `reg` line is kept; a `failed` one, or one whose line
+    a crash left torn, is detected again.
+
+    Detection runs on `workers` threads only when the backend may wait on
+    I/O. Otherwise threads would only take turns at the interpreter lock,
+    so the records are detected in the calling thread."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
     if resume:
+        _drop_torn_line(path)
         done = {rid for rid, line in _read_outcomes(path).items() if line.stage == "reg"}
     else:
         done = set()
@@ -464,19 +470,34 @@ def _run_detection(
     pending = [r for r in records if r.record_id not in done]
 
     def one(record: SolutionRecord) -> str:
-        # Serialized here, in the worker: a main thread that only writes
-        # holds the interpreter lock briefly, and detection keeps its pace.
+        # Serialized here, so that on a pool it runs in the worker: a main
+        # thread that only writes holds the interpreter lock briefly, and
+        # detection keeps its pace.
         reference = references[record.record_id] if references else None
         exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
         return _transcript_lines(record.record_id, strategy, exchanges)
 
     path.parent.mkdir(parents=True, exist_ok=True)
+    # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
             open(path, "a", encoding="utf-8") as handle:
-        for lines in pool.map(one, pending):
+        detect_each = pool.map if workers > 1 and backends.waits_on_io(backend) else map
+        for lines in detect_each(one, pending):
             handle.write(lines)
             handle.flush()
     return path
+
+
+def _drop_torn_line(path: Path) -> None:
+    """Cuts a transcript back to its last newline. A crash mid-write leaves
+    a last line without one; the record it belonged to has no `reg` line
+    yet, so resuming detects it again."""
+    if not path.exists():
+        return
+    data = path.read_bytes()
+    if data and not data.endswith(b"\n"):
+        with open(path, "r+b") as handle:
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],

@@ -11,6 +11,7 @@ invalid outcome, never an exception.
 
 from __future__ import annotations
 
+import functools
 import re
 from contextlib import suppress
 from dataclasses import dataclass
@@ -77,7 +78,10 @@ class PromptTemplate:
             ) from err
 
 
+@functools.cache
 def load_template(template_id: str) -> PromptTemplate:
+    """The template `template_id`, read from its file on the first call
+    only. An unknown id raises ValueError, which is not cached."""
     if template_id not in TEMPLATE_IDS:
         raise ValueError(f"unknown template {template_id!r}")
     text = (

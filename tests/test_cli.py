@@ -4,11 +4,13 @@ import io
 import itertools
 import json
 import re
+import threading
 from collections import Counter
 
 import pytest
 
 from askbd import cli
+from askbd.backends import ExchangeStore, load_cassette, load_profiles
 from askbd.cli import main
 from askbd.demo import build_demo
 from askbd.records import read_jsonl, write_jsonl
@@ -656,6 +658,21 @@ class TestOnePathToReports:
             resumed = tmp_path / "cut" / "out" / "transcripts" / path.name
             assert resumed.read_bytes() == path.read_bytes(), path.name
 
+    def test_a_torn_last_line_is_detected_again_on_resume(self, tmp_path, capsys):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        cell = tmp_path / "out" / "transcripts" / "demo__M0__seed1.jsonl"
+        whole = cell.read_bytes()
+        cell.write_bytes(whole[:-40])
+        # evaluate still refuses the torn line; resume detects its record again
+        assert main(["evaluate", "--transcripts", str(cell.parent), "--gold", str(info["corpus"]),
+                     "--out", str(tmp_path / "eval")]) == 2
+        assert capsys.readouterr().err.startswith("schema error:")
+        assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
+        assert _reports(tmp_path / "out") == reports
+        assert cell.read_bytes() == whole
+
     def test_a_corrupt_transcript_or_cassette_exits_2(self, tmp_path, capsys):
         info = build_demo(tmp_path, n_questions=1, seeds=(1,))
         transcripts = tmp_path / "out" / "transcripts"
@@ -706,3 +723,33 @@ class TestOnePathToReports:
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(path) in err, err
+
+
+class _ThreadLog(ExchangeStore):
+    """An ExchangeStore that notes the thread of every generate call."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.threads = []
+
+    def generate(self, messages, params):
+        self.threads.append(threading.get_ident())
+        return super().generate(messages, params)
+
+
+def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
+    info = build_demo(tmp_path, n_questions=2, seeds=(1,))
+    records = read_jsonl(info["corpus"])
+    profile = load_profiles(info["profiles"])["demo"]
+    entries = load_cassette(info["cassette"])
+    scripted = _ThreadLog(entries, profile.model)
+    recording = _ThreadLog({}, profile.model, inner=ExchangeStore(entries, profile.model))
+    transcripts = []
+    for backend, workers in ((scripted, 4), (recording, 2)):
+        outdir = tmp_path / f"workers{workers}"
+        path = cli._run_detection(records, profile, backend, "M2", 1, outdir, None, False, workers)
+        transcripts.append(path.read_bytes())
+    caller = threading.get_ident()
+    assert scripted.threads and set(scripted.threads) == {caller}
+    assert recording.threads and caller not in recording.threads
+    assert transcripts[0] == transcripts[1]

@@ -11,6 +11,7 @@ from askbd.backends import (
     generate_fingerprint,
 )
 from askbd.detect import (
+    TEMPLATE_IDS,
     DetectionOutcome,
     cqe_prompt,
     detect,
@@ -126,6 +127,10 @@ class TestTemplates:
     def test_unknown_template(self):
         with pytest.raises(ValueError):
             load_template("explain")
+
+    def test_each_template_is_read_once(self):
+        for template_id in TEMPLATE_IDS:
+            assert load_template(template_id) is load_template(template_id)
 
 
 class TestParseDetectorResponse:
