@@ -1,10 +1,11 @@
 """Text-generation and token-scoring transports.
 
 One wire format (chat completions for generation, echoed completions for
-per-token log-probabilities) and one transport per profile: a real HTTP
-client with retries and a sliding-window rate limiter; an exchange store
-that replays a cassette file and, in front of the HTTP client, records
-the exchanges it misses into it; or a deterministic offline mock scorer.
+per-token log-probabilities) and one transport per endpoint scheme: an
+exchange store that replays a `scripted:` cassette; a deterministic
+offline `mock:` scorer; or, for an `http(s)` endpoint, an exchange store
+in front of an HTTP client with retries and a sliding-window rate
+limiter, which asks the endpoint only what it has not been asked before.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ class BackendProfile:
     rate_limit_per_min: int = 60
     retry: RetryPolicy = RetryPolicy()
     cassette: str | None = None
-    record: bool = False
 
     def __post_init__(self):
         if not self.capabilities <= CAPABILITIES:
@@ -123,6 +123,9 @@ class TokenScore:
 class GenerationParams:
     temperature: float = 0.0
     max_tokens: int = 1024
+    # 1 on a re-ask: it tells the re-ask's fingerprint from the first ask's
+    # and never goes on the wire
+    attempt: int = 0
 
 
 Messages = Sequence[Mapping[str, str]]
@@ -141,15 +144,16 @@ def request_fingerprint(kind: str, model: str, payload: Mapping) -> str:
 
 
 def generate_fingerprint(model: str, messages: Messages, params: GenerationParams) -> str:
-    return request_fingerprint(
-        "generate",
-        model,
-        {
-            "messages": [dict(m) for m in messages],
-            "temperature": params.temperature,
-            "max_tokens": params.max_tokens,
-        },
-    )
+    """A first ask (`attempt` 0) leaves `attempt` out, so a cassette
+    recorded without it still matches every first ask."""
+    payload = {
+        "messages": [dict(m) for m in messages],
+        "temperature": params.temperature,
+        "max_tokens": params.max_tokens,
+    }
+    if params.attempt >= 1:
+        payload["attempt"] = params.attempt
+    return request_fingerprint("generate", model, payload)
 
 
 def score_fingerprint(model: str, prefix: str, continuation: str) -> str:
@@ -196,13 +200,19 @@ def _urllib_transport(url: str, payload: dict, headers: Mapping[str, str], timeo
     )
     try:
         with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8"))
+            status, raw = response.status, response.read()
     except urllib.error.HTTPError as err:
         try:
             body = json.loads(err.read().decode("utf-8"))
         except Exception:
             body = {}
         return err.code, body
+    try:
+        return status, json.loads(raw.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError included
+        raise MalformedResponse(
+            f"{url} answered {status} with a body that is not JSON: {err}"
+        ) from err
 
 
 class HttpBackend:
@@ -232,13 +242,14 @@ class HttpBackend:
         policy = self.profile.retry
         last_status = None
         for attempt in range(1, policy.max_attempts + 1):
+            if attempt > 1:
+                self.sleep(policy.backoff * 2 ** (attempt - 2))
             self.limiter.acquire()
             try:
                 status, body = self.transport(url, payload, self._headers())
             except (urllib.error.URLError, OSError) as err:
                 log.info("attempt %d to %s failed: %s", attempt, url, err)
                 last_status = None
-                self.sleep(policy.backoff * 2 ** (attempt - 1))
                 continue
             if status == 200:
                 log.debug("attempt %d to %s succeeded", attempt, url)
@@ -248,7 +259,6 @@ class HttpBackend:
             if status == 429 or status >= 500:
                 log.info("attempt %d to %s got transient status %d", attempt, url, status)
                 last_status = status
-                self.sleep(policy.backoff * 2 ** (attempt - 1))
                 continue
             raise MalformedResponse(f"{url} returned unexpected status {status}")
         if last_status == 429:
@@ -304,8 +314,8 @@ class ExchangeStore:
     """Exchanges keyed by request fingerprint, replayed and recorded.
 
     A hit replays the stored exchange. A miss raises UnscriptedRequest, or,
-    with a live `inner` transport, asks it once, keeps the answer and
-    appends one line to the cassette at `path`, so a replay of that
+    with a live `inner` transport, asks it once and keeps the answer; with
+    a `path` it also appends one line to that cassette, so a replay of the
     cassette answers exactly as the recording run was answered.
     """
 
@@ -409,9 +419,9 @@ def cassette_line(key: str, entry: Mapping) -> str:
 
 
 def load_cassette(path) -> dict[str, dict]:
-    """Exchanges by request fingerprint. A missing file or a malformed
-    line is a SchemaViolation naming the cassette (and the line)."""
-    path = resolve_cassette_path(path)
+    """Exchanges by request fingerprint, from the cassette file at `path`
+    as given. A missing file or a malformed line is a SchemaViolation
+    naming the cassette (and the line)."""
     entries: dict[str, dict] = {}
     for number, entry in read_jsonl_lines(path, "cassette"):
         key = entry.get("request_hash") if isinstance(entry, dict) else None
@@ -437,31 +447,30 @@ def open_backend(
     transport=None,
     api_key: str | None = None,
 ):
-    """Resolve a profile to its one transport.
+    """Resolve a profile to the one transport of its endpoint scheme.
 
-    scripted:<path> endpoints and replay cassettes are an ExchangeStore
-    that never touches the network; under strict_scripted an http(s)
-    endpoint is refused before any socket is opened. A recording cassette
-    is an ExchangeStore in front of the HTTP client, and with no cassette
-    the HTTP client answers directly.
+    A scripted:<path> endpoint is an ExchangeStore that replays the
+    cassette and never touches the network, and a mock: endpoint is the
+    offline scorer. An http(s) endpoint is refused under strict_scripted
+    before any socket is opened; otherwise it is a new ExchangeStore in
+    front of the HTTP client, so no request is sent twice. That store
+    appends each miss to the profile's `cassette`, read first if the file
+    exists, or, with no cassette, keeps its misses in memory.
     """
     endpoint = profile.endpoint
     if endpoint.startswith("scripted:"):
-        return ExchangeStore(load_cassette(endpoint.split(":", 1)[1]), profile.model)
+        path = resolve_cassette_path(endpoint.split(":", 1)[1])
+        return ExchangeStore(load_cassette(path), profile.model)
     if endpoint.startswith("mock:"):
         return MockScoreBackend(endpoint)
-    if profile.cassette and not profile.record:
-        return ExchangeStore(load_cassette(profile.cassette), profile.model)
     if strict_scripted:
         raise StrictScriptedViolation(
             f"profile {profile.name!r} needs network endpoint {endpoint!r}"
         )
-    backend = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep, transport=transport)
-    if not (profile.record and profile.cassette):
-        return backend
-    path = resolve_cassette_path(profile.cassette)
-    entries = load_cassette(profile.cassette) if path.exists() else {}
-    return ExchangeStore(entries, profile.model, inner=backend, path=path)
+    http = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep, transport=transport)
+    path = resolve_cassette_path(profile.cassette) if profile.cassette else None
+    entries = load_cassette(path) if path is not None and path.exists() else {}
+    return ExchangeStore(entries, profile.model, inner=http, path=path)
 
 
 def generate(

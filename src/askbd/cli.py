@@ -284,7 +284,10 @@ def cmd_score_likelihood(args) -> int:
         results: dict[str, bool] = {}
         if args.results:
             results = _read_correctness(args.results, args.strategy)
-        bucketing = likelihood.quartile_buckets(indicators)
+        try:
+            bucketing = likelihood.quartile_buckets(indicators)
+        except likelihood.TooFewRecords as err:
+            raise SchemaViolation(f"--analysis on --in {args.infile}: {err}") from err
         likelihood.write_analysis_csv(args.analysis, indicators, bucketing, results)
         if args.results:
             unjoined = sum(1 for rid in indicators if rid not in results)
@@ -542,6 +545,8 @@ def cmd_evaluate(args) -> int:
         name = _TRANSCRIPT_NAME.match(path.name)
         if name:
             cells.append((name["profile"], name["strategy"], int(name["seed"]), path))
+    if not cells:
+        raise SchemaViolation(f"--transcripts {args.transcripts} holds no transcript file")
     judged: list[JudgedResult] = []
     for profile, strategy, seed, path in sorted(cells):
         judged.extend(_judge_transcript(path, gold, profile, strategy, seed))

@@ -242,6 +242,9 @@ def _user_message(prompt: str) -> list[dict[str, str]]:
     return [{"role": "user", "content": prompt}]
 
 
+# a first ask, then a re-ask, which is a request of its own
+_ASK_THEN_REASK = (backends.GenerationParams(), backends.GenerationParams(attempt=1))
+
 # failures confined to one record: the run records them and goes on
 _RECORD_FAILURES = (UnparseableBackendOutput, backends.MalformedResponse, backends.RateLimited)
 
@@ -267,17 +270,18 @@ def detect(
     stage = ""
 
     def ask(this_stage: str, prompt: str, parse: Callable[[str], object]):
-        """Send `prompt`, and once more if `parse` rejects the reply; a
-        second rejection raises. Every exchange joins the transcript."""
+        """Send `prompt`, and once more as its own request (`attempt` 1)
+        if `parse` rejects the reply; a second rejection raises. Every
+        exchange joins the transcript."""
         nonlocal stage
         stage = this_stage
-        for reask in (False, True):
-            response = backends.generate(profile, _user_message(prompt), backend=backend)
+        for params in _ASK_THEN_REASK:
+            response = backends.generate(profile, _user_message(prompt), params, backend=backend)
             transcript.append(StageExchange(stage, prompt, response))
             try:
                 return parse(response)
             except UnparseableBackendOutput:
-                if reask:
+                if params.attempt:
                     raise
 
     n_steps = len(record.steps)

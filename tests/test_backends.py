@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from askbd.backends import (
     CAP_GENERATE,
     CAP_SCORE_TOKENS,
+    BackendError,
     BackendProfile,
     CapabilityMissing,
     ExchangeStore,
@@ -17,6 +19,7 @@ from askbd.backends import (
     HttpBackend,
     MalformedResponse,
     MockScoreBackend,
+    RateLimited,
     RateLimiter,
     RetryPolicy,
     StrictScriptedViolation,
@@ -28,22 +31,28 @@ from askbd.backends import (
     load_cassette,
     load_profiles,
     open_backend,
+    request_fingerprint,
     score_fingerprint,
     score_tokens,
 )
+from askbd.cli import _transcript_lines
+from askbd.detect import detect, outcome_of
 
 PARAMS = GenerationParams()
+REASK = GenerationParams(attempt=1)
 MESSAGES = [{"role": "user", "content": "naive-prompt request"}]
 
 
 class VirtualClock:
     def __init__(self):
         self.now = 0.0
+        self.sleeps = []
 
     def __call__(self):
         return self.now
 
     def sleep(self, seconds):
+        self.sleeps.append(seconds)
         self.now += seconds
 
 
@@ -66,9 +75,11 @@ class FaultInjectingTransport:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = 0
+        self.payloads = []
 
     def __call__(self, url, payload, headers, timeout=60.0):
         self.calls += 1
+        self.payloads.append(payload)
         return self.responses.pop(0)
 
 
@@ -138,6 +149,73 @@ class TestHttp:
         )
         with pytest.raises(MalformedResponse):
             backend.generate(MESSAGES, PARAMS)
+
+    @pytest.mark.parametrize("status, error, message", [
+        (429, RateLimited, "still rate limited after 4 attempts"),
+        (503, BackendError, "failed after 4 attempts"),
+    ])
+    def test_sleeps_only_between_attempts(self, status, error, message):
+        clock = VirtualClock()
+        transport = FaultInjectingTransport([(status, {})] * 4)
+        backend = HttpBackend(
+            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
+        )
+        with pytest.raises(BackendError) as raised:
+            backend.generate(MESSAGES, PARAMS)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"https://example.invalid/v1/chat/completions {message}"
+        assert transport.calls == 4
+        assert clock.sleeps == [0.5, 1.0, 2.0]
+
+    def test_a_200_body_that_is_not_json_is_a_malformed_response(self, leaf_record):
+        class Html(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = b"<html>busy</html>"
+                self.send_response(200)
+                self.send_header("Content-Type", "text/html")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Html)
+        serving = threading.Thread(target=server.serve_forever)
+        serving.start()
+        try:
+            profile = make_profile(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1")
+            clock = VirtualClock()
+            backend = open_backend(profile, clock=clock, sleep=clock.sleep, api_key="k")
+            with pytest.raises(MalformedResponse, match="200 with a body that is not JSON"):
+                backend.generate(MESSAGES, PARAMS)
+            # in a detection it is the record's failed line
+            exchanges = detect(leaf_record, profile, "M0", backend=backend)
+        finally:
+            server.shutdown()
+            server.server_close()
+            serving.join()
+        assert [e.stage for e in exchanges] == ["failed"]
+        assert exchanges[0].response.startswith("stage failure: reg: MalformedResponse: ")
+        assert clock.sleeps == []
+
+    def test_attempt_marks_the_fingerprint_of_a_reask_only(self):
+        first_ask = request_fingerprint("generate", "test-model", {
+            "messages": MESSAGES, "temperature": 0.0, "max_tokens": 1024,
+        })
+        assert generate_fingerprint("test-model", MESSAGES, PARAMS) == first_ask
+        assert generate_fingerprint("test-model", MESSAGES, REASK) != first_ask
+        # and never goes on the wire
+        transport = FaultInjectingTransport([(200, chat_body("a")), (200, chat_body("b"))])
+        clock = VirtualClock()
+        backend = HttpBackend(
+            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
+        )
+        backend.generate(MESSAGES, PARAMS)
+        backend.generate(MESSAGES, REASK)
+        assert transport.payloads[0] == transport.payloads[1]
+        assert "attempt" not in transport.payloads[1]
 
     def test_score_tokens_selects_continuation_by_offset(self):
         prefix, continuation = "question: ", "a b"
@@ -222,25 +300,44 @@ class TestRecordReplay:
         replay = ExchangeStore(load_cassette(cassette), "test-model")
         assert replay.score_tokens("q", "xy") == recorded
 
-    def recording_profile(self, cassette, record=True):
-        return make_profile(cassette=str(cassette), record=record)
+    def recording_profile(self, cassette):
+        return make_profile(cassette=str(cassette))
 
-    def open_recorder(self, cassette, transport, record=True):
+    def open_recorder(self, cassette, transport):
         clock = VirtualClock()
         return open_backend(
-            self.recording_profile(cassette, record), clock=clock, sleep=clock.sleep,
+            self.recording_profile(cassette), clock=clock, sleep=clock.sleep,
             transport=transport, api_key="k",
         )
+
+    def replay_of(self, cassette):
+        return open_backend(make_profile(endpoint=f"scripted:{cassette}"), strict_scripted=True)
 
     def test_record_then_replay_answers_alike_including_reasks(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
         transport = FaultInjectingTransport([(200, chat_body(t)) for t in "ABCD"])
         recorder = self.open_recorder(cassette, transport)
         # ask, re-ask, then the same two for a second seed
-        recorded = [recorder.generate(MESSAGES, PARAMS) for _ in range(4)]
-        replay = open_backend(self.recording_profile(cassette, record=False))
-        assert [replay.generate(MESSAGES, PARAMS) for _ in range(4)] == recorded == ["A"] * 4
-        assert transport.calls == 1
+        asks = [PARAMS, REASK, PARAMS, REASK]
+        recorded = [recorder.generate(MESSAGES, params) for params in asks]
+        replay = self.replay_of(cassette)
+        assert [replay.generate(MESSAGES, params) for params in asks] == recorded == list("ABAB")
+        assert transport.calls == 2
+
+    def test_a_recorded_reask_reaches_the_model_and_replays(self, tmp_path, leaf_record):
+        cassette = tmp_path / "cassette.jsonl"
+        valid = "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
+        transport = FaultInjectingTransport([(200, chat_body("garbled")), (200, chat_body(valid))])
+        profile = self.recording_profile(cassette)
+        exchanges = detect(
+            leaf_record, profile, "M0", backend=self.open_recorder(cassette, transport)
+        )
+        assert transport.calls == 2
+        assert [e.response for e in exchanges] == ["garbled", valid]
+        assert outcome_of(exchanges[-1], len(leaf_record.steps)).valid
+        replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
+        assert _transcript_lines(leaf_record.record_id, "M0", replayed) == \
+            _transcript_lines(leaf_record.record_id, "M0", exchanges)
 
     def test_reopened_cassette_sends_nothing_and_keeps_one_line_per_request(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
@@ -326,9 +423,21 @@ class TestModuleOps:
         profile = make_profile()
         assert score_tokens(profile, "q", "", backend=object()) == []
 
-    def test_strict_scripted_refuses_network(self):
-        with pytest.raises(StrictScriptedViolation):
-            open_backend(make_profile(), strict_scripted=True)
+    def test_strict_scripted_refuses_network(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        cassette.write_text("")
+        for profile in (make_profile(), make_profile(cassette=str(cassette))):
+            with pytest.raises(StrictScriptedViolation):
+                open_backend(profile, strict_scripted=True)
+
+    def test_every_http_profile_asks_through_its_own_store(self):
+        transport = FaultInjectingTransport([(200, chat_body("a")), (200, chat_body("b"))])
+        first, second = (open_backend(make_profile(), transport=transport) for _ in range(2))
+        assert isinstance(first, ExchangeStore) and isinstance(first.inner, HttpBackend)
+        assert first.path is None
+        assert [first.generate(MESSAGES, PARAMS) for _ in range(2)] == ["a", "a"]
+        assert second.generate(MESSAGES, PARAMS) == "b"
+        assert transport.calls == 2
 
     def test_open_scripted_endpoint(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -379,3 +488,17 @@ class TestProfilesFile:
         assert resolve_cassette_path("/abs/c.jsonl") == Path("/abs/c.jsonl")
         monkeypatch.delenv("ASKBD_CACHE_DIR")
         assert resolve_cassette_path("c.jsonl") == Path("c.jsonl")
+
+    def test_a_relative_cache_dir_applies_once(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("ASKBD_CACHE_DIR", "cache")
+        profile = make_profile(cassette="c.jsonl")
+        recorder = open_backend(
+            profile, transport=FaultInjectingTransport([(200, chat_body("A"))]), api_key="k"
+        )
+        assert recorder.generate(MESSAGES, PARAMS) == "A"
+        assert (tmp_path / "cache" / "c.jsonl").is_file()
+        # reopened, the cassette answers; so does a scripted endpoint on it
+        again = open_backend(profile, transport=FaultInjectingTransport([]), api_key="k")
+        replay = open_backend(make_profile(endpoint="scripted:c.jsonl"), strict_scripted=True)
+        assert again.generate(MESSAGES, PARAMS) == replay.generate(MESSAGES, PARAMS) == "A"

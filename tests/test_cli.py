@@ -9,8 +9,14 @@ from collections import Counter
 
 import pytest
 
-from askbd import cli
-from askbd.backends import ExchangeStore, load_cassette, load_profiles
+from askbd import backends, cli
+from askbd.backends import (
+    ExchangeStore,
+    GenerationParams,
+    generate_fingerprint,
+    load_cassette,
+    load_profiles,
+)
 from askbd.cli import main
 from askbd.demo import build_demo
 from askbd.records import read_jsonl, write_jsonl
@@ -248,6 +254,19 @@ class TestScoreLikelihoodCli:
         header = analysis.read_text().splitlines()[0]
         assert header == "record_id,indicator,bucket,correct"
 
+    def test_analysis_of_fewer_than_4_records_is_schema_error(self, demo_dir, tmp_path, capsys):
+        corpus = tmp_path / "three.jsonl"
+        write_jsonl(read_jsonl(demo_dir / "corpus.jsonl")[:3], corpus)
+        assert main([
+            "score-likelihood", "--profiles", "scorer",
+            "--profiles-file", str(demo_dir / "profiles.json"),
+            "--in", str(corpus), "--out", str(tmp_path / "s.jsonl"),
+            "--analysis", str(tmp_path / "analysis.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(corpus) in err, err
+        assert "need at least 4 records, got 3" in err, err
+
     def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
         corpus = str(demo_dir / "corpus.jsonl")
 
@@ -294,7 +313,8 @@ class TestScoreLikelihoodCli:
                  (json.dumps({"profiles": [entry]}), "")]
         cases += [(json.dumps({"profiles": [{**entry, key: bad}]}), key) for key, bad in (
             ("endpoint", 5), ("name", ["a"]), ("model", 5), ("capabilities", "generate"),
-            ("capabilities", ["fly"]), ("record", "yes"), ("rate_limit_per_min", 0),
+            ("capabilities", ["fly"]), ("record", "yes"), ("record", False),
+            ("rate_limit_per_min", 0),
             ("rate_limit_per_min", "60"), ("retry", {"max_attempts": 0}),
             ("retry", {"backoff": float("nan")}), ("cassete", "c.jsonl"),
         )]
@@ -683,6 +703,12 @@ class TestOnePathToReports:
                      "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and str(transcript) in err, err
+        # so is a transcripts directory that is missing or holds no transcript
+        for directory in (tmp_path / "missing", info["cassette"].parent):
+            assert main(["evaluate", "--transcripts", str(directory),
+                         "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(directory) in err, err
 
         cassette = info["cassette"]
         lines = cassette.read_text().splitlines(keepends=True)
@@ -753,3 +779,37 @@ def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
     assert scripted.threads and set(scripted.threads) == {caller}
     assert recording.threads and caller not in recording.threads
     assert transcripts[0] == transcripts[1]
+
+
+def test_a_live_run_asks_each_request_once_and_matches_the_scripted_run(tmp_path, monkeypatch):
+    info = build_demo(tmp_path, n_questions=4, seeds=(1, 2))
+    assert main(["run", "--config", str(info["config"])]) == 0
+    entries = load_cassette(info["cassette"])
+    asked = Counter()
+    lock = threading.Lock()
+
+    def endpoint(url, payload, headers, timeout=60.0):
+        """Answers from the demo cassette and counts each fingerprint asked."""
+        params = GenerationParams(payload["temperature"], payload["max_tokens"])
+        key = generate_fingerprint(payload["model"], payload["messages"], params)
+        with lock:
+            asked[key] += 1
+        return 200, {"choices": [{"message": {"content": entries[key]["response"]}}]}
+
+    monkeypatch.setattr(backends, "_urllib_transport", endpoint)
+    profiles = json.loads(info["profiles"].read_text())
+    profiles["profiles"].append({"name": "live", "endpoint": "http://127.0.0.1:9/v1",
+                                 "model": "demo-model", "rate_limit_per_min": 100_000})
+    info["profiles"].write_text(json.dumps(profiles))
+    config = tmp_path / "live.json"
+    config.write_text(json.dumps({**json.loads(info["config"].read_text()),
+                                  "profile_names": ["live"], "strict_scripted": False,
+                                  "out": str(tmp_path / "live")}))
+    assert main(["run", "--config", str(config)]) == 0
+
+    assert asked and set(asked.values()) == {1}
+    scripted = sorted((tmp_path / "out" / "transcripts").glob("demo__*.jsonl"))
+    assert len(scripted) == 4 * 2
+    for path in scripted:
+        live = tmp_path / "live" / "transcripts" / path.name.replace("demo__", "live__", 1)
+        assert live.read_bytes() == path.read_bytes(), path.name

@@ -34,13 +34,15 @@ PROFILE = BackendProfile(
 
 
 def script_for(pairs):
-    """Build a scripted backend from {prompt: response} pairs."""
+    """Build a scripted backend from {prompt: response} pairs. A re-ask is
+    its own request, scripted with the same response as the first ask."""
     entries = {}
     for prompt, response in pairs.items():
-        key = generate_fingerprint(
-            MODEL, [{"role": "user", "content": prompt}], GenerationParams()
-        )
-        entries[key] = {"response": response}
+        for attempt in (0, 1):
+            key = generate_fingerprint(
+                MODEL, [{"role": "user", "content": prompt}], GenerationParams(attempt=attempt)
+            )
+            entries[key] = {"response": response}
     return ExchangeStore(entries, MODEL)
 
 
