@@ -3,9 +3,9 @@
 One wire format (chat completions for generation, echoed completions for
 per-token log-probabilities) and one transport per endpoint scheme: an
 exchange store that replays a `scripted:` cassette; a deterministic
-offline `mock:` scorer; or, for an `http(s)` endpoint, an exchange store
-in front of an HTTP client with retries and a sliding-window rate
-limiter, which asks the endpoint only what it has not been asked before.
+offline `mock:` scorer; or, for an `http(s)` endpoint, an HTTP client
+with retries and a sliding-window rate limiter, behind an exchange store
+that records into the profile's `record_to` cassette when it has one.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ class BackendProfile:
     capabilities: frozenset[str] = frozenset({CAP_GENERATE})
     rate_limit_per_min: int = 60
     retry: RetryPolicy = RetryPolicy()
-    cassette: str | None = None
+    record_to: str | None = None
 
     def __post_init__(self):
         if not self.capabilities <= CAPABILITIES:
@@ -431,10 +431,24 @@ def load_cassette(path) -> dict[str, dict]:
     return entries
 
 
+# keys of the older profile format, in which an http(s) profile with a
+# `cassette` and no `record: true` replayed it
+_RETIRED_PROFILE_KEYS = ("cassette", "record")
+
+
 def load_profiles(path) -> dict[str, BackendProfile]:
     """Profiles by name. A missing or malformed file, or one that does not
-    match `ProfilesFile`, is a SchemaViolation naming the file."""
+    match `ProfilesFile`, is a SchemaViolation naming the file. So is a
+    profile with a retired key, which names the spelling that replaced it."""
     data = read_json_file(path, "profiles file")
+    entries = data.get("profiles") if isinstance(data, dict) else None
+    for entry in entries if isinstance(entries, list) else ():
+        for key in _RETIRED_PROFILE_KEYS:
+            if isinstance(entry, dict) and key in entry:
+                raise SchemaViolation(
+                    f"profiles file {path}: profile key {key!r} is retired; replay a cassette "
+                    f'with "endpoint": "scripted:<cassette>", record one with "record_to"'
+                )
     loaded = from_json(ProfilesFile, data, f"profiles file {path}")
     return {profile.name: profile for profile in loaded.profiles}
 
@@ -452,10 +466,10 @@ def open_backend(
     A scripted:<path> endpoint is an ExchangeStore that replays the
     cassette and never touches the network, and a mock: endpoint is the
     offline scorer. An http(s) endpoint is refused under strict_scripted
-    before any socket is opened; otherwise it is a new ExchangeStore in
-    front of the HTTP client, so no request is sent twice. That store
-    appends each miss to the profile's `cassette`, read first if the file
-    exists, or, with no cassette, keeps its misses in memory.
+    before any socket is opened; otherwise it is the HTTP client, which
+    sends every request, or, with a `record_to` cassette, a new
+    ExchangeStore in front of it that first reads the cassette if the
+    file exists, sends only what is not in it, and appends each answer.
     """
     endpoint = profile.endpoint
     if endpoint.startswith("scripted:"):
@@ -468,8 +482,10 @@ def open_backend(
             f"profile {profile.name!r} needs network endpoint {endpoint!r}"
         )
     http = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep, transport=transport)
-    path = resolve_cassette_path(profile.cassette) if profile.cassette else None
-    entries = load_cassette(path) if path is not None and path.exists() else {}
+    if profile.record_to is None:
+        return http
+    path = resolve_cassette_path(profile.record_to)
+    entries = load_cassette(path) if path.exists() else {}
     return ExchangeStore(entries, profile.model, inner=http, path=path)
 
 

@@ -301,7 +301,7 @@ class TestRecordReplay:
         assert replay.score_tokens("q", "xy") == recorded
 
     def recording_profile(self, cassette):
-        return make_profile(cassette=str(cassette))
+        return make_profile(record_to=str(cassette))
 
     def open_recorder(self, cassette, transport):
         clock = VirtualClock()
@@ -338,6 +338,23 @@ class TestRecordReplay:
         replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
         assert _transcript_lines(leaf_record.record_id, "M0", replayed) == \
             _transcript_lines(leaf_record.record_id, "M0", exchanges)
+
+    def test_a_cassette_without_its_reask_replays_it_as_unscripted(self, tmp_path, leaf_record):
+        # a cassette recorded when a re-ask was answered from the store, as
+        # the first ask's fingerprint, holds no line of its own for it
+        cassette = tmp_path / "cassette.jsonl"
+        transport = FaultInjectingTransport([(200, chat_body("garbled")), (200, chat_body("x"))])
+        profile = self.recording_profile(cassette)
+        detect(leaf_record, profile, "M0", backend=self.open_recorder(cassette, transport))
+        first_ask, reask = cassette.read_text().splitlines(keepends=True)
+        cassette.write_text(first_ask)
+        replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
+        assert [e.stage for e in replayed] == ["reg", "failed"]
+        assert replayed[0].response == "garbled"
+        key = json.loads(reask)["request_hash"]
+        assert replayed[1].response == (
+            f"stage failure: reg: UnscriptedRequest: no scripted response for request {key[:12]}"
+        )
 
     def test_reopened_cassette_sends_nothing_and_keeps_one_line_per_request(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"
@@ -426,18 +443,25 @@ class TestModuleOps:
     def test_strict_scripted_refuses_network(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         cassette.write_text("")
-        for profile in (make_profile(), make_profile(cassette=str(cassette))):
+        for profile in (make_profile(), make_profile(record_to=str(cassette))):
             with pytest.raises(StrictScriptedViolation):
                 open_backend(profile, strict_scripted=True)
 
-    def test_every_http_profile_asks_through_its_own_store(self):
-        transport = FaultInjectingTransport([(200, chat_body("a")), (200, chat_body("b"))])
-        first, second = (open_backend(make_profile(), transport=transport) for _ in range(2))
+    def test_an_http_profile_asks_through_a_store_only_when_it_records(self, tmp_path):
+        transport = FaultInjectingTransport([(200, chat_body(t)) for t in "abc"])
+        http = open_backend(make_profile(), transport=transport, api_key="k")
+        assert type(http) is HttpBackend
+        # with no cassette every request is sent, repeats included
+        assert [http.generate(MESSAGES, PARAMS) for _ in range(2)] == ["a", "b"]
+        cassette = tmp_path / "c.jsonl"
+        first, second = (
+            open_backend(make_profile(record_to=str(cassette)), transport=transport, api_key="k")
+            for _ in range(2)
+        )
         assert isinstance(first, ExchangeStore) and isinstance(first.inner, HttpBackend)
-        assert first.path is None
-        assert [first.generate(MESSAGES, PARAMS) for _ in range(2)] == ["a", "a"]
-        assert second.generate(MESSAGES, PARAMS) == "b"
-        assert transport.calls == 2
+        assert first is not second and first.path == cassette
+        assert [first.generate(MESSAGES, PARAMS) for _ in range(2)] == ["c", "c"]
+        assert transport.calls == 3
 
     def test_open_scripted_endpoint(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -492,7 +516,7 @@ class TestProfilesFile:
     def test_a_relative_cache_dir_applies_once(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("ASKBD_CACHE_DIR", "cache")
-        profile = make_profile(cassette="c.jsonl")
+        profile = make_profile(record_to="c.jsonl")
         recorder = open_backend(
             profile, transport=FaultInjectingTransport([(200, chat_body("A"))]), api_key="k"
         )

@@ -314,7 +314,7 @@ class TestScoreLikelihoodCli:
         cases += [(json.dumps({"profiles": [{**entry, key: bad}]}), key) for key, bad in (
             ("endpoint", 5), ("name", ["a"]), ("model", 5), ("capabilities", "generate"),
             ("capabilities", ["fly"]), ("record", "yes"), ("record", False),
-            ("rate_limit_per_min", 0),
+            ("cassette", "c.jsonl"), ("rate_limit_per_min", 0),
             ("rate_limit_per_min", "60"), ("retry", {"max_attempts": 0}),
             ("retry", {"backoff": float("nan")}), ("cassete", "c.jsonl"),
         )]
@@ -781,7 +781,9 @@ def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
     assert transcripts[0] == transcripts[1]
 
 
-def test_a_live_run_asks_each_request_once_and_matches_the_scripted_run(tmp_path, monkeypatch):
+def test_a_live_run_sends_every_exchange_and_a_recording_run_each_request_once(
+    tmp_path, monkeypatch
+):
     info = build_demo(tmp_path, n_questions=4, seeds=(1, 2))
     assert main(["run", "--config", str(info["config"])]) == 0
     entries = load_cassette(info["cassette"])
@@ -797,19 +799,56 @@ def test_a_live_run_asks_each_request_once_and_matches_the_scripted_run(tmp_path
         return 200, {"choices": [{"message": {"content": entries[key]["response"]}}]}
 
     monkeypatch.setattr(backends, "_urllib_transport", endpoint)
+    recorded = tmp_path / "recorded.jsonl"
+    live = {"endpoint": "http://127.0.0.1:9/v1", "model": "demo-model",
+            "rate_limit_per_min": 100_000}
     profiles = json.loads(info["profiles"].read_text())
-    profiles["profiles"].append({"name": "live", "endpoint": "http://127.0.0.1:9/v1",
-                                 "model": "demo-model", "rate_limit_per_min": 100_000})
+    profiles["profiles"] += [{"name": "live", **live},
+                             {"name": "rec", **live, "record_to": str(recorded)}]
     info["profiles"].write_text(json.dumps(profiles))
-    config = tmp_path / "live.json"
-    config.write_text(json.dumps({**json.loads(info["config"].read_text()),
-                                  "profile_names": ["live"], "strict_scripted": False,
-                                  "out": str(tmp_path / "live")}))
-    assert main(["run", "--config", str(config)]) == 0
-
-    assert asked and set(asked.values()) == {1}
     scripted = sorted((tmp_path / "out" / "transcripts").glob("demo__*.jsonl"))
     assert len(scripted) == 4 * 2
-    for path in scripted:
-        live = tmp_path / "live" / "transcripts" / path.name.replace("demo__", "live__", 1)
-        assert live.read_bytes() == path.read_bytes(), path.name
+    exchanges = sum(len(path.read_text().splitlines()) for path in scripted)
+
+    for name in ("live", "rec"):
+        asked.clear()
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({**json.loads(info["config"].read_text()),
+                                      "profile_names": [name], "strict_scripted": False,
+                                      "out": str(tmp_path / name)}))
+        assert main(["run", "--config", str(config)]) == 0
+        for path in scripted:
+            transcript = path.name.replace("demo__", f"{name}__", 1)
+            assert (tmp_path / name / "transcripts" / transcript).read_bytes() == \
+                path.read_bytes(), transcript
+        if name == "live":
+            # with no cassette to record into, every exchange is sent
+            assert sum(asked.values()) == exchanges
+        else:
+            assert set(asked.values()) == {1} and len(asked) < exchanges
+            assert set(load_cassette(recorded)) == set(asked)
+
+
+def test_a_profile_in_the_retired_format_is_refused_before_any_request(
+    demo_dir, tmp_path, monkeypatch, capsys
+):
+    def endpoint(url, payload, headers, timeout=60.0):
+        raise AssertionError(f"sent a request to {url}")
+
+    monkeypatch.setattr(backends, "_urllib_transport", endpoint)
+    profiles = tmp_path / "profiles.json"
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                  "profile_names": ["live"], "strict_scripted": False,
+                                  "profiles": str(profiles),
+                                  "out": str(tmp_path / "out")}))
+    # a replay-only profile of the older format left `record` out
+    old = {"name": "live", "endpoint": "https://api.example.com/v1", "model": "demo-model",
+           "cassette": str(demo_dir / "cassette.jsonl")}
+    for entry in (old, {**old, "record": False}, {**old, "record": True}):
+        profiles.write_text(json.dumps({"profiles": [entry]}))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(profiles) in err, err
+        assert "'cassette'" in err and '"endpoint": "scripted:<cassette>"' in err, err
+        assert not (tmp_path / "out").exists()
