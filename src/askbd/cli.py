@@ -14,7 +14,6 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -53,6 +52,7 @@ from .records import (
     from_json,
     jsonl_line,
     make_record,
+    parse_rational,
     parse_structured_solution,
     read_json_file,
     read_jsonl,
@@ -98,7 +98,7 @@ def _raw_to_record(obj: dict) -> SolutionRecord:
         else:
             numbered.append(f"Step {i}. {line}")
     steps = parse_structured_solution(" ".join(numbered))
-    answer = Fraction(answer_text.strip().replace(",", "").replace("$", ""))
+    answer = parse_rational(answer_text.strip().replace(",", "").replace("$", ""))
     return make_record(question=question, steps=steps, answer=answer)
 
 

@@ -8,6 +8,7 @@ is documented in docs/grammar.md.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from dataclasses import dataclass, replace
@@ -97,22 +98,54 @@ def eval_expr(e: Expr) -> Fraction:
 def _eval(e: Expr) -> Fraction:
     if isinstance(e, Lit):
         return e.value
-    lv = _eval(e.left)
-    rv = _eval(e.right)
-    if e.op == "+":
+    return _apply(e.op, _eval(e.left), _eval(e.right))
+
+
+def _apply(op: str, lv: Fraction, rv: Fraction) -> Fraction:
+    if op == "+":
         return lv + rv
-    if e.op == "-":
+    if op == "-":
         return lv - rv
-    if e.op == "*":
+    if op == "*":
         return lv * rv
     if rv == 0:
         raise DivisionByZero()
     return lv / rv
 
 
+def eval_with_literal(e: Expr, k: int, value: Fraction) -> Fraction:
+    """Exact value of `e` with its `k`-th literal, counted from 0 left to
+    right as in the source text, set to the nonnegative `value`.
+
+    Equals parsing and evaluating the text with that number token swapped
+    for `format_value(value)`, without the re-parse: a divisor the swap
+    makes zero raises DivisionByZero.
+    """
+    leaves = itertools.count()
+
+    def walk(node: Expr) -> Fraction:
+        if isinstance(node, Lit):
+            return value if next(leaves) == k else node.value
+        return _apply(node.op, walk(node.left), walk(node.right))
+
+    return walk(e)
+
+
 # --- Parsing ---
 
 _NUMBER = re.compile(NUMBER)
+
+
+def number_value(text: str) -> Fraction:
+    """Exact value of a `NUMBER` token: `12` is 12, `2.5` is 5/2, `.5` is 1/2.
+
+    The one literal converter: the parser and `askbd.records`' number
+    tokens both read literals through it.
+    """
+    whole, point, decimals = text.partition(".")
+    if not point:
+        return Fraction(int(text))
+    return Fraction(int(whole + decimals), 10 ** len(decimals))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -184,7 +217,7 @@ class _Parser:
     def factor(self) -> Expr:
         kind, value, pos = self.take()
         if kind == "number":
-            return Lit(Fraction(value))
+            return Lit(number_value(value))
         if kind == "lparen":
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
@@ -283,17 +316,26 @@ def canonical_form(e: Expr) -> Expr:
     """Deterministic normal form: associative chains flattened and rebuilt
     left-leaning, commutative operands sorted by (value, structure) key,
     grouping flags dropped."""
+    return _canonical(e)[0]
+
+
+def _canonical(e: Expr) -> tuple[Expr, Fraction]:
+    """(canonical form of `e`, value of `e`), evaluating each subtree once."""
     if isinstance(e, Lit):
-        return e
+        return e, e.value
     if e.op in "+*":
         operands = sorted(
-            (canonical_form(x) for x in _chain(e, e.op)), key=_sort_key
+            (_canonical(x) for x in _chain(e, e.op)),
+            key=lambda form_value: (form_value[1], _struct_key(form_value[0])),
         )
-        node = operands[0]
-        for nxt in operands[1:]:
+        node, value = operands[0]
+        for nxt, nxt_value in operands[1:]:
             node = Bin(e.op, node, nxt)
-        return node
-    return Bin(e.op, canonical_form(e.left), canonical_form(e.right))
+            value = _apply(e.op, value, nxt_value)
+        return node, value
+    left, lv = _canonical(e.left)
+    right, rv = _canonical(e.right)
+    return Bin(e.op, left, right), _apply(e.op, lv, rv)
 
 
 def _chain(e: Expr, op: str) -> Iterator[Expr]:
@@ -302,10 +344,6 @@ def _chain(e: Expr, op: str) -> Iterator[Expr]:
         yield from _chain(e.right, op)
     else:
         yield e
-
-
-def _sort_key(e: Expr):
-    return (eval_expr(e), _struct_key(e))
 
 
 def _struct_key(e: Expr):
@@ -425,9 +463,8 @@ def enumerate_permutations(
         raise ValueError("max_rewrites must be >= 1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    target = eval_expr(e)
     rng = random.Random(seed)
-    source_canon = canonical_form(e)
+    source_canon, target = _canonical(e)
     expanded: set[Expr] = {source_canon}
     source_emitted = False
     results: list[Expr] = []
@@ -438,9 +475,9 @@ def enumerate_permutations(
             for cand in rewrite_neighbors(node):
                 if depth(cand) > MAX_DEPTH:
                     continue
-                if eval_expr(cand) != target:
+                canon, value = _canonical(cand)
+                if value != target:
                     continue
-                canon = canonical_form(cand)
                 if canon == source_canon:
                     if cand != e and not source_emitted and canon not in level:
                         level[canon] = cand

@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exprs import eval_expr, format_value, parse_expr
+from .exprs import DivisionByZero, eval_with_literal, format_value, parse_expr
 from .records import (
     CATEGORIES,
     CATEGORY_CALCULATION,
@@ -126,31 +126,43 @@ def inject_calculation(record: SolutionRecord, seed: int) -> tuple[SolutionRecor
     return _relabel(record, steps, label, seed), label
 
 
+# where an operand can point instead: (start, end, operand) of its number
+# token and each (wrong operand, recomputed result) it may take
+_Spot = tuple[int, int, Fraction, list[tuple[Fraction, Fraction]]]
+
+
 def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
     """Point one operand at a wrong value and recompute the step correctly.
 
     The replacement value stays outside the condition/prior-result pool so
-    the wrong reference cannot accidentally resolve.
+    the wrong reference cannot accidentally resolve, and the recomputed
+    result must be a positive integer.
     """
     rng = _rng(seed, record, CATEGORY_REFERENCE)
     conditions = set(condition_values(record.question))
 
-    choices: list[tuple[SolutionStep, list[tuple[int, int, Fraction, list[int]]]]] = []
+    choices: list[tuple[SolutionStep, list[_Spot]]] = []
     for step in record.steps:
         if step.expression is None:
             continue
+        tree = parse_expr(step.expression)
         resolvable = conditions | _prior_results(record, step.index)
         spots = []
-        for start, end, value in number_tokens(step.expression):
+        # the k-th number token of a valid expression is its k-th literal
+        for k, (start, end, value) in enumerate(number_tokens(step.expression)):
             if value not in resolvable:
                 continue
-            usable = [
-                o
-                for o in OFFSETS
-                if value + o > 0
-                and (value + o) not in resolvable
-                and _recomputes_to_positive_integer(step.expression, start, end, value + o)
-            ]
+            usable: list[tuple[Fraction, Fraction]] = []
+            for offset in OFFSETS:
+                new_value = value + offset
+                if new_value <= 0 or new_value in resolvable:
+                    continue
+                try:
+                    result = eval_with_literal(tree, k, new_value)
+                except DivisionByZero:
+                    continue
+                if result > 0 and result.denominator == 1:
+                    usable.append((new_value, result))
             if usable:
                 spots.append((start, end, value, usable))
         if spots:
@@ -160,10 +172,9 @@ def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord,
 
     step, spots = choices[rng.randrange(len(choices))]
     start, end, old_value, usable = spots[rng.randrange(len(spots))]
-    new_value = old_value + usable[rng.randrange(len(usable))]
+    new_value, new_result = usable[rng.randrange(len(usable))]
 
     new_expression = step.expression[:start] + format_value(new_value) + step.expression[end:]
-    new_result = eval_expr(parse_expr(new_expression))
     statement = _swap_equation(step.statement, new_expression, format_value(new_result))
     statement = _swap_mentions_outside_equation(statement, old_value, new_value)
     new_step = replace(
@@ -172,15 +183,6 @@ def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord,
     steps = [new_step if s.index == step.index else s for s in record.steps]
     label = ErrorLabel(step.index, CATEGORY_REFERENCE)
     return _relabel(record, steps, label, seed), label
-
-
-def _recomputes_to_positive_integer(expression: str, start: int, end: int, value: Fraction) -> bool:
-    candidate = expression[:start] + format_value(value) + expression[end:]
-    try:
-        result = eval_expr(parse_expr(candidate))
-    except ValueError:
-        return False
-    return result > 0 and result.denominator == 1
 
 
 def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:

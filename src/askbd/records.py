@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .exprs import NUMBER, Rational, format_value, parse_expr
+from .exprs import NUMBER, Rational, format_value, number_value, parse_expr
 
 ORIGIN_CONVENTIONAL = "D"
 ORIGIN_ALTERNATIVE = "D1"
@@ -191,7 +191,7 @@ _EXPRESSION_EQ = re.compile(
 
 def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
     """(start, end, value) of every unsigned decimal number in `text`."""
-    return [(m.start(), m.end(), Fraction(m.group())) for m in _NUMBER.finditer(text)]
+    return [(m.start(), m.end(), number_value(m.group())) for m in _NUMBER.finditer(text)]
 
 
 def last_equation(statement: str) -> re.Match | None:
@@ -215,7 +215,7 @@ def extract_expression(statement: str) -> tuple[str, Rational] | None:
     match = last_equation(statement)
     if match is None:
         return None
-    return match.group(1).strip(), Fraction(match.group(2))
+    return match.group(1).strip(), number_value(match.group(2))
 
 
 def parse_structured_solution(text: str) -> list[SolutionStep]:
@@ -263,7 +263,12 @@ def condition_values(question: str) -> list[Rational]:
 
 
 def parse_rational(text: str) -> Rational:
-    return Fraction(text)
+    """A rational written as `format_value` writes it (`12`, `2.5`, `1/3`);
+    a zero denominator is a ValueError, as any other unreadable text is."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as err:
+        raise ValueError(f"{text!r} has a zero denominator") from err
 
 
 def record_to_json(record: SolutionRecord) -> dict:

@@ -86,6 +86,19 @@ class TestIngest:
         assert "division by zero" in captured.err
         assert read_jsonl(out) == []
 
+    def test_a_zero_denominator_answer_is_skipped(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        make_raw_gsm_file(raw, n=2)
+        with open(raw, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"question": "How many?",
+                                     "answer": "He has 2 + 3 = 5 toys.\n#### 1/0"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "ingested 2 records (1 skipped)" in captured.out
+        assert "zero denominator" in captured.err
+        assert len(read_jsonl(out)) == 2
+
 
 @pytest.mark.parametrize("argv", [
     ["ingest", "--n", "-1"],
@@ -210,6 +223,27 @@ class TestInjectCli:
         main(["inject", "--category", "all", "--seed", "9",
               "--in", str(conventional), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("field", ["answer", "result"])
+def test_a_zero_denominator_in_a_corpus_exits_2_naming_the_file_and_line(
+    tmp_path, capsys, field
+):
+    info = build_demo(tmp_path / "demo", n_questions=1)
+    lines = info["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = json.loads(lines[1])
+    if field == "answer":
+        bad["answer"] = "1/0"
+    else:
+        bad["steps"][0]["result"] = "1/0"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(lines[0] + json.dumps(bad) + "\n", encoding="utf-8")
+    for command in (["gen-alt", "--k", "3"], ["inject", "--category", "all"]):
+        argv = command + ["--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2, command[0]
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "Traceback" not in err
+        assert str(corpus) in err and "(line 2)" in err and "zero denominator" in err
 
 
 class TestDataConstructionIsPinned:

@@ -13,12 +13,16 @@ from askbd.exprs import (
     depth,
     enumerate_permutations,
     eval_expr,
+    eval_with_literal,
     format_value,
     lit,
+    number_value,
     parse_expr,
     rewrite_neighbors,
     to_text,
 )
+from askbd.demo import build_labeled_corpus
+from askbd.records import number_tokens
 from conftest import random_expr
 
 
@@ -69,6 +73,54 @@ class TestParse:
     def test_division_by_zero_at_construction(self):
         with pytest.raises(DivisionByZero):
             parse_expr("4 / (3 - 3)")
+
+
+class TestNumberValue:
+    @pytest.mark.parametrize("text", ["0", "007", "12", "2.5", ".5", "12.50", "0.125"])
+    def test_equals_the_fraction_of_its_text(self, text):
+        value = number_value(text)
+        assert value == Fraction(text) and type(value) is Fraction
+
+
+def _value_or_error(evaluate):
+    try:
+        return evaluate()
+    except DivisionByZero:
+        return DivisionByZero
+
+
+class TestEvalWithLiteral:
+    """Evaluating with one literal swapped equals re-parsing and evaluating
+    the text with that number token swapped."""
+
+    def _check(self, text, k, value):
+        start, end, _ = number_tokens(text)[k]
+        swapped = text[:start] + format_value(value) + text[end:]
+        tree = parse_expr(text)
+        assert _value_or_error(lambda: eval_with_literal(tree, k, value)) == _value_or_error(
+            lambda: eval_expr(parse_expr(swapped))
+        ), (text, k, value)
+
+    def test_every_literal_of_every_demo_step(self):
+        expressions = {
+            step.expression
+            for group in build_labeled_corpus(50, seed=2024)
+            for record in group
+            for step in record.steps
+            if step.expression is not None
+        }
+        for text in sorted(expressions):
+            for k, (_, _, value) in enumerate(number_tokens(text)):
+                for offset in range(-5, 6):
+                    if value + offset >= 0:
+                        self._check(text, k, value + offset)
+                self._check(text, k, Fraction(1, 4))
+
+    def test_a_swap_that_zeros_a_divisor_raises(self):
+        self._check("10 / (5 - 3)", 2, Fraction(5))
+        with pytest.raises(DivisionByZero):
+            eval_with_literal(parse_expr("10 / (5 - 3)"), 2, Fraction(5))
+        assert eval_with_literal(parse_expr("10 / (5 - 3)"), 2, Fraction(4)) == 10
 
 
 class TestEval:

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from askbd import inject as inject_module
+from askbd.demo import build_labeled_corpus
 from askbd.inject import (
     NoDeletableStep,
+    NoReferencingOperand,
     NoExpressionStep,
     inject,
     inject_batch,
@@ -87,6 +90,23 @@ class TestInjectionProperties:
             injected, label = inject_reference(leaf_record, seed)
             step = injected.steps[label.step - 1]
             assert eval_expr(parse_expr(step.expression)) == step.stated_result
+
+    def test_ref_parses_each_expression_step_once(self, leaf_record, monkeypatch):
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_expr(text)
+
+        monkeypatch.setattr(inject_module, "parse_expr", counting_parse)
+        conventional, alternative, _ = build_labeled_corpus(4, seed=2024)
+        for record in [leaf_record] + conventional + alternative:
+            parsed.clear()
+            try:
+                inject_reference(record, seed=0)
+            except NoReferencingOperand:
+                pass
+            assert parsed == [s.expression for s in record.steps if s.expression is not None]
 
     def test_ref_altered_operand_never_equals_original(self, leaf_record):
         for seed in range(1000):

@@ -155,6 +155,16 @@ class TestJsonl:
         with pytest.raises(SchemaViolation):
             record_from_json(obj)
 
+    @pytest.mark.parametrize("field", ["answer", "result"])
+    def test_a_zero_denominator_is_a_schema_violation(self, leaf_record, field):
+        obj = record_to_json(leaf_record)
+        if field == "answer":
+            obj["answer"] = "1/0"
+        else:
+            obj["steps"][0]["result"] = "1/0"
+        with pytest.raises(SchemaViolation, match="zero denominator"):
+            record_from_json(obj)
+
     def test_label_serialization(self, leaf_record):
         obj = record_to_json(leaf_record)
         assert obj["label"] == {}
