@@ -177,6 +177,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _joined_depth(left_depth: int, right_depth: int) -> int:
+    """Depth of a binary node over children of these depths; DepthExceeded
+    past MAX_DEPTH."""
+    d = 1 + max(left_depth, right_depth)
+    if d > MAX_DEPTH:
+        raise DepthExceeded(f"tree depth exceeds {MAX_DEPTH}")
+    return d
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -196,40 +205,47 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expr(self) -> Expr:
-        node = self.term()
+    # Each method returns (node, depth of node). Depth is counted as each
+    # binary node is built, so a chain of any length stops at MAX_DEPTH.
+
+    def expr(self) -> tuple[Expr, int]:
+        node, d = self.term()
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "+-":
-                return node
+                return node, d
             self.take()
-            node = make_bin(tok[1], node, self.term())
+            right, right_depth = self.term()
+            d = _joined_depth(d, right_depth)
+            node = make_bin(tok[1], node, right)
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, d = self.factor()
         while True:
             tok = self.peek()
             if tok is None or tok[0] != "op" or tok[1] not in "*/":
-                return node
+                return node, d
             self.take()
-            node = make_bin(tok[1], node, self.factor())
+            right, right_depth = self.factor()
+            d = _joined_depth(d, right_depth)
+            node = make_bin(tok[1], node, right)
 
-    def factor(self) -> Expr:
+    def factor(self) -> tuple[Expr, int]:
         kind, value, pos = self.take()
         if kind == "number":
-            return Lit(number_value(value))
+            return Lit(number_value(value)), 1
         if kind == "lparen":
             self.nesting += 1
             if self.nesting > MAX_DEPTH:
                 raise DepthExceeded(f"bracket nesting exceeds {MAX_DEPTH}")
-            inner = self.expr()
+            inner, d = self.expr()
             kind, _, pos = self.take()
             if kind != "rparen":
                 raise ExprSyntaxError("expected ')'", pos)
             self.nesting -= 1
             if isinstance(inner, Bin):
-                return replace(inner, grouped=True)
-            return inner
+                return replace(inner, grouped=True), d
+            return inner, d
         raise ExprSyntaxError(f"expected a number or '('", pos)
 
 
@@ -241,12 +257,10 @@ def parse_expr(text: str) -> Expr:
     when a divisor evaluates to exactly zero.
     """
     parser = _Parser(text)
-    node = parser.expr()
+    node, _ = parser.expr()
     tok = parser.peek()
     if tok is not None:
         raise ExprSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
-    if depth(node) > MAX_DEPTH:
-        raise DepthExceeded(f"tree depth exceeds {MAX_DEPTH}")
     return node
 
 
@@ -319,23 +333,37 @@ def canonical_form(e: Expr) -> Expr:
     return _canonical(e)[0]
 
 
-def _canonical(e: Expr) -> tuple[Expr, Fraction]:
-    """(canonical form of `e`, value of `e`), evaluating each subtree once."""
+def _canonical(
+    e: Expr, memo: dict[int, tuple[Expr, Expr, Fraction]] | None = None
+) -> tuple[Expr, Fraction]:
+    """(canonical form of `e`, value of `e`), evaluating each subtree once.
+
+    `memo`, keyed by node identity, lets trees that share subtrees
+    canonicalize each shared node once; each entry holds its node, so no
+    identity is reused while the memo lives.
+    """
     if isinstance(e, Lit):
         return e, e.value
+    if memo is not None:
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit[1], hit[2]
     if e.op in "+*":
         operands = sorted(
-            (_canonical(x) for x in _chain(e, e.op)),
+            (_canonical(x, memo) for x in _chain(e, e.op)),
             key=lambda form_value: (form_value[1], _struct_key(form_value[0])),
         )
         node, value = operands[0]
         for nxt, nxt_value in operands[1:]:
             node = Bin(e.op, node, nxt)
             value = _apply(e.op, value, nxt_value)
-        return node, value
-    left, lv = _canonical(e.left)
-    right, rv = _canonical(e.right)
-    return Bin(e.op, left, right), _apply(e.op, lv, rv)
+    else:
+        left, lv = _canonical(e.left, memo)
+        right, rv = _canonical(e.right, memo)
+        node, value = Bin(e.op, left, right), _apply(e.op, lv, rv)
+    if memo is not None:
+        memo[id(e)] = (e, node, value)
+    return node, value
 
 
 def _chain(e: Expr, op: str) -> Iterator[Expr]:
@@ -464,7 +492,9 @@ def enumerate_permutations(
     if limit < 1:
         raise ValueError("limit must be >= 1")
     rng = random.Random(seed)
-    source_canon, target = _canonical(e)
+    # rewrites share every subtree off their rewrite path with their parent
+    memo: dict[int, tuple[Expr, Expr, Fraction]] = {}
+    source_canon, target = _canonical(e, memo)
     expanded: set[Expr] = {source_canon}
     source_emitted = False
     results: list[Expr] = []
@@ -475,7 +505,7 @@ def enumerate_permutations(
             for cand in rewrite_neighbors(node):
                 if depth(cand) > MAX_DEPTH:
                     continue
-                canon, value = _canonical(cand)
+                canon, value = _canonical(cand, memo)
                 if value != target:
                     continue
                 if canon == source_canon:

@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .exprs import DivisionByZero, eval_with_literal, format_value, parse_expr
+from .exprs import DivisionByZero, Expr, eval_with_literal, format_value, parse_expr
 from .records import (
     CATEGORIES,
     CATEGORY_CALCULATION,
@@ -126,9 +126,32 @@ def inject_calculation(record: SolutionRecord, seed: int) -> tuple[SolutionRecor
     return _relabel(record, steps, label, seed), label
 
 
-# where an operand can point instead: (start, end, operand) of its number
-# token and each (wrong operand, recomputed result) it may take
-_Spot = tuple[int, int, Fraction, list[tuple[Fraction, Fraction]]]
+def _usable_swaps(
+    tree: Expr, k: int, value: Fraction, resolvable: set[Fraction]
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """Each usable (wrong operand, recomputed result) for the `k`-th literal
+    of `tree`, whose value is `value`, in OFFSETS order."""
+    for offset in OFFSETS:
+        new_value = value + offset
+        if new_value <= 0 or new_value in resolvable:
+            continue
+        try:
+            result = eval_with_literal(tree, k, new_value)
+        except DivisionByZero:
+            continue
+        if result > 0 and result.denominator == 1:
+            yield new_value, result
+
+
+def _spots(
+    expression: str, tree: Expr, resolvable: set[Fraction]
+) -> Iterator[tuple[int, int, Fraction, int]]:
+    """(start, end, operand, k) of each resolvable operand with at least one
+    usable swap, in text order; the k-th number token of a valid
+    expression is its k-th literal."""
+    for k, (start, end, value) in enumerate(number_tokens(expression)):
+        if value in resolvable and any(_usable_swaps(tree, k, value, resolvable)):
+            yield start, end, value, k
 
 
 def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
@@ -137,41 +160,32 @@ def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord,
     The replacement value stays outside the condition/prior-result pool so
     the wrong reference cannot accidentally resolve, and the recomputed
     result must be a positive integer.
+
+    The draw is a uniform eligible step, then a uniform eligible operand of
+    it, then a uniform usable offset for that operand. An offset is usable
+    when the swap meets the two rules above, an operand is eligible when it
+    resolves and has a usable offset, and a step when it has an eligible
+    operand. Eligibility stops at the first usable offset found; only the
+    drawn operand's offsets are all priced.
     """
     rng = _rng(seed, record, CATEGORY_REFERENCE)
     conditions = set(condition_values(record.question))
 
-    choices: list[tuple[SolutionStep, list[_Spot]]] = []
+    choices: list[tuple[SolutionStep, Expr, set[Fraction]]] = []
     for step in record.steps:
         if step.expression is None:
             continue
         tree = parse_expr(step.expression)
         resolvable = conditions | _prior_results(record, step.index)
-        spots = []
-        # the k-th number token of a valid expression is its k-th literal
-        for k, (start, end, value) in enumerate(number_tokens(step.expression)):
-            if value not in resolvable:
-                continue
-            usable: list[tuple[Fraction, Fraction]] = []
-            for offset in OFFSETS:
-                new_value = value + offset
-                if new_value <= 0 or new_value in resolvable:
-                    continue
-                try:
-                    result = eval_with_literal(tree, k, new_value)
-                except DivisionByZero:
-                    continue
-                if result > 0 and result.denominator == 1:
-                    usable.append((new_value, result))
-            if usable:
-                spots.append((start, end, value, usable))
-        if spots:
-            choices.append((step, spots))
+        if any(_spots(step.expression, tree, resolvable)):
+            choices.append((step, tree, resolvable))
     if not choices:
         raise NoReferencingOperand(f"record {record.record_id} has no usable operand")
 
-    step, spots = choices[rng.randrange(len(choices))]
-    start, end, old_value, usable = spots[rng.randrange(len(spots))]
+    step, tree, resolvable = choices[rng.randrange(len(choices))]
+    spots = list(_spots(step.expression, tree, resolvable))
+    start, end, old_value, k = spots[rng.randrange(len(spots))]
+    usable = list(_usable_swaps(tree, k, old_value, resolvable))
     new_value, new_result = usable[rng.randrange(len(usable))]
 
     new_expression = step.expression[:start] + format_value(new_value) + step.expression[end:]

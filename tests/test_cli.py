@@ -47,6 +47,10 @@ def make_raw_gsm_file(path, n=12):
     return rows
 
 
+# a flat operator chain far past the 16-level depth limit
+DEEP_CHAIN = " + ".join(["1"] * 2000)
+
+
 class TestIngest:
     def test_samples_reproducibly(self, tmp_path):
         raw = tmp_path / "raw.jsonl"
@@ -97,6 +101,19 @@ class TestIngest:
         captured = capsys.readouterr()
         assert "ingested 2 records (1 skipped)" in captured.out
         assert "zero denominator" in captured.err
+        assert len(read_jsonl(out)) == 2
+
+    def test_a_too_deep_expression_is_skipped(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        make_raw_gsm_file(raw, n=2)
+        with open(raw, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"question": "How many toys?", "answer": 2000,
+                                     "rationale": f"He adds {DEEP_CHAIN} = 2000 toys."}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "ingested 2 records (1 skipped)" in captured.out
+        assert "tree depth exceeds 16" in captured.err
         assert len(read_jsonl(out)) == 2
 
 
@@ -244,6 +261,22 @@ def test_a_zero_denominator_in_a_corpus_exits_2_naming_the_file_and_line(
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and "Traceback" not in err
         assert str(corpus) in err and "(line 2)" in err and "zero denominator" in err
+
+
+def test_a_too_deep_expression_in_a_corpus_exits_2_naming_the_file_and_line(
+    tmp_path, capsys
+):
+    corpus = tmp_path / "deep.jsonl"
+    step = {"index": 1, "statement": f"Add {DEEP_CHAIN} = 2000.",
+            "expression": DEEP_CHAIN, "result": "2000"}
+    corpus.write_text(json.dumps({"id": "deep", "question": "How many?", "origin": "D",
+                                  "answer": "2000", "steps": [step]}) + "\n", encoding="utf-8")
+    for command in (["gen-alt", "--k", "3"], ["inject", "--category", "all"]):
+        argv = command + ["--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2, command[0]
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "Traceback" not in err
+        assert str(corpus) in err and "(line 1)" in err and "tree depth exceeds 16" in err
 
 
 class TestDataConstructionIsPinned:

@@ -9,6 +9,7 @@ from askbd.exprs import (
     DivisionByZero,
     ExprSyntaxError,
     Lit,
+    MAX_DEPTH,
     canonical_form,
     depth,
     enumerate_permutations,
@@ -69,6 +70,20 @@ class TestParse:
         text = "(" * 20 + "1" + ")" * 20
         with pytest.raises(DepthExceeded):
             parse_expr(text)
+
+    @pytest.mark.parametrize("text", [
+        " + ".join(["1"] * 2000),
+        " - ".join(["9"] * 2000) + " / 3",
+    ], ids=["plus-chain", "minus-chain-then-divide"])
+    def test_an_operator_chain_of_any_length_is_too_deep(self, text):
+        # depth is counted while parsing, so no tree walk can overflow the stack
+        with pytest.raises(DepthExceeded):
+            parse_expr(text)
+
+    def test_depth_limit_counts_tree_levels(self):
+        assert depth(parse_expr(" + ".join(["1"] * MAX_DEPTH))) == MAX_DEPTH
+        with pytest.raises(DepthExceeded):
+            parse_expr(" + ".join(["1"] * (MAX_DEPTH + 1)))
 
     def test_division_by_zero_at_construction(self):
         with pytest.raises(DivisionByZero):
@@ -226,6 +241,136 @@ class TestRewrites:
         assert canonical_form(parse_expr("5 * 11 - 2 * 11")) in targets
 
 
+# to_text of enumerate_permutations(parse_expr(text), 3, 16, seed), one tree
+# each with 4, 6, 8 and 10 operators
+PINNED_SEARCH = {
+    ("2 * (3 + 4) * (5 - 1)", 0): [
+        "(2 * 3 + 2 * 4) * (5 - 1)",
+        "2 * (3 + 4) * 5 - 2 * (3 + 4) * 1",
+        "(5 - 1) * 2 * (3 + 4)",
+        "(2 * 3 + 2 * 4) * 5 - 2 * (3 + 4) * 1",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 + 2 * 4) * 1",
+        "2 * (3 + 4) * 5 - (2 * 3 + 2 * 4) * 1",
+        "2 * 3 * (5 - 1) + 2 * 4 * (5 - 1)",
+        "2 * (3 + 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1)",
+        "2 * 3 * (5 - 1) + 2 * 4 * 5 - 2 * 4 * 1",
+        "2 * 3 * 5 + 2 * 4 * 5 - (2 * 3 + 2 * 4) * 1",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1)",
+        "2 * 3 * 5 + 2 * 4 * 5 - 2 * (3 + 4) * 1",
+        "2 * 3 * 5 - 2 * 3 * 1 + 2 * 4 * (5 - 1)",
+    ],
+    ("2 * (3 + 4) * (5 - 1)", 3): [
+        "(5 - 1) * 2 * (3 + 4)",
+        "2 * (3 + 4) * 5 - 2 * (3 + 4) * 1",
+        "(2 * 3 + 2 * 4) * (5 - 1)",
+        "2 * 3 * (5 - 1) + 2 * 4 * (5 - 1)",
+        "2 * (3 + 4) * 5 - (2 * 3 + 2 * 4) * 1",
+        "(2 * 3 + 2 * 4) * 5 - 2 * (3 + 4) * 1",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 + 2 * 4) * 1",
+        "2 * 3 * 5 + 2 * 4 * 5 - (2 * 3 + 2 * 4) * 1",
+        "2 * 3 * 5 - 2 * 3 * 1 + 2 * 4 * (5 - 1)",
+        "2 * 3 * 5 + 2 * 4 * 5 - 2 * (3 + 4) * 1",
+        "2 * 3 * (5 - 1) + 2 * 4 * 5 - 2 * 4 * 1",
+        "2 * (3 + 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1)",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1)",
+    ],
+    ("(7 - 2) * (3 + 4) + 8 / 2 * 5", 0): [
+        "(7 - 2) * 3 + (7 - 2) * 4 + 8 / 2 * 5",
+        "7 * (3 + 4) - 2 * (3 + 4) + 8 / 2 * 5",
+        "8 / 2 * 5 + (7 - 2) * (3 + 4)",
+        "7 * (3 + 4) - (2 * 3 + 2 * 4) + 8 / 2 * 5",
+        "7 * 3 + 7 * 4 - 2 * (3 + 4) + 8 / 2 * 5",
+        "7 * 3 - 2 * 3 + (7 - 2) * 4 + 8 / 2 * 5",
+        "(7 - 2) * 3 + 7 * 4 - 2 * 4 + 8 / 2 * 5",
+        "7 * 3 - 2 * 3 + 7 * 4 - 2 * 4 + 8 / 2 * 5",
+        "7 * 3 + 7 * 4 - (2 * 3 + 2 * 4) + 8 / 2 * 5",
+    ],
+    ("(7 - 2) * (3 + 4) + 8 / 2 * 5", 3): [
+        "8 / 2 * 5 + (7 - 2) * (3 + 4)",
+        "7 * (3 + 4) - 2 * (3 + 4) + 8 / 2 * 5",
+        "(7 - 2) * 3 + (7 - 2) * 4 + 8 / 2 * 5",
+        "(7 - 2) * 3 + 7 * 4 - 2 * 4 + 8 / 2 * 5",
+        "7 * 3 - 2 * 3 + (7 - 2) * 4 + 8 / 2 * 5",
+        "7 * (3 + 4) - (2 * 3 + 2 * 4) + 8 / 2 * 5",
+        "7 * 3 + 7 * 4 - 2 * (3 + 4) + 8 / 2 * 5",
+        "7 * 3 + 7 * 4 - (2 * 3 + 2 * 4) + 8 / 2 * 5",
+        "7 * 3 - 2 * 3 + 7 * 4 - 2 * 4 + 8 / 2 * 5",
+    ],
+    ("3 * (2 + 5) + (6 + 1) * (9 - 5) / 2 + 4", 0): [
+        "4 + 3 * (2 + 5) + (6 + 1) * (9 - 5) / 2",
+        "3 * (2 + 5) + ((6 + 1) * 9 - (6 + 1) * 5) / 2 + 4",
+        "3 * (2 + 5) + (6 * (9 - 5) + 1 * (9 - 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 + 1) * (9 - 5) / 2 + 4",
+        "3 * (2 + 5) + ((6 + 1) * 9 - (6 * 5 + 1 * 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * (9 - 5) + 1 * (9 - 5)) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 - 6 * 5 + 1 * (9 - 5)) / 2 + 4",
+        "3 * (2 + 5) + (6 * (9 - 5) + 1 * 9 - 1 * 5) / 2 + 4",
+        "3 * 2 + 3 * 5 + ((6 + 1) * 9 - (6 + 1) * 5) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 + 1 * 9 - (6 + 1) * 5) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * (9 - 5) + 1 * 9 - 1 * 5) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 + 1 * 9 - (6 * 5 + 1 * 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * 9 + 1 * 9 - (6 + 1) * 5) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 - 6 * 5 + 1 * 9 - 1 * 5) / 2 + 4",
+        "3 * 2 + 3 * 5 + ((6 + 1) * 9 - (6 * 5 + 1 * 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * 9 - 6 * 5 + 1 * (9 - 5)) / 2 + 4",
+    ],
+    ("3 * (2 + 5) + (6 + 1) * (9 - 5) / 2 + 4", 3): [
+        "3 * 2 + 3 * 5 + (6 + 1) * (9 - 5) / 2 + 4",
+        "3 * (2 + 5) + ((6 + 1) * 9 - (6 + 1) * 5) / 2 + 4",
+        "4 + 3 * (2 + 5) + (6 + 1) * (9 - 5) / 2",
+        "3 * (2 + 5) + (6 * (9 - 5) + 1 * (9 - 5)) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 - 6 * 5 + 1 * (9 - 5)) / 2 + 4",
+        "3 * (2 + 5) + ((6 + 1) * 9 - (6 * 5 + 1 * 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * (9 - 5) + 1 * (9 - 5)) / 2 + 4",
+        "3 * (2 + 5) + (6 * (9 - 5) + 1 * 9 - 1 * 5) / 2 + 4",
+        "3 * 2 + 3 * 5 + ((6 + 1) * 9 - (6 + 1) * 5) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 + 1 * 9 - (6 + 1) * 5) / 2 + 4",
+        "3 * 2 + 3 * 5 + ((6 + 1) * 9 - (6 * 5 + 1 * 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * (9 - 5) + 1 * 9 - 1 * 5) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 - 6 * 5 + 1 * 9 - 1 * 5) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * 9 - 6 * 5 + 1 * (9 - 5)) / 2 + 4",
+        "3 * (2 + 5) + (6 * 9 + 1 * 9 - (6 * 5 + 1 * 5)) / 2 + 4",
+        "3 * 2 + 3 * 5 + (6 * 9 + 1 * 9 - (6 + 1) * 5) / 2 + 4",
+    ],
+    ("2 * (3 + 4) * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)", 0): [
+        "12 / (9 - 5) + 2 * (3 + 4) * (5 - 1) + 6 * (7 + 2)",
+        "2 * (3 + 4) * (5 - 1) + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - 2 * (3 + 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * 3 * (5 - 1) + 2 * 4 * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - 2 * (3 + 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * (5 - 1) + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - (2 * 3 + 2 * 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 + 2 * 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - 2 * (3 + 4) * 1 + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * 3 * 5 + 2 * 4 * 5 - (2 * 3 + 2 * 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * 3 * (5 - 1) + 2 * 4 * 5 - 2 * 4 * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * 3 * (5 - 1) + 2 * 4 * (5 - 1) + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * 3 * 5 - 2 * 3 * 1 + 2 * 4 * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+    ],
+    ("2 * (3 + 4) * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)", 3): [
+        "2 * (3 + 4) * 5 - 2 * (3 + 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * (5 - 1) + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "12 / (9 - 5) + 2 * (3 + 4) * (5 - 1) + 6 * (7 + 2)",
+        "(2 * 3 + 2 * 4) * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * (5 - 1) + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * 3 * (5 - 1) + 2 * 4 * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - 2 * (3 + 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - (2 * 3 + 2 * 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 + 2 * 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - 2 * (3 + 4) * 1 + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - (2 * 3 * 1 + 2 * 4 * 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "2 * (3 + 4) * 5 - (2 * 3 + 2 * 4) * 1 + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * 3 * 5 + 2 * 4 * 5 - (2 * 3 + 2 * 4) * 1 + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - 2 * (3 + 4) * 1 + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+        "2 * 3 * 5 - 2 * 3 * 1 + 2 * 4 * (5 - 1) + 6 * (7 + 2) + 12 / (9 - 5)",
+        "(2 * 3 + 2 * 4) * 5 - (2 * 3 + 2 * 4) * 1 + 6 * 7 + 6 * 2 + 12 / (9 - 5)",
+    ],
+}
+
+
 class TestEnumerate:
     def test_leaf_problem_contains_factored_class(self):
         e = parse_expr("5*11 - 2*11")
@@ -273,6 +418,13 @@ class TestEnumerate:
     def test_respects_limit(self):
         e = parse_expr("1 + 2 + 3 + 4")
         assert len(enumerate_permutations(e, 3, 5, seed=0)) <= 5
+
+    @pytest.mark.parametrize("text, seed", list(PINNED_SEARCH), ids=[
+        f"ops{sum(map(text.count, '+-*/'))}-seed{seed}" for text, seed in PINNED_SEARCH
+    ])
+    def test_search_is_pinned(self, text, seed):
+        out = enumerate_permutations(parse_expr(text), 3, 16, seed)
+        assert [to_text(x) for x in out] == PINNED_SEARCH[text, seed]
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):

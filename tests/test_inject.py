@@ -1,10 +1,12 @@
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from askbd import inject as inject_module
-from askbd.demo import build_labeled_corpus
+from askbd.cli import main
+from askbd.demo import build_demo, build_labeled_corpus
 from askbd.inject import (
     NoDeletableStep,
     NoReferencingOperand,
@@ -26,8 +28,9 @@ from askbd.records import (
     make_record,
     number_tokens,
     parse_structured_solution,
+    read_jsonl,
 )
-from askbd.exprs import eval_expr, parse_expr
+from askbd.exprs import DivisionByZero, eval_expr, eval_with_literal, format_value, parse_expr
 
 # One seed reproduces all four appendix-style rows on the leaf problem;
 # frozen after a search over the deterministic per-category generators.
@@ -207,3 +210,94 @@ class TestLabelOracle:
         )
         bad = verify_corpus([mislabeled])
         assert len(bad) == 1
+
+
+def _eager_reference_choices(record):
+    """Every eligible step of `inject_reference`, each with every eligible
+    operand and each of those with every usable (wrong operand, result)."""
+    conditions = set(condition_values(record.question))
+    choices = []
+    for step in record.steps:
+        if step.expression is None:
+            continue
+        tree = parse_expr(step.expression)
+        resolvable = conditions | inject_module._prior_results(record, step.index)
+        spots = []
+        for k, (start, end, value) in enumerate(number_tokens(step.expression)):
+            if value not in resolvable:
+                continue
+            usable = []
+            for offset in inject_module.OFFSETS:
+                new_value = value + offset
+                if new_value <= 0 or new_value in resolvable:
+                    continue
+                try:
+                    result = eval_with_literal(tree, k, new_value)
+                except DivisionByZero:
+                    continue
+                if result > 0 and result.denominator == 1:
+                    usable.append((new_value, result))
+            if usable:
+                spots.append((start, end, value, usable))
+        if spots:
+            choices.append((step, spots))
+    return choices
+
+
+def _eager_reference(record, choices, seed):
+    """`inject_reference` drawing from the fully listed, nonempty `choices`."""
+    rng = inject_module._rng(seed, record, "ref")
+    step, spots = choices[rng.randrange(len(choices))]
+    start, end, old_value, usable = spots[rng.randrange(len(spots))]
+    new_value, new_result = usable[rng.randrange(len(usable))]
+    new_expression = step.expression[:start] + format_value(new_value) + step.expression[end:]
+    statement = inject_module._swap_equation(
+        step.statement, new_expression, format_value(new_result)
+    )
+    statement = inject_module._swap_mentions_outside_equation(statement, old_value, new_value)
+    new_step = replace(
+        step, statement=statement, expression=new_expression, stated_result=new_result
+    )
+    steps = [new_step if s.index == step.index else s for s in record.steps]
+    label = ErrorLabel(step.index, "ref")
+    return inject_module._relabel(record, steps, label, seed), label
+
+
+def _assert_lazy_draw_is_eager(record, seeds):
+    choices = _eager_reference_choices(record)
+    for seed in seeds:
+        if not choices:
+            with pytest.raises(NoReferencingOperand):
+                inject_reference(record, seed)
+            continue
+        assert inject_reference(record, seed) == _eager_reference(record, choices, seed), (
+            record.record_id, seed)
+
+
+class TestReferenceDraw:
+    """`inject_reference` lists only what its three draws read; it must
+    draw what listing every (step, operand, offset) would have drawn."""
+
+    def test_equals_the_eager_draw_on_the_demo_and_its_candidates(self, tmp_path, capsys):
+        corpus = build_demo(tmp_path / "demo", n_questions=50)["corpus"]
+        candidates = tmp_path / "candidates.jsonl"
+        assert main(["gen-alt", "--k", "3", "--in", str(corpus), "--out", str(candidates)]) == 0
+        capsys.readouterr()
+        records = read_jsonl(corpus) + read_jsonl(candidates)
+        assert len(records) > 600
+        for record in records:
+            _assert_lazy_draw_is_eager(record, range(20))
+
+    def test_equals_the_eager_draw_under_a_division(self):
+        # only 9 resolves; it sits in the divisor, and 9 -> 5 zeros it
+        record = make_record(
+            question="A baker shares the cookies among 9 trays. How many per tray?",
+            steps=(SolutionStep(1, "Each tray gets 60 / (9 - 5) = 15 cookies.",
+                                "60 / (9 - 5)", Fraction(15)),),
+            answer=15,
+        )
+        choices = _eager_reference_choices(record)
+        [(_, [(_, _, operand, usable)])] = choices
+        assert operand == 9
+        assert [value for value, _ in usable] == [6, 7, 8, 10, 11]
+        _assert_lazy_draw_is_eager(record, range(20))
