@@ -330,11 +330,11 @@ def canonical_form(e: Expr) -> Expr:
     """Deterministic normal form: associative chains flattened and rebuilt
     left-leaning, commutative operands sorted by (value, structure) key,
     grouping flags dropped."""
-    return _canonical(e)[0]
+    return _canonical(e, {})[0]
 
 
 def _canonical(
-    e: Expr, memo: dict[int, tuple[Expr, Expr, Fraction]] | None = None
+    e: Expr, memo: dict[int, tuple[Expr, Expr, Fraction]]
 ) -> tuple[Expr, Fraction]:
     """(canonical form of `e`, value of `e`), evaluating each subtree once.
 
@@ -344,10 +344,9 @@ def _canonical(
     """
     if isinstance(e, Lit):
         return e, e.value
-    if memo is not None:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1], hit[2]
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1], hit[2]
     if e.op in "+*":
         operands = sorted(
             (_canonical(x, memo) for x in _chain(e, e.op)),
@@ -361,8 +360,7 @@ def _canonical(
         left, lv = _canonical(e.left, memo)
         right, rv = _canonical(e.right, memo)
         node, value = Bin(e.op, left, right), _apply(e.op, lv, rv)
-    if memo is not None:
-        memo[id(e)] = (e, node, value)
+    memo[id(e)] = (e, node, value)
     return node, value
 
 
