@@ -4,7 +4,9 @@ Recomputes every step's arithmetic and resolves every operand against the
 question's condition values and prior step results, then classifies the
 first discrepancy. Exact on corpora whose condition values, intermediate
 results, and answer are pairwise distinct (the shipped corpus generator
-enforces this).
+enforces this). Stated results are exact: the corpus reader refuses a
+`result` or `answer` written as a JSON number. `verify_corpus` decodes
+each distinct expression text and question once per pass.
 """
 
 from __future__ import annotations
@@ -25,7 +27,33 @@ from .records import (
 )
 
 
-def scan_record(record: SolutionRecord) -> ErrorLabel:
+class ScanMemo:
+    """What one pass has decoded, keyed by text alone: each expression's
+    exact value and number-token values, and each question's condition
+    values. Two steps with one expression text but different stated
+    results share an entry, since the stated result is not part of it."""
+
+    def __init__(self):
+        self.expressions: dict[str, tuple[Fraction, tuple[Fraction, ...]]] = {}
+        self.questions: dict[str, frozenset[Fraction]] = {}
+
+    def expression(self, text: str) -> tuple[Fraction, tuple[Fraction, ...]]:
+        """(value, number-token values) of the expression `text`."""
+        hit = self.expressions.get(text)
+        if hit is None:
+            value = eval_expr(parse_expr(text))
+            tokens = tuple(v for _, _, v in number_tokens(text))
+            hit = self.expressions[text] = (value, tokens)
+        return hit
+
+    def conditions(self, question: str) -> frozenset[Fraction]:
+        hit = self.questions.get(question)
+        if hit is None:
+            hit = self.questions[question] = frozenset(condition_values(question))
+        return hit
+
+
+def scan_record(record: SolutionRecord, memo: ScanMemo | None = None) -> ErrorLabel:
     """Locate the single (step, category) discrepancy, or the correct label.
 
     Decision order: a step whose stated result disagrees with its own
@@ -35,21 +63,25 @@ def scan_record(record: SolutionRecord) -> ErrorLabel:
     downstream (or a final result that misses the answer) marks a wrong
     reference; a single dangling operand on an otherwise consistent chain
     marks a missing step.
-    """
-    conditions = set(condition_values(record.question))
 
+    `memo` lets the records of one pass share decoded texts
+    (`verify_corpus` passes one).
+    """
+    if memo is None:
+        memo = ScanMemo()
     for step in record.steps:
         if step.expression is None:
             continue
-        if eval_expr(parse_expr(step.expression)) != step.stated_result:
+        if memo.expression(step.expression)[0] != step.stated_result:
             return ErrorLabel(step.index, CATEGORY_CALCULATION)
 
+    conditions = memo.conditions(record.question)
     unresolved: list[tuple[int, Fraction]] = []
     priors: set[Fraction] = set()
     for step in record.steps:
         if step.expression is None:
             continue
-        for _, _, value in number_tokens(step.expression):
+        for value in memo.expression(step.expression)[1]:
             if value not in conditions and value not in priors:
                 unresolved.append((step.index, value))
         priors.add(step.stated_result)
@@ -79,8 +111,9 @@ def scan_record(record: SolutionRecord) -> ErrorLabel:
 def verify_corpus(records) -> list[tuple[str, ErrorLabel, ErrorLabel]]:
     """(record id, gold, located) for every record the checker disagrees on."""
     mismatches = []
+    memo = ScanMemo()
     for record in records:
-        located = scan_record(record)
+        located = scan_record(record, memo)
         if located != record.label:
             mismatches.append((record.record_id, record.label, located))
     return mismatches

@@ -1,7 +1,9 @@
 """Question/solution records, step parsing, the JSONL codec, statistics.
 
-Records hold expressions as source strings (parse-validated at load) so
-files stay human-editable. LaTeX math markers in solution text are
+Records hold expressions as source strings so files stay human-editable.
+A corpus read parse-validates each distinct expression text and converts
+each distinct `result`/`answer` string once per file; those values must be
+JSON strings, never numbers. LaTeX math markers in solution text are
 normalized to plain operators at ingestion.
 """
 
@@ -301,14 +303,49 @@ def record_to_json(record: SolutionRecord) -> dict:
     return obj
 
 
-def record_from_json(obj: dict) -> SolutionRecord:
+class LoadMemo:
+    """The texts one corpus read has decoded: the expression texts that
+    parsed, and the value of each `result`/`answer` string. A text that
+    fails is never stored, so it fails again wherever it recurs."""
+
+    def __init__(self):
+        self.expressions: set[str] = set()
+        self.rationals: dict[str, Rational] = {}
+
+    def validate_expression(self, text) -> None:
+        _require_string(text, "expression")
+        if text not in self.expressions:
+            parse_expr(text)
+            self.expressions.add(text)
+
+    def rational(self, text, field: str) -> Rational:
+        _require_string(text, field)
+        value = self.rationals.get(text)
+        if value is None:
+            value = self.rationals[text] = parse_rational(text)
+        return value
+
+
+def _require_string(value, field: str) -> None:
+    # `record_to_json` writes strings; a JSON number such as 0.3 would
+    # load as its binary double, not 3/10
+    if type(value) is not str:
+        raise SchemaViolation(f"{field!r} must be a string, got {value!r}")
+
+
+def record_from_json(obj: dict, memo: LoadMemo | None = None) -> SolutionRecord:
+    """The record `obj` encodes. Each expression is parse-validated; `memo`
+    lets the records of one file share that work and the conversion of
+    repeated `result`/`answer` strings (`read_jsonl` passes one)."""
+    if memo is None:
+        memo = LoadMemo()
     try:
         steps = []
         for raw in obj["steps"]:
             expression = raw.get("expression")
             if expression is not None:
-                parse_expr(expression)  # parse-validated at load
-                result = parse_rational(raw["result"])
+                memo.validate_expression(expression)
+                result = memo.rational(raw["result"], "result")
             else:
                 result = None
             steps.append(
@@ -332,7 +369,7 @@ def record_from_json(obj: dict) -> SolutionRecord:
             record_id=obj["id"],
             question=obj["question"],
             steps=tuple(steps),
-            answer=parse_rational(obj["answer"]),
+            answer=memo.rational(obj["answer"], "answer"),
             origin=obj["origin"],
             label=label,
             lineage=lineage,
@@ -439,11 +476,13 @@ def read_jsonl_lines(path, what: str) -> Iterator[tuple[int, object]]:
 
 def read_jsonl(path) -> list[SolutionRecord]:
     """The records of the corpus at `path`; a bad record is a
-    SchemaViolation naming the file and the line."""
+    SchemaViolation naming the file and the line. Each distinct expression
+    text and `result`/`answer` string is decoded once per file."""
     records = []
+    memo = LoadMemo()
     for number, obj in read_jsonl_lines(path, "corpus"):
         try:
-            records.append(record_from_json(obj))
+            records.append(record_from_json(obj, memo))
         except SchemaViolation as err:
             raise SchemaViolation(f"bad record in corpus {path}: {err}", line=number) from err
     return records

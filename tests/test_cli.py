@@ -263,6 +263,28 @@ def test_a_zero_denominator_in_a_corpus_exits_2_naming_the_file_and_line(
         assert str(corpus) in err and "(line 2)" in err and "zero denominator" in err
 
 
+@pytest.mark.parametrize("field, value", [("answer", 33), ("result", True), ("result", 0.5)])
+def test_a_numeric_result_or_answer_in_a_corpus_exits_2_naming_the_field(
+    tmp_path, capsys, field, value
+):
+    info = build_demo(tmp_path / "demo", n_questions=1)
+    lines = info["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = json.loads(lines[1])
+    if field == "answer":
+        bad["answer"] = value
+    else:
+        bad["steps"][0]["result"] = value
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(lines[0] + json.dumps(bad) + "\n", encoding="utf-8")
+    for command in (["gen-alt", "--k", "3"], ["inject", "--category", "all"]):
+        argv = command + ["--in", str(corpus), "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 2, command[0]
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "Traceback" not in err
+        assert str(corpus) in err and "(line 2)" in err
+        assert f"'{field}' must be a string, got {value!r}" in err
+
+
 def test_a_too_deep_expression_in_a_corpus_exits_2_naming_the_file_and_line(
     tmp_path, capsys
 ):

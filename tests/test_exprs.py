@@ -196,6 +196,21 @@ class TestCanonical:
         )
 
 
+class TestHash:
+    def test_a_hashed_node_and_an_equal_unhashed_one_agree(self, rng):
+        for _ in range(200):
+            e = random_expr(rng)
+            text = to_text(e, "step_brackets")
+            hashed, fresh = parse_expr(text), parse_expr(text)
+            hash(hashed)  # caches the hash of every node of `hashed`
+            assert hashed == fresh and hash(hashed) == hash(fresh)
+            assert fresh in {hashed} and hashed in {fresh: None}
+            # a new tree over a hashed subtree hashes as one built fresh
+            if isinstance(hashed, Bin):
+                rebuilt = Bin(hashed.op, hashed.left, fresh.right, hashed.grouped)
+                assert rebuilt == fresh and hash(rebuilt) == hash(fresh)
+
+
 class TestToText:
     def test_step_brackets_one_pair_per_node(self):
         assert to_text(parse_expr("(5-2)*11"), "step_brackets") == "((5 - 2) * 11)"

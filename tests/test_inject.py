@@ -18,7 +18,7 @@ from askbd.inject import (
     inject_missing,
     inject_reference,
 )
-from askbd.label_oracle import scan_record, verify_corpus
+from askbd.label_oracle import ScanMemo, scan_record, verify_corpus
 from askbd.records import (
     CATEGORIES,
     CORRECT_LABEL,
@@ -29,6 +29,7 @@ from askbd.records import (
     number_tokens,
     parse_structured_solution,
     read_jsonl,
+    write_jsonl,
 )
 from askbd.exprs import DivisionByZero, eval_expr, eval_with_literal, format_value, parse_expr
 
@@ -210,6 +211,34 @@ class TestLabelOracle:
         )
         bad = verify_corpus([mislabeled])
         assert len(bad) == 1
+
+    def test_a_shared_memo_locates_what_fresh_scans_locate(self, tmp_path):
+        info = build_demo(tmp_path / "demo", n_questions=4)
+        sources = tmp_path / "sources.jsonl"
+        write_jsonl([r for r in read_jsonl(info["corpus"]) if not r.label.is_error], sources)
+        injected = tmp_path / "inj.jsonl"
+        assert main(["inject", "--category", "all", "--in", str(sources),
+                     "--out", str(injected)]) == 0
+        corpus = read_jsonl(sources) + read_jsonl(injected)
+        # a source and its calc-injected copy: one expression text, two results
+        by_id = {r.record_id: r for r in corpus}
+        pairs = [
+            (by_id[r.lineage["source_id"]].steps[r.label.step - 1], r.steps[r.label.step - 1])
+            for r in corpus if r.label.category == "calc"
+        ]
+        assert any(s.expression == c.expression and s.stated_result != c.stated_result
+                   for s, c in pairs)
+
+        fresh = [scan_record(r) for r in corpus]
+        memo = ScanMemo()
+        assert [scan_record(r, memo) for r in corpus] == fresh
+        assert fresh == [r.label for r in corpus]
+        assert verify_corpus(corpus) == []
+        # and where the gold label is wrong, the mismatches are the fresh ones
+        mislabeled = [replace(r, label=ErrorLabel(1, "halluc")) for r in corpus]
+        expected = [(r.record_id, r.label, located)
+                    for r, located in zip(mislabeled, fresh) if located != r.label]
+        assert expected and verify_corpus(mislabeled) == expected
 
 
 def _eager_reference_choices(record):

@@ -1,11 +1,17 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from askbd import records
+from askbd.inject import inject_batch
+from askbd.label_oracle import scan_record
 from askbd.records import (
     CATEGORIES,
+    CORRECT_LABEL,
     ErrorLabel,
+    LoadMemo,
     MissingStepMarkers,
     NonContiguousIndices,
     SchemaViolation,
@@ -13,6 +19,7 @@ from askbd.records import (
     SolutionStep,
     compute_stats,
     condition_values,
+    jsonl_line,
     make_record,
     normalize_math_text,
     parse_structured_solution,
@@ -164,6 +171,54 @@ class TestJsonl:
             obj["steps"][0]["result"] = "1/0"
         with pytest.raises(SchemaViolation, match="zero denominator"):
             record_from_json(obj)
+
+    def test_a_float_result_is_refused_not_read_as_its_double(self):
+        # read as a float, 0.3 is 5404319552844595/18014398509481984 and the
+        # label oracle would call this correct step a calculation error
+        step = {"index": 1, "statement": "Together they hold 0.1 + 0.2 = 0.3 litres.",
+                "expression": "0.1 + 0.2", "result": 0.3}
+        obj = {"id": "f", "question": "A cup holds 0.1 litres and a glass 0.2 litres. "
+               "How much do both hold?", "steps": [step], "answer": "0.3", "origin": "D",
+               "label": {"step": 1, "category": "calc"}}
+        with pytest.raises(SchemaViolation, match="'result' must be a string, got 0.3"):
+            record_from_json(obj)
+        step["result"] = "0.3"
+        assert scan_record(record_from_json(obj)) == CORRECT_LABEL
+
+    def test_each_distinct_expression_is_parsed_once_per_file(
+        self, tmp_path, leaf_record, monkeypatch
+    ):
+        corpus = [leaf_record] + [r for r, _ in inject_batch([leaf_record], seed=1)]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, path)
+        texts = [s.expression for r in corpus for s in r.steps if s.expression is not None]
+        assert len(set(texts)) < len(texts)
+        parsed = Counter()
+        parse_expr = records.parse_expr
+        monkeypatch.setattr(
+            records, "parse_expr", lambda text: parsed.update([text]) or parse_expr(text)
+        )
+        assert read_jsonl(path) == corpus
+        assert parsed == Counter(set(texts))
+        # each read is a pass of its own
+        assert read_jsonl(path) == corpus
+        assert parsed == Counter({text: 2 for text in texts})
+
+    def test_a_repeated_bad_expression_fails_at_its_first_line(self, tmp_path, leaf_record):
+        good = record_to_json(leaf_record)
+        bad = record_to_json(leaf_record)
+        bad["steps"][0]["expression"] = "5 +"
+        path = tmp_path / "corpus.jsonl"
+        path.write_text("".join(jsonl_line(obj) for obj in (good, bad, good, bad)))
+        with pytest.raises(SchemaViolation) as err:
+            read_jsonl(path)
+        assert err.value.line == 2
+        # a text that failed is not remembered as read
+        memo = LoadMemo()
+        for _ in range(2):
+            with pytest.raises(SchemaViolation, match="end of input"):
+                record_from_json(bad, memo)
+        assert "5 +" not in memo.expressions
 
     def test_label_serialization(self, leaf_record):
         obj = record_to_json(leaf_record)
