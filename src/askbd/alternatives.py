@@ -2,18 +2,16 @@
 
 Compose a record's step-wise arithmetic into one solving expression by
 back-substitution, permute it with value-preserving rewrites, and explain
-the permuted expression back into steps (one step per bracket pair).
-Every stage re-applies the execution filter: anything that stops
+the permuted expression back into templated steps (one step per bracket
+pair). Every stage re-applies the execution filter: anything that stops
 evaluating to the gold answer is discarded.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from . import backends
 from .exprs import (
     MAX_DEPTH,
     Bin,
@@ -32,13 +30,10 @@ from .records import (
     SolutionStep,
     condition_values,
     make_record,
-    parse_structured_solution,
 )
 
-log = logging.getLogger(__name__)
-
+# every candidate is explained by template; records keep the `route` key
 ROUTE_TEMPLATED = "templated"
-ROUTE_BACKEND = "backend"
 
 
 class CompositionError(ValueError):
@@ -69,15 +64,10 @@ class NoPermutationsAvailable(RuntimeError):
     pass
 
 
-class BackendExplainInvalid(RuntimeError):
-    """Backend-explained steps failed the re-composition check."""
-
-
 @dataclass(frozen=True)
 class AlternativeCandidate:
     expr: Expr
     steps: tuple[SolutionStep, ...]
-    route: str
 
 
 def _as_grouped(e: Expr) -> Expr:
@@ -146,22 +136,15 @@ def permute_solving_expression(
     return enumerate_permutations(expr, max_rewrites=max_rewrites, limit=limit, seed=seed)
 
 
-_EXPLAIN_INSTRUCTION = """\
-Rewrite the bracketed <expression> below as a step-by-step solution to the \
-<question>. Interpret each pair of brackets as one distinct step, working \
-from the innermost brackets outward. Respond with one line per step, \
-formatted as "Step X. <one sentence explaining the step, ending with its \
-calculation in the form a + b = c>". The final step must arrive at {answer}.
-
-<question> {question} <expression> {expression}
-
-Now, please start to respond."""
-
-
-def _bracket_steps(e: Expr) -> list[tuple[str, Fraction, Fraction, Fraction]]:
-    """One (op, left value, right value, result) per binary node, in
-    evaluation order."""
-    steps: list[tuple[str, Fraction, Fraction, Fraction]] = []
+def explain_expression(e: Expr) -> list[SolutionStep]:
+    """Templated solution steps for a bracketed expression: one
+    `Compute a op b = c.` step per binary node in evaluation order, or one
+    `The answer is n.` step for a bare literal."""
+    if isinstance(e, Lit):
+        text = format_value(e.value)
+        return [SolutionStep(index=1, statement=f"The answer is {text}.",
+                             expression=text, stated_result=e.value)]
+    steps: list[SolutionStep] = []
 
     def walk(node: Expr) -> Fraction:
         if isinstance(node, Lit):
@@ -169,108 +152,40 @@ def _bracket_steps(e: Expr) -> list[tuple[str, Fraction, Fraction, Fraction]]:
         lv = walk(node.left)
         rv = walk(node.right)
         value = eval_expr(Bin(node.op, Lit(lv), Lit(rv)))
-        steps.append((node.op, lv, rv, value))
+        calculation = f"{format_value(lv)} {node.op} {format_value(rv)}"
+        steps.append(
+            SolutionStep(
+                index=len(steps) + 1,
+                statement=f"Compute {calculation} = {format_value(value)}.",
+                expression=calculation,
+                stated_result=value,
+            )
+        )
         return value
 
     walk(e)
     return steps
 
 
-def explain_expression(
-    question: str,
-    e: Expr,
-    route: str = ROUTE_TEMPLATED,
-    profile: backends.BackendProfile | None = None,
-    backend=None,
-    params: backends.GenerationParams = backends.GenerationParams(temperature=0.7),
-) -> list[SolutionStep]:
-    """Turn a bracketed expression into solution steps.
-
-    The templated route is deterministic text; the backend route asks a
-    generation profile and validates the output by re-parsing the steps
-    and re-composing them to the expression's value.
-    """
-    if route == ROUTE_TEMPLATED:
-        rows = _bracket_steps(e)
-        if not rows:
-            value = eval_expr(e)
-            return [
-                SolutionStep(
-                    index=1,
-                    statement=f"The answer is {format_value(value)}.",
-                    expression=format_value(value),
-                    stated_result=value,
-                )
-            ]
-        steps = []
-        for position, (op, lv, rv, value) in enumerate(rows, start=1):
-            calculation = f"{format_value(lv)} {op} {format_value(rv)}"
-            steps.append(
-                SolutionStep(
-                    index=position,
-                    statement=f"Compute {calculation} = {format_value(value)}.",
-                    expression=calculation,
-                    stated_result=value,
-                )
-            )
-        return steps
-
-    if route != ROUTE_BACKEND:
-        raise ValueError(f"unknown explain route {route!r}")
-    if profile is None or backend is None:
-        raise ValueError("backend route needs a generation profile and its opened backend")
-    prompt = _EXPLAIN_INSTRUCTION.format(
-        question=question,
-        expression=to_text(e, "step_brackets"),
-        answer=format_value(eval_expr(e)),
-    )
-    response = backends.generate(
-        profile, [{"role": "user", "content": prompt}], params, backend=backend
-    )
-    try:
-        steps = parse_structured_solution(response)
-        candidate = make_record(
-            question=question,
-            steps=steps,
-            answer=eval_expr(e),
-            origin=ORIGIN_ALTERNATIVE,
-        )
-        compose_solving_expression(candidate)
-    except (ValueError, CompositionError) as err:
-        raise BackendExplainInvalid(f"backend explanation rejected: {err}") from err
-    return steps
-
-
 def generate_alternatives(
-    record: SolutionRecord,
-    k: int = 3,
-    seed: int = 0,
-    max_rewrites: int = 3,
-    route: str = ROUTE_TEMPLATED,
-    profile: backends.BackendProfile | None = None,
-    backend=None,
+    record: SolutionRecord, k: int = 3, seed: int = 0, max_rewrites: int = 3
 ) -> list[AlternativeCandidate]:
-    """Up to `k` verified candidates, distinct by canonical form."""
+    """Up to `k` verified candidates, distinct by canonical form. A record
+    with an error label is no source: its D′ would pair with a wrong
+    solution."""
+    if record.label.is_error:
+        raise CompositionError(f"record {record.record_id} carries an error label")
     if k == 0:
         return []
     permuted = permute_solving_expression(
-        compose_solving_expression(record), max_rewrites, max(2 * k, k + 4), seed
+        compose_solving_expression(record), max_rewrites, k, seed
     )
-    candidates: list[AlternativeCandidate] = []
-    for expr in permuted:
-        if len(candidates) >= k:
-            break
-        try:
-            steps = explain_expression(
-                record.question, expr, route=route, profile=profile, backend=backend
-            )
-        except BackendExplainInvalid as err:
-            log.info("dropping candidate for %s: %s", record.record_id, err)
-            continue
-        candidates.append(AlternativeCandidate(expr=expr, steps=tuple(steps), route=route))
-    if not candidates:
+    if not permuted:
         raise NoPermutationsAvailable(f"record {record.record_id}: no rewrite applies")
-    return candidates
+    return [
+        AlternativeCandidate(expr=expr, steps=tuple(explain_expression(expr)))
+        for expr in permuted
+    ]
 
 
 def candidate_to_record(
@@ -287,5 +202,5 @@ def candidate_to_record(
         lineage={"source_id": source.record_id, "seed": seed},
         candidate_rank=rank,
         permuted_expression=to_text(candidate.expr, "step_brackets"),
-        route=candidate.route,
+        route=ROUTE_TEMPLATED,
     )

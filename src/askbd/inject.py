@@ -10,7 +10,6 @@ its source only in the region implied by the category.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import replace
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -25,9 +24,9 @@ from .records import (
     ErrorLabel,
     SolutionRecord,
     SolutionStep,
-    compute_record_id,
     condition_values,
     last_equation,
+    make_record,
     number_tokens,
 )
 
@@ -56,22 +55,6 @@ def _rng(seed: int, record: SolutionRecord, category: str) -> random.Random:
     return random.Random(f"{seed}|{category}|{record.record_id}")
 
 
-def _relabel(
-    record: SolutionRecord, steps: Iterable[SolutionStep], label: ErrorLabel, seed: int
-) -> SolutionRecord:
-    steps = tuple(steps)
-    lineage = {"source_id": record.record_id, "seed": seed}
-    return SolutionRecord(
-        record_id=compute_record_id(record.question, record.origin, label, steps),
-        question=record.question,
-        steps=steps,
-        answer=record.answer,
-        origin=record.origin,
-        label=label,
-        lineage=lineage,
-    )
-
-
 def _swap_equation(statement: str, new_lhs: str | None, new_rhs: str) -> str:
     """Rewrite the trailing `lhs = rhs` calculation inside a statement."""
     match = last_equation(statement)
@@ -88,14 +71,16 @@ def _swap_equation(statement: str, new_lhs: str | None, new_rhs: str) -> str:
 
 
 def _swap_mentions_outside_equation(statement: str, old: Fraction, new: Fraction) -> str:
-    """Replace standalone mentions of `old` outside the trailing equation."""
+    """Replace each number mention of value `old` outside the trailing
+    equation, matching numbers by the rule `number_tokens` applies."""
     match = last_equation(statement)
-    token = re.compile(rf"(?<![\d.]){re.escape(format_value(old))}(?![\d.])")
-    if match is None:
-        return token.sub(format_value(new), statement)
-    head = token.sub(format_value(new), statement[: match.start()])
-    tail = token.sub(format_value(new), statement[match.end():])
-    return head + statement[match.start(): match.end()] + tail
+    equation = (match.start(), match.end()) if match else (len(statement), len(statement))
+    pieces, done = [], 0
+    for start, end, value in number_tokens(statement):
+        if value == old and (end <= equation[0] or start >= equation[1]):
+            pieces += [statement[done:start], format_value(new)]
+            done = end
+    return "".join(pieces) + statement[done:]
 
 
 def _prior_results(record: SolutionRecord, before_index: int) -> set[Fraction]:
@@ -123,7 +108,9 @@ def inject_calculation(record: SolutionRecord, seed: int) -> tuple[SolutionRecor
     )
     steps = [new_step if s.index == step.index else s for s in record.steps]
     label = ErrorLabel(step.index, CATEGORY_CALCULATION)
-    return _relabel(record, steps, label, seed), label
+    derived = make_record(record.question, steps, record.answer, record.origin, label,
+                          lineage={"source_id": record.record_id, "seed": seed})
+    return derived, label
 
 
 def _usable_swaps(
@@ -196,15 +183,25 @@ def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord,
     )
     steps = [new_step if s.index == step.index else s for s in record.steps]
     label = ErrorLabel(step.index, CATEGORY_REFERENCE)
-    return _relabel(record, steps, label, seed), label
+    derived = make_record(record.question, steps, record.answer, record.origin, label,
+                          lineage={"source_id": record.record_id, "seed": seed})
+    return derived, label
 
 
 def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
-    """Delete a supporting step; its consumer keeps the dangling operand."""
+    """Delete a supporting step; its consumer keeps the dangling operand.
+
+    A step is deletable when a later step consumes its result and, at the
+    first consumer, that result resolves neither from the question's values
+    nor from another earlier step's result; otherwise the consumer still
+    reads as correct and the label would be unsound.
+    """
     rng = _rng(seed, record, CATEGORY_MISSING)
     if len(record.steps) < 2:
         raise NoDeletableStep(f"record {record.record_id} has a single step")
 
+    conditions = set(condition_values(record.question))
+    consumed = False
     deletable: list[tuple[SolutionStep, int]] = []  # (step, index of first consumer)
     for step in record.steps:
         if step.expression is None:
@@ -216,9 +213,22 @@ def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, E
             if any(v == step.stated_result for _, _, v in number_tokens(later.expression)):
                 consumer = later.index
                 break
-        if consumer is not None:
+        if consumer is None:
+            continue
+        consumed = True
+        elsewhere = conditions | {
+            s.stated_result
+            for s in record.steps
+            if s.expression is not None and s.index < consumer and s.index != step.index
+        }
+        if step.stated_result not in elsewhere:
             deletable.append((step, consumer))
     if not deletable:
+        if consumed:
+            raise NoDeletableStep(
+                f"record {record.record_id}: every consumed result also resolves "
+                "from the question or another earlier step"
+            )
         raise NoDeletableStep(f"record {record.record_id}: no result is consumed later")
 
     step, consumer = deletable[rng.randrange(len(deletable))]
@@ -226,7 +236,9 @@ def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, E
     renumbered = [replace(s, index=i) for i, s in enumerate(kept, start=1)]
     # the consumer sits after the deleted step, so it shifts down by one
     label = ErrorLabel(consumer - 1, CATEGORY_MISSING)
-    return _relabel(record, renumbered, label, seed), label
+    derived = make_record(record.question, renumbered, record.answer, record.origin, label,
+                          lineage={"source_id": record.record_id, "seed": seed})
+    return derived, label
 
 
 def inject_hallucination(
@@ -260,7 +272,9 @@ def inject_hallucination(
     )
     steps = list(record.steps) + [appended]
     label = ErrorLabel(appended.index, CATEGORY_HALLUCINATION)
-    return _relabel(record, steps, label, seed), label
+    derived = make_record(record.question, steps, record.answer, record.origin, label,
+                          lineage={"source_id": record.record_id, "seed": seed})
+    return derived, label
 
 
 _INJECTORS = {
@@ -275,9 +289,13 @@ def inject(
     record: SolutionRecord, category: str, seed: int
 ) -> tuple[SolutionRecord, ErrorLabel]:
     """One error of `category` injected into `record`, at a location drawn
-    from `seed`; raises an InjectionError where the category cannot apply."""
+    from `seed`; raises an InjectionError where the category cannot apply
+    or `record` already has an error, since its gold label could name only
+    one of the two."""
     if category not in _INJECTORS:
         raise ValueError(f"unknown category {category!r}")
+    if record.label.is_error:
+        raise InjectionError(f"record {record.record_id} already carries an error label")
     return _INJECTORS[category](record, seed)
 
 

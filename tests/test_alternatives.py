@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from askbd.alternatives import (
-    BackendExplainInvalid,
     CompositionError,
     NoPermutationsAvailable,
     UnresolvableOperand,
@@ -15,15 +14,8 @@ from askbd.alternatives import (
     generate_alternatives,
     permute_solving_expression,
 )
-from askbd.backends import (
-    CAP_GENERATE,
-    BackendProfile,
-    ExchangeStore,
-    GenerationParams,
-    generate_fingerprint,
-)
 from askbd.exprs import canonical_form, eval_expr, parse_expr, to_text
-from askbd.records import SolutionStep, make_record
+from askbd.records import ErrorLabel, SolutionStep, make_record
 
 
 def simple_record(statements, answer, question="A question mentioning 3 and 4 and 7."):
@@ -102,7 +94,7 @@ class TestPermute:
 
 class TestExplainTemplated:
     def test_factored_leaf_two_steps(self):
-        steps = explain_expression("q", parse_expr("(5 - 2) * 11"))
+        steps = explain_expression(parse_expr("(5 - 2) * 11"))
         assert len(steps) == 2
         assert steps[0].expression == "5 - 2"
         assert steps[0].stated_result == 3
@@ -110,74 +102,19 @@ class TestExplainTemplated:
         assert steps[1].stated_result == 33
 
     def test_single_literal_one_step(self):
-        steps = explain_expression("q", parse_expr("7"))
+        steps = explain_expression(parse_expr("7"))
         assert len(steps) == 1
         assert steps[0].stated_result == 7
 
     def test_steps_recompose_to_value(self, leaf_record):
         composed = compose_solving_expression(leaf_record)
         for expr in permute_solving_expression(composed, max_rewrites=2, limit=8, seed=0):
-            steps = explain_expression(leaf_record.question, expr)
+            steps = explain_expression(expr)
             rebuilt = make_record(
                 question=leaf_record.question, steps=steps, answer=leaf_record.answer
             )
             again = compose_solving_expression(rebuilt)
             assert eval_expr(again) == leaf_record.answer
-
-
-def scripted_explain_backend(question, expr, response, model="m"):
-    from askbd.alternatives import _EXPLAIN_INSTRUCTION
-    from askbd.exprs import eval_expr, format_value
-
-    prompt = _EXPLAIN_INSTRUCTION.format(
-        question=question,
-        expression=to_text(expr, "step_brackets"),
-        answer=format_value(eval_expr(expr)),
-    )
-    params = GenerationParams(temperature=0.7)
-    key = generate_fingerprint(model, [{"role": "user", "content": prompt}], params)
-    return ExchangeStore({key: {"response": response}}, model)
-
-
-EXPLAIN_PROFILE = BackendProfile(
-    name="explainer", endpoint="scripted:unused", model="m",
-    capabilities=frozenset({CAP_GENERATE}),
-)
-
-
-class TestExplainBackend:
-    def test_valid_backend_steps_pass_filter(self, leaf_record):
-        expr = parse_expr("(5 - 2) * 11")
-        response = (
-            "Step 1. The forward gain per gust is 5 - 2 = 3. "
-            "Step 2. Over 11 gusts that is 3 × 11 = 33."
-        )
-        backend = scripted_explain_backend(leaf_record.question, expr, response)
-        steps = explain_expression(
-            leaf_record.question, expr, route="backend",
-            profile=EXPLAIN_PROFILE, backend=backend,
-        )
-        assert len(steps) == 2
-        assert steps[-1].stated_result == 33
-
-    def test_bad_backend_steps_rejected(self, leaf_record):
-        expr = parse_expr("(5 - 2) * 11")
-        response = "Step 1. Nonsense: 5 - 2 = 4. Step 2. More nonsense: 4 × 11 = 44."
-        backend = scripted_explain_backend(leaf_record.question, expr, response)
-        with pytest.raises(BackendExplainInvalid):
-            explain_expression(
-                leaf_record.question, expr, route="backend",
-                profile=EXPLAIN_PROFILE, backend=backend,
-            )
-
-    def test_backend_route_needs_profile_and_backend(self, leaf_record):
-        expr = parse_expr("(5 - 2) * 11")
-        for profile, backend in ((None, ExchangeStore({}, "m")), (EXPLAIN_PROFILE, None)):
-            with pytest.raises(ValueError, match="backend route needs"):
-                explain_expression(
-                    leaf_record.question, expr, route="backend",
-                    profile=profile, backend=backend,
-                )
 
 
 class TestGenerateAlternatives:
@@ -186,6 +123,11 @@ class TestGenerateAlternatives:
         assert 1 <= len(candidates) <= 3
         classes = {canonical_form(c.expr) for c in candidates}
         assert canonical_form(parse_expr("(5 - 2) * 11")) in classes
+
+    def test_an_erroneous_record_is_no_source(self, leaf_record):
+        wrong = replace(leaf_record, label=ErrorLabel(3, "calc"))
+        with pytest.raises(CompositionError, match="error label"):
+            generate_alternatives(wrong, k=3, seed=0)
 
     def test_k_zero(self, leaf_record):
         assert generate_alternatives(leaf_record, k=0) == []

@@ -325,6 +325,21 @@ class TestDataConstructionIsPinned:
         assert hashlib.sha256(injected.read_bytes()).hexdigest() == self.INJECTED_SHA256
 
 
+def test_gen_alt_and_inject_take_only_error_free_sources(tmp_path, capsys):
+    corpus = build_demo(tmp_path / "demo", n_questions=4)["corpus"]
+    error_free = {r.record_id for r in read_jsonl(corpus) if not r.label.is_error}
+    candidates, injected = tmp_path / "cand.jsonl", tmp_path / "inj.jsonl"
+    assert main(["gen-alt", "--in", str(corpus), "--out", str(candidates), "--k", "3"]) == 0
+    assert main(["inject", "--category", "all", "--in", str(corpus),
+                 "--out", str(injected)]) == 0
+    err = capsys.readouterr().err
+    assert "carries an error label" in err
+    for path, count in ((candidates, 10), (injected, 32)):
+        sources = [r.lineage["source_id"] for r in read_jsonl(path)]
+        assert len(sources) == count
+        assert set(sources) <= error_free
+
+
 class TestScoreLikelihoodCli:
     def test_scores_and_analysis(self, demo_dir, tmp_path):
         scores = tmp_path / "scores.jsonl"

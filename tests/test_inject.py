@@ -8,6 +8,7 @@ from askbd import inject as inject_module
 from askbd.cli import main
 from askbd.demo import build_demo, build_labeled_corpus
 from askbd.inject import (
+    InjectionError,
     NoDeletableStep,
     NoReferencingOperand,
     NoExpressionStep,
@@ -157,6 +158,44 @@ class TestInjectionProperties:
         with pytest.raises(NoDeletableStep):
             inject_missing(record, 0)
 
+    def test_a_result_the_consumer_resolves_elsewhere_is_not_deleted(self):
+        # 12 is also a question value, so `12 + 12` reads as correct without step 1
+        record = make_record(
+            question="A crate holds 3 rows of 4 jars, and a shelf holds 12 jars. How many?",
+            steps=parse_structured_solution(
+                "Step 1. The crate holds 3 * 4 = 12 jars. Step 2. Together 12 + 12 = 24 jars."
+            ),
+            answer=24,
+        )
+        assert scan_record(record) == CORRECT_LABEL
+        for seed in range(20):
+            with pytest.raises(NoDeletableStep, match="also resolves"):
+                inject_missing(record, seed)
+
+    def test_ref_swaps_a_mention_before_a_full_stop(self):
+        record = make_record(
+            question="Tom buys 5 boxes with 7 pens in each box. How many pens?",
+            steps=parse_structured_solution("Step 1. Tom buys 5. So 5 * 7 = 35 pens."),
+            answer=35,
+        )
+        swapped = 0
+        for seed in range(20):
+            injected, _ = inject_reference(record, seed)
+            step = injected.steps[0]
+            boxes = number_tokens(step.expression)[0][2]
+            assert step.statement == (
+                f"Tom buys {format_value(boxes)}. So {step.expression} = "
+                f"{format_value(step.stated_result)} pens."
+            )
+            swapped += boxes != 5
+        assert swapped
+
+    def test_an_erroneous_record_takes_no_second_error(self, leaf_record):
+        wrong, _ = inject_calculation(leaf_record, 0)
+        for category in CATEGORIES:
+            with pytest.raises(InjectionError, match="already carries an error label"):
+                inject(wrong, category, 0)
+
     def test_no_expression_step(self):
         record = make_record(
             question="q 1", steps=(SolutionStep(1, "prose only"),), answer=1
@@ -289,7 +328,9 @@ def _eager_reference(record, choices, seed):
     )
     steps = [new_step if s.index == step.index else s for s in record.steps]
     label = ErrorLabel(step.index, "ref")
-    return inject_module._relabel(record, steps, label, seed), label
+    derived = make_record(record.question, steps, record.answer, record.origin, label,
+                          lineage={"source_id": record.record_id, "seed": seed})
+    return derived, label
 
 
 def _assert_lazy_draw_is_eager(record, seeds):
