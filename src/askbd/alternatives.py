@@ -17,6 +17,7 @@ from .exprs import (
     Bin,
     Expr,
     Lit,
+    apply_op,
     depth,
     enumerate_permutations,
     eval_expr,
@@ -151,7 +152,7 @@ def explain_expression(e: Expr) -> list[SolutionStep]:
             return node.value
         lv = walk(node.left)
         rv = walk(node.right)
-        value = eval_expr(Bin(node.op, Lit(lv), Lit(rv)))
+        value = apply_op(node.op, lv, rv)
         calculation = f"{format_value(lv)} {node.op} {format_value(rv)}"
         steps.append(
             SolutionStep(

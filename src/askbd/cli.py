@@ -42,7 +42,7 @@ from .evaluate import (
     render_report_markdown,
     render_results_csv,
 )
-from .inject import InjectionError, inject
+from .inject import ErroneousSource, InjectionError, inject
 from .records import (
     CATEGORIES,
     RecordError,
@@ -227,13 +227,16 @@ def cmd_inject(args) -> int:
     for record in records:
         for category in categories:
             try:
-                injected, _ = inject(record, category, args.seed)
+                out.append(inject(record, category, args.seed))
+            except ErroneousSource as err:
+                # refused before any category applies, so one line covers them all
+                failures += len(categories)
+                print(f"cannot inject into {record.record_id}: {err}", file=sys.stderr)
+                break
             except InjectionError as err:
                 failures += 1
                 print(f"cannot inject {category} into {record.record_id}: {err}",
                       file=sys.stderr)
-                continue
-            out.append(injected)
     write_jsonl(out, args.out)
     print(f"injected {len(out)} records ({failures} skipped) -> {args.out}")
     return EXIT_OK

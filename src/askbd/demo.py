@@ -26,28 +26,18 @@ from .backends import GenerationParams, cassette_line, generate_fingerprint
 from .detect import (
     STRATEGY_ASKBD_COT,
     STRATEGY_COT,
+    TAG_CORRECT,
+    TAG_SECONDARY,
+    TAG_SPELLINGS,
     cqe_prompt,
     grading_prompt,
     sqr_prompt,
     ssi_prompt,
 )
-from .inject import InjectionError, inject_batch
-from .records import (
-    CATEGORIES,
-    SolutionRecord,
-    SolutionStep,
-    condition_values,
-    make_record,
-    number_tokens,
-    write_jsonl,
-)
-
-_CATEGORY_SPELLING = {
-    "calc": "calculation error",
-    "ref": "reference error",
-    "missing": "missing step",
-    "halluc": "hallucination",
-}
+from .exprs import eval_expr, format_value, parse_expr
+from .inject import InjectionError, inject
+from .label_oracle import oracle_clean
+from .records import CATEGORIES, SolutionRecord, SolutionStep, make_record, write_jsonl
 
 NAMES = ("Avery", "Brooke", "Casey", "Devin", "Elliot", "Frankie", "Harper", "Jordan")
 
@@ -146,39 +136,11 @@ def _build_record(question: str, rows, answer: int) -> SolutionRecord:
     return make_record(question=question, steps=steps, answer=answer)
 
 
-def oracle_clean(record: SolutionRecord) -> bool:
-    """Invariants that make the recompute-and-resolve checker exact:
-    distinct positive integer values, full resolvability, and each
-    non-final result consumed exactly once."""
-    conditions = condition_values(record.question)
-    results = [s.stated_result for s in record.steps if s.expression is not None]
-    if not results or results[-1] != record.answer:
-        return False
-    values = list(set(conditions)) + results
-    if len(set(values)) != len(values):
-        return False
-    for value in values:
-        if value <= 0 or value.denominator != 1:
-            return False
-    condition_set = set(conditions)
-    priors: list[Fraction] = []
-    consumption = {r: 0 for r in results}
-    for step in record.steps:
-        if step.expression is None:
-            continue
-        for _, _, operand in number_tokens(step.expression):
-            if operand in consumption and operand in priors:
-                consumption[operand] += 1
-            elif operand not in condition_set:
-                return False
-        priors.append(step.stated_result)
-    return all(count == 1 for result, count in consumption.items() if result != record.answer)
-
-
 def _injectable(record: SolutionRecord) -> bool:
     # eligibility is seed-independent, so one probe covers every seed
     try:
-        list(inject_batch([record], seed=0))
+        for category in CATEGORIES:
+            inject(record, category, 0)
     except InjectionError:
         return False
     return True
@@ -232,7 +194,8 @@ def build_labeled_corpus(
     """(conventional, alternative, injected): n + n correct records plus
     4 erroneous records per correct one."""
     conventional, alternative = build_paired_corpus(n, seed=seed)
-    injected = [rec for rec, _ in inject_batch(conventional + alternative, seed=seed)]
+    injected = [inject(record, category, seed)
+                for record in conventional + alternative for category in CATEGORIES]
     return conventional, alternative, injected
 
 
@@ -249,31 +212,30 @@ ACCURACY_TARGETS = {
 def _tags_for(record: SolutionRecord, correct: bool, rng: random.Random) -> list[str]:
     n = len(record.steps)
     gold = record.label
+    tags = [TAG_SPELLINGS[TAG_CORRECT]] * n
     if correct:
-        tags = ["correct"] * n
         if gold.is_error:
-            tags[gold.step - 1] = _CATEGORY_SPELLING[gold.category]
+            tags[gold.step - 1] = TAG_SPELLINGS[gold.category]
             for later in range(gold.step, n):
                 if rng.random() < 0.3:
-                    tags[later] = "secondary error"
+                    tags[later] = TAG_SPELLINGS[TAG_SECONDARY]
         return tags
     # wrong in a controlled way: miss, misplace, or miscategorize
-    tags = ["correct"] * n
     if gold.is_error:
         roll = rng.random()
         if roll < 0.4:
             pass  # misses the error entirely
         elif roll < 0.7 and n > 1:
             other = 1 + (gold.step % n)
-            tags[other - 1] = _CATEGORY_SPELLING[gold.category]
+            tags[other - 1] = TAG_SPELLINGS[gold.category]
         else:
             wrong_category = rng.choice(
                 [c for c in CATEGORIES if c != gold.category]
             )
-            tags[gold.step - 1] = _CATEGORY_SPELLING[wrong_category]
+            tags[gold.step - 1] = TAG_SPELLINGS[wrong_category]
     else:
         victim = rng.randrange(n)
-        tags[victim] = _CATEGORY_SPELLING[rng.choice(CATEGORIES)]
+        tags[victim] = TAG_SPELLINGS[rng.choice(CATEGORIES)]
     return tags
 
 
@@ -291,8 +253,6 @@ def _step_questions(record: SolutionRecord) -> list[str]:
 def _reference_text(record: SolutionRecord) -> str:
     """Reference lines recomputed from the step expressions alone, so any
     two records with identical step questions share one reference."""
-    from .exprs import eval_expr, format_value, parse_expr
-
     lines = []
     for i, step in enumerate(record.steps, start=1):
         if step.expression is not None:

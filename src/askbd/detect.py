@@ -20,7 +20,16 @@ from typing import Callable, Sequence
 
 from . import backends
 from .backends import BackendProfile
-from .records import CORRECT_LABEL, ErrorLabel, SolutionRecord, render_solution_text
+from .records import (
+    CATEGORY_CALCULATION,
+    CATEGORY_HALLUCINATION,
+    CATEGORY_MISSING,
+    CATEGORY_REFERENCE,
+    CORRECT_LABEL,
+    ErrorLabel,
+    SolutionRecord,
+    render_solution_text,
+)
 
 TEMPLATE_IDS = ("naive", "cot", "reference_naive", "reference_cot", "cqe", "ssi", "sqr")
 
@@ -50,14 +59,16 @@ FAILED_STAGE = "failed"
 
 TAG_CORRECT = "correct"
 TAG_SECONDARY = "secondary"
-_TAG_SPELLINGS = {
-    "correct": "correct",
-    "calculation error": "calc",
-    "reference error": "ref",
-    "missing step": "missing",
-    "hallucination": "halluc",
-    "secondary error": "secondary",
+# how a detector reply spells each tag, as in `Step 2: <reference error>`
+TAG_SPELLINGS = {
+    TAG_CORRECT: "correct",
+    CATEGORY_CALCULATION: "calculation error",
+    CATEGORY_REFERENCE: "reference error",
+    CATEGORY_MISSING: "missing step",
+    CATEGORY_HALLUCINATION: "hallucination",
+    TAG_SECONDARY: "secondary error",
 }
+_TAGS = {spelling: tag for tag, spelling in TAG_SPELLINGS.items()}
 
 
 class UnparseableBackendOutput(RuntimeError):
@@ -114,7 +125,7 @@ class StageExchange:
 
 # --- Response parsing ---
 
-_TAG_ALTS = "|".join(sorted(_TAG_SPELLINGS, key=len, reverse=True))
+_TAG_ALTS = "|".join(sorted(_TAGS, key=len, reverse=True))
 _BRACKET_LINE = re.compile(
     rf"^\s*step\s*(\d+)\s*[:.]?\s*<\s*({_TAG_ALTS})\s*>", re.IGNORECASE
 )
@@ -140,7 +151,7 @@ def parse_detector_response(text: str, n_steps: int) -> DetectionOutcome:
         step = int(match.group(1))
         if step in found:
             return DetectionOutcome.invalid_response(f"duplicate line for step {step}")
-        found[step] = _TAG_SPELLINGS[match.group(2).lower()]
+        found[step] = _TAGS[match.group(2).lower()]
     if set(found) != set(range(1, n_steps + 1)):
         return DetectionOutcome.invalid_response(
             f"expected steps 1..{n_steps}, got {sorted(found)}"

@@ -118,10 +118,11 @@ def eval_expr(e: Expr) -> Fraction:
 def _eval(e: Expr) -> Fraction:
     if isinstance(e, Lit):
         return e.value
-    return _apply(e.op, _eval(e.left), _eval(e.right))
+    return apply_op(e.op, _eval(e.left), _eval(e.right))
 
 
-def _apply(op: str, lv: Fraction, rv: Fraction) -> Fraction:
+def apply_op(op: str, lv: Fraction, rv: Fraction) -> Fraction:
+    """Exact `lv op rv`; a zero divisor raises DivisionByZero."""
     if op == "+":
         return lv + rv
     if op == "-":
@@ -146,7 +147,7 @@ def eval_with_literal(e: Expr, k: int, value: Fraction) -> Fraction:
     def walk(node: Expr) -> Fraction:
         if isinstance(node, Lit):
             return value if next(leaves) == k else node.value
-        return _apply(node.op, walk(node.left), walk(node.right))
+        return apply_op(node.op, walk(node.left), walk(node.right))
 
     return walk(e)
 
@@ -375,11 +376,11 @@ def _canonical(
         node, value = operands[0]
         for nxt, nxt_value in operands[1:]:
             node = Bin(e.op, node, nxt)
-            value = _apply(e.op, value, nxt_value)
+            value = apply_op(e.op, value, nxt_value)
     else:
         left, lv = _canonical(e.left, memo)
         right, rv = _canonical(e.right, memo)
-        node, value = Bin(e.op, left, right), _apply(e.op, lv, rv)
+        node, value = Bin(e.op, left, right), apply_op(e.op, lv, rv)
     memo[id(e)] = (e, node, value)
     return node, value
 

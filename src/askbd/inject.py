@@ -1,10 +1,13 @@
 """Seeded injection of one labeled error into a correct solution.
 
-Four categories: a wrong calculated result (operands untouched), a wrong
-operand reference (result recomputed correctly), a deleted supporting
-step (consumer keeps the dangling operand), and a fabricated final step.
-Later steps are never propagated into; the injected record differs from
-its source only in the region implied by the category.
+`inject(record, category, seed)` is the one entry point: it draws the
+category's rng, applies one of four edits and returns the labeled
+record. The four categories are a wrong calculated result (operands
+untouched), a wrong operand reference (result recomputed correctly), a
+deleted supporting step (consumer keeps the dangling operand), and a
+fabricated final step. Later steps are never propagated into; the
+injected record differs from its source only in the region implied by
+the category.
 """
 
 from __future__ import annotations
@@ -12,11 +15,10 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .exprs import DivisionByZero, Expr, eval_with_literal, format_value, parse_expr
 from .records import (
-    CATEGORIES,
     CATEGORY_CALCULATION,
     CATEGORY_HALLUCINATION,
     CATEGORY_MISSING,
@@ -51,8 +53,8 @@ class NoDeletableStep(InjectionError):
     pass
 
 
-def _rng(seed: int, record: SolutionRecord, category: str) -> random.Random:
-    return random.Random(f"{seed}|{category}|{record.record_id}")
+class ErroneousSource(InjectionError):
+    """The source already carries an error label, whatever the category."""
 
 
 def _swap_equation(statement: str, new_lhs: str | None, new_rhs: str) -> str:
@@ -91,9 +93,8 @@ def _prior_results(record: SolutionRecord, before_index: int) -> set[Fraction]:
     }
 
 
-def inject_calculation(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
+def _calculation(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
     """Replace one step's calculated result with a wrong value."""
-    rng = _rng(seed, record, CATEGORY_CALCULATION)
     eligible = [s for s in record.steps if s.expression is not None]
     if not eligible:
         raise NoExpressionStep(f"record {record.record_id} has no expression step")
@@ -106,11 +107,7 @@ def inject_calculation(record: SolutionRecord, seed: int) -> tuple[SolutionRecor
         statement=_swap_equation(step.statement, None, format_value(wrong)),
         stated_result=wrong,
     )
-    steps = [new_step if s.index == step.index else s for s in record.steps]
-    label = ErrorLabel(step.index, CATEGORY_CALCULATION)
-    derived = make_record(record.question, steps, record.answer, record.origin, label,
-                          lineage={"source_id": record.record_id, "seed": seed})
-    return derived, label
+    return [new_step if s.index == step.index else s for s in record.steps], step.index
 
 
 def _usable_swaps(
@@ -141,7 +138,7 @@ def _spots(
             yield start, end, value, k
 
 
-def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
+def _reference(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
     """Point one operand at a wrong value and recompute the step correctly.
 
     The replacement value stays outside the condition/prior-result pool so
@@ -155,7 +152,6 @@ def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord,
     operand. Eligibility stops at the first usable offset found; only the
     drawn operand's offsets are all priced.
     """
-    rng = _rng(seed, record, CATEGORY_REFERENCE)
     conditions = set(condition_values(record.question))
 
     choices: list[tuple[SolutionStep, Expr, set[Fraction]]] = []
@@ -181,14 +177,10 @@ def inject_reference(record: SolutionRecord, seed: int) -> tuple[SolutionRecord,
     new_step = replace(
         step, statement=statement, expression=new_expression, stated_result=new_result
     )
-    steps = [new_step if s.index == step.index else s for s in record.steps]
-    label = ErrorLabel(step.index, CATEGORY_REFERENCE)
-    derived = make_record(record.question, steps, record.answer, record.origin, label,
-                          lineage={"source_id": record.record_id, "seed": seed})
-    return derived, label
+    return [new_step if s.index == step.index else s for s in record.steps], step.index
 
 
-def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, ErrorLabel]:
+def _missing(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
     """Delete a supporting step; its consumer keeps the dangling operand.
 
     A step is deletable when a later step consumes its result and, at the
@@ -196,7 +188,6 @@ def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, E
     nor from another earlier step's result; otherwise the consumer still
     reads as correct and the label would be unsound.
     """
-    rng = _rng(seed, record, CATEGORY_MISSING)
     if len(record.steps) < 2:
         raise NoDeletableStep(f"record {record.record_id} has a single step")
 
@@ -235,18 +226,12 @@ def inject_missing(record: SolutionRecord, seed: int) -> tuple[SolutionRecord, E
     kept = [s for s in record.steps if s.index != step.index]
     renumbered = [replace(s, index=i) for i, s in enumerate(kept, start=1)]
     # the consumer sits after the deleted step, so it shifts down by one
-    label = ErrorLabel(consumer - 1, CATEGORY_MISSING)
-    derived = make_record(record.question, renumbered, record.answer, record.origin, label,
-                          lineage={"source_id": record.record_id, "seed": seed})
-    return derived, label
+    return renumbered, consumer - 1
 
 
-def inject_hallucination(
-    record: SolutionRecord, seed: int
-) -> tuple[SolutionRecord, ErrorLabel]:
+def _hallucination(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
     """Append a fabricated final step combining a fresh operand with the
     previous final value, computed correctly."""
-    rng = _rng(seed, record, CATEGORY_HALLUCINATION)
     last = record.last_expression_step()
     previous = last.stated_result if last is not None else record.answer
     forbidden = set(condition_values(record.question))
@@ -270,39 +255,30 @@ def inject_hallucination(
         expression=calculation,
         stated_result=result,
     )
-    steps = list(record.steps) + [appended]
-    label = ErrorLabel(appended.index, CATEGORY_HALLUCINATION)
-    derived = make_record(record.question, steps, record.answer, record.origin, label,
-                          lineage={"source_id": record.record_id, "seed": seed})
-    return derived, label
+    return list(record.steps) + [appended], appended.index
 
 
+# each edit returns the injected steps and the index of the step the label names
 _INJECTORS = {
-    CATEGORY_CALCULATION: inject_calculation,
-    CATEGORY_REFERENCE: inject_reference,
-    CATEGORY_MISSING: inject_missing,
-    CATEGORY_HALLUCINATION: inject_hallucination,
+    CATEGORY_CALCULATION: _calculation,
+    CATEGORY_REFERENCE: _reference,
+    CATEGORY_MISSING: _missing,
+    CATEGORY_HALLUCINATION: _hallucination,
 }
 
 
-def inject(
-    record: SolutionRecord, category: str, seed: int
-) -> tuple[SolutionRecord, ErrorLabel]:
+def inject(record: SolutionRecord, category: str, seed: int) -> SolutionRecord:
     """One error of `category` injected into `record`, at a location drawn
-    from `seed`; raises an InjectionError where the category cannot apply
-    or `record` already has an error, since its gold label could name only
-    one of the two."""
+    from `seed`, labeled and with `record` as its lineage source. Raises an
+    InjectionError where the category cannot apply, and ErroneousSource
+    where `record` already has an error, since its gold label could name
+    only one of the two."""
     if category not in _INJECTORS:
         raise ValueError(f"unknown category {category!r}")
     if record.label.is_error:
-        raise InjectionError(f"record {record.record_id} already carries an error label")
-    return _INJECTORS[category](record, seed)
-
-
-def inject_batch(
-    records: Iterable[SolutionRecord], seed: int
-) -> Iterator[tuple[SolutionRecord, ErrorLabel]]:
-    """One erroneous record per category per input record."""
-    for record in records:
-        for category in CATEGORIES:
-            yield inject(record, category, seed)
+        raise ErroneousSource(f"record {record.record_id} already carries an error label")
+    rng = random.Random(f"{seed}|{category}|{record.record_id}")
+    steps, step = _INJECTORS[category](record, rng)
+    return make_record(record.question, steps, record.answer, record.origin,
+                       ErrorLabel(step, category),
+                       lineage={"source_id": record.record_id, "seed": seed})

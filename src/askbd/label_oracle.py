@@ -3,10 +3,11 @@
 Recomputes every step's arithmetic and resolves every operand against the
 question's condition values and prior step results, then classifies the
 first discrepancy. Exact on corpora whose condition values, intermediate
-results, and answer are pairwise distinct (the shipped corpus generator
-enforces this). Stated results are exact: the corpus reader refuses a
-`result` or `answer` written as a JSON number. `verify_corpus` decodes
-each distinct expression text and question once per pass.
+results, and answer are pairwise distinct; `oracle_clean` tests those
+invariants, and the shipped corpus generator keeps only records that pass
+it. Stated results are exact: the corpus reader refuses a `result` or
+`answer` written as a JSON number. `verify_corpus` decodes each distinct
+expression text and question once per pass.
 """
 
 from __future__ import annotations
@@ -117,3 +118,32 @@ def verify_corpus(records) -> list[tuple[str, ErrorLabel, ErrorLabel]]:
         if located != record.label:
             mismatches.append((record.record_id, record.label, located))
     return mismatches
+
+
+def oracle_clean(record: SolutionRecord) -> bool:
+    """Invariants that make the recompute-and-resolve checker exact:
+    distinct positive integer values, full resolvability, and each
+    non-final result consumed exactly once."""
+    conditions = condition_values(record.question)
+    results = [s.stated_result for s in record.steps if s.expression is not None]
+    if not results or results[-1] != record.answer:
+        return False
+    values = list(set(conditions)) + results
+    if len(set(values)) != len(values):
+        return False
+    for value in values:
+        if value <= 0 or value.denominator != 1:
+            return False
+    condition_set = set(conditions)
+    priors: list[Fraction] = []
+    consumption = {r: 0 for r in results}
+    for step in record.steps:
+        if step.expression is None:
+            continue
+        for _, _, operand in number_tokens(step.expression):
+            if operand in consumption and operand in priors:
+                consumption[operand] += 1
+            elif operand not in condition_set:
+                return False
+        priors.append(step.stated_result)
+    return all(count == 1 for result, count in consumption.items() if result != record.answer)

@@ -15,12 +15,7 @@ from askbd.demo import build_demo, build_labeled_corpus
 from askbd.detect import parse_detector_response
 from askbd.evaluate import bias_gap
 from askbd.exprs import canonical_form, enumerate_permutations, eval_expr, parse_expr
-from askbd.inject import (
-    inject_calculation,
-    inject_hallucination,
-    inject_missing,
-    inject_reference,
-)
+from askbd.inject import inject
 from askbd.label_oracle import verify_corpus
 from askbd.likelihood import quartile_buckets, score_solution
 from askbd.records import ErrorLabel, make_record
@@ -124,23 +119,23 @@ def test_alternative_generation_end_to_end(leaf_record):
 
 def test_injector_appendix_fidelity(leaf_record):
     with criterion("injector-golden-rows"):
-        injected, label = inject_calculation(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(1, "calc")
+        injected = inject(leaf_record, "calc", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(1, "calc")
         assert "5 × 11 = 50" in injected.steps[0].statement
         assert "55 - 22 = 33" in injected.steps[2].statement
 
-        injected, label = inject_reference(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(1, "ref")
+        injected = inject(leaf_record, "ref", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(1, "ref")
         assert "5 × 10 = 50" in injected.steps[0].statement
         assert "so 10 gusts" in injected.steps[0].statement
 
-        injected, label = inject_missing(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(2, "missing")
+        injected = inject(leaf_record, "missing", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(2, "missing")
         assert "55 - 22 = 33" in injected.steps[1].statement
         assert len(injected.steps) == 2
 
-        injected, label = inject_hallucination(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(4, "halluc")
+        injected = inject(leaf_record, "halluc", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(4, "halluc")
         assert "33 + 10 = 43" in injected.steps[3].statement
 
 

@@ -6,6 +6,7 @@ import json
 import re
 import threading
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from askbd.backends import (
 )
 from askbd.cli import main
 from askbd.demo import build_demo
-from askbd.records import read_jsonl, write_jsonl
+from askbd.records import SolutionStep, make_record, read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +341,29 @@ def test_gen_alt_and_inject_take_only_error_free_sources(tmp_path, capsys):
         assert set(sources) <= error_free
 
 
+def test_inject_names_each_erroneous_source_on_one_line(tmp_path, capsys):
+    corpus = read_jsonl(build_demo(tmp_path / "demo", n_questions=4)["corpus"])
+    single = make_record(
+        question="Add 3 and 4.",
+        steps=(SolutionStep(1, "Add: 3 + 4 = 7.", "3 + 4", Fraction(7)),),
+        answer=7,
+    )
+    sources, injected = tmp_path / "sources.jsonl", tmp_path / "inj.jsonl"
+    write_jsonl(corpus + [single], sources)
+    assert main(["inject", "--category", "all", "--in", str(sources),
+                 "--out", str(injected)]) == 0
+    out, err = capsys.readouterr()
+    erroneous = [r.record_id for r in corpus if r.label.is_error]
+    assert len(erroneous) == 32
+    # one line per erroneous record, and a category-specific refusal per category
+    assert err.splitlines() == [
+        f"cannot inject into {rid}: record {rid} already carries an error label"
+        for rid in erroneous
+    ] + [f"cannot inject missing into {single.record_id}: "
+         f"record {single.record_id} has a single step"]
+    assert f"injected 35 records (129 skipped) -> {injected}" in out
+
+
 class TestScoreLikelihoodCli:
     def test_scores_and_analysis(self, demo_dir, tmp_path):
         scores = tmp_path / "scores.jsonl"
@@ -604,12 +628,12 @@ class TestDetectEvaluateRun:
     def test_reference_resolution_semantics(self):
         from askbd.cli import _resolve_reference
         from askbd.demo import build_paired_corpus
-        from askbd.inject import inject_calculation
+        from askbd.inject import inject
         from askbd.records import render_solution_text
 
         d, dp = build_paired_corpus(1, seed=17)
         base_d, base_dp = d[0], dp[0]
-        erroneous, _ = inject_calculation(base_dp, 5)
+        erroneous = inject(base_dp, "calc", 5)
         pool = {r.record_id: r for r in (base_d, base_dp, erroneous)}
 
         # a correct alternative matches itself; its conventional reference is D

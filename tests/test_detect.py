@@ -459,9 +459,9 @@ class TestDetect:
             detect(leaf_record, PROFILE, "M9", backend=script_for({}))
 
     def test_scripted_error_fixture_detects_injected_step(self, leaf_record):
-        from askbd.inject import inject_calculation
+        from askbd.inject import inject
 
-        injected, label = inject_calculation(leaf_record, 10999)
+        injected = inject(leaf_record, "calc", 10999)
         prompt = load_template("naive").render(
             question=injected.question, solution=render_solution_text(injected)
         )
@@ -469,4 +469,4 @@ class TestDetect:
             {prompt: "Step 1: <calculation error>\nStep 2: <correct>\nStep 3: <secondary error>"}
         )
         exchanges = detect(injected, PROFILE, "M0", backend=backend)
-        assert outcome(injected, exchanges).predicted == label
+        assert outcome(injected, exchanges).predicted == injected.label

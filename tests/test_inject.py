@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -8,16 +9,11 @@ from askbd import inject as inject_module
 from askbd.cli import main
 from askbd.demo import build_demo, build_labeled_corpus
 from askbd.inject import (
-    InjectionError,
+    ErroneousSource,
     NoDeletableStep,
     NoReferencingOperand,
     NoExpressionStep,
     inject,
-    inject_batch,
-    inject_calculation,
-    inject_hallucination,
-    inject_missing,
-    inject_reference,
 )
 from askbd.label_oracle import ScanMemo, scan_record, verify_corpus
 from askbd.records import (
@@ -41,31 +37,31 @@ GOLDEN_SEED = 10999
 
 class TestGoldenRows:
     def test_calculation_row(self, leaf_record):
-        injected, label = inject_calculation(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(1, "calc")
+        injected = inject(leaf_record, "calc", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(1, "calc")
         assert "5 × 11 = 50" in injected.steps[0].statement
         # later steps keep the original correct value
         assert "55 - 22 = 33" in injected.steps[2].statement
         assert injected.steps[1] == leaf_record.steps[1]
 
     def test_reference_row(self, leaf_record):
-        injected, label = inject_reference(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(1, "ref")
+        injected = inject(leaf_record, "ref", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(1, "ref")
         assert "so 10 gusts will blow it forward 5 × 10 = 50" in injected.steps[0].statement
         assert injected.steps[0].stated_result == 50
         assert injected.steps[1] == leaf_record.steps[1]
         assert injected.steps[2] == leaf_record.steps[2]
 
     def test_missing_row(self, leaf_record):
-        injected, label = inject_missing(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(2, "missing")
+        injected = inject(leaf_record, "missing", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(2, "missing")
         assert len(injected.steps) == 2
         assert injected.steps[0].statement.startswith("Each swirl")
         assert "55 - 22 = 33" in injected.steps[1].statement
 
     def test_hallucination_row(self, leaf_record):
-        injected, label = inject_hallucination(leaf_record, GOLDEN_SEED)
-        assert label == ErrorLabel(4, "halluc")
+        injected = inject(leaf_record, "halluc", GOLDEN_SEED)
+        assert injected.label == ErrorLabel(4, "halluc")
         assert "33 + 10 = 43" in injected.steps[3].statement
         assert injected.steps[:3] == leaf_record.steps
 
@@ -73,9 +69,9 @@ class TestGoldenRows:
 class TestInjectionProperties:
     def test_calc_wrong_value_never_equals_truth(self, leaf_record):
         for seed in range(200):
-            injected, label = inject_calculation(leaf_record, seed)
-            broken = injected.steps[label.step - 1]
-            original = leaf_record.steps[label.step - 1]
+            injected = inject(leaf_record, "calc", seed)
+            broken = injected.steps[injected.label.step - 1]
+            original = leaf_record.steps[injected.label.step - 1]
             assert broken.stated_result != original.stated_result
             assert broken.expression == original.expression
 
@@ -83,7 +79,7 @@ class TestInjectionProperties:
         counts = Counter()
         n = 1000
         for seed in range(n):
-            _, label = inject_calculation(leaf_record, seed)
+            label = inject(leaf_record, "calc", seed).label
             counts[label.step] += 1
         expected = n / 3
         chi2 = sum((counts[s] - expected) ** 2 / expected for s in (1, 2, 3))
@@ -92,8 +88,8 @@ class TestInjectionProperties:
 
     def test_ref_result_recomputed_consistently(self, leaf_record):
         for seed in range(200):
-            injected, label = inject_reference(leaf_record, seed)
-            step = injected.steps[label.step - 1]
+            injected = inject(leaf_record, "ref", seed)
+            step = injected.steps[injected.label.step - 1]
             assert eval_expr(parse_expr(step.expression)) == step.stated_result
 
     def test_ref_parses_each_expression_step_once(self, leaf_record, monkeypatch):
@@ -108,21 +104,21 @@ class TestInjectionProperties:
         for record in [leaf_record] + conventional + alternative:
             parsed.clear()
             try:
-                inject_reference(record, seed=0)
+                inject(record, "ref", 0)
             except NoReferencingOperand:
                 pass
             assert parsed == [s.expression for s in record.steps if s.expression is not None]
 
     def test_ref_altered_operand_never_equals_original(self, leaf_record):
         for seed in range(1000):
-            injected, label = inject_reference(leaf_record, seed)
-            step = injected.steps[label.step - 1]
-            original = leaf_record.steps[label.step - 1]
+            injected = inject(leaf_record, "ref", seed)
+            step = injected.steps[injected.label.step - 1]
+            original = leaf_record.steps[injected.label.step - 1]
             assert step.expression != original.expression
 
     def test_missing_leaves_dangling_operand(self, leaf_record):
         for seed in range(100):
-            injected, label = inject_missing(leaf_record, seed)
+            injected = inject(leaf_record, "missing", seed)
             conditions = set(condition_values(injected.question))
             priors = set()
             dangling = []
@@ -137,11 +133,11 @@ class TestInjectionProperties:
                     if value not in conditions and value not in priors:
                         dangling.append((step.index, value))
                 priors.add(step.stated_result)
-            assert dangling and dangling[0][0] == label.step
+            assert dangling and dangling[0][0] == injected.label.step
 
     def test_halluc_operand_is_fresh_and_consistent(self, leaf_record):
         for seed in range(200):
-            injected, label = inject_hallucination(leaf_record, seed)
+            injected = inject(leaf_record, "halluc", seed)
             appended = injected.steps[-1]
             assert eval_expr(parse_expr(appended.expression)) == appended.stated_result
             operand = appended.expression.split(" + ")[1]
@@ -156,7 +152,7 @@ class TestInjectionProperties:
             answer=7,
         )
         with pytest.raises(NoDeletableStep):
-            inject_missing(record, 0)
+            inject(record, "missing", 0)
 
     def test_a_result_the_consumer_resolves_elsewhere_is_not_deleted(self):
         # 12 is also a question value, so `12 + 12` reads as correct without step 1
@@ -170,7 +166,7 @@ class TestInjectionProperties:
         assert scan_record(record) == CORRECT_LABEL
         for seed in range(20):
             with pytest.raises(NoDeletableStep, match="also resolves"):
-                inject_missing(record, seed)
+                inject(record, "missing", seed)
 
     def test_ref_swaps_a_mention_before_a_full_stop(self):
         record = make_record(
@@ -180,7 +176,7 @@ class TestInjectionProperties:
         )
         swapped = 0
         for seed in range(20):
-            injected, _ = inject_reference(record, seed)
+            injected = inject(record, "ref", seed)
             step = injected.steps[0]
             boxes = number_tokens(step.expression)[0][2]
             assert step.statement == (
@@ -191,9 +187,9 @@ class TestInjectionProperties:
         assert swapped
 
     def test_an_erroneous_record_takes_no_second_error(self, leaf_record):
-        wrong, _ = inject_calculation(leaf_record, 0)
+        wrong = inject(leaf_record, "calc", 0)
         for category in CATEGORIES:
-            with pytest.raises(InjectionError, match="already carries an error label"):
+            with pytest.raises(ErroneousSource, match="already carries an error label"):
                 inject(wrong, category, 0)
 
     def test_no_expression_step(self):
@@ -201,19 +197,22 @@ class TestInjectionProperties:
             question="q 1", steps=(SolutionStep(1, "prose only"),), answer=1
         )
         with pytest.raises(NoExpressionStep):
-            inject_calculation(record, 0)
+            inject(record, "calc", 0)
 
     def test_determinism(self, leaf_record):
         for category in CATEGORIES:
-            first, _ = inject(leaf_record, category, 42)
-            second, _ = inject(leaf_record, category, 42)
+            first = inject(leaf_record, category, 42)
+            second = inject(leaf_record, category, 42)
             assert first == second
 
-    def test_batch_emits_one_per_category(self, leaf_record):
-        out = list(inject_batch([leaf_record], seed=1))
-        assert [label.category for _, label in out] == list(CATEGORIES)
-        for injected, label in out:
-            assert injected.label == label
+    def test_batch_emits_one_per_category(self):
+        conventional, alternative, injected = build_labeled_corpus(2, seed=1)
+        sources = conventional + alternative
+        assert [r.label.category for r in injected] == list(CATEGORIES) * len(sources)
+        assert [r.lineage for r in injected] == [
+            {"source_id": source.record_id, "seed": 1}
+            for source in sources for _ in CATEGORIES
+        ]
 
 
 class TestLabelOracle:
@@ -234,11 +233,12 @@ class TestLabelOracle:
 
     def test_locates_all_four_categories(self, leaf_record):
         for seed in range(100):
-            for injected, label in inject_batch([leaf_record], seed=seed):
-                assert scan_record(injected) == label, (seed, label)
+            for category in CATEGORIES:
+                injected = inject(leaf_record, category, seed)
+                assert scan_record(injected) == injected.label, (seed, injected.label)
 
     def test_verify_corpus_reports_mismatches(self, leaf_record):
-        injected, _ = inject_calculation(leaf_record, 3)
+        injected = inject(leaf_record, "calc", 3)
         ok = verify_corpus([leaf_record, injected])
         assert ok == []
         mislabeled = make_record(
@@ -281,7 +281,7 @@ class TestLabelOracle:
 
 
 def _eager_reference_choices(record):
-    """Every eligible step of `inject_reference`, each with every eligible
+    """Every eligible step of a `ref` injection, each with every eligible
     operand and each of those with every usable (wrong operand, result)."""
     conditions = set(condition_values(record.question))
     choices = []
@@ -313,8 +313,8 @@ def _eager_reference_choices(record):
 
 
 def _eager_reference(record, choices, seed):
-    """`inject_reference` drawing from the fully listed, nonempty `choices`."""
-    rng = inject_module._rng(seed, record, "ref")
+    """A `ref` injection drawing from the fully listed, nonempty `choices`."""
+    rng = random.Random(f"{seed}|ref|{record.record_id}")
     step, spots = choices[rng.randrange(len(choices))]
     start, end, old_value, usable = spots[rng.randrange(len(spots))]
     new_value, new_result = usable[rng.randrange(len(usable))]
@@ -327,10 +327,9 @@ def _eager_reference(record, choices, seed):
         step, statement=statement, expression=new_expression, stated_result=new_result
     )
     steps = [new_step if s.index == step.index else s for s in record.steps]
-    label = ErrorLabel(step.index, "ref")
-    derived = make_record(record.question, steps, record.answer, record.origin, label,
-                          lineage={"source_id": record.record_id, "seed": seed})
-    return derived, label
+    return make_record(record.question, steps, record.answer, record.origin,
+                       ErrorLabel(step.index, "ref"),
+                       lineage={"source_id": record.record_id, "seed": seed})
 
 
 def _assert_lazy_draw_is_eager(record, seeds):
@@ -338,14 +337,14 @@ def _assert_lazy_draw_is_eager(record, seeds):
     for seed in seeds:
         if not choices:
             with pytest.raises(NoReferencingOperand):
-                inject_reference(record, seed)
+                inject(record, "ref", seed)
             continue
-        assert inject_reference(record, seed) == _eager_reference(record, choices, seed), (
+        assert inject(record, "ref", seed) == _eager_reference(record, choices, seed), (
             record.record_id, seed)
 
 
 class TestReferenceDraw:
-    """`inject_reference` lists only what its three draws read; it must
+    """A `ref` injection lists only what its three draws read; it must
     draw what listing every (step, operand, offset) would have drawn."""
 
     def test_equals_the_eager_draw_on_the_demo_and_its_candidates(self, tmp_path, capsys):
@@ -354,9 +353,15 @@ class TestReferenceDraw:
         assert main(["gen-alt", "--k", "3", "--in", str(corpus), "--out", str(candidates)]) == 0
         capsys.readouterr()
         records = read_jsonl(corpus) + read_jsonl(candidates)
-        assert len(records) > 600
-        for record in records:
+        error_free = [r for r in records if not r.label.is_error]
+        erroneous = [r for r in records if r.label.is_error]
+        assert (len(error_free), len(erroneous)) == (236, 400)
+        for record in error_free:
             _assert_lazy_draw_is_eager(record, range(20))
+        # an erroneous record is no source, so there is no draw to compare
+        for record in erroneous:
+            with pytest.raises(ErroneousSource):
+                inject(record, "ref", 0)
 
     def test_equals_the_eager_draw_under_a_division(self):
         # only 9 resolves; it sits in the divisor, and 9 -> 5 zeros it

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from askbd import records
-from askbd.inject import inject_batch
+from askbd.inject import inject
 from askbd.label_oracle import scan_record
 from askbd.records import (
     CATEGORIES,
@@ -188,7 +188,7 @@ class TestJsonl:
     def test_each_distinct_expression_is_parsed_once_per_file(
         self, tmp_path, leaf_record, monkeypatch
     ):
-        corpus = [leaf_record] + [r for r, _ in inject_batch([leaf_record], seed=1)]
+        corpus = [leaf_record] + [inject(leaf_record, c, 1) for c in CATEGORIES]
         path = tmp_path / "corpus.jsonl"
         write_jsonl(corpus, path)
         texts = [s.expression for r in corpus for s in r.steps if s.expression is not None]
