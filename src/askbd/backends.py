@@ -131,15 +131,14 @@ class GenerationParams:
 Messages = Sequence[Mapping[str, str]]
 
 
+# built once; `encode` keeps no state between calls, so threads share it
+_FINGERPRINT_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+
+
 def request_fingerprint(kind: str, model: str, payload: Mapping) -> str:
     """Stable hash of a normalized request. No request carries a seed, so
     every seed of a run replays the same exchanges."""
-    body = json.dumps(
-        {"kind": kind, "model": model, "payload": payload},
-        sort_keys=True,
-        ensure_ascii=True,
-        separators=(",", ":"),
-    )
+    body = _FINGERPRINT_ENCODER.encode({"kind": kind, "model": model, "payload": payload})
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 

@@ -367,12 +367,13 @@ def _read_outcomes(path: Path) -> dict[str, StageExchange]:
     return outcomes
 
 
-def _judge_transcript(path: Path, gold: dict[str, SolutionRecord], profile: str,
-                      strategy: str, seed: int) -> list[JudgedResult]:
-    """Judges one cell's transcript by each record's last outcome. A
-    `failed` line is an invalid outcome, so it counts against accuracy."""
+def _judge_outcomes(outcomes: dict[str, StageExchange], gold: dict[str, SolutionRecord],
+                    profile: str, strategy: str, seed: int) -> list[JudgedResult]:
+    """Judges one cell by each record's last outcome, as `_read_outcomes`
+    gives it for the cell's transcript. A `failed` line is an invalid
+    outcome, so it counts against accuracy."""
     judged = []
-    for record_id, line in _read_outcomes(path).items():
+    for record_id, line in outcomes.items():
         record = gold.get(record_id)
         if record is None:
             raise SchemaViolation(f"gold corpus lacks record {record_id}")
@@ -456,9 +457,11 @@ def _run_detection(
     references: dict[str, str] | None,
     resume: bool,
     workers: int,
-) -> Path:
+) -> dict[str, StageExchange]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
-    record at a time as each finishes. `references` holds each record's
+    record at a time as each finishes, and returns the cell's outcomes: each
+    record's last `reg` or `failed` exchange, equal to what `_read_outcomes`
+    reads from the finished transcript. `references` holds each record's
     reference text for a reference strategy. With `resume`, a record whose
     last outcome is a `reg` line is kept; a `failed` one, or one whose line
     a crash left torn, is detected again.
@@ -469,29 +472,33 @@ def _run_detection(
     path = _transcript_path(outdir, profile.name, strategy, seed)
     if resume:
         _drop_torn_line(path)
-        done = {rid for rid, line in _read_outcomes(path).items() if line.stage == "reg"}
+        outcomes = _read_outcomes(path)
     else:
-        done = set()
+        outcomes = {}
         path.unlink(missing_ok=True)
+    done = {rid for rid, line in outcomes.items() if line.stage == "reg"}
     pending = [r for r in records if r.record_id not in done]
 
-    def one(record: SolutionRecord) -> str:
+    def one(record: SolutionRecord) -> tuple[str, str, StageExchange]:
         # Serialized here, so that on a pool it runs in the worker: a main
         # thread that only writes holds the interpreter lock briefly, and
         # detection keeps its pace.
         reference = references[record.record_id] if references else None
         exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
-        return _transcript_lines(record.record_id, strategy, exchanges)
+        # detect ends every record's exchanges with its `reg` or `failed` one
+        lines = _transcript_lines(record.record_id, strategy, exchanges)
+        return record.record_id, lines, exchanges[-1]
 
     path.parent.mkdir(parents=True, exist_ok=True)
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
             open(path, "a", encoding="utf-8") as handle:
         detect_each = pool.map if workers > 1 and backends.waits_on_io(backend) else map
-        for lines in detect_each(one, pending):
+        for record_id, lines, last in detect_each(one, pending):
             handle.write(lines)
             handle.flush()
-    return path
+            outcomes[record_id] = last
+    return outcomes
 
 
 def _drop_torn_line(path: Path) -> None:
@@ -509,7 +516,7 @@ def _drop_torn_line(path: Path) -> None:
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],
                   resume: bool) -> list[JudgedResult]:
     """Detects `records` in every (profile, strategy, integer seed) cell of
-    `config`, in that order, and judges each cell's whole transcript."""
+    `config`, in that order, and judges each cell by its outcomes."""
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
@@ -518,11 +525,11 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
     gold = {r.record_id: r for r in records}
     judged: list[JudgedResult] = []
     for name, strategy, seed in sorted(set(product(profiles, strategies, config.seeds))):
-        path = _run_detection(
+        outcomes = _run_detection(
             records, profiles[name], opened[name], strategy, seed, Path(config.out),
             references.get(strategy), resume, config.workers,
         )
-        judged.extend(_judge_transcript(path, gold, name, strategy, seed))
+        judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
     return judged
 
 
@@ -552,7 +559,7 @@ def cmd_evaluate(args) -> int:
         raise SchemaViolation(f"--transcripts {args.transcripts} holds no transcript file")
     judged: list[JudgedResult] = []
     for profile, strategy, seed, path in sorted(cells):
-        judged.extend(_judge_transcript(path, gold, profile, strategy, seed))
+        judged.extend(_judge_outcomes(_read_outcomes(path), gold, profile, strategy, seed))
     _write_reports(Path(args.out), judged)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK

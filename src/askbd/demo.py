@@ -136,27 +136,37 @@ def _build_record(question: str, rows, answer: int) -> SolutionRecord:
     return make_record(question=question, steps=steps, answer=answer)
 
 
-def _injectable(record: SolutionRecord) -> bool:
-    # eligibility is seed-independent, so one probe covers every seed
+def _injections(record: SolutionRecord, seed: int) -> list[SolutionRecord] | None:
+    """The record's four injected records at `seed`, one per category, or
+    None when a category cannot apply. Eligibility does not depend on the
+    seed, so the probe's records are the ones a corpus keeps."""
     try:
-        for category in CATEGORIES:
-            inject(record, category, 0)
+        return [inject(record, category, seed) for category in CATEGORIES]
     except InjectionError:
-        return False
-    return True
+        return None
 
 
-def build_paired_corpus(
-    n: int, seed: int = 0, k_candidates: int = 3
-) -> tuple[list[SolutionRecord], list[SolutionRecord]]:
+def build_paired_corpus(n: int, seed: int = 0) -> tuple[list[SolutionRecord], list[SolutionRecord]]:
     """n conventional records, each paired with one derived alternative.
 
     Both sides satisfy the oracle-clean invariants and support all four
     injections; instances failing any check are resampled.
     """
+    conventional, alternative, _ = build_labeled_corpus(n, seed)
+    return conventional, alternative
+
+
+def build_labeled_corpus(
+    n: int, seed: int = 0
+) -> tuple[list[SolutionRecord], list[SolutionRecord], list[SolutionRecord]]:
+    """(conventional, alternative, injected): the n + n correct records of
+    `build_paired_corpus` plus 4 erroneous records per correct one, each
+    made once, by the probe that accepts its source."""
     rng = random.Random(seed)
     conventional: list[SolutionRecord] = []
     alternative: list[SolutionRecord] = []
+    injected_d: list[SolutionRecord] = []
+    injected_d1: list[SolutionRecord] = []
     seen_questions: set[str] = set()
     attempts = 0
     while len(conventional) < n:
@@ -168,16 +178,18 @@ def build_paired_corpus(
         if question in seen_questions:
             continue
         record = _build_record(question, rows, answer)
-        if not (oracle_clean(record) and _injectable(record)):
+        record_injections = _injections(record, seed) if oracle_clean(record) else None
+        if record_injections is None:
             continue
         try:
-            candidates = generate_alternatives(record, k=k_candidates, seed=rng.randrange(2**31))
+            candidates = generate_alternatives(record, k=3, seed=rng.randrange(2**31))
         except NoPermutationsAvailable:
             continue
         selected = None
         for rank, candidate in enumerate(candidates, start=1):
             derived = candidate_to_record(candidate, record, rank=rank, seed=seed)
-            if oracle_clean(derived) and _injectable(derived):
+            derived_injections = _injections(derived, seed) if oracle_clean(derived) else None
+            if derived_injections is not None:
                 selected = derived
                 break
         if selected is None:
@@ -185,18 +197,9 @@ def build_paired_corpus(
         seen_questions.add(question)
         conventional.append(record)
         alternative.append(selected)
-    return conventional, alternative
-
-
-def build_labeled_corpus(
-    n: int, seed: int = 0
-) -> tuple[list[SolutionRecord], list[SolutionRecord], list[SolutionRecord]]:
-    """(conventional, alternative, injected): n + n correct records plus
-    4 erroneous records per correct one."""
-    conventional, alternative = build_paired_corpus(n, seed=seed)
-    injected = [inject(record, category, seed)
-                for record in conventional + alternative for category in CATEGORIES]
-    return conventional, alternative, injected
+        injected_d.extend(record_injections)
+        injected_d1.extend(derived_injections)
+    return conventional, alternative, injected_d + injected_d1
 
 
 # --- Scripted cassette for full detection runs ---

@@ -22,6 +22,9 @@ from typing import Iterable, Iterator, Mapping
 
 from .exprs import NUMBER, Rational, format_value, number_value, parse_expr
 
+# built once: JSONL lines and record ids are sorted-key JSON, text left unescaped
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
+
 ORIGIN_CONVENTIONAL = "D"
 ORIGIN_ALTERNATIVE = "D1"
 ORIGINS = (ORIGIN_CONVENTIONAL, ORIGIN_ALTERNATIVE)
@@ -143,7 +146,7 @@ def compute_record_id(
     steps: Iterable[SolutionStep],
 ) -> str:
     """Content-addressed id so regeneration is idempotent."""
-    payload = json.dumps(
+    payload = _JSONL_ENCODER.encode(
         {
             "question": question,
             "origin": origin,
@@ -153,9 +156,7 @@ def compute_record_id(
                  None if s.stated_result is None else format_value(s.stated_result)]
                 for s in steps
             ],
-        },
-        sort_keys=True,
-        ensure_ascii=False,
+        }
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
@@ -450,7 +451,7 @@ def _from_json_value(hint, value, where: str):
 
 def jsonl_line(obj) -> str:
     """`obj` as one JSONL line: sorted keys, text left unescaped."""
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+    return _JSONL_ENCODER.encode(obj) + "\n"
 
 
 def read_jsonl_lines(path, what: str) -> Iterator[tuple[int, object]]:

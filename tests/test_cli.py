@@ -20,7 +20,7 @@ from askbd.backends import (
 )
 from askbd.cli import main
 from askbd.demo import build_demo
-from askbd.records import SolutionStep, make_record, read_jsonl, write_jsonl
+from askbd.records import SolutionStep, jsonl_line, make_record, read_jsonl, write_jsonl
 
 
 @pytest.fixture(scope="module")
@@ -821,6 +821,40 @@ class TestOnePathToReports:
         assert _reports(tmp_path / "out") == reports
         assert cell.read_bytes() == whole
 
+    def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(
+        self, tmp_path, monkeypatch
+    ):
+        info = build_demo(tmp_path, n_questions=4, seeds=(1,))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        # the cell's first outcome becomes a `failed` line, and its last line is torn
+        cell = tmp_path / "out" / "transcripts" / "demo__M2__seed1.jsonl"
+        lines = cell.read_text().splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if json.loads(line)["stage"] == "reg")
+        failed = {**json.loads(lines[first]), "stage": "failed", "prompt": "",
+                  "response": "stage failure: reg: RateLimited: still rate limited"}
+        lines[first] = jsonl_line(failed)
+        cell.write_bytes("".join(lines).encode()[:-40])
+
+        returned = {}
+        run_detection = cli._run_detection
+
+        def noting(records, profile, backend, strategy, seed, outdir, *rest):
+            outcomes = run_detection(records, profile, backend, strategy, seed, outdir, *rest)
+            returned[cli._transcript_path(outdir, profile.name, strategy, seed)] = outcomes
+            return outcomes
+
+        monkeypatch.setattr(cli, "_run_detection", noting)
+        assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
+        assert len(returned) == 4
+        for path, outcomes in returned.items():
+            assert list(outcomes.items()) == list(cli._read_outcomes(path).items()), path.name
+        # the failed record was detected again and keeps its slot
+        resumed = list(returned[cell].items())
+        assert resumed[0][0] == failed["record_id"] and resumed[0][1].stage == "reg"
+        assert _reports(tmp_path / "out") == reports
+        assert _evaluate(info, tmp_path / "eval") == reports
+
     def test_a_corrupt_transcript_or_cassette_exits_2(self, tmp_path, capsys):
         info = build_demo(tmp_path, n_questions=1, seeds=(1,))
         transcripts = tmp_path / "out" / "transcripts"
@@ -901,8 +935,8 @@ def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
     transcripts = []
     for backend, workers in ((scripted, 4), (recording, 2)):
         outdir = tmp_path / f"workers{workers}"
-        path = cli._run_detection(records, profile, backend, "M2", 1, outdir, None, False, workers)
-        transcripts.append(path.read_bytes())
+        cli._run_detection(records, profile, backend, "M2", 1, outdir, None, False, workers)
+        transcripts.append(cli._transcript_path(outdir, profile.name, "M2", 1).read_bytes())
     caller = threading.get_ident()
     assert scripted.threads and set(scripted.threads) == {caller}
     assert recording.threads and caller not in recording.threads

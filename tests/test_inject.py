@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from askbd import demo
 from askbd import inject as inject_module
 from askbd.cli import main
 from askbd.demo import build_demo, build_labeled_corpus
@@ -213,6 +214,19 @@ class TestInjectionProperties:
             {"source_id": source.record_id, "seed": 1}
             for source in sources for _ in CATEGORIES
         ]
+
+    def test_the_labeled_corpus_injects_each_accepted_record_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting_inject(record, category, seed):
+            calls[record.record_id] += 1
+            return inject(record, category, seed)
+
+        monkeypatch.setattr(demo, "inject", counting_inject)
+        conventional, alternative, injected = build_labeled_corpus(4, seed=2024)
+        accepted = conventional + alternative
+        assert len(injected) == len(CATEGORIES) * len(accepted)
+        assert [calls[r.record_id] for r in accepted] == [len(CATEGORIES)] * len(accepted)
 
 
 class TestLabelOracle:
