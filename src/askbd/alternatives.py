@@ -10,13 +10,13 @@ evaluating to the gold answer is discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .exprs import (
     MAX_DEPTH,
     Bin,
     Expr,
     Lit,
+    Rational,
     apply_op,
     depth,
     enumerate_permutations,
@@ -42,7 +42,7 @@ class CompositionError(ValueError):
 
 
 class UnresolvableOperand(CompositionError):
-    def __init__(self, record_id: str, step_index: int, operand: Fraction):
+    def __init__(self, record_id: str, step_index: int, operand: Rational):
         super().__init__(
             f"record {record_id}: step {step_index} operand {format_value(operand)} "
             "matches no condition value and no prior result"
@@ -53,7 +53,7 @@ class UnresolvableOperand(CompositionError):
 
 
 class VerificationFailed(CompositionError):
-    def __init__(self, record_id: str, got: Fraction, expected: Fraction):
+    def __init__(self, record_id: str, got: Rational, expected: Rational):
         super().__init__(
             f"record {record_id}: composed expression evaluates to "
             f"{format_value(got)}, expected {format_value(expected)}"
@@ -88,7 +88,7 @@ def compose_solving_expression(record: SolutionRecord) -> Expr:
     """
     conditions = set(condition_values(record.question))
     composed: dict[int, Expr] = {}
-    prior: list[tuple[int, Fraction]] = []
+    prior: list[tuple[int, Rational]] = []
     last_index: int | None = None
 
     def substitute(node: Expr, step_index: int) -> Expr:
@@ -147,7 +147,7 @@ def explain_expression(e: Expr) -> list[SolutionStep]:
                              expression=text, stated_result=e.value)]
     steps: list[SolutionStep] = []
 
-    def walk(node: Expr) -> Fraction:
+    def walk(node: Expr) -> Rational:
         if isinstance(node, Lit):
             return node.value
         lv = walk(node.left)

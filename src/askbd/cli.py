@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import random
 import re
 import sys
@@ -351,6 +352,10 @@ def _transcript_lines(record_id: str, strategy: str, exchanges) -> str:
     )
 
 
+# every record's transcript lines end with one of these
+_OUTCOME_STAGES = ("reg", FAILED_STAGE)
+
+
 def _read_outcomes(path: Path) -> dict[str, StageExchange]:
     """Each record's last `reg` or `failed` line, in order of first appearance."""
     outcomes: dict[str, StageExchange] = {}
@@ -358,7 +363,7 @@ def _read_outcomes(path: Path) -> dict[str, StageExchange]:
         return outcomes
     for number, entry in read_jsonl_lines(path, "transcript"):
         try:
-            if entry["stage"] in ("reg", FAILED_STAGE):
+            if entry["stage"] in _OUTCOME_STAGES:
                 outcomes[entry["record_id"]] = StageExchange(
                     entry["stage"], entry["prompt"], entry["response"]
                 )
@@ -463,15 +468,15 @@ def _run_detection(
     record's last `reg` or `failed` exchange, equal to what `_read_outcomes`
     reads from the finished transcript. `references` holds each record's
     reference text for a reference strategy. With `resume`, a record whose
-    last outcome is a `reg` line is kept; a `failed` one, or one whose line
-    a crash left torn, is detected again.
+    last outcome is a `reg` line is kept; a `failed` one, or one whose lines
+    a crash cut short, is detected again.
 
     Detection runs on `workers` threads only when the backend may wait on
     I/O. Otherwise threads would only take turns at the interpreter lock,
     so the records are detected in the calling thread."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
     if resume:
-        _drop_torn_line(path)
+        _drop_unfinished_record(path)
         outcomes = _read_outcomes(path)
     else:
         outcomes = {}
@@ -501,16 +506,28 @@ def _run_detection(
     return outcomes
 
 
-def _drop_torn_line(path: Path) -> None:
-    """Cuts a transcript back to its last newline. A crash mid-write leaves
-    a last line without one; the record it belonged to has no `reg` line
-    yet, so resuming detects it again."""
+def _drop_unfinished_record(path: Path) -> None:
+    """Cuts a transcript back to the end of its last `reg` or `failed` line.
+    `detect` ends every record's lines with one, so what follows belongs to
+    a record a crash cut short: its earlier stage lines and a torn last
+    line. Resuming detects that record again and writes all of its lines
+    anew. The cut stops at a whole line that is no transcript line, which
+    reading the transcript then reports."""
     if not path.exists():
         return
     data = path.read_bytes()
-    if data and not data.endswith(b"\n"):
+    end = data.rfind(b"\n") + 1  # a torn last line has no newline
+    while end:
+        start = data.rfind(b"\n", 0, end - 1) + 1
+        try:
+            if json.loads(data[start:end])["stage"] in _OUTCOME_STAGES:
+                break
+        except (ValueError, KeyError, TypeError):
+            break
+        end = start
+    if end < len(data):
         with open(path, "r+b") as handle:
-            handle.truncate(data.rfind(b"\n") + 1)
+            handle.truncate(end)
 
 
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import random
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -34,7 +33,7 @@ from .detect import (
     sqr_prompt,
     ssi_prompt,
 )
-from .exprs import eval_expr, format_value, parse_expr
+from .exprs import eval_expr, format_value, parse_expr, rational
 from .inject import InjectionError, inject
 from .label_oracle import oracle_clean
 from .records import CATEGORIES, SolutionRecord, SolutionStep, make_record, write_jsonl
@@ -130,7 +129,7 @@ _FAMILIES = (_family_trips, _family_crates, _family_fair, _family_share)
 
 def _build_record(question: str, rows, answer: int) -> SolutionRecord:
     steps = tuple(
-        SolutionStep(index=i, statement=text, expression=expr, stated_result=Fraction(value))
+        SolutionStep(index=i, statement=text, expression=expr, stated_result=rational(value))
         for i, (text, expr, value) in enumerate(rows, start=1)
     )
     return make_record(question=question, steps=steps, answer=answer)

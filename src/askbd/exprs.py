@@ -4,6 +4,12 @@ Parsing, evaluation, canonical forms, and the value-preserving rewrite
 rules (commutation, reassociation, distribution, factoring) used to
 permute a solving expression into equivalent alternatives. The grammar
 is documented in docs/grammar.md.
+
+A value is a `Rational` in one normal form: an `int` exactly when it is
+a whole number, otherwise a `Fraction`. `rational` puts a value in that
+form, and `number_value` and `apply_op` produce only such values, so no
+float ever arises. An `int` and a `Fraction` of equal value compare and
+hash equal, so code that only reads values sees no difference.
 """
 
 from __future__ import annotations
@@ -16,8 +22,9 @@ from fractions import Fraction
 from typing import Iterator, Literal, Union
 
 # Exact arithmetic throughout: equality filters must never be fooled by
-# floating-point rounding.
-Rational = Fraction
+# floating-point rounding. Whole numbers stay plain ints, which are far
+# cheaper to build, add and hash than Fractions.
+Rational = int | Fraction
 
 # deepest tree and deepest bracket nesting any expression may have
 MAX_DEPTH = 16
@@ -58,7 +65,7 @@ class DivisionByZero(ExprError):
 class Lit:
     """A literal leaf holding a finite rational value."""
 
-    value: Fraction
+    value: Rational
     _hash = None  # not a field: set by __hash__
 
     def __hash__(self) -> int:
@@ -90,8 +97,19 @@ class Bin:
 Expr = Union[Lit, Bin]
 
 
-def lit(value: int | Fraction) -> Lit:
-    return Lit(Fraction(value))
+def rational(value) -> Rational:
+    """`value` in normal form: an `int` when it is a whole number, else a
+    `Fraction`. Accepts whatever `Fraction()` accepts (an `int`, a
+    `Fraction`, a float or decimal string), converting exactly."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def lit(value) -> Lit:
+    return Lit(rational(value))
 
 
 def make_bin(op: str, left: Expr, right: Expr, grouped: bool = False) -> Bin:
@@ -110,31 +128,36 @@ def depth(e: Expr) -> int:
     return 1 + max(depth(e.left), depth(e.right))
 
 
-def eval_expr(e: Expr) -> Fraction:
+def eval_expr(e: Expr) -> Rational:
     """Exact rational value of the tree; independent of grouping flags."""
     return _eval(e)
 
 
-def _eval(e: Expr) -> Fraction:
+def _eval(e: Expr) -> Rational:
     if isinstance(e, Lit):
         return e.value
     return apply_op(e.op, _eval(e.left), _eval(e.right))
 
 
-def apply_op(op: str, lv: Fraction, rv: Fraction) -> Fraction:
-    """Exact `lv op rv`; a zero divisor raises DivisionByZero."""
+def apply_op(op: str, lv: Rational, rv: Rational) -> Rational:
+    """Exact `lv op rv` in normal form; a zero divisor raises DivisionByZero.
+
+    Division goes through `Fraction(lv, rv)`: `/` on two ints is a float.
+    """
     if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if rv == 0:
+        value = lv + rv
+    elif op == "-":
+        value = lv - rv
+    elif op == "*":
+        value = lv * rv
+    elif rv == 0:
         raise DivisionByZero()
-    return lv / rv
+    else:
+        value = Fraction(lv, rv)
+    return value if type(value) is int else rational(value)
 
 
-def eval_with_literal(e: Expr, k: int, value: Fraction) -> Fraction:
+def eval_with_literal(e: Expr, k: int, value: Rational) -> Rational:
     """Exact value of `e` with its `k`-th literal, counted from 0 left to
     right as in the source text, set to the nonnegative `value`.
 
@@ -144,7 +167,7 @@ def eval_with_literal(e: Expr, k: int, value: Fraction) -> Fraction:
     """
     leaves = itertools.count()
 
-    def walk(node: Expr) -> Fraction:
+    def walk(node: Expr) -> Rational:
         if isinstance(node, Lit):
             return value if next(leaves) == k else node.value
         return apply_op(node.op, walk(node.left), walk(node.right))
@@ -157,16 +180,17 @@ def eval_with_literal(e: Expr, k: int, value: Fraction) -> Fraction:
 _NUMBER = re.compile(NUMBER)
 
 
-def number_value(text: str) -> Fraction:
-    """Exact value of a `NUMBER` token: `12` is 12, `2.5` is 5/2, `.5` is 1/2.
+def number_value(text: str) -> Rational:
+    """Exact value of a `NUMBER` token, in normal form: `12` and `12.0` are
+    the int 12, `2.5` is Fraction(5, 2), `.5` is Fraction(1, 2).
 
     The one literal converter: the parser and `askbd.records`' number
     tokens both read literals through it.
     """
     whole, point, decimals = text.partition(".")
     if not point:
-        return Fraction(int(text))
-    return Fraction(int(whole + decimals), 10 ** len(decimals))
+        return int(text)
+    return rational(Fraction(int(whole + decimals), 10 ** len(decimals)))
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -290,7 +314,7 @@ def parse_expr(text: str) -> Expr:
 Style = Literal["minimal_brackets", "step_brackets"]
 
 
-def format_value(v: Fraction) -> str:
+def format_value(v: Rational) -> str:
     """Render a rational as an integer, a terminating decimal, or num/den."""
     if v.denominator == 1:
         return str(v.numerator)
@@ -355,8 +379,8 @@ def canonical_form(e: Expr) -> Expr:
 
 
 def _canonical(
-    e: Expr, memo: dict[int, tuple[Expr, Expr, Fraction]]
-) -> tuple[Expr, Fraction]:
+    e: Expr, memo: dict[int, tuple[Expr, Expr, Rational]]
+) -> tuple[Expr, Rational]:
     """(canonical form of `e`, value of `e`), evaluating each subtree once.
 
     `memo`, keyed by node identity, lets trees that share subtrees
@@ -512,7 +536,7 @@ def enumerate_permutations(
         raise ValueError("limit must be >= 1")
     rng = random.Random(seed)
     # rewrites share every subtree off their rewrite path with their parent
-    memo: dict[int, tuple[Expr, Expr, Fraction]] = {}
+    memo: dict[int, tuple[Expr, Expr, Rational]] = {}
     source_canon, target = _canonical(e, memo)
     expanded: set[Expr] = {source_canon}
     source_emitted = False

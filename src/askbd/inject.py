@@ -14,10 +14,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
-from fractions import Fraction
 from typing import Iterator
 
-from .exprs import DivisionByZero, Expr, eval_with_literal, format_value, parse_expr
+from .exprs import (
+    DivisionByZero,
+    Expr,
+    Rational,
+    eval_with_literal,
+    format_value,
+    parse_expr,
+)
 from .records import (
     CATEGORY_CALCULATION,
     CATEGORY_HALLUCINATION,
@@ -72,7 +78,7 @@ def _swap_equation(statement: str, new_lhs: str | None, new_rhs: str) -> str:
     )
 
 
-def _swap_mentions_outside_equation(statement: str, old: Fraction, new: Fraction) -> str:
+def _swap_mentions_outside_equation(statement: str, old: Rational, new: Rational) -> str:
     """Replace each number mention of value `old` outside the trailing
     equation, matching numbers by the rule `number_tokens` applies."""
     match = last_equation(statement)
@@ -85,7 +91,7 @@ def _swap_mentions_outside_equation(statement: str, old: Fraction, new: Fraction
     return "".join(pieces) + statement[done:]
 
 
-def _prior_results(record: SolutionRecord, before_index: int) -> set[Fraction]:
+def _prior_results(record: SolutionRecord, before_index: int) -> set[Rational]:
     return {
         s.stated_result
         for s in record.steps
@@ -111,8 +117,8 @@ def _calculation(record: SolutionRecord, rng: random.Random) -> tuple[list[Solut
 
 
 def _usable_swaps(
-    tree: Expr, k: int, value: Fraction, resolvable: set[Fraction]
-) -> Iterator[tuple[Fraction, Fraction]]:
+    tree: Expr, k: int, value: Rational, resolvable: set[Rational]
+) -> Iterator[tuple[Rational, Rational]]:
     """Each usable (wrong operand, recomputed result) for the `k`-th literal
     of `tree`, whose value is `value`, in OFFSETS order."""
     for offset in OFFSETS:
@@ -128,8 +134,8 @@ def _usable_swaps(
 
 
 def _spots(
-    expression: str, tree: Expr, resolvable: set[Fraction]
-) -> Iterator[tuple[int, int, Fraction, int]]:
+    expression: str, tree: Expr, resolvable: set[Rational]
+) -> Iterator[tuple[int, int, Rational, int]]:
     """(start, end, operand, k) of each resolvable operand with at least one
     usable swap, in text order; the k-th number token of a valid
     expression is its k-th literal."""
@@ -154,7 +160,7 @@ def _reference(record: SolutionRecord, rng: random.Random) -> tuple[list[Solutio
     """
     conditions = set(condition_values(record.question))
 
-    choices: list[tuple[SolutionStep, Expr, set[Fraction]]] = []
+    choices: list[tuple[SolutionStep, Expr, set[Rational]]] = []
     for step in record.steps:
         if step.expression is None:
             continue
@@ -240,9 +246,9 @@ def _hallucination(record: SolutionRecord, rng: random.Random) -> tuple[list[Sol
     pool: list[int] = []
     bound = 13
     while not pool:
-        pool = [n for n in range(2, bound) if Fraction(n) not in forbidden]
+        pool = [n for n in range(2, bound) if n not in forbidden]
         bound += 10
-    operand = Fraction(pool[rng.randrange(len(pool))])
+    operand = pool[rng.randrange(len(pool))]
     result = previous + operand
     calculation = f"{format_value(previous)} + {format_value(operand)}"
     statement = (

@@ -12,9 +12,7 @@ expression text and question once per pass.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exprs import eval_expr, parse_expr
+from .exprs import Rational, eval_expr, parse_expr
 from .records import (
     CATEGORY_CALCULATION,
     CATEGORY_HALLUCINATION,
@@ -35,10 +33,10 @@ class ScanMemo:
     results share an entry, since the stated result is not part of it."""
 
     def __init__(self):
-        self.expressions: dict[str, tuple[Fraction, tuple[Fraction, ...]]] = {}
-        self.questions: dict[str, frozenset[Fraction]] = {}
+        self.expressions: dict[str, tuple[Rational, tuple[Rational, ...]]] = {}
+        self.questions: dict[str, frozenset[Rational]] = {}
 
-    def expression(self, text: str) -> tuple[Fraction, tuple[Fraction, ...]]:
+    def expression(self, text: str) -> tuple[Rational, tuple[Rational, ...]]:
         """(value, number-token values) of the expression `text`."""
         hit = self.expressions.get(text)
         if hit is None:
@@ -47,7 +45,7 @@ class ScanMemo:
             hit = self.expressions[text] = (value, tokens)
         return hit
 
-    def conditions(self, question: str) -> frozenset[Fraction]:
+    def conditions(self, question: str) -> frozenset[Rational]:
         hit = self.questions.get(question)
         if hit is None:
             hit = self.questions[question] = frozenset(condition_values(question))
@@ -77,8 +75,8 @@ def scan_record(record: SolutionRecord, memo: ScanMemo | None = None) -> ErrorLa
             return ErrorLabel(step.index, CATEGORY_CALCULATION)
 
     conditions = memo.conditions(record.question)
-    unresolved: list[tuple[int, Fraction]] = []
-    priors: set[Fraction] = set()
+    unresolved: list[tuple[int, Rational]] = []
+    priors: set[Rational] = set()
     for step in record.steps:
         if step.expression is None:
             continue
@@ -135,7 +133,7 @@ def oracle_clean(record: SolutionRecord) -> bool:
         if value <= 0 or value.denominator != 1:
             return False
     condition_set = set(conditions)
-    priors: list[Fraction] = []
+    priors: list[Rational] = []
     consumption = {r: 0 for r in results}
     for step in record.steps:
         if step.expression is None:

@@ -57,13 +57,12 @@ def score_solution(
     scores = backends.score_tokens(profile, prefix, continuation, backend=backend)
     if not scores:
         raise EmptyContinuation(f"record {record.record_id} scored zero tokens")
-    total = sum_logprob(scores)
     return ScoredSolution(
         record_id=record.record_id,
         backend=profile.name,
-        total=total,
+        total=sum_logprob(scores),
         token_count=len(scores),
-        indicator=total / len(scores),
+        indicator=avg_token_logprob(scores),
     )
 
 

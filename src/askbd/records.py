@@ -16,11 +16,10 @@ import re
 import types
 import typing
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .exprs import NUMBER, Rational, format_value, number_value, parse_expr
+from .exprs import NUMBER, Rational, format_value, number_value, parse_expr, rational
 
 # built once: JSONL lines and record ids are sorted-key JSON, text left unescaped
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
@@ -175,7 +174,7 @@ def make_record(
         record_id=compute_record_id(question, origin, label, steps),
         question=question,
         steps=steps,
-        answer=Fraction(answer),
+        answer=rational(answer),
         origin=origin,
         label=label,
         lineage=lineage,
@@ -266,10 +265,11 @@ def condition_values(question: str) -> list[Rational]:
 
 
 def parse_rational(text: str) -> Rational:
-    """A rational written as `format_value` writes it (`12`, `2.5`, `1/3`);
-    a zero denominator is a ValueError, as any other unreadable text is."""
+    """A rational written as `format_value` writes it (`12`, `2.5`, `1/3`),
+    in normal form; a zero denominator is a ValueError, as any other
+    unreadable text is."""
     try:
-        return Fraction(text)
+        return rational(text)
     except ZeroDivisionError as err:
         raise ValueError(f"{text!r} has a zero denominator") from err
 

@@ -5,13 +5,18 @@ import pytest
 from askbd.exprs import DivisionByZero, Expr, lit, make_bin
 
 
-def random_expr(rng: random.Random, max_depth: int = 4) -> Expr:
-    """Random tree with integer leaves 1-12; division nodes kept sound."""
+def _integer_leaf(rng: random.Random) -> Expr:
+    return lit(rng.randint(1, 12))
+
+
+def random_expr(rng: random.Random, max_depth: int = 4, leaf=_integer_leaf) -> Expr:
+    """Random tree with `leaf(rng)` leaves, by default integers 1-12;
+    division nodes kept sound."""
     if max_depth <= 1 or rng.random() < 0.3:
-        return lit(rng.randint(1, 12))
+        return leaf(rng)
     op = rng.choice("++--**/")
-    left = random_expr(rng, max_depth - 1)
-    right = random_expr(rng, max_depth - 1)
+    left = random_expr(rng, max_depth - 1, leaf)
+    right = random_expr(rng, max_depth - 1, leaf)
     try:
         return make_bin(op, left, right, grouped=rng.random() < 0.2)
     except DivisionByZero:

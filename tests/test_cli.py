@@ -821,6 +821,17 @@ class TestOnePathToReports:
         assert _reports(tmp_path / "out") == reports
         assert cell.read_bytes() == whole
 
+    def test_a_torn_record_is_written_once_on_resume(self, tmp_path):
+        # an M2 record writes cqe, ssi, sqr and reg lines; cutting into its
+        # reg line leaves its first three, which resuming must not repeat
+        info = build_demo(tmp_path, n_questions=4, seeds=(1,))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        cell = tmp_path / "out" / "transcripts" / "demo__M2__seed1.jsonl"
+        whole = cell.read_bytes()
+        cell.write_bytes(whole[:-40])
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted", "--resume"]) == 0
+        assert cell.read_bytes() == whole
+
     def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(
         self, tmp_path, monkeypatch
     ):

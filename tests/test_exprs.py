@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from askbd.exprs import (
     ExprSyntaxError,
     Lit,
     MAX_DEPTH,
+    apply_op,
     canonical_form,
     depth,
     enumerate_permutations,
@@ -23,7 +25,7 @@ from askbd.exprs import (
     to_text,
 )
 from askbd.demo import build_labeled_corpus
-from askbd.records import number_tokens
+from askbd.records import number_tokens, parse_rational
 from conftest import random_expr
 
 
@@ -91,10 +93,14 @@ class TestParse:
 
 
 class TestNumberValue:
-    @pytest.mark.parametrize("text", ["0", "007", "12", "2.5", ".5", "12.50", "0.125"])
-    def test_equals_the_fraction_of_its_text(self, text):
+    @pytest.mark.parametrize("text, kind", [
+        ("0", int), ("007", int), ("12", int), ("12.0", int),
+        ("2.5", Fraction), (".5", Fraction), ("12.50", Fraction), ("0.125", Fraction),
+    ], ids=["0", "007", "12", "12.0", "2.5", ".5", "12.50", "0.125"])
+    def test_equals_the_fraction_of_its_text(self, text, kind):
+        # the normal form: an int exactly when the value is a whole number
         value = number_value(text)
-        assert value == Fraction(text) and type(value) is Fraction
+        assert value == Fraction(text) and type(value) is kind
 
 
 def _value_or_error(evaluate):
@@ -136,6 +142,99 @@ class TestEvalWithLiteral:
         with pytest.raises(DivisionByZero):
             eval_with_literal(parse_expr("10 / (5 - 3)"), 2, Fraction(5))
         assert eval_with_literal(parse_expr("10 / (5 - 3)"), 2, Fraction(4)) == 10
+
+
+def _random_literal(rng: random.Random) -> str:
+    """An integer or decimal `NUMBER` token; some decimals are whole."""
+    whole = str(rng.randint(0, 12))
+    if rng.random() < 0.5:
+        return whole
+    decimals = rng.choice(["0", "5", "25", "125", "50", "75", "2", "000"])
+    return rng.choice([whole, ""]) + "." + decimals
+
+
+def _parsed_leaf(rng: random.Random) -> Lit:
+    return Lit(number_value(_random_literal(rng)))
+
+
+def _reference_value(e, swap: tuple[int, Fraction] | None = None) -> Fraction:
+    """Value of `e` on Fractions alone, with literal `swap[0]` (counted left
+    to right from 0) set to `swap[1]`; a zero divisor raises
+    ZeroDivisionError."""
+    leaves = itertools.count()
+
+    def walk(node) -> Fraction:
+        if isinstance(node, Lit):
+            k = next(leaves)
+            return Fraction(swap[1] if swap is not None and k == swap[0] else node.value)
+        lv, rv = walk(node.left), walk(node.right)
+        if node.op == "+":
+            return lv + rv
+        if node.op == "-":
+            return lv - rv
+        if node.op == "*":
+            return lv * rv
+        return lv / rv
+
+    return walk(e)
+
+
+def _values(e):
+    """Every literal and every subtree value of `e`, as `eval_expr` gives it."""
+    yield eval_expr(e)
+    if isinstance(e, Bin):
+        yield from _values(e.left)
+        yield from _values(e.right)
+
+
+def _assert_normal(value):
+    # never a float; an int exactly when the value is whole
+    assert type(value) in (int, Fraction), (value, type(value))
+    assert (type(value) is int) == (value.denominator == 1), (value, type(value))
+
+
+class TestNormalForm:
+    """Values are exact and in one normal form on every path through `exprs`."""
+
+    def test_random_trees_against_a_fraction_reference(self):
+        rng = random.Random(0x17)
+        for _ in range(400):
+            e = random_expr(rng, leaf=_parsed_leaf)
+            expected = _reference_value(e)
+            canon = canonical_form(e)
+            assert eval_expr(e) == expected and _reference_value(canon) == expected
+            for value in itertools.chain(_values(e), _values(canon)):
+                _assert_normal(value)
+                again = parse_rational(format_value(value))
+                assert again == value and type(again) is type(value), value
+            n_leaves = len(list(_values(e))) // 2 + 1
+            for k in range(n_leaves):
+                swapped = number_value(_random_literal(rng))
+                try:
+                    reference = _reference_value(e, (k, swapped))
+                except ZeroDivisionError:
+                    with pytest.raises(DivisionByZero):
+                        eval_with_literal(e, k, swapped)
+                    continue
+                value = eval_with_literal(e, k, swapped)
+                assert value == reference
+                _assert_normal(value)
+
+    @pytest.mark.parametrize("op, lv, rv, expected", [
+        ("/", 6, 3, 2), ("/", 1, 3, Fraction(1, 3)), ("/", Fraction(5, 2), Fraction(1, 2), 5),
+        ("+", Fraction(1, 2), Fraction(1, 2), 1), ("*", Fraction(2, 3), 3, 2),
+        ("-", Fraction(7, 2), 3, Fraction(1, 2)),
+    ])
+    def test_apply_op_reduces_a_whole_result_to_an_int(self, op, lv, rv, expected):
+        value = apply_op(op, lv, rv)
+        assert value == expected and type(value) is type(expected)
+
+    def test_literals_and_parsed_rationals_take_the_normal_form(self):
+        assert [(v, type(v)) for v in (lit(Fraction(6, 2)).value, lit(2.5).value, lit(7).value)] \
+            == [(3, int), (Fraction(5, 2), Fraction), (7, int)]
+        assert [(v, type(v)) for v in map(parse_rational, ("12", "2.5", "1/3", "4/2"))] == [
+            (12, int), (Fraction(5, 2), Fraction), (Fraction(1, 3), Fraction), (2, int)
+        ]
 
 
 class TestEval:
