@@ -316,6 +316,12 @@ class ExchangeStore:
     with a live `inner` transport, asks it once and keeps the answer; with
     a `path` it also appends one line to that cassette, so a replay of the
     cassette answers exactly as the recording run was answered.
+
+    The store also remembers each generate request it answered, exactly as
+    it was asked (messages and params, `attempt` included), so asking it
+    again returns the same response without fingerprinting the request.
+    A request that failed is not remembered. The memo lives as long as the
+    store, which `open_backend` builds anew for each run.
     """
 
     def __init__(self, entries: Mapping[str, Mapping], model: str, inner=None, path=None):
@@ -325,6 +331,9 @@ class ExchangeStore:
         self.path = None if path is None else Path(path)
         self._lock = threading.Lock()
         self._asking: dict[str, threading.Lock] = {}
+        # response by request as asked; a plain key, since a digest of the
+        # prompt is the cost this saves
+        self._answered: dict[tuple, str] = {}
 
     def _exchange(self, key: str, field: str, ask: Callable[[], object]):
         entry = self.entries.get(key)
@@ -349,8 +358,15 @@ class ExchangeStore:
         return entry[field]
 
     def generate(self, messages: Messages, params: GenerationParams) -> str:
-        key = generate_fingerprint(self.model, messages, params)
-        return self._exchange(key, "response", lambda: self.inner.generate(messages, params))
+        request = (params, *[tuple(m.items()) for m in messages])
+        response = self._answered.get(request)
+        if response is None:
+            key = generate_fingerprint(self.model, messages, params)
+            response = self._exchange(
+                key, "response", lambda: self.inner.generate(messages, params)
+            )
+            self._answered[request] = response
+        return response
 
     def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
         if not continuation:

@@ -31,7 +31,7 @@ from .detect import (
     REFERENCE_STRATEGIES,
     STRATEGIES,
     STRATEGY_REF_MATCHING,
-    StageExchange,
+    DetectionOutcome,
     detect,
     outcome_of,
 )
@@ -355,34 +355,42 @@ def _transcript_lines(record_id: str, strategy: str, exchanges) -> str:
 # every record's transcript lines end with one of these
 _OUTCOME_STAGES = ("reg", FAILED_STAGE)
 
+# A record's last outcome in a cell: the (stage, response) of its last
+# `reg` or `failed` transcript line, or, for a record just detected, the
+# outcome `detect` parsed from that exchange.
+Outcome = tuple[str, str] | DetectionOutcome
 
-def _read_outcomes(path: Path) -> dict[str, StageExchange]:
-    """Each record's last `reg` or `failed` line, in order of first appearance."""
-    outcomes: dict[str, StageExchange] = {}
+
+def _read_outcomes(path: Path) -> dict[str, tuple[str, str]]:
+    """The (stage, response) of each record's last `reg` or `failed` line,
+    in order of first appearance."""
+    outcomes: dict[str, tuple[str, str]] = {}
     if not path.exists():
         return outcomes
     for number, entry in read_jsonl_lines(path, "transcript"):
         try:
             if entry["stage"] in _OUTCOME_STAGES:
-                outcomes[entry["record_id"]] = StageExchange(
-                    entry["stage"], entry["prompt"], entry["response"]
-                )
+                outcomes[entry["record_id"]] = (entry["stage"], entry["response"])
         except (KeyError, TypeError) as err:
             raise SchemaViolation(f"bad transcript line in {path}: {err!r}", line=number) from err
     return outcomes
 
 
-def _judge_outcomes(outcomes: dict[str, StageExchange], gold: dict[str, SolutionRecord],
+def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord],
                     profile: str, strategy: str, seed: int) -> list[JudgedResult]:
-    """Judges one cell by each record's last outcome, as `_read_outcomes`
-    gives it for the cell's transcript. A `failed` line is an invalid
-    outcome, so it counts against accuracy."""
+    """Judges one cell by each record's last outcome: a transcript line
+    through `outcome_of`, the judge `evaluate` applies, and a parsed one
+    as it is. A `failed` line is an invalid outcome, so it counts against
+    accuracy."""
     judged = []
-    for record_id, line in outcomes.items():
+    for record_id, last in outcomes.items():
         record = gold.get(record_id)
         if record is None:
             raise SchemaViolation(f"gold corpus lacks record {record_id}")
-        outcome = outcome_of(line, len(record.steps))
+        if isinstance(last, DetectionOutcome):
+            outcome = last
+        else:
+            outcome = outcome_of(*last, len(record.steps))
         judged.append(
             JudgedResult(
                 record_id=record_id,
@@ -462,14 +470,16 @@ def _run_detection(
     references: dict[str, str] | None,
     resume: bool,
     workers: int,
-) -> dict[str, StageExchange]:
+) -> dict[str, Outcome]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
-    record at a time as each finishes, and returns the cell's outcomes: each
-    record's last `reg` or `failed` exchange, equal to what `_read_outcomes`
-    reads from the finished transcript. `references` holds each record's
-    reference text for a reference strategy. With `resume`, a record whose
-    last outcome is a `reg` line is kept; a `failed` one, or one whose lines
-    a crash cut short, is detected again.
+    record at a time as each finishes, and returns the cell's outcomes, in
+    the order `_read_outcomes` reads them from the finished transcript: a
+    record kept from it by `resume` as `_read_outcomes` gives it, a record
+    detected now as the outcome `detect` parsed from its last `reg` or
+    `failed` exchange. `references` holds each record's reference text for
+    a reference strategy. With `resume`, a record whose last outcome is a
+    `reg` line is kept; a `failed` one, or one whose lines a crash cut
+    short, is detected again.
 
     Detection runs on `workers` threads only when the backend may wait on
     I/O. Otherwise threads would only take turns at the interpreter lock,
@@ -481,28 +491,27 @@ def _run_detection(
     else:
         outcomes = {}
         path.unlink(missing_ok=True)
-    done = {rid for rid, line in outcomes.items() if line.stage == "reg"}
+    done = {rid for rid, (stage, _) in outcomes.items() if stage == "reg"}
     pending = [r for r in records if r.record_id not in done]
 
-    def one(record: SolutionRecord) -> tuple[str, str, StageExchange]:
+    def one(record: SolutionRecord) -> tuple[str, str, DetectionOutcome]:
         # Serialized here, so that on a pool it runs in the worker: a main
         # thread that only writes holds the interpreter lock briefly, and
         # detection keeps its pace.
         reference = references[record.record_id] if references else None
         exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
-        # detect ends every record's exchanges with its `reg` or `failed` one
         lines = _transcript_lines(record.record_id, strategy, exchanges)
-        return record.record_id, lines, exchanges[-1]
+        return record.record_id, lines, exchanges[-1].outcome
 
     path.parent.mkdir(parents=True, exist_ok=True)
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
             open(path, "a", encoding="utf-8") as handle:
         detect_each = pool.map if workers > 1 and backends.waits_on_io(backend) else map
-        for record_id, lines, last in detect_each(one, pending):
+        for record_id, lines, outcome in detect_each(one, pending):
             handle.write(lines)
             handle.flush()
-            outcomes[record_id] = last
+            outcomes[record_id] = outcome
     return outcomes
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import re
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -121,6 +121,9 @@ class StageExchange:
     stage: str
     prompt: str
     response: str
+    # set on the last exchange `detect` returns: what `outcome_of` makes of
+    # it, parsed once; a transcript line does not hold it
+    outcome: DetectionOutcome | None = field(default=None, compare=False, repr=False)
 
 
 # --- Response parsing ---
@@ -162,12 +165,13 @@ def parse_detector_response(text: str, n_steps: int) -> DetectionOutcome:
     return DetectionOutcome(CORRECT_LABEL, valid=True)
 
 
-def outcome_of(last: StageExchange, n_steps: int) -> DetectionOutcome:
-    """The outcome of a detection whose last `reg` or `failed` exchange is
-    `last`: a failed stage is invalid, with its response as the reason."""
-    if last.stage == FAILED_STAGE:
-        return DetectionOutcome.invalid_response(last.response)
-    return parse_detector_response(last.response, n_steps)
+def outcome_of(stage: str, response: str, n_steps: int) -> DetectionOutcome:
+    """The outcome of a detection whose last `reg` or `failed` exchange has
+    `stage` and `response`: a failed stage is invalid, with its response as
+    the reason."""
+    if stage == FAILED_STAGE:
+        return DetectionOutcome.invalid_response(response)
+    return parse_detector_response(response, n_steps)
 
 
 # --- Prompts: what each stage sends ---
@@ -240,10 +244,11 @@ def _parse_sqr(text: str) -> str:
     return text.strip()
 
 
-def _parse_grading(text: str, n_steps: int) -> None:
+def _parse_grading(text: str, n_steps: int) -> DetectionOutcome:
     outcome = parse_detector_response(text, n_steps)
     if not outcome.valid:
         raise UnparseableBackendOutput(outcome.invalid_reason)
+    return outcome
 
 
 # --- Detection ---
@@ -269,12 +274,13 @@ def detect(
     backend,
 ) -> tuple[StageExchange, ...]:
     """Run one detection strategy and return every exchange it made, re-asks
-    included, for `outcome_of` to judge. M2 and M3 build their reference
-    with the cqe, ssi and sqr stages before grading; the ref_* strategies
-    grade with the given `reference`. A grading reply that stays
-    unparseable ends the exchanges. Any other per-record failure ends them
-    with one `failed` line naming the stage and the error class; other
-    backend errors propagate."""
+    included. The last one is the `reg` or `failed` exchange that
+    `outcome_of` judges, and it carries that outcome. M2 and M3 build
+    their reference with the cqe, ssi and sqr stages before grading; the
+    ref_* strategies grade with the given `reference`. A grading reply
+    that stays unparseable ends the exchanges. Any other per-record
+    failure ends them with one `failed` line naming the stage and the
+    error class; other backend errors propagate."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     transcript: list[StageExchange] = []
@@ -296,15 +302,20 @@ def detect(
                     raise
 
     n_steps = len(record.steps)
+    outcome = None
     try:
         if strategy in ASKBD_STRATEGIES:
             conditions, inquiry = ask("cqe", cqe_prompt(record), _parse_cqe)
             questions = ask("ssi", ssi_prompt(record), lambda text: _parse_ssi(text, n_steps))
             reference = ask("sqr", sqr_prompt(conditions, [*questions, inquiry]), _parse_sqr)
         prompt = grading_prompt(record, strategy, reference)
-        with suppress(UnparseableBackendOutput):  # outcome_of judges it invalid
-            ask("reg", prompt, lambda text: _parse_grading(text, n_steps))
+        with suppress(UnparseableBackendOutput):  # invalid; judged from its line below
+            outcome = ask("reg", prompt, lambda text: _parse_grading(text, n_steps))
     except _RECORD_FAILURES as err:
         failure = f"stage failure: {stage}: {type(err).__name__}: {err}"
         transcript.append(StageExchange(FAILED_STAGE, "", failure))
+    last = transcript[-1]
+    if outcome is None:
+        outcome = outcome_of(last.stage, last.response, n_steps)
+    transcript[-1] = StageExchange(last.stage, last.prompt, last.response, outcome)
     return tuple(transcript)

@@ -83,9 +83,6 @@ class QuartileBucketing:
     def bucket(self, record_id: str) -> str:
         return self.assignment[record_id]
 
-    def members(self, bucket: str) -> list[str]:
-        return [rid for rid, b in self.assignment.items() if b == bucket]
-
 
 def _nearest_rank(ordered: Sequence[float], percentile: float) -> float:
     rank = math.ceil(percentile / 100.0 * len(ordered))

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from askbd import backends
 from askbd.backends import (
     CAP_GENERATE,
     CAP_SCORE_TOKENS,
@@ -334,7 +335,7 @@ class TestRecordReplay:
         )
         assert transport.calls == 2
         assert [e.response for e in exchanges] == ["garbled", valid]
-        assert outcome_of(exchanges[-1], len(leaf_record.steps)).valid
+        assert outcome_of(exchanges[-1].stage, valid, len(leaf_record.steps)).valid
         replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
         assert _transcript_lines(leaf_record.record_id, "M0", replayed) == \
             _transcript_lines(leaf_record.record_id, "M0", exchanges)
@@ -425,6 +426,89 @@ class TestStoreThreads:
         assert answers == ["answer to naive-prompt request"] * 4
         assert inner.calls == 1
         assert len(cassette.read_text().splitlines()) == 1
+
+
+@pytest.fixture
+def fingerprinted(monkeypatch):
+    """The requests `backends.generate_fingerprint` is called on, in order."""
+    seen = []
+    real = backends.generate_fingerprint
+
+    def counting(model, messages, params):
+        seen.append((messages[0]["content"], params))
+        return real(model, messages, params)
+
+    monkeypatch.setattr(backends, "generate_fingerprint", counting)
+    return seen
+
+
+def scripted_store(requests):
+    """A scripted store that answers each (messages, params) in `requests`
+    with its own response, `answer <i>`."""
+    entries = {
+        generate_fingerprint("test-model", messages, params): {"response": f"answer {i}"}
+        for i, (messages, params) in enumerate(requests)
+    }
+    return ExchangeStore(entries, "test-model")
+
+
+class TestStoreMemo:
+    def test_a_repeated_request_is_fingerprinted_once(self, fingerprinted):
+        store = scripted_store([(MESSAGES, PARAMS)])
+        # equal requests built anew each time, as each detection builds its prompt
+        answers = [store.generate([dict(MESSAGES[0])], GenerationParams()) for _ in range(3)]
+        assert answers == ["answer 0"] * 3
+        assert fingerprinted == [(MESSAGES[0]["content"], PARAMS)]
+
+    def test_any_other_field_is_another_request(self, fingerprinted):
+        message = MESSAGES[0]
+        requests = [
+            (MESSAGES, PARAMS),
+            (MESSAGES, REASK),
+            (MESSAGES, GenerationParams(temperature=0.7)),
+            (MESSAGES, GenerationParams(max_tokens=10)),
+            ([{**message, "role": "system"}], PARAMS),
+            ([{**message, "content": "another request"}], PARAMS),
+        ]
+        store = scripted_store(requests)
+        for _ in range(2):
+            answers = [store.generate(messages, params) for messages, params in requests]
+            assert answers == [f"answer {i}" for i in range(len(requests))]
+        assert len(fingerprinted) == len(requests)
+
+    def test_an_unscripted_request_raises_on_every_ask(self, fingerprinted):
+        store = ExchangeStore({}, "test-model")
+        for _ in range(3):
+            with pytest.raises(UnscriptedRequest):
+                store.generate(MESSAGES, PARAMS)
+        assert len(fingerprinted) == 3
+
+    def test_a_failed_ask_is_asked_again(self, tmp_path, fingerprinted):
+        clock = VirtualClock()
+        transport = FaultInjectingTransport([(500, {}), (200, chat_body("late"))])
+        live = HttpBackend(make_profile(retry=RetryPolicy(max_attempts=1)), api_key="k",
+                           clock=clock, sleep=clock.sleep, transport=transport)
+        store = ExchangeStore({}, "test-model", inner=live, path=tmp_path / "cassette.jsonl")
+        with pytest.raises(BackendError):
+            store.generate(MESSAGES, PARAMS)
+        assert [store.generate(MESSAGES, PARAMS) for _ in range(2)] == ["late"] * 2
+        assert transport.calls == 2 and len(fingerprinted) == 2
+        assert len((tmp_path / "cassette.jsonl").read_text().splitlines()) == 1
+
+    def test_a_recording_store_asks_and_records_a_repeated_request_once(
+        self, tmp_path, fingerprinted
+    ):
+        cassette = tmp_path / "cassette.jsonl"
+        inner = CountingGenerator(delay=0.05)
+        store = ExchangeStore({}, "test-model", inner=inner, path=cassette)
+        # four threads at once, then the same request twice more in the run
+        answers = in_threads(lambda _: store.generate(MESSAGES, PARAMS), 4)
+        answers += [store.generate(MESSAGES, PARAMS) for _ in range(2)]
+        assert answers == ["answer to naive-prompt request"] * 6
+        assert inner.calls == 1
+        assert len(cassette.read_text().splitlines()) == 1
+        # only threads that missed before the first answer was remembered
+        assert 1 <= len(fingerprinted) <= 4
 
 
 class TestModuleOps:

@@ -19,7 +19,8 @@ from askbd.backends import (
     load_profiles,
 )
 from askbd.cli import main
-from askbd.demo import build_demo
+from askbd.demo import build_demo, write_cassette
+from askbd.detect import DetectionOutcome, grading_prompt, outcome_of, ssi_prompt
 from askbd.records import SolutionStep, jsonl_line, make_record, read_jsonl, write_jsonl
 
 
@@ -762,6 +763,63 @@ class TestOnePathToReports:
         assert sum(len(path.read_text().splitlines()) for path in transcripts) == \
             size + sum(lines_per_record[key] for key in failed)
 
+    def test_run_judges_each_record_as_evaluate_judges_its_last_line(
+        self, tmp_path, monkeypatch
+    ):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        records = read_jsonl(info["corpus"])
+        entries = load_cassette(info["cassette"])
+
+        def key(prompt, attempt=0):
+            messages = [{"role": "user", "content": prompt}]
+            return generate_fingerprint("demo-model", messages, GenerationParams(attempt=attempt))
+
+        garbled, twice, failing = records[:3]
+        # M0 on `garbled`: an invalid reply, then a valid one on the re-ask
+        prompt = grading_prompt(garbled, "M0")
+        entries[key(prompt, 1)] = entries[key(prompt)]
+        entries[key(prompt)] = {"response": "no verdict"}
+        # M1 on `twice`: an invalid reply, and another on the re-ask
+        prompt = grading_prompt(twice, "M1")
+        entries[key(prompt)] = {"response": "no verdict"}
+        entries[key(prompt, 1)] = {"response": "Step 1: <correct>\nStep 1: <correct>"}
+        # M2 and M3 on `failing`: the ssi request is unscripted
+        del entries[key(ssi_prompt(failing))]
+        write_cassette(entries, info["cassette"])
+
+        returned = {}
+        run_detection = cli._run_detection
+
+        def noting(records, profile, backend, strategy, seed, outdir, *rest):
+            outcomes = run_detection(records, profile, backend, strategy, seed, outdir, *rest)
+            returned[(strategy, seed)] = outcomes
+            return outcomes
+
+        monkeypatch.setattr(cli, "_run_detection", noting)
+        assert main(["run", "--config", str(info["config"])]) == 0
+        assert _reports(tmp_path / "out") == _evaluate(info, tmp_path / "eval")
+
+        gold = {r.record_id: r for r in records}
+        assert len(returned) == 4 * 2
+        for (strategy, seed), outcomes in returned.items():
+            path = cli._transcript_path(tmp_path / "out", "demo", strategy, seed)
+            lines = cli._read_outcomes(path)
+            assert list(outcomes) == list(lines) == list(gold)
+            for record_id, outcome in outcomes.items():
+                assert isinstance(outcome, DetectionOutcome)
+                last = lines[record_id]
+                assert outcome == outcome_of(*last, len(gold[record_id].steps)), \
+                    (strategy, seed, record_id)
+            stages = [json.loads(line)["stage"] for line in path.read_text().splitlines()]
+            reasked = {"M0": 1, "M1": 1}.get(strategy, 0)
+            assert stages.count("reg") == len(gold) + reasked - (strategy in ("M2", "M3"))
+            assert outcomes[garbled.record_id].valid
+            assert outcomes[twice.record_id].valid is (strategy != "M1")
+            assert outcomes[failing.record_id].valid is (strategy in ("M0", "M1"))
+        assert returned[("M1", 1)][twice.record_id].invalid_reason == "duplicate line for step 1"
+        assert returned[("M3", 2)][failing.record_id].invalid_reason.startswith(
+            "stage failure: ssi: UnscriptedRequest: ")
+
     def test_a_scripted_run_asks_every_stage_once(self, tmp_path):
         info = build_demo(tmp_path, n_questions=2, seeds=(1,))
         assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
@@ -858,11 +916,16 @@ class TestOnePathToReports:
         monkeypatch.setattr(cli, "_run_detection", noting)
         assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
         assert len(returned) == 4
+        gold = {r.record_id: r for r in read_jsonl(info["corpus"])}
         for path, outcomes in returned.items():
-            assert list(outcomes.items()) == list(cli._read_outcomes(path).items()), path.name
+            finished = cli._read_outcomes(path)
+            assert list(outcomes) == list(finished), path.name
+            assert cli._judge_outcomes(outcomes, gold, "demo", "M2", 1) == \
+                cli._judge_outcomes(finished, gold, "demo", "M2", 1), path.name
         # the failed record was detected again and keeps its slot
-        resumed = list(returned[cell].items())
-        assert resumed[0][0] == failed["record_id"] and resumed[0][1].stage == "reg"
+        resumed = list(cli._read_outcomes(cell).items())
+        assert resumed[0][0] == failed["record_id"] and resumed[0][1][0] == "reg"
+        assert isinstance(returned[cell][failed["record_id"]], DetectionOutcome)
         assert _reports(tmp_path / "out") == reports
         assert _evaluate(info, tmp_path / "eval") == reports
 

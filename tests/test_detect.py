@@ -61,8 +61,12 @@ def stages(exchanges):
 
 
 def outcome(record, exchanges):
-    """What `outcome_of` makes of a detection's last exchange."""
-    return outcome_of(exchanges[-1], len(record.steps))
+    """What `outcome_of` makes of a detection's last exchange, which is the
+    outcome `detect` attached to that exchange."""
+    last = exchanges[-1]
+    judged = outcome_of(last.stage, last.response, len(record.steps))
+    assert last.outcome == judged
+    return judged
 
 
 # The published detector instructions, frozen for the golden comparison.
