@@ -26,7 +26,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .records import SchemaViolation, from_json, jsonl_line, read_json_file, read_jsonl_lines
+from .records import (
+    SchemaViolation,
+    from_json,
+    jsonl_line,
+    open_output,
+    read_json_file,
+    read_jsonl_lines,
+)
 
 log = logging.getLogger(__name__)
 
@@ -352,8 +359,7 @@ class ExchangeStore:
                 with self._lock:
                     self.entries[key] = entry
                     if self.path is not None:
-                        self.path.parent.mkdir(parents=True, exist_ok=True)
-                        with open(self.path, "a", encoding="utf-8") as handle:
+                        with open_output(self.path, "cassette", "a") as handle:
                             handle.write(cassette_line(key, entry))
         return entry[field]
 

@@ -1,7 +1,8 @@
 """Operator entry point: ingestion, alternative generation, interactive
 review, error injection, likelihood scoring, detection runs, evaluation.
 
-Exit codes: 0 success, 2 schema error, 3 backend error, 4 user abort.
+Exit codes: 0 success, 2 schema error (a bad input, or an output path that
+cannot be written), 3 backend error, 4 user abort.
 All randomness flows from explicit --seed flags.
 """
 
@@ -15,7 +16,8 @@ import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import groupby, product
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from . import backends, likelihood
@@ -53,6 +55,7 @@ from .records import (
     from_json,
     jsonl_line,
     make_record,
+    open_output,
     parse_rational,
     parse_structured_solution,
     read_json_file,
@@ -203,7 +206,7 @@ def cmd_review(args) -> int:
                 break
             entry = {"source_id": source, "decision": "select", "candidate_rank": rank}
         decisions[entry["source_id"]] = entry
-        with open(audit_path, "a", encoding="utf-8") as handle:
+        with open_output(audit_path, "audit log", "a") as handle:
             handle.write(jsonl_line(entry))
 
     selected = []
@@ -337,17 +340,29 @@ def _transcript_path(outdir: Path, profile: str, strategy: str, seed: int) -> Pa
     return outdir / "transcripts" / f"{profile}__{strategy}__seed{seed}.jsonl"
 
 
-def _transcript_lines(record_id: str, strategy: str, exchanges) -> str:
+def _transcript_lines(record_id: str, strategy: str, exchanges,
+                      escaped: dict[str, str] | None = None) -> str:
+    """One transcript line per exchange, each exactly the bytes `jsonl_line`
+    writes for its `record_id`, `strategy`, `stage`, `prompt` and
+    `response`: sorted keys, `jsonl_line`'s separators, and every text
+    escaped by `encode_basestring`, as `jsonl_line`'s encoder escapes it.
+    `escaped` maps each stage, prompt and response text already escaped to
+    its escaped form, and gains the texts escaped here; a memo shared by
+    several calls escapes each distinct text once."""
+    if escaped is None:
+        escaped = {}
+
+    def text(value: str) -> str:
+        found = escaped.get(value)
+        if found is None:
+            found = escaped[value] = encode_basestring(value)
+        return found
+
+    record_text, strategy_text = encode_basestring(record_id), encode_basestring(strategy)
     return "".join(
-        jsonl_line(
-            {
-                "record_id": record_id,
-                "strategy": strategy,
-                "stage": exchange.stage,
-                "prompt": exchange.prompt,
-                "response": exchange.response,
-            }
-        )
+        f'{{"prompt": {text(exchange.prompt)}, "record_id": {record_text}, '
+        f'"response": {text(exchange.response)}, "stage": {text(exchange.stage)}, '
+        f'"strategy": {strategy_text}}}\n'
         for exchange in exchanges
     )
 
@@ -407,12 +422,16 @@ def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord
     return judged
 
 
+def _write_output(path: Path, text: str) -> None:
+    with open_output(path, "output file") as handle:
+        handle.write(text)
+
+
 def _write_reports(outdir: Path, judged: list[JudgedResult]) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
     report = build_report(judged)
-    (outdir / "report.csv").write_text(render_report_csv(report))
-    (outdir / "report.md").write_text(render_report_markdown(report))
-    (outdir / "results.csv").write_text(render_results_csv(judged))
+    _write_output(outdir / "report.csv", render_report_csv(report))
+    _write_output(outdir / "report.md", render_report_markdown(report))
+    _write_output(outdir / "results.csv", render_results_csv(judged))
 
 
 def _references(records: list[SolutionRecord], strategies,
@@ -470,6 +489,7 @@ def _run_detection(
     references: dict[str, str] | None,
     resume: bool,
     workers: int,
+    escaped: dict[str, str] | None = None,
 ) -> dict[str, Outcome]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
     record at a time as each finishes, and returns the cell's outcomes, in
@@ -479,7 +499,10 @@ def _run_detection(
     `failed` exchange. `references` holds each record's reference text for
     a reference strategy. With `resume`, a record whose last outcome is a
     `reg` line is kept; a `failed` one, or one whose lines a crash cut
-    short, is detected again.
+    short, is detected again. `escaped` is the memo of escaped texts that
+    `_transcript_lines` writes the lines from; `_detect_cells` shares one
+    among a (profile, strategy)'s seeds. A transcript that cannot be
+    written is a SchemaViolation naming it, raised before any detection.
 
     Detection runs on `workers` threads only when the backend may wait on
     I/O. Otherwise threads would only take turns at the interpreter lock,
@@ -490,7 +513,6 @@ def _run_detection(
         outcomes = _read_outcomes(path)
     else:
         outcomes = {}
-        path.unlink(missing_ok=True)
     done = {rid for rid, (stage, _) in outcomes.items() if stage == "reg"}
     pending = [r for r in records if r.record_id not in done]
 
@@ -500,13 +522,12 @@ def _run_detection(
         # detection keeps its pace.
         reference = references[record.record_id] if references else None
         exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
-        lines = _transcript_lines(record.record_id, strategy, exchanges)
+        lines = _transcript_lines(record.record_id, strategy, exchanges, escaped)
         return record.record_id, lines, exchanges[-1].outcome
 
-    path.parent.mkdir(parents=True, exist_ok=True)
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
-            open(path, "a", encoding="utf-8") as handle:
+            open_output(path, "transcript", "a" if resume else "w") as handle:
         detect_each = pool.map if workers > 1 and backends.waits_on_io(backend) else map
         for record_id, lines, outcome in detect_each(one, pending):
             handle.write(lines)
@@ -542,7 +563,10 @@ def _drop_unfinished_record(path: Path) -> None:
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],
                   resume: bool) -> list[JudgedResult]:
     """Detects `records` in every (profile, strategy, integer seed) cell of
-    `config`, in that order, and judges each cell by its outcomes."""
+    `config`, in that order, and judges each cell by its outcomes. Each
+    (profile, strategy) gets a fresh memo of escaped texts, which its seeds
+    share: they ask the same prompts and get the same replies, so each
+    distinct text is escaped once for all of them."""
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
@@ -550,12 +574,15 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
     opened = {p.name: open_backend(p, strict_scripted=config.strict_scripted) for p in selected}
     gold = {r.record_id: r for r in records}
     judged: list[JudgedResult] = []
-    for name, strategy, seed in sorted(set(product(profiles, strategies, config.seeds))):
-        outcomes = _run_detection(
-            records, profiles[name], opened[name], strategy, seed, Path(config.out),
-            references.get(strategy), resume, config.workers,
-        )
-        judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
+    cells = sorted(set(product(profiles, strategies, config.seeds)))
+    for (name, strategy), seeds in groupby(cells, key=lambda cell: cell[:2]):
+        escaped: dict[str, str] = {}
+        for _, _, seed in seeds:
+            outcomes = _run_detection(
+                records, profiles[name], opened[name], strategy, seed, Path(config.out),
+                references.get(strategy), resume, config.workers, escaped,
+            )
+            judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
     return judged
 
 
@@ -569,7 +596,7 @@ def cmd_detect(args) -> int:
     )
     outdir = Path(args.out)
     judged = _detect_cells(config, read_jsonl(args.infile), args.resume)
-    (outdir / "results.csv").write_text(render_results_csv(judged))
+    _write_output(outdir / "results.csv", render_results_csv(judged))
     print(f"detected {len(judged)} (record, seed) pairs -> {outdir}")
     return EXIT_OK
 
@@ -631,7 +658,7 @@ def cmd_run(args) -> int:
     judged = _detect_cells(config, records, args.resume)
     outdir = Path(config.out)
     _write_reports(outdir, judged)
-    (outdir / "stats.txt").write_text(compute_stats(records).as_table() + "\n")
+    _write_output(outdir / "stats.txt", compute_stats(records).as_table() + "\n")
     print(f"ran {len(judged)} (record, strategy, seed) detections -> {outdir}")
     return EXIT_OK
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import backends
 from .backends import BackendProfile, TokenScore
-from .records import SolutionRecord, jsonl_line, render_solution_text
+from .records import SolutionRecord, jsonl_line, open_output, render_solution_text
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4")
 
@@ -127,9 +126,7 @@ def bucket_accuracy(
 
 
 def write_scores_jsonl(scores: Iterable[ScoredSolution], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path, "scores file") as handle:
         for s in scores:
             handle.write(jsonl_line(vars(s)))
 
@@ -141,9 +138,7 @@ def write_analysis_csv(
     results: Mapping[str, bool],
 ) -> None:
     """Per-record (record_id, indicator, bucket, correct) rows for plotting."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with open_output(path, "analysis file", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["record_id", "indicator", "bucket", "correct"])
         for record_id in sorted(indicators):

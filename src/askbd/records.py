@@ -489,10 +489,21 @@ def read_jsonl(path) -> list[SolutionRecord]:
     return records
 
 
-def write_jsonl(records: Iterable[SolutionRecord], path) -> None:
+def open_output(path, what: str, mode: str = "w", newline: str | None = None):
+    """The file at `path` opened as UTF-8 text in `mode` ("w" or "a"), its
+    directory made first. A path that cannot be written, one under a
+    regular file for instance, is a SchemaViolation naming `what` and the
+    file."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, mode, encoding="utf-8", newline=newline)
+    except OSError as err:
+        raise SchemaViolation(f"cannot write {what} {path}: {err}") from err
+
+
+def write_jsonl(records: Iterable[SolutionRecord], path) -> None:
+    with open_output(path, "corpus") as handle:
         for record in records:
             handle.write(jsonl_line(record_to_json(record)))
 

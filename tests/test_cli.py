@@ -4,8 +4,12 @@ import io
 import itertools
 import json
 import re
+import sys
 import threading
+import time
+import urllib.error
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,7 +24,14 @@ from askbd.backends import (
 )
 from askbd.cli import main
 from askbd.demo import build_demo, write_cassette
-from askbd.detect import DetectionOutcome, grading_prompt, outcome_of, ssi_prompt
+from askbd.detect import (
+    FAILED_STAGE,
+    DetectionOutcome,
+    StageExchange,
+    grading_prompt,
+    outcome_of,
+    ssi_prompt,
+)
 from askbd.records import SolutionStep, jsonl_line, make_record, read_jsonl, write_jsonl
 
 
@@ -986,6 +997,75 @@ class TestOnePathToReports:
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(path) in err, err
 
+    def test_an_output_path_under_a_regular_file_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+        corpus, profiles = str(info["corpus"]), str(info["profiles"])
+        under = info["corpus"] / "x.jsonl"
+        config = json.loads(info["config"].read_text())
+        bad_out = tmp_path / "bad_out.json"
+        bad_out.write_text(json.dumps({**config, "out": str(info["corpus"] / "out")}))
+        transcripts = tmp_path / "t"
+        transcripts.mkdir()
+        (transcripts / "demo__M0__seed1.jsonl").write_text("")
+        cases = [
+            ["run", "--config", str(bad_out), "--strict-scripted"],
+            ["detect", "--strategy", "M0", "--profile", "demo", "--profiles-file", profiles,
+             "--in", corpus, "--out", str(info["corpus"] / "d"), "--strict-scripted"],
+            ["gen-alt", "--in", corpus, "--out", str(under)],
+            ["inject", "--category", "all", "--in", corpus, "--out", str(under)],
+            ["score-likelihood", "--profiles", "scorer", "--profiles-file", profiles,
+             "--in", corpus, "--out", str(under)],
+            ["score-likelihood", "--profiles", "scorer", "--profiles-file", profiles,
+             "--in", corpus, "--out", str(tmp_path / "s.jsonl"), "--analysis", str(under)],
+            ["evaluate", "--transcripts", str(transcripts), "--gold", corpus,
+             "--out", str(info["corpus"] / "e")],
+            ["review", "--candidates", corpus, "--out", str(under),
+             "--audit", str(tmp_path / "audit.jsonl")],
+            ["review", "--candidates", corpus, "--out", str(tmp_path / "r.jsonl"),
+             "--audit", str(under)],
+        ]
+        monkeypatch.setattr("builtins.input", lambda prompt: "r")
+        for argv in cases:
+            assert main(argv) == 2, argv
+            # gen-alt and inject name each erroneous source they skip first
+            *skipped, last = capsys.readouterr().err.splitlines()
+            assert all(line.startswith(("no candidates", "cannot inject")) for line in skipped)
+            assert last.startswith("schema error: cannot write") and str(under.parent) in last
+
+        # a live profile's `record_to` cassette is an output path as well
+        entries = load_cassette(info["cassette"])
+
+        def answering(url, payload, headers, timeout=60.0):
+            params = GenerationParams(payload["temperature"], payload["max_tokens"])
+            key = generate_fingerprint(payload["model"], payload["messages"], params)
+            return 200, {"choices": [{"message": {"content": entries[key]["response"]}}]}
+
+        # a transport that cannot reach its endpoint raises an OSError too,
+        # and stays a backend error
+        def unreachable(url, payload, headers, timeout=60.0):
+            raise urllib.error.URLError("connection refused")
+
+        live = {"endpoint": "http://127.0.0.1:9/v1", "model": "demo-model",
+                "retry": {"max_attempts": 1, "backoff": 0}}
+        live_profiles = tmp_path / "live.json"
+        live_profiles.write_text(json.dumps({"profiles": [
+            {"name": "live", **live}, {"name": "rec", **live, "record_to": str(under)},
+        ]}))
+        cases = [("rec", answering, 2, f"schema error: cannot write cassette {under}"),
+                 ("live", unreachable, 3, "backend error: http://127.0.0.1:9/v1/chat")]
+        for name, transport, status, message in cases:
+            monkeypatch.setattr(backends, "_urllib_transport", transport)
+            live_config = tmp_path / f"{name}_run.json"
+            live_config.write_text(json.dumps({**config, "profiles": str(live_profiles),
+                                               "profile_names": [name],
+                                               "strict_scripted": False,
+                                               "out": str(tmp_path / name)}))
+            assert main(["run", "--config", str(live_config)]) == status, name
+            err = capsys.readouterr().err
+            assert err.startswith(message) and err.count("\n") == 1, err
+
 
 class _ThreadLog(ExchangeStore):
     """An ExchangeStore that notes the thread of every generate call."""
@@ -1015,6 +1095,103 @@ def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
     assert scripted.threads and set(scripted.threads) == {caller}
     assert recording.threads and caller not in recording.threads
     assert transcripts[0] == transcripts[1]
+
+
+# texts JSON escapes, or that an ASCII-only encoder would escape
+_AWKWARD_TEXTS = (
+    '"', "\\", "".join(map(chr, range(0x20))), "\x7f", "\u2028\u2029",
+    "naïve café: 5 × 3 — ½", "𝔸 😀 \U0010ffff", 'Step 1: "6 / 2 = 3"\\n\tthen\r\n<correct>',
+)
+
+
+def _exchanges_of(texts):
+    stages = ("cqe", "ssi", "sqr", "reg")
+    exchanges = [StageExchange(stages[i % 4], text, f"reply {i}: {text}")
+                 for i, text in enumerate(texts)]
+    # a failed line has an empty prompt
+    return exchanges + [StageExchange(FAILED_STAGE, "", "stage failure: reg: RateLimited: 429")]
+
+
+def _jsonl_lines(record_id, strategy, exchanges):
+    return "".join(
+        jsonl_line({"record_id": record_id, "strategy": strategy, "stage": e.stage,
+                    "prompt": e.prompt, "response": e.response})
+        for e in exchanges
+    )
+
+
+def test_transcript_lines_are_the_bytes_jsonl_line_writes():
+    cases = [("a7707fb7e7bfbeb2", "M2", _exchanges_of(_AWKWARD_TEXTS)),
+             ('odd "id" \\ ü', "ref_matching", _exchanges_of(reversed(_AWKWARD_TEXTS))),
+             ("1b08f67665773480", "M0", _exchanges_of(_AWKWARD_TEXTS[:3]))]
+    shared: dict[str, str] = {}
+    for record_id, strategy, exchanges in cases:
+        expected = _jsonl_lines(record_id, strategy, exchanges)
+        assert cli._transcript_lines(record_id, strategy, exchanges) == expected
+        assert cli._transcript_lines(record_id, strategy, exchanges, {}) == expected
+        # a memo shared across calls, already holding these texts the second time
+        for _ in range(2):
+            assert cli._transcript_lines(record_id, strategy, exchanges, shared) == expected
+    texts = {text for _, _, exchanges in cases for e in exchanges
+             for text in (e.stage, e.prompt, e.response)}
+    assert shared.keys() == texts
+
+
+class _Waiting:
+    """Answers from a scripted store after a short sleep, as a backend
+    waits on its endpoint, and notes the thread of every call."""
+
+    def __init__(self, store):
+        self.store = store
+        self.threads = set()
+
+    def generate(self, messages, params):
+        self.threads.add(threading.get_ident())
+        time.sleep(0.0005)
+        return self.store.generate(messages, params)
+
+
+def test_seeds_on_threads_share_one_memo_and_write_the_scripted_transcripts(
+    tmp_path, monkeypatch
+):
+    info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+    records = read_jsonl(info["corpus"])
+    profile = load_profiles(info["profiles"])["demo"]
+    config = cli.RunConfig(profiles=str(info["profiles"]), profile_names=("demo",),
+                           strategies=("M2",), seeds=(1, 2), corpora=(str(info["corpus"]),),
+                           out=str(tmp_path / "scripted"), strict_scripted=True, workers=1)
+    cli._detect_cells(config, records, resume=False)
+
+    waiting = _Waiting(ExchangeStore(load_cassette(info["cassette"]), profile.model))
+    monkeypatch.setattr(cli, "open_backend", lambda profile, strict_scripted: waiting)
+    memos = []
+    transcript_lines = cli._transcript_lines
+
+    def noting(record_id, strategy, exchanges, escaped=None):
+        memos.append(escaped)
+        return transcript_lines(record_id, strategy, exchanges, escaped)
+
+    monkeypatch.setattr(cli, "_transcript_lines", noting)
+    threaded = replace(config, out=str(tmp_path / "threaded"), workers=2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads take turns between almost every bytecode
+    try:
+        cli._detect_cells(threaded, records, resume=False)
+    finally:
+        sys.setswitchinterval(interval)
+
+    assert waiting.threads and threading.get_ident() not in waiting.threads
+    assert len(memos) == 2 * len(records) and all(memo is memos[0] for memo in memos)
+    texts = set()
+    for seed in (1, 2):
+        scripted = cli._transcript_path(tmp_path / "scripted", "demo", "M2", seed).read_bytes()
+        path = cli._transcript_path(tmp_path / "threaded", "demo", "M2", seed)
+        assert path.read_bytes() == scripted, seed
+        for line in path.read_text(encoding="utf-8").splitlines(keepends=True):
+            entry = json.loads(line)
+            assert line == jsonl_line(entry)
+            texts.update((entry["stage"], entry["prompt"], entry["response"]))
+    assert memos[0].keys() == texts
 
 
 def test_a_live_run_sends_every_exchange_and_a_recording_run_each_request_once(
