@@ -288,8 +288,6 @@ class HttpBackend:
         return text
 
     def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
-        if not continuation:
-            return []
         payload = {
             "model": self.profile.model,
             "prompt": prefix + continuation,
@@ -375,8 +373,6 @@ class ExchangeStore:
         return response
 
     def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
-        if not continuation:
-            return []
         key = score_fingerprint(self.model, prefix, continuation)
         pairs = self._exchange(
             key,
@@ -529,6 +525,8 @@ def score_tokens(
     *,
     backend,
 ) -> list[TokenScore]:
+    """The continuation's token scores; an empty continuation has none, and
+    no backend is asked for them."""
     if CAP_SCORE_TOKENS not in profile.capabilities:
         raise CapabilityMissing(f"profile {profile.name!r} cannot score tokens")
     if not continuation:

@@ -275,6 +275,12 @@ def cmd_score_likelihood(args) -> int:
     chosen = _select_profiles(args.profiles_file, names, backends.CAP_SCORE_TOKENS)
     opened = {p.name: open_backend(p, strict_scripted=args.strict_scripted) for p in chosen}
     records = read_jsonl(args.infile)
+    # refuse a bad --results or output before the first scoring request;
+    # opening to append neither truncates nor writes
+    results = _read_correctness(args.results, args.strategy) if args.results else {}
+    for path, what in ((args.analysis, "analysis file"), (args.out, "scores file")):
+        if path:
+            open_output(path, what, "a").close()
     scored: list[likelihood.ScoredSolution] = []
     indicators: dict[str, float] = {}
     for record in records:
@@ -288,22 +294,19 @@ def cmd_score_likelihood(args) -> int:
     print(f"scored {len(records)} records with {len(chosen)} profiles -> {args.out}")
 
     if args.analysis:
-        results: dict[str, bool] = {}
-        if args.results:
-            results = _read_correctness(args.results, args.strategy)
         try:
-            bucketing = likelihood.quartile_buckets(indicators)
+            buckets = likelihood.quartile_buckets(indicators)
         except likelihood.TooFewRecords as err:
             raise SchemaViolation(f"--analysis on --in {args.infile}: {err}") from err
-        likelihood.write_analysis_csv(args.analysis, indicators, bucketing, results)
+        likelihood.write_analysis_csv(args.analysis, indicators, buckets, results)
         if args.results:
             unjoined = sum(1 for rid in indicators if rid not in results)
             if unjoined:
                 print(f"{unjoined} scored records have no result row", file=sys.stderr)
-            accuracy = likelihood.bucket_accuracy(bucketing, results)
+            accuracy = likelihood.bucket_accuracy(buckets, results)
             for bucket in likelihood.QUARTILES:
                 value = accuracy[bucket]
-                print(f"{bucket}: {'undefined' if value is None else f'{value:.3f}'}")
+                print(f"{bucket}: {'undefined' if value is None else f'{float(value):.3f}'}")
         print(f"analysis -> {args.analysis}")
     return EXIT_OK
 
@@ -566,13 +569,20 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
     `config`, in that order, and judges each cell by its outcomes. Each
     (profile, strategy) gets a fresh memo of escaped texts, which its seeds
     share: they ask the same prompts and get the same replies, so each
-    distinct text is escaped once for all of them."""
+    distinct text is escaped once for all of them. A record id that
+    appears twice is a SchemaViolation naming it, raised before any
+    backend is opened."""
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
+    gold: dict[str, SolutionRecord] = {}
+    for record in records:
+        if record.record_id in gold:
+            raise SchemaViolation(f"record {record.record_id} appears more than once "
+                                  f"in corpora {', '.join(config.corpora)}")
+        gold[record.record_id] = record
     references = _references(records, strategies, config.reference_corpus)
     opened = {p.name: open_backend(p, strict_scripted=config.strict_scripted) for p in selected}
-    gold = {r.record_id: r for r in records}
     judged: list[JudgedResult] = []
     cells = sorted(set(product(profiles, strategies, config.seeds)))
     for (name, strategy), seeds in groupby(cells, key=lambda cell: cell[:2]):

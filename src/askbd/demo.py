@@ -36,7 +36,9 @@ from .detect import (
 from .exprs import eval_expr, format_value, parse_expr, rational
 from .inject import InjectionError, inject
 from .label_oracle import oracle_clean
-from .records import CATEGORIES, SolutionRecord, SolutionStep, make_record, write_jsonl
+from .records import (
+    CATEGORIES, SolutionRecord, SolutionStep, make_record, open_output, write_jsonl,
+)
 
 NAMES = ("Avery", "Brooke", "Casey", "Devin", "Elliot", "Frankie", "Harper", "Jordan")
 
@@ -145,22 +147,16 @@ def _injections(record: SolutionRecord, seed: int) -> list[SolutionRecord] | Non
         return None
 
 
-def build_paired_corpus(n: int, seed: int = 0) -> tuple[list[SolutionRecord], list[SolutionRecord]]:
-    """n conventional records, each paired with one derived alternative.
-
-    Both sides satisfy the oracle-clean invariants and support all four
-    injections; instances failing any check are resampled.
-    """
-    conventional, alternative, _ = build_labeled_corpus(n, seed)
-    return conventional, alternative
-
-
 def build_labeled_corpus(
     n: int, seed: int = 0
 ) -> tuple[list[SolutionRecord], list[SolutionRecord], list[SolutionRecord]]:
-    """(conventional, alternative, injected): the n + n correct records of
-    `build_paired_corpus` plus 4 erroneous records per correct one, each
-    made once, by the probe that accepts its source."""
+    """(conventional, alternative, injected): n conventional records, each
+    paired with one derived alternative, plus 4 erroneous records per
+    correct one, each made once, by the probe that accepts its source.
+
+    Both correct sides satisfy the oracle-clean invariants and support all
+    four injections; instances failing any check are resampled.
+    """
     rng = random.Random(seed)
     conventional: list[SolutionRecord] = []
     alternative: list[SolutionRecord] = []
@@ -314,9 +310,7 @@ def build_cassette(
 
 
 def write_cassette(entries: dict[str, dict], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
+    with open_output(path, "cassette") as handle:
         for key in sorted(entries):
             handle.write(cassette_line(key, entries[key]))
 

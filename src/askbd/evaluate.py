@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -45,22 +44,12 @@ class JudgedResult:
     correct: bool
 
 
-def dataset_accuracy(results: Sequence[JudgedResult]) -> Fraction:
-    if not results:
+def dataset_accuracy(correct: Sequence[bool]) -> Fraction:
+    """The share of true flags: the one accuracy rule, which the report and
+    the likelihood buckets both apply."""
+    if not correct:
         raise EmptySelection("no judged results selected")
-    return Fraction(sum(1 for r in results if r.correct), len(results))
-
-
-def bias_gap(acc_d, acc_dprime) -> float:
-    """Alternative minus conventional accuracy, in decimal arithmetic so
-    printed gaps match the accuracies they cite exactly."""
-
-    def as_decimal(value) -> Decimal:
-        if isinstance(value, Fraction):
-            value = float(value)
-        return Decimal(str(value))
-
-    return float(as_decimal(acc_dprime) - as_decimal(acc_d))
+    return Fraction(sum(correct), len(correct))
 
 
 @dataclass(frozen=True)
@@ -78,6 +67,7 @@ class ExperimentReport:
     profiles: tuple[str, ...]
     strategies: tuple[str, ...]
     cells: Mapping[tuple[str, str, str], ReportCell]
+    # the conformity-bias gap, exact: D' mean minus D mean per (profile, strategy)
     deltas: Mapping[tuple[str, str], Fraction]
 
     def cell(self, profile: str, strategy: str, origin: str) -> ReportCell | None:
@@ -111,7 +101,7 @@ def build_report(results: Iterable[JudgedResult]) -> ExperimentReport:
                 for seed in seeds:
                     bucket = grouped.get((profile, strategy, origin, seed))
                     if bucket:
-                        per_seed.append((seed, dataset_accuracy(bucket)))
+                        per_seed.append((seed, dataset_accuracy([r.correct for r in bucket])))
                 if per_seed:
                     cells[(profile, strategy, origin)] = ReportCell(tuple(per_seed))
 

@@ -108,10 +108,6 @@ def rational(value) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-def lit(value) -> Lit:
-    return Lit(rational(value))
-
-
 def make_bin(op: str, left: Expr, right: Expr, grouped: bool = False) -> Bin:
     """Build a binary node, rejecting division by an exactly-zero divisor."""
     if op not in OPS:

@@ -11,10 +11,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from . import backends
 from .backends import BackendProfile, TokenScore
+from .evaluate import dataset_accuracy
 from .records import SolutionRecord, jsonl_line, open_output, render_solution_text
 
 QUARTILES = ("Q1", "Q2", "Q3", "Q4")
@@ -72,24 +74,14 @@ def pseudo_indicator(scored: Sequence[ScoredSolution]) -> float:
     return math.fsum(s.indicator for s in scored) / len(scored)
 
 
-@dataclass(frozen=True)
-class QuartileBucketing:
-    """Nearest-rank percentile cuts at 25/50/75 and per-record buckets."""
-
-    cuts: tuple[float, float, float]
-    assignment: Mapping[str, str]
-
-    def bucket(self, record_id: str) -> str:
-        return self.assignment[record_id]
-
-
 def _nearest_rank(ordered: Sequence[float], percentile: float) -> float:
     rank = math.ceil(percentile / 100.0 * len(ordered))
     return ordered[max(rank, 1) - 1]
 
 
-def quartile_buckets(indicators: Mapping[str, float]) -> QuartileBucketing:
-    """Assign Q1..Q4 by half-open intervals; ties fall into the lower bucket."""
+def quartile_buckets(indicators: Mapping[str, float]) -> dict[str, str]:
+    """Each record's bucket, Q1..Q4, by half-open intervals between the
+    nearest-rank percentiles at 25/50/75; ties fall into the lower bucket."""
     if len(indicators) < 4:
         raise TooFewRecords(f"need at least 4 records, got {len(indicators)}")
     ordered = sorted(indicators.values())
@@ -105,23 +97,21 @@ def quartile_buckets(indicators: Mapping[str, float]) -> QuartileBucketing:
         else:
             bucket = "Q4"
         assignment[record_id] = bucket
-    return QuartileBucketing(cuts=cuts, assignment=assignment)
+    return assignment
 
 
 def bucket_accuracy(
-    bucketing: QuartileBucketing, results: Mapping[str, bool]
-) -> dict[str, float | None]:
-    """Mean 0/1 correctness per bucket over the records that have a
-    result; a bucket with none stays undefined."""
-    sums: dict[str, list[int]] = {b: [0, 0] for b in QUARTILES}
-    for record_id, bucket in bucketing.assignment.items():
-        if record_id not in results:
-            continue
-        sums[bucket][0] += 1 if results[record_id] else 0
-        sums[bucket][1] += 1
+    buckets: Mapping[str, str], results: Mapping[str, bool]
+) -> dict[str, Fraction | None]:
+    """`dataset_accuracy` per bucket over the records that have a result;
+    a bucket with none stays undefined."""
+    flags: dict[str, list[bool]] = {b: [] for b in QUARTILES}
+    for record_id, bucket in buckets.items():
+        if record_id in results:
+            flags[bucket].append(results[record_id])
     return {
-        bucket: (correct / count if count else None)
-        for bucket, (correct, count) in sums.items()
+        bucket: dataset_accuracy(correct) if correct else None
+        for bucket, correct in flags.items()
     }
 
 
@@ -134,7 +124,7 @@ def write_scores_jsonl(scores: Iterable[ScoredSolution], path) -> None:
 def write_analysis_csv(
     path,
     indicators: Mapping[str, float],
-    bucketing: QuartileBucketing,
+    buckets: Mapping[str, str],
     results: Mapping[str, bool],
 ) -> None:
     """Per-record (record_id, indicator, bucket, correct) rows for plotting."""
@@ -146,7 +136,7 @@ def write_analysis_csv(
                 [
                     record_id,
                     repr(indicators[record_id]),
-                    bucketing.bucket(record_id),
+                    buckets[record_id],
                     int(bool(results[record_id])) if record_id in results else "",
                 ]
             )

@@ -133,9 +133,8 @@ def render_step(step: SolutionStep) -> str:
     return f"Step {step.index}. {step.statement}"
 
 
-def render_solution_text(record_or_steps) -> str:
-    steps = getattr(record_or_steps, "steps", record_or_steps)
-    return "\n".join(render_step(s) for s in steps)
+def render_solution_text(record: SolutionRecord) -> str:
+    return "\n".join(render_step(s) for s in record.steps)
 
 
 def compute_record_id(
@@ -212,19 +211,12 @@ def normalize_math_text(text: str) -> str:
     return out.replace("$", "")
 
 
-def extract_expression(statement: str) -> tuple[str, Rational] | None:
-    """The trailing `a <op> b = c` calculation of a statement, if any."""
-    match = last_equation(statement)
-    if match is None:
-        return None
-    return match.group(1).strip(), number_value(match.group(2))
-
-
 def parse_structured_solution(text: str) -> list[SolutionStep]:
     """Split `Step n.`-marked solution text into steps.
 
     Statements are preserved verbatim (after math-marker normalization);
-    trailing calculations become the step's expression and stated result.
+    a statement's last `a <op> b = c` calculation becomes the step's
+    expression and stated result.
     Each expression is parse-validated, as `record_from_json` does, so an
     unreadable one (a division by zero, say) raises an ExprError here.
     """
@@ -239,18 +231,18 @@ def parse_structured_solution(text: str) -> list[SolutionStep]:
     for pos, marker in enumerate(markers):
         end = markers[pos + 1].start() if pos + 1 < len(markers) else len(normalized)
         statement = normalized[marker.end():end].strip()
-        extracted = extract_expression(statement)
-        if extracted is None:
+        equation = last_equation(statement)
+        if equation is None:
             steps.append(SolutionStep(index=indices[pos], statement=statement))
         else:
-            expression, result = extracted
+            expression = equation.group(1).strip()
             parse_expr(expression)
             steps.append(
                 SolutionStep(
                     index=indices[pos],
                     statement=statement,
                     expression=expression,
-                    stated_result=result,
+                    stated_result=number_value(equation.group(2)),
                 )
             )
     return steps

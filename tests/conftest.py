@@ -2,11 +2,11 @@ import random
 
 import pytest
 
-from askbd.exprs import DivisionByZero, Expr, lit, make_bin
+from askbd.exprs import DivisionByZero, Expr, Lit, make_bin
 
 
 def _integer_leaf(rng: random.Random) -> Expr:
-    return lit(rng.randint(1, 12))
+    return Lit(rng.randint(1, 12))
 
 
 def random_expr(rng: random.Random, max_depth: int = 4, leaf=_integer_leaf) -> Expr:

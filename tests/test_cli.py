@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from askbd import backends, cli
+from askbd import backends, cli, likelihood
 from askbd.backends import (
     ExchangeStore,
     GenerationParams,
@@ -219,10 +219,9 @@ class TestGenAltAndReview:
 def _small_corpus(tmp_path):
     conventional, alternative = (tmp_path / "d.jsonl", tmp_path / "dprime.jsonl")
     if not conventional.exists():
-        d, dp = [], []
-        from askbd.demo import build_paired_corpus
+        from askbd.demo import build_labeled_corpus
 
-        d, dp = build_paired_corpus(3, seed=99)
+        d, dp, _ = build_labeled_corpus(3, seed=99)
         write_jsonl(d, conventional)
         write_jsonl(dp, alternative)
     return conventional, alternative
@@ -485,6 +484,39 @@ class TestScoreLikelihoodCli:
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(results) in err, err
 
+    def test_bad_outputs_and_results_are_refused_before_any_scoring(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real_score = likelihood.score_solution
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].record_id)
+            return real_score(*args, **kwargs)
+
+        monkeypatch.setattr(likelihood, "score_solution", counting)
+        under = demo_dir / "corpus.jsonl" / "x.csv"
+        no_columns = tmp_path / "no_columns.csv"
+        no_columns.write_text("record_id,correct\nx,1\n")
+        scores = tmp_path / "s.jsonl"
+        cases = [(under, None, None), (scores, under, None),
+                 (scores, tmp_path / "a.csv", tmp_path / "missing.csv"),
+                 (scores, tmp_path / "a.csv", no_columns)]
+        for out, analysis, results in cases:
+            argv = ["score-likelihood", "--profiles", "scorer",
+                    "--profiles-file", str(demo_dir / "profiles.json"),
+                    "--in", str(demo_dir / "corpus.jsonl"), "--out", str(out)]
+            if analysis:
+                argv += ["--analysis", str(analysis)]
+            if results:
+                argv += ["--results", str(results)]
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err.startswith("schema error:") and captured.out == "", captured
+            assert calls == [], argv
+            # neither output is written, or made, when the input is refused
+            assert not scores.exists(), argv
+
     def test_bucket_accuracy_skips_records_without_a_result(self, demo_dir, tmp_path, capsys):
         assert main(["detect", "--strategy", "M0", "--profile", "demo",
                      "--profiles-file", str(demo_dir / "profiles.json"),
@@ -527,6 +559,28 @@ class TestDetectEvaluateRun:
             a = (tmp_path / "one" / "out" / name).read_bytes()
             b = (tmp_path / "two" / "out" / name).read_bytes()
             assert a == b, name
+
+    def test_a_record_id_twice_in_the_input_is_refused_before_any_backend_opens(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        opened = []
+        monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+        corpus = str(demo_dir / "corpus.jsonl")
+        first = read_jsonl(corpus)[0].record_id
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text((demo_dir / "corpus.jsonl").read_text() * 2)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                      "corpora": [corpus, corpus],
+                                      "out": str(tmp_path / "run")}))
+        for argv in (["run", "--config", str(config)],
+                     ["detect", "--strategy", "M0", "--profile", "demo",
+                      "--profiles-file", str(demo_dir / "profiles.json"),
+                      "--in", str(twice), "--out", str(tmp_path / "detect")]):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and first in err, err
+            assert opened == [] and not (tmp_path / argv[0]).exists(), argv
 
     def test_report_contains_full_matrix(self, demo_dir):
         assert main(["run", "--config", str(demo_dir / "run.json")]) == 0
@@ -639,11 +693,11 @@ class TestDetectEvaluateRun:
 
     def test_reference_resolution_semantics(self):
         from askbd.cli import _resolve_reference
-        from askbd.demo import build_paired_corpus
+        from askbd.demo import build_labeled_corpus
         from askbd.inject import inject
         from askbd.records import render_solution_text
 
-        d, dp = build_paired_corpus(1, seed=17)
+        d, dp, _ = build_labeled_corpus(1, seed=17)
         base_d, base_dp = d[0], dp[0]
         erroneous = inject(base_dp, "calc", 5)
         pool = {r.record_id: r for r in (base_d, base_dp, erroneous)}

@@ -8,7 +8,6 @@ from askbd.evaluate import (
     DuplicateResult,
     EmptySelection,
     JudgedResult,
-    bias_gap,
     build_report,
     dataset_accuracy,
     judge,
@@ -60,13 +59,28 @@ def jr(record_id, origin="D", correct=True, strategy="M0", seed=1, profile="p"):
     )
 
 
+def flags(results):
+    return [r.correct for r in results]
+
+
+def reported_gap(acc_d, acc_dprime) -> float:
+    """The report's gap over judged results whose D and D' accuracies are
+    exactly `acc_d` and `acc_dprime` (decimal strings or fractions): a
+    record per denominator unit, the numerator's worth of them correct."""
+    results = []
+    for origin, accuracy in (("D", Fraction(acc_d)), ("D1", Fraction(acc_dprime))):
+        results += [jr(f"{origin}-{i}", origin=origin, correct=i < accuracy.numerator)
+                    for i in range(accuracy.denominator)]
+    return float(build_report(results).deltas[("p", "M0")])
+
+
 class TestAccuracy:
     def test_half(self):
         results = [jr("a"), jr("b"), jr("c", correct=False), jr("d", correct=False)]
-        assert dataset_accuracy(results) == Fraction(1, 2)
+        assert dataset_accuracy(flags(results)) == Fraction(1, 2)
 
     def test_all_true(self):
-        assert dataset_accuracy([jr("a"), jr("b")]) == 1
+        assert dataset_accuracy(flags([jr("a"), jr("b")])) == 1
 
     def test_empty(self):
         with pytest.raises(EmptySelection):
@@ -74,34 +88,34 @@ class TestAccuracy:
 
     def test_hand_tally_twenty(self):
         rng = random.Random(5)
-        flags = [rng.random() < 0.7 for _ in range(20)]
-        results = [jr(f"r{i}", correct=f) for i, f in enumerate(flags)]
-        assert dataset_accuracy(results) == Fraction(sum(flags), 20)
+        correct = [rng.random() < 0.7 for _ in range(20)]
+        assert dataset_accuracy(correct) == Fraction(sum(correct), 20)
 
     def test_permutation_invariance(self):
         rng = random.Random(6)
-        results = [jr(f"r{i}", correct=rng.random() < 0.5) for i in range(30)]
-        shuffled = results[:]
+        correct = [rng.random() < 0.5 for i in range(30)]
+        shuffled = correct[:]
         rng.shuffle(shuffled)
-        assert dataset_accuracy(results) == dataset_accuracy(shuffled)
+        assert dataset_accuracy(correct) == dataset_accuracy(shuffled)
 
 
 class TestBiasGap:
     def test_published_gpt4o_base_row(self):
-        assert bias_gap(0.272, 0.184) == -0.088
+        # 34 of 125 correct on D, 23 of 125 on D'
+        assert reported_gap("0.272", "0.184") == -0.088
 
     def test_published_llama_base_row(self):
-        assert bias_gap(0.202, 0.209) == 0.007
+        assert reported_gap("0.202", "0.209") == 0.007
 
     def test_equal_inputs(self):
-        assert bias_gap(0.5, 0.5) == 0.0
+        assert reported_gap("0.5", "0.5") == 0.0
 
     def test_fraction_inputs(self):
-        assert bias_gap(Fraction(1, 4), Fraction(1, 2)) == 0.25
+        assert reported_gap(Fraction(1, 4), Fraction(1, 2)) == 0.25
 
     def test_sign_convention(self):
         # worse alternative-solution performance means a negative gap
-        assert bias_gap(0.6, 0.4) < 0
+        assert reported_gap("0.6", "0.4") < 0
 
 
 class TestBuildReport:
@@ -146,9 +160,9 @@ class TestBuildReport:
             )
             for i in range(6)
         ]
-        overall = dataset_accuracy(correct_class + error_class)
+        overall = dataset_accuracy(flags(correct_class + error_class))
         weighted = (
-            dataset_accuracy(correct_class) * 4 + dataset_accuracy(error_class) * 6
+            dataset_accuracy(flags(correct_class)) * 4 + dataset_accuracy(flags(error_class)) * 6
         ) / 10
         assert overall == weighted
 

@@ -18,9 +18,9 @@ from askbd.exprs import (
     eval_expr,
     eval_with_literal,
     format_value,
-    lit,
     number_value,
     parse_expr,
+    rational,
     rewrite_neighbors,
     to_text,
 )
@@ -32,14 +32,14 @@ from conftest import random_expr
 class TestParse:
     def test_leaf_problem_shape(self):
         e = parse_expr("5 * 11 - 2 * 11")
-        assert e == Bin("-", Bin("*", lit(5), lit(11)), Bin("*", lit(2), lit(11)))
+        assert e == Bin("-", Bin("*", Lit(5), Lit(11)), Bin("*", Lit(2), Lit(11)))
 
     def test_single_literal(self):
-        assert parse_expr("7") == lit(7)
+        assert parse_expr("7") == Lit(7)
 
     def test_grouped_bracket(self):
         e = parse_expr("(5 - 2) * 11")
-        assert e == Bin("*", Bin("-", lit(5), lit(2), grouped=True), lit(11))
+        assert e == Bin("*", Bin("-", Lit(5), Lit(2), grouped=True), Lit(11))
 
     def test_unicode_aliases(self):
         assert eval_expr(parse_expr("5 × 11 − 44 ÷ 2")) == 33
@@ -230,7 +230,7 @@ class TestNormalForm:
         assert value == expected and type(value) is type(expected)
 
     def test_literals_and_parsed_rationals_take_the_normal_form(self):
-        assert [(v, type(v)) for v in (lit(Fraction(6, 2)).value, lit(2.5).value, lit(7).value)] \
+        assert [(v, type(v)) for v in (rational(Fraction(6, 2)), rational(2.5), rational(7))] \
             == [(3, int), (Fraction(5, 2), Fraction), (7, int)]
         assert [(v, type(v)) for v in map(parse_rational, ("12", "2.5", "1/3", "4/2"))] == [
             (12, int), (Fraction(5, 2), Fraction), (Fraction(1, 3), Fraction), (2, int)
@@ -277,7 +277,7 @@ class TestCanonical:
         )
 
     def test_literal_fixed_point(self):
-        assert canonical_form(parse_expr("3")) == lit(3)
+        assert canonical_form(parse_expr("3")) == Lit(3)
 
     def test_idempotent(self, rng):
         for _ in range(300):
@@ -315,7 +315,7 @@ class TestToText:
         assert to_text(parse_expr("(5-2)*11"), "step_brackets") == "((5 - 2) * 11)"
 
     def test_literal(self):
-        assert to_text(lit(3)) == "3"
+        assert to_text(Lit(3)) == "3"
 
     def test_minimal(self):
         assert to_text(parse_expr("5*11-2*11")) == "5 * 11 - 2 * 11"
@@ -542,14 +542,14 @@ class TestEnumerate:
 
     def test_bad_params_rejected(self):
         with pytest.raises(ValueError):
-            enumerate_permutations(lit(1), 0, 5, 0)
+            enumerate_permutations(Lit(1), 0, 5, 0)
         with pytest.raises(ValueError):
-            enumerate_permutations(lit(1), 1, 0, 0)
+            enumerate_permutations(Lit(1), 1, 0, 0)
 
 
 class TestDepth:
     def test_depth_of_literal(self):
-        assert depth(lit(1)) == 1
+        assert depth(Lit(1)) == 1
 
     def test_depth_of_leaf_tree(self):
         assert depth(parse_expr("5*11 - 2*11")) == 3

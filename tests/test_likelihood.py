@@ -121,18 +121,18 @@ def score_each(record, profiles):
 
 class TestQuartiles:
     def test_symmetric_four(self):
-        bucketing = quartile_buckets({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
-        assert bucketing.assignment == {"a": "Q1", "b": "Q2", "c": "Q3", "d": "Q4"}
+        buckets = quartile_buckets({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
+        assert buckets == {"a": "Q1", "b": "Q2", "c": "Q3", "d": "Q4"}
 
     def test_all_equal_fall_left(self):
-        bucketing = quartile_buckets({k: 5.0 for k in "abcdef"})
-        assert set(bucketing.assignment.values()) == {"Q1"}
+        buckets = quartile_buckets({k: 5.0 for k in "abcdef"})
+        assert set(buckets.values()) == {"Q1"}
 
     def test_bucket_sizes_match_sort_and_split(self):
         rng = random.Random(7)
         indicators = {f"r{i}": rng.random() for i in range(2000)}
-        bucketing = quartile_buckets(indicators)
-        sizes = Counter(bucketing.assignment.values())
+        buckets = quartile_buckets(indicators)
+        sizes = Counter(buckets.values())
         assert set(sizes) == {"Q1", "Q2", "Q3", "Q4"}
         for size in sizes.values():
             assert abs(size - 500) <= 1, sizes
@@ -140,9 +140,9 @@ class TestQuartiles:
     def test_monotone_bucket_ordering(self):
         rng = random.Random(8)
         indicators = {f"r{i}": rng.random() for i in range(101)}
-        bucketing = quartile_buckets(indicators)
+        buckets = quartile_buckets(indicators)
         highs, lows = {}, {}
-        for rid, bucket in bucketing.assignment.items():
+        for rid, bucket in buckets.items():
             value = indicators[rid]
             highs[bucket] = max(highs.get(bucket, value), value)
             lows[bucket] = min(lows.get(bucket, value), value)
@@ -157,19 +157,19 @@ class TestQuartiles:
 
 class TestBucketAccuracy:
     def test_half_right(self):
-        bucketing = quartile_buckets({"a": 1.0, "b": 1.1, "c": 3.0, "d": 4.0, "e": 5.0})
+        buckets = quartile_buckets({"a": 1.0, "b": 1.1, "c": 3.0, "d": 4.0, "e": 5.0})
         results = {"a": True, "b": False, "c": True, "d": False, "e": True}
-        acc = bucket_accuracy(bucketing, results)
+        acc = bucket_accuracy(buckets, results)
         assert acc["Q1"] == 0.5
 
     def test_empty_bucket_is_undefined_not_zero(self):
-        bucketing = quartile_buckets({k: 5.0 for k in "abcd"})
-        acc = bucket_accuracy(bucketing, {k: True for k in "abcd"})
+        buckets = quartile_buckets({k: 5.0 for k in "abcd"})
+        acc = bucket_accuracy(buckets, {k: True for k in "abcd"})
         assert acc["Q1"] == 1.0
         assert acc["Q4"] is None
 
     def test_missing_result(self):
         # records without a result are skipped, not counted as wrong
-        bucketing = quartile_buckets({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
-        acc = bucket_accuracy(bucketing, {"a": True, "b": False})
+        buckets = quartile_buckets({"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0})
+        acc = bucket_accuracy(buckets, {"a": True, "b": False})
         assert acc == {"Q1": 1.0, "Q2": 0.0, "Q3": None, "Q4": None}

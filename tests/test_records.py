@@ -52,7 +52,7 @@ class TestParseStructuredSolution:
 
     def test_round_trip_is_identity(self):
         steps = parse_structured_solution(LEAF_SOLUTION)
-        rendered = render_solution_text(steps)
+        rendered = render_solution_text(make_record(question="q", steps=steps, answer=33))
         again = parse_structured_solution(rendered)
         assert again == steps
 
