@@ -9,7 +9,7 @@ evaluating to the gold answer is discarded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .exprs import (
     MAX_DEPTH,
@@ -63,12 +63,6 @@ class VerificationFailed(CompositionError):
 
 class NoPermutationsAvailable(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class AlternativeCandidate:
-    expr: Expr
-    steps: tuple[SolutionStep, ...]
 
 
 def _as_grouped(e: Expr) -> Expr:
@@ -170,10 +164,11 @@ def explain_expression(e: Expr) -> list[SolutionStep]:
 
 def generate_alternatives(
     record: SolutionRecord, k: int = 3, seed: int = 0, max_rewrites: int = 3
-) -> list[AlternativeCandidate]:
-    """Up to `k` verified candidates, distinct by canonical form. A record
-    with an error label is no source: its D′ would pair with a wrong
-    solution."""
+) -> list[SolutionRecord]:
+    """Up to `k` verified D′ records, ranked from 1 and distinct by
+    canonical form; each one's lineage names its source and the `seed`
+    that reproduces it. A record with an error label is no source: its D′
+    would pair with a wrong solution."""
     if record.label.is_error:
         raise CompositionError(f"record {record.record_id} carries an error label")
     if k == 0:
@@ -184,24 +179,15 @@ def generate_alternatives(
     if not permuted:
         raise NoPermutationsAvailable(f"record {record.record_id}: no rewrite applies")
     return [
-        AlternativeCandidate(expr=expr, steps=tuple(explain_expression(expr)))
-        for expr in permuted
+        make_record(
+            question=record.question,
+            steps=explain_expression(expr),
+            answer=record.answer,
+            origin=ORIGIN_ALTERNATIVE,
+            lineage={"source_id": record.record_id, "seed": seed},
+            candidate_rank=rank,
+            permuted_expression=to_text(expr, "step_brackets"),
+            route=ROUTE_TEMPLATED,
+        )
+        for rank, expr in enumerate(permuted, start=1)
     ]
-
-
-def candidate_to_record(
-    candidate: AlternativeCandidate,
-    source: SolutionRecord,
-    rank: int,
-    seed: int = 0,
-) -> SolutionRecord:
-    return make_record(
-        question=source.question,
-        steps=candidate.steps,
-        answer=source.answer,
-        origin=ORIGIN_ALTERNATIVE,
-        lineage={"source_id": source.record_id, "seed": seed},
-        candidate_rank=rank,
-        permuted_expression=to_text(candidate.expr, "step_brackets"),
-        route=ROUTE_TEMPLATED,
-    )

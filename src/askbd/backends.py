@@ -96,6 +96,10 @@ class BackendProfile:
     record_to: str | None = None
 
     def __post_init__(self):
+        # the name is the first part of each transcript's file name
+        if not self.name or any(c in self.name for c in "/\\\0"):
+            raise ValueError("name must be a non-empty file name without /, \\ or NUL, "
+                             f"got {self.name!r}")
         if not self.capabilities <= CAPABILITIES:
             raise ValueError(f"capabilities must be among {sorted(CAPABILITIES)}")
         if self.rate_limit_per_min < 1:

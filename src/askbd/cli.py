@@ -24,7 +24,6 @@ from . import backends, likelihood
 from .alternatives import (
     CompositionError,
     NoPermutationsAvailable,
-    candidate_to_record,
     generate_alternatives,
 )
 from .backends import BackendError, BackendProfile, load_profiles, open_backend
@@ -133,15 +132,12 @@ def cmd_gen_alt(args) -> int:
     failures = 0
     for record in records:
         try:
-            candidates = generate_alternatives(
+            out.extend(generate_alternatives(
                 record, k=args.k, seed=args.seed, max_rewrites=args.max_rewrites,
-            )
+            ))
         except (CompositionError, NoPermutationsAvailable) as err:
             failures += 1
             print(f"no candidates for {record.record_id}: {err}", file=sys.stderr)
-            continue
-        for rank, candidate in enumerate(candidates, start=1):
-            out.append(candidate_to_record(candidate, record, rank=rank, seed=args.seed))
     write_jsonl(out, args.out)
     print(f"generated {len(out)} candidates ({failures} records skipped) -> {args.out}")
     return EXIT_OK
@@ -275,8 +271,14 @@ def cmd_score_likelihood(args) -> int:
     chosen = _select_profiles(args.profiles_file, names, backends.CAP_SCORE_TOKENS)
     opened = {p.name: open_backend(p, strict_scripted=args.strict_scripted) for p in chosen}
     records = read_jsonl(args.infile)
-    # refuse a bad --results or output before the first scoring request;
-    # opening to append neither truncates nor writes
+    # refuse too few records to bucket, a bad --results or a bad output
+    # before the first scoring request; opening to append neither
+    # truncates nor writes
+    distinct = len({record.record_id for record in records})
+    if args.analysis and distinct < 4:
+        raise SchemaViolation(
+            f"--analysis on --in {args.infile}: need at least 4 records, got {distinct}"
+        )
     results = _read_correctness(args.results, args.strategy) if args.results else {}
     for path, what in ((args.analysis, "analysis file"), (args.out, "scores file")):
         if path:
@@ -294,10 +296,7 @@ def cmd_score_likelihood(args) -> int:
     print(f"scored {len(records)} records with {len(chosen)} profiles -> {args.out}")
 
     if args.analysis:
-        try:
-            buckets = likelihood.quartile_buckets(indicators)
-        except likelihood.TooFewRecords as err:
-            raise SchemaViolation(f"--analysis on --in {args.infile}: {err}") from err
+        buckets = likelihood.quartile_buckets(indicators)
         likelihood.write_analysis_csv(args.analysis, indicators, buckets, results)
         if args.results:
             unjoined = sum(1 for rid in indicators if rid not in results)

@@ -16,11 +16,7 @@ import random
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .alternatives import (
-    NoPermutationsAvailable,
-    candidate_to_record,
-    generate_alternatives,
-)
+from .alternatives import NoPermutationsAvailable, generate_alternatives
 from .backends import GenerationParams, cassette_line, generate_fingerprint
 from .detect import (
     STRATEGY_ASKBD_COT,
@@ -33,11 +29,12 @@ from .detect import (
     sqr_prompt,
     ssi_prompt,
 )
-from .exprs import eval_expr, format_value, parse_expr, rational
+from .exprs import eval_expr, format_value, parse_expr
 from .inject import InjectionError, inject
 from .label_oracle import oracle_clean
 from .records import (
-    CATEGORIES, SolutionRecord, SolutionStep, make_record, open_output, write_jsonl,
+    CATEGORIES, SolutionRecord, make_record, open_output, parse_structured_solution,
+    write_jsonl,
 )
 
 NAMES = ("Avery", "Brooke", "Casey", "Devin", "Elliot", "Frankie", "Harper", "Jordan")
@@ -55,16 +52,12 @@ def _family_trips(rng: random.Random):
     )
     r1, r2 = a * n, b * n
     answer = r1 - r2
-    steps = [
-        (f"The morning trips carry {a} * {n} = {r1} passengers.", f"{a} * {n}", r1),
-        (f"The evening trips carry {b} * {n} = {r2} passengers.", f"{b} * {n}", r2),
-        (
-            f"The morning trips carry {r1} - {r2} = {answer} more passengers.",
-            f"{r1} - {r2}",
-            answer,
-        ),
+    statements = [
+        f"The morning trips carry {a} * {n} = {r1} passengers.",
+        f"The evening trips carry {b} * {n} = {r2} passengers.",
+        f"The morning trips carry {r1} - {r2} = {answer} more passengers.",
     ]
-    return question, steps, answer
+    return question, statements, answer
 
 
 def _family_crates(rng: random.Random):
@@ -78,11 +71,11 @@ def _family_crates(rng: random.Random):
     )
     r1 = c * u
     answer = r1 - e
-    steps = [
-        (f"The crates hold {c} * {u} = {r1} boxes in total.", f"{c} * {u}", r1),
-        (f"After unpacking, {r1} - {e} = {answer} boxes remain.", f"{r1} - {e}", answer),
+    statements = [
+        f"The crates hold {c} * {u} = {r1} boxes in total.",
+        f"After unpacking, {r1} - {e} = {answer} boxes remain.",
     ]
-    return question, steps, answer
+    return question, statements, answer
 
 
 def _family_fair(rng: random.Random):
@@ -99,13 +92,13 @@ def _family_fair(rng: random.Random):
     r1, r2 = t1 * p1, t2 * p2
     r3 = r1 + r2
     answer = r3 + f
-    steps = [
-        (f"Adult tickets bring in {t1} * {p1} = {r1} dollars.", f"{t1} * {p1}", r1),
-        (f"Child tickets bring in {t2} * {p2} = {r2} dollars.", f"{t2} * {p2}", r2),
-        (f"Ticket sales total {r1} + {r2} = {r3} dollars.", f"{r1} + {r2}", r3),
-        (f"With the fee, the fair collects {r3} + {f} = {answer} dollars.", f"{r3} + {f}", answer),
+    statements = [
+        f"Adult tickets bring in {t1} * {p1} = {r1} dollars.",
+        f"Child tickets bring in {t2} * {p2} = {r2} dollars.",
+        f"Ticket sales total {r1} + {r2} = {r3} dollars.",
+        f"With the fee, the fair collects {r3} + {f} = {answer} dollars.",
     ]
-    return question, steps, answer
+    return question, statements, answer
 
 
 def _family_share(rng: random.Random):
@@ -119,22 +112,22 @@ def _family_share(rng: random.Random):
         f"{m} more rolls to each basket. How many rolls end up in each basket?"
     )
     answer = k + m
-    steps = [
-        (f"Each basket first gets {total} / {g} = {k} rolls.", f"{total} / {g}", k),
-        (f"After adding more, each basket has {k} + {m} = {answer} rolls.", f"{k} + {m}", answer),
+    statements = [
+        f"Each basket first gets {total} / {g} = {k} rolls.",
+        f"After adding more, each basket has {k} + {m} = {answer} rolls.",
     ]
-    return question, steps, answer
+    return question, statements, answer
 
 
 _FAMILIES = (_family_trips, _family_crates, _family_fair, _family_share)
 
 
-def _build_record(question: str, rows, answer: int) -> SolutionRecord:
-    steps = tuple(
-        SolutionStep(index=i, statement=text, expression=expr, stated_result=rational(value))
-        for i, (text, expr, value) in enumerate(rows, start=1)
-    )
-    return make_record(question=question, steps=steps, answer=answer)
+def _build_record(question: str, statements: Sequence[str], answer: int) -> SolutionRecord:
+    """A conventional record whose steps are read from their statements by
+    the rule `ingest` uses: each statement's one `a op b = c` is its step's
+    expression and stated result."""
+    text = " ".join(f"Step {i}. {s}" for i, s in enumerate(statements, start=1))
+    return make_record(question=question, steps=parse_structured_solution(text), answer=answer)
 
 
 def _injections(record: SolutionRecord, seed: int) -> list[SolutionRecord] | None:
@@ -169,10 +162,10 @@ def build_labeled_corpus(
         if attempts > 200 * n:
             raise RuntimeError("corpus generation is not converging")
         family = _FAMILIES[len(conventional) % len(_FAMILIES)]
-        question, rows, answer = family(rng)
+        question, statements, answer = family(rng)
         if question in seen_questions:
             continue
-        record = _build_record(question, rows, answer)
+        record = _build_record(question, statements, answer)
         record_injections = _injections(record, seed) if oracle_clean(record) else None
         if record_injections is None:
             continue
@@ -181,8 +174,7 @@ def build_labeled_corpus(
         except NoPermutationsAvailable:
             continue
         selected = None
-        for rank, candidate in enumerate(candidates, start=1):
-            derived = candidate_to_record(candidate, record, rank=rank, seed=seed)
+        for derived in candidates:
             derived_injections = _injections(derived, seed) if oracle_clean(derived) else None
             if derived_injections is not None:
                 selected = derived

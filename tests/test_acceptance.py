@@ -114,7 +114,7 @@ def test_alternative_generation_end_to_end(leaf_record):
                 recomposed = compose_solving_expression(rebuilt)
                 assert eval_expr(recomposed) == record.answer
                 if record is records[0]:
-                    leaf_classes.add(canonical_form(candidate.expr))
+                    leaf_classes.add(canonical_form(parse_expr(candidate.permuted_expression)))
         assert factored in leaf_classes
 
 

@@ -201,6 +201,48 @@ class TestHttp:
         assert exchanges[0].response.startswith("stage failure: reg: MalformedResponse: ")
         assert clock.sleeps == []
 
+    def test_the_real_transport_reads_error_statuses_and_retries_them(self):
+        # each reply is (status, body); an error status reaches the backend
+        # through urllib's HTTPError, with or without a JSON body
+        replies = []
+        asked = []
+
+        class Scripted(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                asked.append(self.path)
+                status, body = replies.pop(0)
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Scripted)
+        serving = threading.Thread(target=server.serve_forever)
+        serving.start()
+        try:
+            profile = make_profile(endpoint=f"http://127.0.0.1:{server.server_address[1]}/v1")
+            clock = VirtualClock()
+            backend = HttpBackend(profile, api_key="k", clock=clock, sleep=clock.sleep)
+            replies[:] = [(429, b'{"error": {"message": "slow down"}}'),
+                          (500, b"<html>oops</html>"),
+                          (200, json.dumps(chat_body("ok")).encode())]
+            assert backend.generate(MESSAGES, PARAMS) == "ok"
+            assert len(asked) == 3 and replies == []
+            assert clock.sleeps == [0.5, 1.0]
+            asked.clear()
+            replies[:] = [(401, b'{"error": "bad key"}')]
+            with pytest.raises(Unauthorized):
+                backend.generate(MESSAGES, PARAMS)
+            assert len(asked) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            serving.join()
+
     def test_attempt_marks_the_fingerprint_of_a_reask_only(self):
         first_ask = request_fingerprint("generate", "test-model", {
             "messages": MESSAGES, "temperature": 0.0, "max_tokens": 1024,

@@ -375,6 +375,19 @@ def test_inject_names_each_erroneous_source_on_one_line(tmp_path, capsys):
     assert f"injected 35 records (129 skipped) -> {injected}" in out
 
 
+def _count_scoring(monkeypatch):
+    """The ids of the records `likelihood.score_solution` is asked to score."""
+    calls = []
+    real_score = likelihood.score_solution
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].record_id)
+        return real_score(*args, **kwargs)
+
+    monkeypatch.setattr(likelihood, "score_solution", counting)
+    return calls
+
+
 class TestScoreLikelihoodCli:
     def test_scores_and_analysis(self, demo_dir, tmp_path):
         scores = tmp_path / "scores.jsonl"
@@ -393,18 +406,25 @@ class TestScoreLikelihoodCli:
         header = analysis.read_text().splitlines()[0]
         assert header == "record_id,indicator,bucket,correct"
 
-    def test_analysis_of_fewer_than_4_records_is_schema_error(self, demo_dir, tmp_path, capsys):
+    def test_analysis_of_fewer_than_4_records_is_schema_error(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = _count_scoring(monkeypatch)
         corpus = tmp_path / "three.jsonl"
         write_jsonl(read_jsonl(demo_dir / "corpus.jsonl")[:3], corpus)
+        scores, analysis = tmp_path / "s.jsonl", tmp_path / "analysis.csv"
         assert main([
             "score-likelihood", "--profiles", "scorer",
             "--profiles-file", str(demo_dir / "profiles.json"),
-            "--in", str(corpus), "--out", str(tmp_path / "s.jsonl"),
-            "--analysis", str(tmp_path / "analysis.csv"),
+            "--in", str(corpus), "--out", str(scores),
+            "--analysis", str(analysis),
         ]) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and str(corpus) in err, err
         assert "need at least 4 records, got 3" in err, err
+        # refused before the first scoring request, so neither output is made
+        assert calls == []
+        assert not scores.exists() and not analysis.exists()
 
     def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
         corpus = str(demo_dir / "corpus.jsonl")
@@ -487,14 +507,7 @@ class TestScoreLikelihoodCli:
     def test_bad_outputs_and_results_are_refused_before_any_scoring(
         self, demo_dir, tmp_path, capsys, monkeypatch
     ):
-        calls = []
-        real_score = likelihood.score_solution
-
-        def counting(*args, **kwargs):
-            calls.append(args[0].record_id)
-            return real_score(*args, **kwargs)
-
-        monkeypatch.setattr(likelihood, "score_solution", counting)
+        calls = _count_scoring(monkeypatch)
         under = demo_dir / "corpus.jsonl" / "x.csv"
         no_columns = tmp_path / "no_columns.csv"
         no_columns.write_text("record_id,correct\nx,1\n")
@@ -955,6 +968,24 @@ class TestOnePathToReports:
         assert main(["run", "--config", str(info["config"]), "--strict-scripted", "--resume"]) == 0
         assert cell.read_bytes() == whole
 
+    @pytest.mark.parametrize("extra", ['{"record_id": "x"}\n', "not json\n"])
+    def test_resume_stops_at_a_whole_line_that_is_no_transcript_line(
+        self, tmp_path, capsys, extra
+    ):
+        info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        cell = tmp_path / "out" / "transcripts" / "demo__M2__seed1.jsonl"
+        with open(cell, "a", encoding="utf-8") as handle:
+            handle.write(extra)
+        appended = cell.read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted",
+                     "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(cell) in err, err
+        assert "(line 41)" in err, err
+        assert cell.read_bytes() == appended
+
     def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(
         self, tmp_path, monkeypatch
     ):
@@ -1319,3 +1350,23 @@ def test_a_profile_in_the_retired_format_is_refused_before_any_request(
         assert err.startswith("schema error:") and str(profiles) in err, err
         assert "'cassette'" in err and '"endpoint": "scripted:<cassette>"' in err, err
         assert not (tmp_path / "out").exists()
+
+
+def test_a_profile_name_that_is_not_one_file_name_is_refused_before_any_transcript(
+    demo_dir, tmp_path, capsys
+):
+    # the name starts each transcript's file name, which evaluate globs for
+    profiles = json.loads((demo_dir / "profiles.json").read_text())
+    config = json.loads((demo_dir / "run.json").read_text())
+    for name in ("org/demo", "org\\demo", "", "de\0mo"):
+        profiles["profiles"][0]["name"] = name
+        (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+        (tmp_path / "run.json").write_text(json.dumps({
+            **config, "profiles": str(tmp_path / "profiles.json"),
+            "profile_names": [name], "out": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(tmp_path / "run.json")]) == 2, repr(name)
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(tmp_path / "profiles.json") in err, err
+        assert "name" in err, err
+        assert not (tmp_path / "out" / "transcripts").exists(), repr(name)
