@@ -119,9 +119,14 @@ class ProfilesFile:
     profiles: tuple[BackendProfile, ...]
 
     def __post_init__(self):
-        names = [profile.name for profile in self.profiles]
-        if len(set(names)) < len(names):
-            raise ValueError(f"profiles: a name is used twice in {names}")
+        # one variable per profile, so no profile is sent another's key
+        names: dict[str, str] = {}
+        for profile in self.profiles:
+            key = profile.api_key_env()
+            if key in names:
+                raise ValueError(f"profiles: names {names[key]!r} and {profile.name!r} both "
+                                 f"read the API key from {key}")
+            names[key] = profile.name
 
 
 @dataclass(frozen=True)

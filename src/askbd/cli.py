@@ -29,6 +29,7 @@ from .alternatives import (
 from .backends import BackendError, BackendProfile, load_profiles, open_backend
 from .detect import (
     FAILED_STAGE,
+    OUTCOME_STAGES,
     REFERENCE_STRATEGIES,
     STRATEGIES,
     STRATEGY_REF_MATCHING,
@@ -118,8 +119,8 @@ def cmd_ingest(args) -> int:
         except (RecordError, ValueError, KeyError, TypeError) as err:
             skipped += 1
             print(f"skipping record: {err}", file=sys.stderr)
-    write_jsonl(records, args.out)
-    print(f"ingested {len(records)} records ({skipped} skipped) -> {args.out}")
+    written = write_jsonl(records, args.out)
+    print(f"ingested {written} records ({skipped} skipped) -> {args.out}")
     return EXIT_OK
 
 
@@ -138,8 +139,8 @@ def cmd_gen_alt(args) -> int:
         except (CompositionError, NoPermutationsAvailable) as err:
             failures += 1
             print(f"no candidates for {record.record_id}: {err}", file=sys.stderr)
-    write_jsonl(out, args.out)
-    print(f"generated {len(out)} candidates ({failures} records skipped) -> {args.out}")
+    written = write_jsonl(out, args.out)
+    print(f"generated {written} candidates ({failures} records skipped) -> {args.out}")
     return EXIT_OK
 
 
@@ -237,8 +238,8 @@ def cmd_inject(args) -> int:
                 failures += 1
                 print(f"cannot inject {category} into {record.record_id}: {err}",
                       file=sys.stderr)
-    write_jsonl(out, args.out)
-    print(f"injected {len(out)} records ({failures} skipped) -> {args.out}")
+    written = write_jsonl(out, args.out)
+    print(f"injected {written} records ({failures} skipped) -> {args.out}")
     return EXIT_OK
 
 
@@ -336,6 +337,7 @@ def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
 
 
 _TRANSCRIPT_NAME = re.compile(r"(?P<profile>.+)__(?P<strategy>.+)__seed(?P<seed>-?\d+)\.jsonl$")
+_decode_json = json.JSONDecoder().raw_decode  # leaves what follows the value to check
 
 
 def _transcript_path(outdir: Path, profile: str, strategy: str, seed: int) -> Path:
@@ -369,28 +371,41 @@ def _transcript_lines(record_id: str, strategy: str, exchanges,
     )
 
 
-# every record's transcript lines end with one of these
-_OUTCOME_STAGES = ("reg", FAILED_STAGE)
-
 # A record's last outcome in a cell: the (stage, response) of its last
 # `reg` or `failed` transcript line, or, for a record just detected, the
 # outcome `detect` parsed from that exchange.
 Outcome = tuple[str, str] | DetectionOutcome
 
 
-def _read_outcomes(path: Path) -> dict[str, tuple[str, str]]:
-    """The (stage, response) of each record's last `reg` or `failed` line,
-    in order of first appearance."""
+def _scan_transcript(path: Path) -> tuple[dict[str, tuple[str, str]], int]:
+    """Reads the transcript at `path` forward once: the (stage, response) of
+    each record's last `reg` or `failed` line, in order of first appearance,
+    and the length in bytes up to the end of the last such line. `detect`
+    ends every record's lines with one, so what follows belongs to a record
+    a crash cut short: its earlier stage lines and a torn last line, one
+    with no newline. A whole line that is no transcript line is a SchemaViolation."""
     outcomes: dict[str, tuple[str, str]] = {}
-    if not path.exists():
-        return outcomes
-    for number, entry in read_jsonl_lines(path, "transcript"):
-        try:
-            if entry["stage"] in _OUTCOME_STAGES:
-                outcomes[entry["record_id"]] = (entry["stage"], entry["response"])
-        except (KeyError, TypeError) as err:
-            raise SchemaViolation(f"bad transcript line in {path}: {err!r}", line=number) from err
-    return outcomes
+    finished = end = 0
+    try:
+        with open(path, "rb") as handle:
+            for number, line in enumerate(handle, start=1):
+                if not line.endswith(b"\n"):
+                    break
+                end += len(line)
+                try:
+                    text = line.decode("utf-8")
+                    entry, stop = _decode_json(text)
+                    if stop + 1 < len(text):
+                        raise ValueError(f"extra data at column {stop + 1}")
+                    if entry["stage"] in OUTCOME_STAGES:
+                        outcomes[entry["record_id"]] = (entry["stage"], entry["response"])
+                        finished = end
+                except (ValueError, KeyError, TypeError) as err:
+                    raise SchemaViolation(f"bad transcript line in {path}: {err!r}",
+                                          line=number) from err
+    except OSError as err:
+        raise SchemaViolation(f"cannot read transcript {path}: {err}") from err
+    return outcomes, finished
 
 
 def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord],
@@ -495,13 +510,14 @@ def _run_detection(
 ) -> dict[str, Outcome]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
     record at a time as each finishes, and returns the cell's outcomes, in
-    the order `_read_outcomes` reads them from the finished transcript: a
-    record kept from it by `resume` as `_read_outcomes` gives it, a record
+    the order `_scan_transcript` reads them from the finished transcript:
+    a record kept from it by `resume` as the scan gives it, a record
     detected now as the outcome `detect` parsed from its last `reg` or
     `failed` exchange. `references` holds each record's reference text for
     a reference strategy. With `resume`, a record whose last outcome is a
     `reg` line is kept; a `failed` one, or one whose lines a crash cut
-    short, is detected again. `escaped` is the memo of escaped texts that
+    short, is detected again, and those lines are cut only once the whole
+    transcript has been read. `escaped` is the memo of escaped texts that
     `_transcript_lines` writes the lines from; `_detect_cells` shares one
     among a (profile, strategy)'s seeds. A transcript that cannot be
     written is a SchemaViolation naming it, raised before any detection.
@@ -510,12 +526,8 @@ def _run_detection(
     I/O. Otherwise threads would only take turns at the interpreter lock,
     so the records are detected in the calling thread."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
-    if resume:
-        _drop_unfinished_record(path)
-        outcomes = _read_outcomes(path)
-    else:
-        outcomes = {}
-    done = {rid for rid, (stage, _) in outcomes.items() if stage == "reg"}
+    outcomes, finished = _scan_transcript(path) if resume and path.exists() else ({}, 0)
+    done = {rid for rid, (stage, _) in outcomes.items() if stage != FAILED_STAGE}
     pending = [r for r in records if r.record_id not in done]
 
     def one(record: SolutionRecord) -> tuple[str, str, DetectionOutcome]:
@@ -530,36 +542,14 @@ def _run_detection(
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
             open_output(path, "transcript", "a" if resume else "w") as handle:
+        if handle.tell() > finished:  # drop the lines of a record a crash cut short
+            handle.truncate(finished)
         detect_each = pool.map if workers > 1 and backends.waits_on_io(backend) else map
         for record_id, lines, outcome in detect_each(one, pending):
             handle.write(lines)
             handle.flush()
             outcomes[record_id] = outcome
     return outcomes
-
-
-def _drop_unfinished_record(path: Path) -> None:
-    """Cuts a transcript back to the end of its last `reg` or `failed` line.
-    `detect` ends every record's lines with one, so what follows belongs to
-    a record a crash cut short: its earlier stage lines and a torn last
-    line. Resuming detects that record again and writes all of its lines
-    anew. The cut stops at a whole line that is no transcript line, which
-    reading the transcript then reports."""
-    if not path.exists():
-        return
-    data = path.read_bytes()
-    end = data.rfind(b"\n") + 1  # a torn last line has no newline
-    while end:
-        start = data.rfind(b"\n", 0, end - 1) + 1
-        try:
-            if json.loads(data[start:end])["stage"] in _OUTCOME_STAGES:
-                break
-        except (ValueError, KeyError, TypeError):
-            break
-        end = start
-    if end < len(data):
-        with open(path, "r+b") as handle:
-            handle.truncate(end)
 
 
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],
@@ -612,16 +602,22 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     gold = {r.record_id: r for r in read_jsonl(args.gold)}
-    cells = []
+    cells: dict[tuple[str, str, int], Path] = {}
     for path in Path(args.transcripts).glob("*.jsonl"):
         name = _TRANSCRIPT_NAME.match(path.name)
         if name:
-            cells.append((name["profile"], name["strategy"], int(name["seed"]), path))
+            cell = (name["profile"], name["strategy"], int(name["seed"]))
+            if cell in cells:
+                raise SchemaViolation(f"transcripts {cells[cell]} and {path} name one cell")
+            cells[cell] = path
     if not cells:
         raise SchemaViolation(f"--transcripts {args.transcripts} holds no transcript file")
     judged: list[JudgedResult] = []
-    for profile, strategy, seed, path in sorted(cells):
-        judged.extend(_judge_outcomes(_read_outcomes(path), gold, profile, strategy, seed))
+    for (profile, strategy, seed), path in sorted(cells.items()):
+        outcomes, finished = _scan_transcript(path)
+        if finished < path.stat().st_size:
+            raise SchemaViolation(f"transcript {path} was cut short; resume its run first")
+        judged.extend(_judge_outcomes(outcomes, gold, profile, strategy, seed))
     _write_reports(Path(args.out), judged)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK

@@ -54,8 +54,11 @@ ASKBD_STRATEGIES = (STRATEGY_ASKBD, STRATEGY_ASKBD_COT)
 # strategies that grade with a given reference solution
 REFERENCE_STRATEGIES = (STRATEGY_REF_CONVENTIONAL, STRATEGY_REF_MATCHING)
 
-# the transcript stage of a record whose detection failed
+# the transcript stage of a grading exchange, and of a record whose
+# detection failed; every record's transcript lines end with one of them
+GRADING_STAGE = "reg"
 FAILED_STAGE = "failed"
+OUTCOME_STAGES = (GRADING_STAGE, FAILED_STAGE)
 
 TAG_CORRECT = "correct"
 TAG_SECONDARY = "secondary"
@@ -310,7 +313,7 @@ def detect(
             reference = ask("sqr", sqr_prompt(conditions, [*questions, inquiry]), _parse_sqr)
         prompt = grading_prompt(record, strategy, reference)
         with suppress(UnparseableBackendOutput):  # invalid; judged from its line below
-            outcome = ask("reg", prompt, lambda text: _parse_grading(text, n_steps))
+            outcome = ask(GRADING_STAGE, prompt, lambda text: _parse_grading(text, n_steps))
     except _RECORD_FAILURES as err:
         failure = f"stage failure: {stage}: {type(err).__name__}: {err}"
         transcript.append(StageExchange(FAILED_STAGE, "", failure))

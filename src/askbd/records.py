@@ -494,10 +494,16 @@ def open_output(path, what: str, mode: str = "w", newline: str | None = None):
         raise SchemaViolation(f"cannot write {what} {path}: {err}") from err
 
 
-def write_jsonl(records: Iterable[SolutionRecord], path) -> None:
+def write_jsonl(records: Iterable[SolutionRecord], path) -> int:
+    """Writes each record id once, from the first record that has it, to the
+    corpus at `path`, and returns how many records it wrote."""
+    written: set[str] = set()
     with open_output(path, "corpus") as handle:
         for record in records:
-            handle.write(jsonl_line(record_to_json(record)))
+            if record.record_id not in written:
+                written.add(record.record_id)
+                handle.write(jsonl_line(record_to_json(record)))
+    return len(written)
 
 
 # --- Statistics ---

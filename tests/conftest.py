@@ -55,3 +55,27 @@ def leaf_record():
         answer=33,
         origin="D",
     )
+
+
+# steps 1 and 3 say what comes next in prose only, with no `a op b = c`
+# calculation, as many GSM8K rationales do
+PROSE_QUESTION = "A box holds 8 packs of 6 pens, and 11 pens are broken. How many pens are left?"
+
+PROSE_SOLUTION = (
+    "Step 1. First we find how many pens there are. "
+    "Step 2. There are 8 * 6 = 48 pens. "
+    "Step 3. Then we take away the broken ones. "
+    "Step 4. So 48 - 11 = 37 pens are left."
+)
+
+
+@pytest.fixture
+def prose_record():
+    from askbd.records import make_record, parse_structured_solution
+
+    return make_record(
+        question=PROSE_QUESTION,
+        steps=parse_structured_solution(PROSE_SOLUTION),
+        answer=37,
+        origin="D",
+    )

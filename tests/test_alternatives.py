@@ -123,6 +123,12 @@ class TestGenerateAlternatives:
         classes = {canonical_form(parse_expr(c.permuted_expression)) for c in candidates}
         assert canonical_form(parse_expr("(5 - 2) * 11")) in classes
 
+    def test_steps_without_a_calculation_compose_from_the_others(self, prose_record):
+        candidates = generate_alternatives(prose_record, k=2, seed=0)
+        assert [c.permuted_expression for c in candidates] == ["((6 * 8) - 11)"]
+        assert [step.statement for step in candidates[0].steps] == [
+            "Compute 6 * 8 = 48.", "Compute 48 - 11 = 37."]
+
     def test_an_erroneous_record_is_no_source(self, leaf_record):
         wrong = replace(leaf_record, label=ErrorLabel(3, "calc"))
         with pytest.raises(CompositionError, match="error label"):

@@ -34,6 +34,8 @@ from askbd.detect import (
 )
 from askbd.records import SolutionStep, jsonl_line, make_record, read_jsonl, write_jsonl
 
+from conftest import PROSE_QUESTION, PROSE_SOLUTION
+
 
 @pytest.fixture(scope="module")
 def demo_dir(tmp_path_factory):
@@ -115,6 +117,15 @@ class TestIngest:
         assert "ingested 2 records (1 skipped)" in captured.out
         assert "zero denominator" in captured.err
         assert len(read_jsonl(out)) == 2
+
+    def test_a_rationale_already_in_steps_keeps_them(self, tmp_path, prose_record):
+        raw = tmp_path / "raw.jsonl"
+        rationale = PROSE_SOLUTION.replace(" Step ", "\nStep ")
+        raw.write_text(json.dumps({"question": PROSE_QUESTION, "rationale": rationale,
+                                   "answer": 37}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+        assert read_jsonl(out) == [prose_record]
 
     def test_a_too_deep_expression_is_skipped(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
@@ -373,6 +384,38 @@ def test_inject_names_each_erroneous_source_on_one_line(tmp_path, capsys):
     ] + [f"cannot inject missing into {single.record_id}: "
          f"record {single.record_id} has a single step"]
     assert f"injected 35 records (129 skipped) -> {injected}" in out
+
+
+def test_the_quick_start_chain_reaches_detect(tmp_path, capsys):
+    # `missing` on two D′ candidates of one source can derive one record;
+    # the injected file holds it once, so detect takes the file
+    info = build_demo(tmp_path / "demo", n_questions=4)
+    candidates, injected = tmp_path / "cand.jsonl", tmp_path / "inj.jsonl"
+    assert main(["gen-alt", "--in", str(info["corpus"]), "--out", str(candidates),
+                 "--k", "3"]) == 0
+    assert main(["inject", "--category", "all", "--in", str(candidates),
+                 "--out", str(injected)]) == 0
+    assert f"injected 39 records (0 skipped) -> {injected}" in capsys.readouterr().out
+    ids = [record.record_id for record in read_jsonl(injected)]
+    assert len(ids) == len(set(ids)) == 39
+    assert main(["detect", "--strategy", "M0", "--profile", "demo",
+                 "--profiles-file", str(info["profiles"]), "--in", str(injected),
+                 "--out", str(tmp_path / "inj-det"), "--strict-scripted"]) == 0
+
+
+def test_an_input_listing_a_record_twice_derives_each_id_once(tmp_path, capsys, leaf_record):
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    write_jsonl([leaf_record], once)
+    twice.write_text(once.read_text() * 2)
+    for command, flags in (("gen-alt", ["--k", "2"]), ("inject", ["--category", "all"])):
+        written = []
+        for source in (once, twice):
+            out = tmp_path / f"{command}-{source.stem}.jsonl"
+            assert main([command, "--in", str(source), "--out", str(out), *flags]) == 0
+            written.append((out.read_bytes(), capsys.readouterr().out.split(" -> ")[0]))
+        assert written[0] == written[1], command
+        ids = [record.record_id for record in read_jsonl(out)]
+        assert len(ids) == len(set(ids)) > 1, command
 
 
 def _count_scoring(monkeypatch):
@@ -881,7 +924,7 @@ class TestOnePathToReports:
         assert len(returned) == 4 * 2
         for (strategy, seed), outcomes in returned.items():
             path = cli._transcript_path(tmp_path / "out", "demo", strategy, seed)
-            lines = cli._read_outcomes(path)
+            lines = cli._scan_transcript(path)[0]
             assert list(outcomes) == list(lines) == list(gold)
             for record_id, outcome in outcomes.items():
                 assert isinstance(outcome, DetectionOutcome)
@@ -968,13 +1011,17 @@ class TestOnePathToReports:
         assert main(["run", "--config", str(info["config"]), "--strict-scripted", "--resume"]) == 0
         assert cell.read_bytes() == whole
 
-    @pytest.mark.parametrize("extra", ['{"record_id": "x"}\n', "not json\n"])
+    @pytest.mark.parametrize("extra", ['{"record_id": "x"}\n', "not json\n",
+                                       '{"record_id": "x"}\n<first line>'])
     def test_resume_stops_at_a_whole_line_that_is_no_transcript_line(
         self, tmp_path, capsys, extra
     ):
+        # in the last case a record cut short follows the bad line: resume
+        # reads the whole transcript before it cuts that record's lines
         info = build_demo(tmp_path, n_questions=1, seeds=(1,))
         assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
         cell = tmp_path / "out" / "transcripts" / "demo__M2__seed1.jsonl"
+        extra = extra.replace("<first line>", cell.read_text().splitlines(keepends=True)[0])
         with open(cell, "a", encoding="utf-8") as handle:
             handle.write(extra)
         appended = cell.read_bytes()
@@ -985,6 +1032,44 @@ class TestOnePathToReports:
         assert err.startswith("schema error:") and str(cell) in err, err
         assert "(line 41)" in err, err
         assert cell.read_bytes() == appended
+
+    @pytest.mark.parametrize("cut", ["after a whole line", "before the last newline"])
+    def test_evaluate_refuses_a_record_cut_short_and_resume_completes_it(
+        self, tmp_path, capsys, cut
+    ):
+        # the M2 cell's last record keeps its cqe, ssi and sqr lines but
+        # loses its reg line, or only that line's newline
+        info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        reports = _reports(tmp_path / "out")
+        cell = tmp_path / "out" / "transcripts" / "demo__M2__seed1.jsonl"
+        whole = cell.read_bytes()
+        end = whole.rfind(b"\n", 0, -1) + 1 if cut == "after a whole line" else -1
+        cell.write_bytes(whole[:end])
+        capsys.readouterr()
+        assert main(["evaluate", "--transcripts", str(cell.parent), "--gold", str(info["corpus"]),
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(cell) in err and "resume" in err, err
+        assert not (tmp_path / "eval").exists()
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted", "--resume"]) == 0
+        assert cell.read_bytes() == whole
+        assert _reports(tmp_path / "out") == reports
+        assert _evaluate(info, tmp_path / "eval") == reports
+
+    def test_evaluate_refuses_two_transcripts_of_one_cell(self, tmp_path, capsys):
+        info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        transcripts = tmp_path / "out" / "transcripts"
+        first = transcripts / "demo__M0__seed1.jsonl"
+        second = transcripts / "demo__M0__seed01.jsonl"  # seed 1 as well
+        second.write_bytes(first.read_bytes())
+        capsys.readouterr()
+        assert main(["evaluate", "--transcripts", str(transcripts), "--gold", str(info["corpus"]),
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(first) in err and str(second) in err, err
+        assert not (tmp_path / "eval").exists()
 
     def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(
         self, tmp_path, monkeypatch
@@ -1014,12 +1099,12 @@ class TestOnePathToReports:
         assert len(returned) == 4
         gold = {r.record_id: r for r in read_jsonl(info["corpus"])}
         for path, outcomes in returned.items():
-            finished = cli._read_outcomes(path)
+            finished = cli._scan_transcript(path)[0]
             assert list(outcomes) == list(finished), path.name
             assert cli._judge_outcomes(outcomes, gold, "demo", "M2", 1) == \
                 cli._judge_outcomes(finished, gold, "demo", "M2", 1), path.name
         # the failed record was detected again and keeps its slot
-        resumed = list(cli._read_outcomes(cell).items())
+        resumed = list(cli._scan_transcript(cell)[0].items())
         assert resumed[0][0] == failed["record_id"] and resumed[0][1][0] == "reg"
         assert isinstance(returned[cell][failed["record_id"]], DetectionOutcome)
         assert _reports(tmp_path / "out") == reports
@@ -1370,3 +1455,26 @@ def test_a_profile_name_that_is_not_one_file_name_is_refused_before_any_transcri
         assert err.startswith("schema error:") and str(tmp_path / "profiles.json") in err, err
         assert "name" in err, err
         assert not (tmp_path / "out" / "transcripts").exists(), repr(name)
+
+
+def test_profiles_that_share_an_api_key_variable_are_refused_before_any_backend_opens(
+    demo_dir, tmp_path, capsys, monkeypatch
+):
+    # `a-b`, `a_b` and `A.B` all read ASKBD_API_KEY_A_B
+    opened = []
+    monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+    profiles = json.loads((demo_dir / "profiles.json").read_text())
+    config = json.loads((demo_dir / "run.json").read_text())
+    demo = profiles["profiles"][0]
+    for first, second in (("a-b", "a_b"), ("a_b", "A.B"), ("A.B", "a-b")):
+        profiles["profiles"] = [{**demo, "name": first}, {**demo, "name": second}]
+        (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+        (tmp_path / "run.json").write_text(json.dumps({
+            **config, "profiles": str(tmp_path / "profiles.json"),
+            "profile_names": [first], "out": str(tmp_path / "out"),
+        }))
+        assert main(["run", "--config", str(tmp_path / "run.json")]) == 2, (first, second)
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(tmp_path / "profiles.json") in err, err
+        assert repr(first) in err and repr(second) in err and "ASKBD_API_KEY_A_B" in err, err
+        assert opened == [] and not (tmp_path / "out").exists()

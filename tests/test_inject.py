@@ -16,7 +16,7 @@ from askbd.inject import (
     NoExpressionStep,
     inject,
 )
-from askbd.label_oracle import ScanMemo, scan_record, verify_corpus
+from askbd.label_oracle import ScanMemo, oracle_clean, scan_record, verify_corpus
 from askbd.records import (
     CATEGORIES,
     CORRECT_LABEL,
@@ -251,6 +251,21 @@ class TestLabelOracle:
                 injected = inject(leaf_record, category, seed)
                 assert scan_record(injected) == injected.label, (seed, injected.label)
 
+    def test_steps_without_a_calculation(self, prose_record):
+        # a prose-only step is neither injected into nor scanned
+        assert scan_record(prose_record) == CORRECT_LABEL and oracle_clean(prose_record)
+        for seed in range(20):
+            for category in CATEGORIES:
+                injected = inject(prose_record, category, seed)
+                assert scan_record(injected) == injected.label, (seed, injected.label)
+        assert demo._reference_text(prose_record).splitlines() == [
+            "Step 1: This follows directly from the conditions.",
+            "Step 2: From the conditions, 8 * 6 = 48.",
+            "Step 3: This follows directly from the conditions.",
+            "Step 4: From the conditions, 48 - 11 = 37.",
+            "Step 5: Therefore the answer is 37.",
+        ]
+
     def test_verify_corpus_reports_mismatches(self, leaf_record):
         injected = inject(leaf_record, "calc", 3)
         ok = verify_corpus([leaf_record, injected])
@@ -369,7 +384,7 @@ class TestReferenceDraw:
         records = read_jsonl(corpus) + read_jsonl(candidates)
         error_free = [r for r in records if not r.label.is_error]
         erroneous = [r for r in records if r.label.is_error]
-        assert (len(error_free), len(erroneous)) == (236, 400)
+        assert (len(error_free), len(erroneous)) == (234, 400)
         for record in error_free:
             _assert_lazy_draw_is_eager(record, range(20))
         # an erroneous record is no source, so there is no draw to compare

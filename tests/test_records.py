@@ -130,6 +130,18 @@ class TestJsonl:
         write_jsonl(read_jsonl(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_steps_without_a_calculation_round_trip(self, tmp_path, prose_record):
+        assert [step.expression for step in prose_record.steps] == [None, "8 * 6", None, "48 - 11"]
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([prose_record], path)
+        assert read_jsonl(path) == [prose_record]
+
+    def test_each_record_id_is_written_once(self, tmp_path, leaf_record, prose_record):
+        # a later record with an id already written is left out
+        path = tmp_path / "corpus.jsonl"
+        assert write_jsonl([leaf_record, prose_record, leaf_record], path) == 2
+        assert read_jsonl(path) == [leaf_record, prose_record]
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
