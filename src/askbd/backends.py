@@ -4,21 +4,25 @@ One wire format (chat completions for generation, echoed completions for
 per-token log-probabilities) and one transport per endpoint scheme: an
 exchange store that replays a `scripted:` cassette; a deterministic
 offline `mock:` scorer; or, for an `http(s)` endpoint, an HTTP client
-with retries and a sliding-window rate limiter, behind an exchange store
-that records into the profile's `record_to` cassette when it has one.
+with retries, a sliding-window rate limiter and kept-alive connections,
+behind an exchange store that records into the profile's `record_to`
+cassette when it has one. Every backend has a `close` method, which
+closes what it keeps open.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
 import logging
 import math
 import os
 import re
+import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
 import urllib.request
 from collections import deque
@@ -208,30 +212,129 @@ class RateLimiter:
 # --- Transports ---
 
 
-def _urllib_transport(url: str, payload: dict, headers: Mapping[str, str], timeout: float = 60.0):
+class _Connection:
+    """One HTTP connection to the host of an endpoint: direct, or through
+    the environment's proxy for its scheme where `urllib` would use one,
+    with an absolute-form request line for `http` and a tunnel for `https`."""
+
+    def __init__(self, parts: urllib.parse.SplitResult, timeout: float):
+        self.key = (parts.scheme, parts.netloc)
+        self.target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+        self.proxy_headers: dict[str, str] = {}
+        kind = http.client.HTTPConnection
+        if parts.scheme == "https":
+            kind = http.client.HTTPSConnection
+        proxy = urllib.request.getproxies().get(parts.scheme)
+        if not proxy or urllib.request.proxy_bypass(parts.netloc):
+            self.http = kind(parts.netloc, timeout=timeout)
+            return
+        via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy)
+        auth = {}
+        if via.username is not None:
+            user = urllib.parse.unquote(f"{via.username}:{via.password or ''}")
+            auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
+        self.http = kind(via.netloc.rpartition("@")[2], timeout=timeout)
+        if parts.scheme == "https":
+            self.http.set_tunnel(parts.netloc, headers=auth)
+        else:
+            self.target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+            self.proxy_headers = auth
+
+    def send(self, data: bytes, headers: Mapping[str, str]) -> http.client.HTTPResponse:
+        self.http.request("POST", self.target, body=data, headers={**headers, **self.proxy_headers})
+        if hasattr(socket, "TCP_QUICKACK"):
+            # http.server writes a reply's headers and body in two sends; the
+            # body waits on the ACK of the headers, which a kept-alive socket
+            # would delay by up to 40 ms unless told to ACK at once
+            self.http.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+        return self.http.getresponse()
+
+    def close(self) -> None:
+        self.http.close()
+
+
+class Connections:
+    """The kept-alive connections of one backend. A request takes an idle
+    one to its endpoint's host, or opens one, and gives it back once its
+    reply is read, so a run holds as many as it has requests in flight."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: list[_Connection] = []
+
+    def take(self, key: tuple[str, str]) -> _Connection | None:
+        with self._lock:
+            for index in range(len(self._idle) - 1, -1, -1):
+                if self._idle[index].key == key:
+                    return self._idle.pop(index)
+        return None
+
+    def give(self, connection: _Connection) -> None:
+        with self._lock:
+            self._idle.append(connection)
+
+    def close(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+
+# what a reused connection raises when the server closed it while idle
+_DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
+
+
+def _urllib_transport(url: str, payload: dict, headers: Mapping[str, str], timeout: float = 60.0,
+                      *, connections: Connections | None = None):
+    """One HTTP attempt: POSTs `payload` as JSON to `url` and returns
+    (status, JSON body); an error status's body is {} unless it is JSON.
+
+    The request goes over an idle connection from `connections` when there
+    is one. If the server dropped that connection before a status line,
+    the request is sent once more, at once, on a new one. The connection
+    is kept for the next request only where `socket.TCP_QUICKACK` exists
+    (Linux); elsewhere, and with no `connections`, it is closed after the
+    reply. A transport failure raises OSError or http.client.HTTPException.
+    """
+    parts = urllib.parse.urlsplit(url)
     data = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json", **headers}, method="POST"
-    )
+    headers = {"Content-Type": "application/json", **headers}
+    connection = connections.take((parts.scheme, parts.netloc)) if connections is not None else None
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            status, raw = response.status, response.read()
-    except urllib.error.HTTPError as err:
-        try:
-            body = json.loads(err.read().decode("utf-8"))
-        except Exception:
-            body = {}
-        return err.code, body
+        if connection is None:
+            connection = _Connection(parts, timeout)
+            response = connection.send(data, headers)
+        else:
+            try:
+                response = connection.send(data, headers)
+            except _DROPPED as err:
+                log.debug("kept-alive connection to %s dropped (%s); reconnecting", url, err)
+                connection.close()
+                connection = _Connection(parts, timeout)
+                response = connection.send(data, headers)
+        status, raw = response.status, response.read()
+    except BaseException:
+        if connection is not None:
+            connection.close()
+        raise
+    if connections is not None and hasattr(socket, "TCP_QUICKACK") \
+            and connection.http.sock is not None:
+        connections.give(connection)
+    else:
+        connection.close()
     try:
         return status, json.loads(raw.decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError included
+        if status >= 400:
+            return status, {}
         raise MalformedResponse(
             f"{url} answered {status} with a body that is not JSON: {err}"
         ) from err
 
 
 class HttpBackend:
-    """Chat-completions client with retry and rate limiting."""
+    """Chat-completions client with retry and rate limiting. Its requests
+    share kept-alive connections, which `close` closes."""
 
     def __init__(
         self,
@@ -246,6 +349,10 @@ class HttpBackend:
         self.sleep = sleep
         self.transport = transport or _urllib_transport
         self.limiter = RateLimiter(profile.rate_limit_per_min, clock=clock, sleep=sleep)
+        self.connections = Connections()
+
+    def close(self) -> None:
+        self.connections.close()
 
     def _headers(self) -> dict[str, str]:
         if self.api_key:
@@ -261,8 +368,10 @@ class HttpBackend:
                 self.sleep(policy.backoff * 2 ** (attempt - 2))
             self.limiter.acquire()
             try:
-                status, body = self.transport(url, payload, self._headers())
-            except (urllib.error.URLError, OSError) as err:
+                status, body = self.transport(url, payload, self._headers(),
+                                              connections=self.connections)
+            # URLError is an OSError; HTTPException is a reply cut short or garbled
+            except (OSError, http.client.HTTPException) as err:
                 log.info("attempt %d to %s failed: %s", attempt, url, err)
                 last_status = None
                 continue
@@ -370,6 +479,10 @@ class ExchangeStore:
                             handle.write(cassette_line(key, entry))
         return entry[field]
 
+    def close(self) -> None:
+        if self.inner is not None:
+            self.inner.close()
+
     def generate(self, messages: Messages, params: GenerationParams) -> str:
         request = (params, *[tuple(m.items()) for m in messages])
         response = self._answered.get(request)
@@ -411,6 +524,9 @@ class MockScoreBackend:
         self.mode = params.get("mode", "constant")
         self.logprob = float(params.get("logprob", "-1.0"))
         self.scale = float(params.get("scale", "2.0"))
+
+    def close(self) -> None:
+        pass
 
     def generate(self, messages: Messages, params: GenerationParams) -> str:
         raise CapabilityMissing("mock scorer cannot generate")

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
 from itertools import groupby, product
 from json.encoder import encode_basestring
@@ -270,15 +271,14 @@ def _select_profiles(path, names, capability: str) -> list[BackendProfile]:
 def cmd_score_likelihood(args) -> int:
     names = [n.strip() for n in args.profiles.split(",") if n.strip()]
     chosen = _select_profiles(args.profiles_file, names, backends.CAP_SCORE_TOKENS)
-    opened = {p.name: open_backend(p, strict_scripted=args.strict_scripted) for p in chosen}
     records = read_jsonl(args.infile)
-    # refuse too few records to bucket, a bad --results or a bad output
-    # before the first scoring request; opening to append neither
+    # refuse a repeated record, too few records to bucket, a bad --results
+    # or a bad output before any backend opens; opening to append neither
     # truncates nor writes
-    distinct = len({record.record_id for record in records})
-    if args.analysis and distinct < 4:
+    _by_id(records, f"--in {args.infile}")
+    if args.analysis and len(records) < 4:
         raise SchemaViolation(
-            f"--analysis on --in {args.infile}: need at least 4 records, got {distinct}"
+            f"--analysis on --in {args.infile}: need at least 4 records, got {len(records)}"
         )
     results = _read_correctness(args.results, args.strategy) if args.results else {}
     for path, what in ((args.analysis, "analysis file"), (args.out, "scores file")):
@@ -286,13 +286,14 @@ def cmd_score_likelihood(args) -> int:
             open_output(path, what, "a").close()
     scored: list[likelihood.ScoredSolution] = []
     indicators: dict[str, float] = {}
-    for record in records:
-        per_backend = [
-            likelihood.score_solution(record, profile, backend=opened[profile.name])
-            for profile in chosen
-        ]
-        scored.extend(per_backend)
-        indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
+    with _open_backends(chosen, args.strict_scripted) as opened:
+        for record in records:
+            per_backend = [
+                likelihood.score_solution(record, profile, backend=opened[profile.name])
+                for profile in chosen
+            ]
+            scored.extend(per_backend)
+            indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
     likelihood.write_scores_jsonl(scored, args.out)
     print(f"scored {len(records)} records with {len(chosen)} profiles -> {args.out}")
 
@@ -496,6 +497,29 @@ def _resolve_reference(record: SolutionRecord, strategy: str,
     return render_solution_text(base)
 
 
+def _by_id(records: list[SolutionRecord], where: str) -> dict[str, SolutionRecord]:
+    """`records` by record id. A record id that appears twice is a
+    SchemaViolation naming it and `where` the records came from."""
+    by_id: dict[str, SolutionRecord] = {}
+    for record in records:
+        if record.record_id in by_id:
+            raise SchemaViolation(f"record {record.record_id} appears more than once in {where}")
+        by_id[record.record_id] = record
+    return by_id
+
+
+@contextmanager
+def _open_backends(profiles: list[BackendProfile], strict_scripted: bool):
+    """Each profile's backend by name, all closed when the block ends, which
+    closes a live backend's kept-alive connections."""
+    with ExitStack() as stack:
+        opened = {}
+        for profile in profiles:
+            backend = open_backend(profile, strict_scripted=strict_scripted)
+            opened[profile.name] = stack.enter_context(closing(backend))
+        yield opened
+
+
 def _run_detection(
     records: list[SolutionRecord],
     profile: BackendProfile,
@@ -564,24 +588,19 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
-    gold: dict[str, SolutionRecord] = {}
-    for record in records:
-        if record.record_id in gold:
-            raise SchemaViolation(f"record {record.record_id} appears more than once "
-                                  f"in corpora {', '.join(config.corpora)}")
-        gold[record.record_id] = record
+    gold = _by_id(records, f"corpora {', '.join(config.corpora)}")
     references = _references(records, strategies, config.reference_corpus)
-    opened = {p.name: open_backend(p, strict_scripted=config.strict_scripted) for p in selected}
     judged: list[JudgedResult] = []
     cells = sorted(set(product(profiles, strategies, config.seeds)))
-    for (name, strategy), seeds in groupby(cells, key=lambda cell: cell[:2]):
-        escaped: dict[str, str] = {}
-        for _, _, seed in seeds:
-            outcomes = _run_detection(
-                records, profiles[name], opened[name], strategy, seed, Path(config.out),
-                references.get(strategy), resume, config.workers, escaped,
-            )
-            judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
+    with _open_backends(selected, config.strict_scripted) as opened:
+        for (name, strategy), seeds in groupby(cells, key=lambda cell: cell[:2]):
+            escaped: dict[str, str] = {}
+            for _, _, seed in seeds:
+                outcomes = _run_detection(
+                    records, profiles[name], opened[name], strategy, seed, Path(config.out),
+                    references.get(strategy), resume, config.workers, escaped,
+                )
+                judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
     return judged
 
 

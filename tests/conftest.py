@@ -1,4 +1,10 @@
+import os
 import random
+import sys
+import threading
+import time
+import warnings
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -79,3 +85,92 @@ def prose_record():
         answer=37,
         origin="D",
     )
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """An HTTP/1.1 handler, so a client may keep its connection, that
+    answers with `reply` and logs nothing."""
+
+    protocol_version = "HTTP/1.1"
+
+    def reply(self, status: int, body: bytes) -> None:
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class LoopbackServer(ThreadingHTTPServer):
+    """An HTTP server on 127.0.0.1 that counts the connections it has
+    accepted and those still open."""
+
+    daemon_threads = True
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.url = f"http://127.0.0.1:{self.server_address[1]}"
+        self.accepted = 0
+        self.open = 0
+        self._count = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._count:
+            self.accepted += 1
+            self.open += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        with self._count:
+            self.open -= 1
+
+
+@pytest.fixture
+def loopback():
+    """Starts a LoopbackServer for a handler class; each is stopped at teardown."""
+    started = []
+
+    def start(handler):
+        server = LoopbackServer(handler)
+        serving = threading.Thread(target=server.serve_forever, args=(0.05,))
+        serving.start()
+        started.append((server, serving))
+        return server
+
+    yield start
+    for server, serving in started:
+        server.shutdown()
+        server.server_close()
+        serving.join(timeout=10)
+
+
+@pytest.fixture
+def no_proxies(monkeypatch):
+    """An environment that names no proxy, as urllib reads it."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+
+
+def wait_until(condition, timeout=10.0):
+    """Polls `condition` until it holds; fails after `timeout` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.01)
+
+
+@pytest.fixture
+def unclosed(monkeypatch):
+    """The exceptions raised where nothing could catch them, with
+    ResourceWarning made an error: a socket that only the collector
+    closed shows up here once `gc.collect()` has run."""
+    caught = []
+    monkeypatch.setattr(sys, "unraisablehook", caught.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        yield caught

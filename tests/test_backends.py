@@ -1,4 +1,7 @@
+import base64
+import gc
 import json
+import socket
 import sys
 import threading
 import time
@@ -38,6 +41,7 @@ from askbd.backends import (
 )
 from askbd.cli import _transcript_lines
 from askbd.detect import detect, outcome_of
+from conftest import JsonHandler, wait_until
 
 PARAMS = GenerationParams()
 REASK = GenerationParams(attempt=1)
@@ -78,7 +82,7 @@ class FaultInjectingTransport:
         self.calls = 0
         self.payloads = []
 
-    def __call__(self, url, payload, headers, timeout=60.0):
+    def __call__(self, url, payload, headers, timeout=60.0, *, connections=None):
         self.calls += 1
         self.payloads.append(payload)
         return self.responses.pop(0)
@@ -203,7 +207,7 @@ class TestHttp:
 
     def test_the_real_transport_reads_error_statuses_and_retries_them(self):
         # each reply is (status, body); an error status reaches the backend
-        # through urllib's HTTPError, with or without a JSON body
+        # with or without a JSON body
         replies = []
         asked = []
 
@@ -280,6 +284,240 @@ class TestHttp:
         )
         scores = backend.score_tokens(prefix, continuation)
         assert scores == [TokenScore("a", -0.2), TokenScore(" b", -0.3)]
+
+
+needs_quickack = pytest.mark.skipif(
+    not hasattr(socket, "TCP_QUICKACK"), reason="connections are kept only with TCP_QUICKACK"
+)
+
+
+class Answering(JsonHandler):
+    """Answers each chat request with `chat_body("ok")`, and counts them."""
+
+    posts = 0
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        type(self).posts += 1
+        self.answer()
+
+    def answer(self):
+        self.reply(200, json.dumps(chat_body("ok")).encode())
+
+
+def open_live(server, max_attempts=4):
+    """(an HttpBackend for `server` on a virtual clock, that clock)"""
+    clock = VirtualClock()
+    profile = make_profile(endpoint=server.url + "/v1",
+                           retry=RetryPolicy(max_attempts=max_attempts, backoff=0.5))
+    return HttpBackend(profile, api_key="k", clock=clock, sleep=clock.sleep), clock
+
+
+@pytest.fixture
+def live_backend():
+    """open_live, with each backend closed at teardown."""
+    opened = []
+
+    def open_(server, max_attempts=4):
+        backend, clock = open_live(server, max_attempts)
+        opened.append(backend)
+        return backend, clock
+
+    yield open_
+    for backend in opened:
+        backend.close()
+
+
+def handler(answer):
+    """An Answering handler class of its own, answering with `answer`."""
+    return type("Handler", (Answering,), {"answer": answer})
+
+
+@pytest.mark.usefixtures("no_proxies")
+class TestKeptAlive:
+    @needs_quickack
+    def test_requests_share_one_connection_until_the_backend_closes(
+        self, loopback, live_backend
+    ):
+        def answer(self):
+            if type(self).posts == 2:
+                self.reply(200, b"<html>busy</html>")
+            else:
+                Answering.answer(self)
+
+        server = loopback(handler(answer))
+        backend, clock = live_backend(server)
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        # a 200 body that is not JSON fails its request, not the connection
+        with pytest.raises(MalformedResponse, match="200 with a body that is not JSON"):
+            backend.generate(MESSAGES, PARAMS)
+        assert [backend.generate(MESSAGES, PARAMS) for _ in range(3)] == ["ok"] * 3
+        assert server.accepted == 1 and clock.sleeps == []
+        backend.close()
+        wait_until(lambda: server.open == 0)
+
+    def test_without_tcp_quickack_each_request_has_its_own_connection(
+        self, loopback, live_backend, monkeypatch
+    ):
+        monkeypatch.delattr(socket, "TCP_QUICKACK", raising=False)
+        server = loopback(handler(Answering.answer))
+        backend, _ = live_backend(server)
+        assert [backend.generate(MESSAGES, PARAMS) for _ in range(3)] == ["ok"] * 3
+        assert server.accepted == 3
+        wait_until(lambda: server.open == 0)
+
+    @needs_quickack
+    def test_a_reused_connection_the_server_dropped_is_sent_again_at_once(
+        self, loopback, live_backend
+    ):
+        def answer(self):
+            # answers, then closes without saying so, as a server whose
+            # idle timeout ran out between two requests does
+            Answering.answer(self)
+            self.close_connection = True
+
+        server = loopback(handler(answer))
+        backend, clock = live_backend(server, max_attempts=1)
+        assert [backend.generate(MESSAGES, PARAMS) for _ in range(3)] == ["ok"] * 3
+        assert server.RequestHandlerClass.posts == 3 and server.accepted == 3
+        assert clock.sleeps == []
+
+    @needs_quickack
+    def test_a_connection_is_sent_again_at_once_only_once(self, loopback, live_backend):
+        def answer(self):
+            # the first request is answered; every later one is dropped
+            # before its status line
+            if type(self).posts == 1:
+                Answering.answer(self)
+            self.close_connection = True
+
+        server = loopback(handler(answer))
+        backend, clock = live_backend(server, max_attempts=2)
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        with pytest.raises(BackendError, match="failed after 2 attempts"):
+            backend.generate(MESSAGES, PARAMS)
+        # attempt 1 on the kept connection, which the server closed, then once
+        # more on a new one; after one backoff, attempt 2 on a new connection,
+        # which is not sent again
+        assert server.RequestHandlerClass.posts == 3 and server.accepted == 3
+        assert clock.sleeps == [0.5]
+
+    @pytest.mark.parametrize("garble", ["status line", "short body"])
+    def test_a_garbled_reply_is_a_transport_failure_and_retried(
+        self, loopback, live_backend, unclosed, garble
+    ):
+        def answer(self):
+            if type(self).posts > 1:
+                return Answering.answer(self)
+            if garble == "status line":  # BadStatusLine
+                self.wfile.write(b"garbage\r\n\r\n")
+            else:  # IncompleteRead
+                self.send_response(200)
+                self.send_header("Content-Length", "100")
+                self.end_headers()
+                self.wfile.write(b'{"choices"')
+            self.close_connection = True
+
+        server = loopback(handler(answer))
+        backend, clock = live_backend(server)
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        assert server.RequestHandlerClass.posts == 2 and clock.sleeps == [0.5]
+        # the failed attempt's connection was closed, not left to the collector
+        gc.collect()
+        assert unclosed == []
+
+    def test_no_socket_is_left_for_the_collector_to_close(self, loopback, unclosed):
+        def answer(self):
+            if type(self).posts % 3 == 0:
+                self.close_connection = True  # dropped before its status line
+            else:
+                Answering.answer(self)
+
+        server = loopback(handler(answer))
+        backend, _ = open_live(server)
+        answers = [backend.generate(MESSAGES, PARAMS) for _ in range(6)]
+        in_threads(lambda _: backend.generate(MESSAGES, PARAMS), 4)
+        backend.close()
+        del backend
+        gc.collect()
+        assert answers == ["ok"] * 6
+        assert unclosed == []
+
+    @needs_quickack
+    @pytest.mark.parametrize("error", [BrokenPipeError, ConnectionResetError])
+    def test_a_kept_connection_that_fails_to_send_is_closed_and_sent_again_at_once(
+        self, loopback, monkeypatch, unclosed, error
+    ):
+        send = backends._Connection.send
+
+        def failing_once(self, data, headers):
+            # a kept connection whose peer is gone fails as it sends
+            if self.http.sock is not None and not failed:
+                failed.append(self)
+                raise error("peer gone")
+            return send(self, data, headers)
+
+        failed = []
+        monkeypatch.setattr(backends._Connection, "send", failing_once)
+        server = loopback(handler(Answering.answer))
+        backend, clock = open_live(server, max_attempts=1)
+        assert [backend.generate(MESSAGES, PARAMS) for _ in range(2)] == ["ok"] * 2
+        assert failed and server.accepted == 2 and clock.sleeps == []
+        backend.close()
+        del backend, failed
+        gc.collect()
+        assert unclosed == []
+
+    def test_an_http_proxy_gets_the_absolute_url(self, loopback, monkeypatch):
+        seen = []
+
+        def answer(self):
+            seen.append((self.path, self.headers["Host"],
+                         self.headers["Proxy-Authorization"]))
+            Answering.answer(self)
+
+        proxy = loopback(handler(answer))
+        monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//ann:p%40ss@"))
+        backend = HttpBackend(make_profile(endpoint="http://askbd.invalid:8080/v1"),
+                              api_key="k")
+        assert [backend.generate(MESSAGES, PARAMS) for _ in range(2)] == ["ok"] * 2
+        backend.close()
+        auth = "Basic " + base64.b64encode(b"ann:p@ss").decode()
+        assert seen == [("http://askbd.invalid:8080/v1/chat/completions",
+                         "askbd.invalid:8080", auth)] * 2
+        assert proxy.accepted == (1 if hasattr(socket, "TCP_QUICKACK") else 2)
+
+    def test_an_https_endpoint_is_tunnelled_through_its_proxy(self, loopback, monkeypatch):
+        seen = []
+
+        class Tunnel(JsonHandler):
+            def do_CONNECT(self):
+                self.send_response(200)
+                self.end_headers()
+                # the client's TLS handshake starts with a handshake record
+                seen.append((self.path, self.rfile.read(1)))
+                self.close_connection = True
+
+        proxy = loopback(Tunnel)
+        monkeypatch.setenv("https_proxy", proxy.url)
+        profile = make_profile(endpoint="https://askbd.invalid/v1",
+                               retry=RetryPolicy(max_attempts=1, backoff=0))
+        backend = HttpBackend(profile, api_key="k")
+        with pytest.raises(BackendError, match="failed after 1 attempts"):
+            backend.generate(MESSAGES, PARAMS)
+        assert seen == [("askbd.invalid:443", b"\x16")]
+
+    def test_no_proxy_names_the_hosts_reached_directly(
+        self, loopback, live_backend, monkeypatch
+    ):
+        proxy = loopback(handler(Answering.answer))
+        server = loopback(handler(Answering.answer))
+        monkeypatch.setenv("http_proxy", proxy.url)
+        monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+        backend, _ = live_backend(server)
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        backend.close()
+        assert (server.accepted, proxy.accepted) == (1, 0)
 
 
 class TestRateLimiter:

@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import io
 import itertools
 import json
 import re
+import socket
 import sys
 import threading
 import time
@@ -34,7 +36,7 @@ from askbd.detect import (
 )
 from askbd.records import SolutionStep, jsonl_line, make_record, read_jsonl, write_jsonl
 
-from conftest import PROSE_QUESTION, PROSE_SOLUTION
+from conftest import PROSE_QUESTION, PROSE_SOLUTION, JsonHandler, wait_until
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +470,23 @@ class TestScoreLikelihoodCli:
         # refused before the first scoring request, so neither output is made
         assert calls == []
         assert not scores.exists() and not analysis.exists()
+
+    def test_a_record_listed_twice_is_refused_before_any_scoring(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = _count_scoring(monkeypatch)
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text((demo_dir / "corpus.jsonl").read_text() * 2)
+        first = read_jsonl(demo_dir / "corpus.jsonl")[0].record_id
+        scores = tmp_path / "s.jsonl"
+        assert main([
+            "score-likelihood", "--profiles", "scorer",
+            "--profiles-file", str(demo_dir / "profiles.json"),
+            "--in", str(twice), "--out", str(scores),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"schema error: record {first} appears more than once in --in {twice}\n"
+        assert calls == [] and not scores.exists()
 
     def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
         corpus = str(demo_dir / "corpus.jsonl")
@@ -1207,14 +1226,14 @@ class TestOnePathToReports:
         # a live profile's `record_to` cassette is an output path as well
         entries = load_cassette(info["cassette"])
 
-        def answering(url, payload, headers, timeout=60.0):
+        def answering(url, payload, headers, timeout=60.0, *, connections=None):
             params = GenerationParams(payload["temperature"], payload["max_tokens"])
             key = generate_fingerprint(payload["model"], payload["messages"], params)
             return 200, {"choices": [{"message": {"content": entries[key]["response"]}}]}
 
         # a transport that cannot reach its endpoint raises an OSError too,
         # and stays a backend error
-        def unreachable(url, payload, headers, timeout=60.0):
+        def unreachable(url, payload, headers, timeout=60.0, *, connections=None):
             raise urllib.error.URLError("connection refused")
 
         live = {"endpoint": "http://127.0.0.1:9/v1", "model": "demo-model",
@@ -1320,6 +1339,9 @@ class _Waiting:
         time.sleep(0.0005)
         return self.store.generate(messages, params)
 
+    def close(self):
+        self.store.close()
+
 
 def test_seeds_on_threads_share_one_memo_and_write_the_scripted_transcripts(
     tmp_path, monkeypatch
@@ -1373,7 +1395,7 @@ def test_a_live_run_sends_every_exchange_and_a_recording_run_each_request_once(
     asked = Counter()
     lock = threading.Lock()
 
-    def endpoint(url, payload, headers, timeout=60.0):
+    def endpoint(url, payload, headers, timeout=60.0, *, connections=None):
         """Answers from the demo cassette and counts each fingerprint asked."""
         params = GenerationParams(payload["temperature"], payload["max_tokens"])
         key = generate_fingerprint(payload["model"], payload["messages"], params)
@@ -1412,10 +1434,53 @@ def test_a_live_run_sends_every_exchange_and_a_recording_run_each_request_once(
             assert set(load_cassette(recorded)) == set(asked)
 
 
+@pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"),
+                    reason="connections are kept only with TCP_QUICKACK")
+@pytest.mark.usefixtures("no_proxies")
+def test_a_live_run_on_two_workers_keeps_two_connections_and_closes_them(
+    tmp_path, loopback, unclosed
+):
+    info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+    assert main(["run", "--config", str(info["config"])]) == 0
+    entries = load_cassette(info["cassette"])
+
+    class Endpoint(JsonHandler):
+        def do_POST(self):
+            payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            params = GenerationParams(payload["temperature"], payload["max_tokens"])
+            key = generate_fingerprint(payload["model"], payload["messages"], params)
+            text = entries[key]["response"]
+            self.reply(200, json.dumps({"choices": [{"message": {"content": text}}]}).encode())
+
+    server = loopback(Endpoint)
+    profiles = json.loads(info["profiles"].read_text())
+    profiles["profiles"].append({"name": "live", "endpoint": server.url + "/v1",
+                                 "model": "demo-model", "rate_limit_per_min": 100_000})
+    info["profiles"].write_text(json.dumps(profiles))
+    config = tmp_path / "live.json"
+    config.write_text(json.dumps({**json.loads(info["config"].read_text()),
+                                  "profile_names": ["live"], "strict_scripted": False,
+                                  "workers": 2, "out": str(tmp_path / "live")}))
+    assert main(["run", "--config", str(config)]) == 0
+    scripted = sorted((tmp_path / "out" / "transcripts").glob("demo__*.jsonl"))
+    assert len(scripted) == 4 * 2
+    for path in scripted:
+        transcript = path.name.replace("demo__", "live__", 1)
+        assert (tmp_path / "live" / "transcripts" / transcript).read_bytes() == \
+            path.read_bytes(), transcript
+    # the 8 (strategy, seed) cells share the backend's connections, so the
+    # run opens no more of them than it has requests in flight
+    assert 1 <= server.accepted <= 2
+    # and closes them once its cells finish, not leaving them to the collector
+    wait_until(lambda: server.open == 0)
+    gc.collect()
+    assert unclosed == []
+
+
 def test_a_profile_in_the_retired_format_is_refused_before_any_request(
     demo_dir, tmp_path, monkeypatch, capsys
 ):
-    def endpoint(url, payload, headers, timeout=60.0):
+    def endpoint(url, payload, headers, timeout=60.0, *, connections=None):
         raise AssertionError(f"sent a request to {url}")
 
     monkeypatch.setattr(backends, "_urllib_transport", endpoint)
