@@ -182,7 +182,8 @@ def score_fingerprint(model: str, prefix: str, continuation: str) -> str:
 
 
 class RateLimiter:
-    """Sliding 60-second window; the single synchronization point."""
+    """Sliding 60-second window over one backend's requests, which its
+    threads share under the limiter's own lock."""
 
     def __init__(
         self,
@@ -211,37 +212,43 @@ class RateLimiter:
 
 # --- Transports ---
 
+_TIMEOUT_S = 60.0  # to connect, and for each read of a reply
+
 
 class _Connection:
-    """One HTTP connection to the host of an endpoint: direct, or through
-    the environment's proxy for its scheme where `urllib` would use one,
-    with an absolute-form request line for `http` and a tunnel for `https`."""
+    """One HTTP connection to the host of a backend's endpoint: direct, or
+    through the environment's proxy for its scheme where `urllib` would use
+    one, with absolute-form request targets for `http` and a tunnel for
+    `https`."""
 
-    def __init__(self, parts: urllib.parse.SplitResult, timeout: float):
-        self.key = (parts.scheme, parts.netloc)
-        self.target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    def __init__(self, parts: urllib.parse.SplitResult):
+        self.absolute = False
         self.proxy_headers: dict[str, str] = {}
         kind = http.client.HTTPConnection
         if parts.scheme == "https":
             kind = http.client.HTTPSConnection
         proxy = urllib.request.getproxies().get(parts.scheme)
         if not proxy or urllib.request.proxy_bypass(parts.netloc):
-            self.http = kind(parts.netloc, timeout=timeout)
+            self.http = kind(parts.netloc, timeout=_TIMEOUT_S)
             return
         via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy)
         auth = {}
         if via.username is not None:
             user = urllib.parse.unquote(f"{via.username}:{via.password or ''}")
             auth["Proxy-Authorization"] = "Basic " + base64.b64encode(user.encode()).decode()
-        self.http = kind(via.netloc.rpartition("@")[2], timeout=timeout)
+        self.http = kind(via.netloc.rpartition("@")[2], timeout=_TIMEOUT_S)
         if parts.scheme == "https":
             self.http.set_tunnel(parts.netloc, headers=auth)
         else:
-            self.target = urllib.parse.urlunsplit(parts._replace(fragment=""))
+            self.absolute = True
             self.proxy_headers = auth
 
-    def send(self, data: bytes, headers: Mapping[str, str]) -> http.client.HTTPResponse:
-        self.http.request("POST", self.target, body=data, headers={**headers, **self.proxy_headers})
+    def send(self, parts: urllib.parse.SplitResult, data: bytes,
+             headers: Mapping[str, str]) -> http.client.HTTPResponse:
+        """POSTs `data` to `parts`, the URL of this request's own path."""
+        origin = ("", "", parts.path or "/", parts.query, "")
+        target = urllib.parse.urlunsplit(parts._replace(fragment="") if self.absolute else origin)
+        self.http.request("POST", target, body=data, headers={**headers, **self.proxy_headers})
         if hasattr(socket, "TCP_QUICKACK"):
             # http.server writes a reply's headers and body in two sends; the
             # body waits on the ACK of the headers, which a kept-alive socket
@@ -254,20 +261,17 @@ class _Connection:
 
 
 class Connections:
-    """The kept-alive connections of one backend. A request takes an idle
-    one to its endpoint's host, or opens one, and gives it back once its
-    reply is read, so a run holds as many as it has requests in flight."""
+    """The kept-alive connections of one backend, all to its endpoint's
+    host. A request takes an idle one, or opens one, and gives it back once
+    its reply is read, so a run holds as many as it has requests in flight."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._idle: list[_Connection] = []
 
-    def take(self, key: tuple[str, str]) -> _Connection | None:
+    def take(self) -> _Connection | None:
         with self._lock:
-            for index in range(len(self._idle) - 1, -1, -1):
-                if self._idle[index].key == key:
-                    return self._idle.pop(index)
-        return None
+            return self._idle.pop() if self._idle else None
 
     def give(self, connection: _Connection) -> None:
         with self._lock:
@@ -284,57 +288,54 @@ class Connections:
 _DROPPED = (http.client.RemoteDisconnected, BrokenPipeError, ConnectionResetError)
 
 
-def _urllib_transport(url: str, payload: dict, headers: Mapping[str, str], timeout: float = 60.0,
-                      *, connections: Connections | None = None):
+def _urllib_transport(url: str, payload: dict, headers: Mapping[str, str], *,
+                      connections: Connections):
     """One HTTP attempt: POSTs `payload` as JSON to `url` and returns
-    (status, JSON body); an error status's body is {} unless it is JSON.
+    (status, body), the body JSON-decoded for a 200 and None otherwise.
 
     The request goes over an idle connection from `connections` when there
     is one. If the server dropped that connection before a status line,
     the request is sent once more, at once, on a new one. The connection
     is kept for the next request only where `socket.TCP_QUICKACK` exists
-    (Linux); elsewhere, and with no `connections`, it is closed after the
-    reply. A transport failure raises OSError or http.client.HTTPException.
+    (Linux); elsewhere it is closed after the reply. A transport failure
+    raises OSError or http.client.HTTPException.
     """
     parts = urllib.parse.urlsplit(url)
     data = json.dumps(payload).encode("utf-8")
     headers = {"Content-Type": "application/json", **headers}
-    connection = connections.take((parts.scheme, parts.netloc)) if connections is not None else None
+    kept = connections.take()
+    connection = kept or _Connection(parts)
     try:
-        if connection is None:
-            connection = _Connection(parts, timeout)
-            response = connection.send(data, headers)
-        else:
-            try:
-                response = connection.send(data, headers)
-            except _DROPPED as err:
-                log.debug("kept-alive connection to %s dropped (%s); reconnecting", url, err)
-                connection.close()
-                connection = _Connection(parts, timeout)
-                response = connection.send(data, headers)
+        try:
+            response = connection.send(parts, data, headers)
+        except _DROPPED as err:
+            if kept is None:
+                raise
+            log.debug("kept-alive connection to %s dropped (%s); reconnecting", url, err)
+            connection.close()
+            connection = _Connection(parts)
+            response = connection.send(parts, data, headers)
         status, raw = response.status, response.read()
     except BaseException:
-        if connection is not None:
-            connection.close()
+        connection.close()
         raise
-    if connections is not None and hasattr(socket, "TCP_QUICKACK") \
-            and connection.http.sock is not None:
+    if hasattr(socket, "TCP_QUICKACK") and connection.http.sock is not None:
         connections.give(connection)
     else:
         connection.close()
+    if status != 200:
+        return status, None
     try:
         return status, json.loads(raw.decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError included
-        if status >= 400:
-            return status, {}
-        raise MalformedResponse(
-            f"{url} answered {status} with a body that is not JSON: {err}"
-        ) from err
+        raise MalformedResponse(f"{url} answered 200 with a body that is not JSON: {err}") from err
 
 
 class HttpBackend:
-    """Chat-completions client with retry and rate limiting. Its requests
-    share kept-alive connections, which `close` closes."""
+    """Client of one endpoint, with retry and rate limiting: `generate`
+    posts to its `/chat/completions` and `score_tokens` to its
+    `/completions`. Both share the backend's kept-alive connections, each
+    request naming its own path, and `close` closes them."""
 
     def __init__(
         self,
@@ -342,12 +343,10 @@ class HttpBackend:
         api_key: str | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
-        transport=None,
     ):
         self.profile = profile
         self.api_key = api_key if api_key is not None else os.environ.get(profile.api_key_env())
         self.sleep = sleep
-        self.transport = transport or _urllib_transport
         self.limiter = RateLimiter(profile.rate_limit_per_min, clock=clock, sleep=sleep)
         self.connections = Connections()
 
@@ -368,9 +367,9 @@ class HttpBackend:
                 self.sleep(policy.backoff * 2 ** (attempt - 2))
             self.limiter.acquire()
             try:
-                status, body = self.transport(url, payload, self._headers(),
-                                              connections=self.connections)
-            # URLError is an OSError; HTTPException is a reply cut short or garbled
+                status, body = _urllib_transport(url, payload, self._headers(),
+                                                 connections=self.connections)
+            # OSError is a socket failure or timeout; HTTPException a reply cut short or garbled
             except (OSError, http.client.HTTPException) as err:
                 log.info("attempt %d to %s failed: %s", attempt, url, err)
                 last_status = None
@@ -600,7 +599,6 @@ def open_backend(
     strict_scripted: bool = False,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
-    transport=None,
     api_key: str | None = None,
 ):
     """Resolve a profile to the one transport of its endpoint scheme.
@@ -623,7 +621,7 @@ def open_backend(
         raise StrictScriptedViolation(
             f"profile {profile.name!r} needs network endpoint {endpoint!r}"
         )
-    http = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep, transport=transport)
+    http = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep)
     if profile.record_to is None:
         return http
     path = resolve_cassette_path(profile.record_to)

@@ -250,14 +250,18 @@ def cmd_inject(args) -> int:
 def _select_profiles(path, names, capability: str) -> list[BackendProfile]:
     """The profiles `names` asks for from the profiles file at `path`, or
     with no names every profile there that has `capability`. An unknown
-    name, a profile that lacks the capability or an empty selection is a
-    SchemaViolation naming the file."""
+    name, a name asked for twice, a profile that lacks the capability or
+    an empty selection is a SchemaViolation naming the file."""
     profiles = load_profiles(path)
     if not names:
         names = [name for name, p in profiles.items() if capability in p.capabilities]
         if not names:
             raise SchemaViolation(f"profiles file {path}: no profile has {capability!r}")
     for name in names:
+        if names.count(name) > 1:
+            raise SchemaViolation(
+                f"profiles file {path}: profile {name!r} is asked for more than once"
+            )
         if name not in profiles:
             raise SchemaViolation(f"profiles file {path}: no profile {name!r}")
         if capability not in profiles[name].capabilities:

@@ -82,14 +82,37 @@ class FaultInjectingTransport:
         self.calls = 0
         self.payloads = []
 
-    def __call__(self, url, payload, headers, timeout=60.0, *, connections=None):
+    def __call__(self, url, payload, headers, *, connections):
         self.calls += 1
         self.payloads.append(payload)
         return self.responses.pop(0)
 
 
+@pytest.fixture
+def fake_transport(monkeypatch):
+    """Makes a FaultInjectingTransport of the given responses the one every
+    HttpBackend sends through, and returns it."""
+
+    def install(responses):
+        fake = FaultInjectingTransport(responses)
+        monkeypatch.setattr(backends, "_urllib_transport", fake)
+        return fake
+
+    return install
+
+
 def chat_body(text):
     return {"choices": [{"message": {"content": text}}]}
+
+
+def echo_body(prompt, logprob=-0.5):
+    """An echoed completion of `prompt`, one token per character, each
+    scored `logprob` but the first, which has no score."""
+    return {"choices": [{"logprobs": {
+        "tokens": list(prompt),
+        "token_logprobs": [None] + [logprob] * (len(prompt) - 1),
+        "text_offset": list(range(len(prompt))),
+    }}]}
 
 
 class TestScripted:
@@ -125,33 +148,27 @@ class TestScripted:
 
 
 class TestHttp:
-    def test_retries_transient_429s(self):
+    def test_retries_transient_429s(self, fake_transport):
         clock = VirtualClock()
-        transport = FaultInjectingTransport(
+        transport = fake_transport(
             [(429, {}), (429, {}), (429, {}), (200, chat_body("ok"))]
         )
-        backend = HttpBackend(
-            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
-        )
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         assert backend.generate(MESSAGES, PARAMS) == "ok"
         assert transport.calls == 4
 
-    def test_unauthorized_not_retried(self):
-        transport = FaultInjectingTransport([(401, {})])
+    def test_unauthorized_not_retried(self, fake_transport):
+        transport = fake_transport([(401, {})])
         clock = VirtualClock()
-        backend = HttpBackend(
-            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
-        )
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         with pytest.raises(Unauthorized):
             backend.generate(MESSAGES, PARAMS)
         assert transport.calls == 1
 
-    def test_malformed_body(self):
-        transport = FaultInjectingTransport([(200, {"weird": True})])
+    def test_malformed_body(self, fake_transport):
+        transport = fake_transport([(200, {"weird": True})])
         clock = VirtualClock()
-        backend = HttpBackend(
-            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
-        )
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         with pytest.raises(MalformedResponse):
             backend.generate(MESSAGES, PARAMS)
 
@@ -159,12 +176,10 @@ class TestHttp:
         (429, RateLimited, "still rate limited after 4 attempts"),
         (503, BackendError, "failed after 4 attempts"),
     ])
-    def test_sleeps_only_between_attempts(self, status, error, message):
+    def test_sleeps_only_between_attempts(self, status, error, message, fake_transport):
         clock = VirtualClock()
-        transport = FaultInjectingTransport([(status, {})] * 4)
-        backend = HttpBackend(
-            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
-        )
+        transport = fake_transport([(status, {})] * 4)
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         with pytest.raises(BackendError) as raised:
             backend.generate(MESSAGES, PARAMS)
         assert type(raised.value) is error
@@ -247,24 +262,22 @@ class TestHttp:
             server.server_close()
             serving.join()
 
-    def test_attempt_marks_the_fingerprint_of_a_reask_only(self):
+    def test_attempt_marks_the_fingerprint_of_a_reask_only(self, fake_transport):
         first_ask = request_fingerprint("generate", "test-model", {
             "messages": MESSAGES, "temperature": 0.0, "max_tokens": 1024,
         })
         assert generate_fingerprint("test-model", MESSAGES, PARAMS) == first_ask
         assert generate_fingerprint("test-model", MESSAGES, REASK) != first_ask
         # and never goes on the wire
-        transport = FaultInjectingTransport([(200, chat_body("a")), (200, chat_body("b"))])
+        transport = fake_transport([(200, chat_body("a")), (200, chat_body("b"))])
         clock = VirtualClock()
-        backend = HttpBackend(
-            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
-        )
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         backend.generate(MESSAGES, PARAMS)
         backend.generate(MESSAGES, REASK)
         assert transport.payloads[0] == transport.payloads[1]
         assert "attempt" not in transport.payloads[1]
 
-    def test_score_tokens_selects_continuation_by_offset(self):
+    def test_score_tokens_selects_continuation_by_offset(self, fake_transport):
         prefix, continuation = "question: ", "a b"
         body = {
             "choices": [
@@ -277,13 +290,37 @@ class TestHttp:
                 }
             ]
         }
-        transport = FaultInjectingTransport([(200, body)])
+        transport = fake_transport([(200, body)])
         clock = VirtualClock()
-        backend = HttpBackend(
-            make_profile(), api_key="k", clock=clock, sleep=clock.sleep, transport=transport
-        )
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         scores = backend.score_tokens(prefix, continuation)
         assert scores == [TokenScore("a", -0.2), TokenScore(" b", -0.3)]
+
+
+    def test_an_unexpected_status_is_not_retried(self, fake_transport):
+        transport = fake_transport([(404, None)])
+        clock = VirtualClock()
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
+        with pytest.raises(MalformedResponse, match="returned unexpected status 404"):
+            backend.generate(MESSAGES, PARAMS)
+        assert transport.calls == 1 and clock.sleeps == []
+
+    @pytest.mark.parametrize("ask, body, message", [
+        ("generate", chat_body(5), "message content is not text"),
+        ("score", chat_body("x"), "no logprobs in response"),
+        ("score", echo_body("qab", logprob=None), "missing logprob for continuation token 'a'"),
+    ])
+    def test_a_reply_without_what_was_asked_is_malformed(
+        self, fake_transport, ask, body, message
+    ):
+        fake_transport([(200, body)])
+        clock = VirtualClock()
+        backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
+        with pytest.raises(MalformedResponse, match=message):
+            if ask == "generate":
+                backend.generate(MESSAGES, PARAMS)
+            else:
+                backend.score_tokens("q", "ab")
 
 
 needs_quickack = pytest.mark.skipif(
@@ -292,17 +329,20 @@ needs_quickack = pytest.mark.skipif(
 
 
 class Answering(JsonHandler):
-    """Answers each chat request with `chat_body("ok")`, and counts them."""
+    """Answers each chat request with `chat_body("ok")` and each score
+    request with `echo_body` of its prompt, and counts them."""
 
     posts = 0
 
     def do_POST(self):
-        self.rfile.read(int(self.headers["Content-Length"]))
+        self.payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         type(self).posts += 1
         self.answer()
 
     def answer(self):
-        self.reply(200, json.dumps(chat_body("ok")).encode())
+        prompt = self.payload.get("prompt")
+        body = chat_body("ok") if prompt is None else echo_body(prompt)
+        self.reply(200, json.dumps(body).encode())
 
 
 def open_live(server, max_attempts=4):
@@ -355,6 +395,23 @@ class TestKeptAlive:
         assert server.accepted == 1 and clock.sleeps == []
         backend.close()
         wait_until(lambda: server.open == 0)
+
+    @needs_quickack
+    def test_generate_and_score_share_a_connection_each_on_its_own_path(self, loopback):
+        paths = []
+
+        def answer(self):
+            paths.append(self.path)
+            Answering.answer(self)
+
+        server = loopback(handler(answer))
+        backend = open_backend(make_profile(endpoint=server.url + "/v1"), api_key="k")
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        assert backend.score_tokens("q", "ab") == [TokenScore("a", -0.5), TokenScore("b", -0.5)]
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        backend.close()
+        assert paths == ["/v1/chat/completions", "/v1/completions", "/v1/chat/completions"]
+        assert server.accepted == 1
 
     def test_without_tcp_quickack_each_request_has_its_own_connection(
         self, loopback, live_backend, monkeypatch
@@ -450,12 +507,12 @@ class TestKeptAlive:
     ):
         send = backends._Connection.send
 
-        def failing_once(self, data, headers):
+        def failing_once(self, parts, data, headers):
             # a kept connection whose peer is gone fails as it sends
             if self.http.sock is not None and not failed:
                 failed.append(self)
                 raise error("peer gone")
-            return send(self, data, headers)
+            return send(self, parts, data, headers)
 
         failed = []
         monkeypatch.setattr(backends._Connection, "send", failing_once)
@@ -480,12 +537,15 @@ class TestKeptAlive:
         monkeypatch.setenv("http_proxy", proxy.url.replace("//", "//ann:p%40ss@"))
         backend = HttpBackend(make_profile(endpoint="http://askbd.invalid:8080/v1"),
                               api_key="k")
-        assert [backend.generate(MESSAGES, PARAMS) for _ in range(2)] == ["ok"] * 2
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
+        assert backend.score_tokens("q", "ab") == [TokenScore("a", -0.5), TokenScore("b", -0.5)]
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
         backend.close()
         auth = "Basic " + base64.b64encode(b"ann:p@ss").decode()
-        assert seen == [("http://askbd.invalid:8080/v1/chat/completions",
-                         "askbd.invalid:8080", auth)] * 2
-        assert proxy.accepted == (1 if hasattr(socket, "TCP_QUICKACK") else 2)
+        chat = "http://askbd.invalid:8080/v1/chat/completions"
+        assert seen == [(url, "askbd.invalid:8080", auth)
+                        for url in (chat, "http://askbd.invalid:8080/v1/completions", chat)]
+        assert proxy.accepted == (1 if hasattr(socket, "TCP_QUICKACK") else 3)
 
     def test_an_https_endpoint_is_tunnelled_through_its_proxy(self, loopback, monkeypatch):
         seen = []
@@ -554,7 +614,7 @@ class TestMockScorer:
 
 
 class TestRecordReplay:
-    def test_replay_is_byte_identical(self, tmp_path):
+    def test_replay_is_byte_identical(self, tmp_path, fake_transport):
         cassette = tmp_path / "cassette.jsonl"
         body = {
             "choices": [
@@ -567,14 +627,9 @@ class TestRecordReplay:
                 }
             ]
         }
+        fake_transport([(200, body)])
         clock = VirtualClock()
-        live = HttpBackend(
-            make_profile(),
-            api_key="k",
-            clock=clock,
-            sleep=clock.sleep,
-            transport=FaultInjectingTransport([(200, body)]),
-        )
+        live = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         recorder = ExchangeStore({}, "test-model", inner=live, path=cassette)
         recorded = recorder.score_tokens("q", "xy")
 
@@ -584,20 +639,19 @@ class TestRecordReplay:
     def recording_profile(self, cassette):
         return make_profile(record_to=str(cassette))
 
-    def open_recorder(self, cassette, transport):
+    def open_recorder(self, cassette):
         clock = VirtualClock()
         return open_backend(
-            self.recording_profile(cassette), clock=clock, sleep=clock.sleep,
-            transport=transport, api_key="k",
+            self.recording_profile(cassette), clock=clock, sleep=clock.sleep, api_key="k"
         )
 
     def replay_of(self, cassette):
         return open_backend(make_profile(endpoint=f"scripted:{cassette}"), strict_scripted=True)
 
-    def test_record_then_replay_answers_alike_including_reasks(self, tmp_path):
+    def test_record_then_replay_answers_alike_including_reasks(self, tmp_path, fake_transport):
         cassette = tmp_path / "cassette.jsonl"
-        transport = FaultInjectingTransport([(200, chat_body(t)) for t in "ABCD"])
-        recorder = self.open_recorder(cassette, transport)
+        transport = fake_transport([(200, chat_body(t)) for t in "ABCD"])
+        recorder = self.open_recorder(cassette)
         # ask, re-ask, then the same two for a second seed
         asks = [PARAMS, REASK, PARAMS, REASK]
         recorded = [recorder.generate(MESSAGES, params) for params in asks]
@@ -605,13 +659,15 @@ class TestRecordReplay:
         assert [replay.generate(MESSAGES, params) for params in asks] == recorded == list("ABAB")
         assert transport.calls == 2
 
-    def test_a_recorded_reask_reaches_the_model_and_replays(self, tmp_path, leaf_record):
+    def test_a_recorded_reask_reaches_the_model_and_replays(
+        self, tmp_path, leaf_record, fake_transport
+    ):
         cassette = tmp_path / "cassette.jsonl"
         valid = "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
-        transport = FaultInjectingTransport([(200, chat_body("garbled")), (200, chat_body(valid))])
+        transport = fake_transport([(200, chat_body("garbled")), (200, chat_body(valid))])
         profile = self.recording_profile(cassette)
         exchanges = detect(
-            leaf_record, profile, "M0", backend=self.open_recorder(cassette, transport)
+            leaf_record, profile, "M0", backend=self.open_recorder(cassette)
         )
         assert transport.calls == 2
         assert [e.response for e in exchanges] == ["garbled", valid]
@@ -620,13 +676,15 @@ class TestRecordReplay:
         assert _transcript_lines(leaf_record.record_id, "M0", replayed) == \
             _transcript_lines(leaf_record.record_id, "M0", exchanges)
 
-    def test_a_cassette_without_its_reask_replays_it_as_unscripted(self, tmp_path, leaf_record):
+    def test_a_cassette_without_its_reask_replays_it_as_unscripted(
+        self, tmp_path, leaf_record, fake_transport
+    ):
         # a cassette recorded when a re-ask was answered from the store, as
         # the first ask's fingerprint, holds no line of its own for it
         cassette = tmp_path / "cassette.jsonl"
-        transport = FaultInjectingTransport([(200, chat_body("garbled")), (200, chat_body("x"))])
+        transport = fake_transport([(200, chat_body("garbled")), (200, chat_body("x"))])
         profile = self.recording_profile(cassette)
-        detect(leaf_record, profile, "M0", backend=self.open_recorder(cassette, transport))
+        detect(leaf_record, profile, "M0", backend=self.open_recorder(cassette))
         first_ask, reask = cassette.read_text().splitlines(keepends=True)
         cassette.write_text(first_ask)
         replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
@@ -637,15 +695,16 @@ class TestRecordReplay:
             f"stage failure: reg: UnscriptedRequest: no scripted response for request {key[:12]}"
         )
 
-    def test_reopened_cassette_sends_nothing_and_keeps_one_line_per_request(self, tmp_path):
+    def test_reopened_cassette_sends_nothing_and_keeps_one_line_per_request(
+        self, tmp_path, fake_transport
+    ):
         cassette = tmp_path / "cassette.jsonl"
         second = [{"role": "user", "content": "another request"}]
-        first = self.open_recorder(
-            cassette, FaultInjectingTransport([(200, chat_body("one")), (200, chat_body("two"))])
-        )
+        fake_transport([(200, chat_body("one")), (200, chat_body("two"))])
+        first = self.open_recorder(cassette)
         answers = [first.generate(MESSAGES, PARAMS), first.generate(second, PARAMS)]
-        transport = FaultInjectingTransport([])
-        again = self.open_recorder(cassette, transport)
+        transport = fake_transport([])
+        again = self.open_recorder(cassette)
         assert [again.generate(MESSAGES, PARAMS), again.generate(second, PARAMS)] == answers
         assert transport.calls == 0
         hashes = [json.loads(line)["request_hash"] for line in cassette.read_text().splitlines()]
@@ -763,11 +822,11 @@ class TestStoreMemo:
                 store.generate(MESSAGES, PARAMS)
         assert len(fingerprinted) == 3
 
-    def test_a_failed_ask_is_asked_again(self, tmp_path, fingerprinted):
+    def test_a_failed_ask_is_asked_again(self, tmp_path, fingerprinted, fake_transport):
         clock = VirtualClock()
-        transport = FaultInjectingTransport([(500, {}), (200, chat_body("late"))])
+        transport = fake_transport([(500, {}), (200, chat_body("late"))])
         live = HttpBackend(make_profile(retry=RetryPolicy(max_attempts=1)), api_key="k",
-                           clock=clock, sleep=clock.sleep, transport=transport)
+                           clock=clock, sleep=clock.sleep)
         store = ExchangeStore({}, "test-model", inner=live, path=tmp_path / "cassette.jsonl")
         with pytest.raises(BackendError):
             store.generate(MESSAGES, PARAMS)
@@ -811,15 +870,17 @@ class TestModuleOps:
             with pytest.raises(StrictScriptedViolation):
                 open_backend(profile, strict_scripted=True)
 
-    def test_an_http_profile_asks_through_a_store_only_when_it_records(self, tmp_path):
-        transport = FaultInjectingTransport([(200, chat_body(t)) for t in "abc"])
-        http = open_backend(make_profile(), transport=transport, api_key="k")
+    def test_an_http_profile_asks_through_a_store_only_when_it_records(
+        self, tmp_path, fake_transport
+    ):
+        transport = fake_transport([(200, chat_body(t)) for t in "abc"])
+        http = open_backend(make_profile(), api_key="k")
         assert type(http) is HttpBackend
         # with no cassette every request is sent, repeats included
         assert [http.generate(MESSAGES, PARAMS) for _ in range(2)] == ["a", "b"]
         cassette = tmp_path / "c.jsonl"
         first, second = (
-            open_backend(make_profile(record_to=str(cassette)), transport=transport, api_key="k")
+            open_backend(make_profile(record_to=str(cassette)), api_key="k")
             for _ in range(2)
         )
         assert isinstance(first, ExchangeStore) and isinstance(first.inner, HttpBackend)
@@ -877,16 +938,16 @@ class TestProfilesFile:
         monkeypatch.delenv("ASKBD_CACHE_DIR")
         assert resolve_cassette_path("c.jsonl") == Path("c.jsonl")
 
-    def test_a_relative_cache_dir_applies_once(self, tmp_path, monkeypatch):
+    def test_a_relative_cache_dir_applies_once(self, tmp_path, monkeypatch, fake_transport):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("ASKBD_CACHE_DIR", "cache")
         profile = make_profile(record_to="c.jsonl")
-        recorder = open_backend(
-            profile, transport=FaultInjectingTransport([(200, chat_body("A"))]), api_key="k"
-        )
+        fake_transport([(200, chat_body("A"))])
+        recorder = open_backend(profile, api_key="k")
         assert recorder.generate(MESSAGES, PARAMS) == "A"
         assert (tmp_path / "cache" / "c.jsonl").is_file()
         # reopened, the cassette answers; so does a scripted endpoint on it
-        again = open_backend(profile, transport=FaultInjectingTransport([]), api_key="k")
+        fake_transport([])
+        again = open_backend(profile, api_key="k")
         replay = open_backend(make_profile(endpoint="scripted:c.jsonl"), strict_scripted=True)
         assert again.generate(MESSAGES, PARAMS) == replay.generate(MESSAGES, PARAMS) == "A"

@@ -488,6 +488,22 @@ class TestScoreLikelihoodCli:
         assert err == f"schema error: record {first} appears more than once in --in {twice}\n"
         assert calls == [] and not scores.exists()
 
+    def test_a_profile_asked_for_twice_is_refused_before_any_scoring(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        calls = _count_scoring(monkeypatch)
+        corpus = tmp_path / "three.jsonl"
+        write_jsonl(read_jsonl(demo_dir / "corpus.jsonl")[:3], corpus)
+        profiles, scores = demo_dir / "profiles.json", tmp_path / "s.jsonl"
+        assert main([
+            "score-likelihood", "--profiles", "scorer,scorer", "--profiles-file", str(profiles),
+            "--in", str(corpus), "--out", str(scores),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"schema error: profiles file {profiles}: profile 'scorer' is asked for "
+                       "more than once\n")
+        assert calls == [] and not scores.exists()
+
     def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
         corpus = str(demo_dir / "corpus.jsonl")
 
@@ -656,6 +672,20 @@ class TestDetectEvaluateRun:
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and first in err, err
             assert opened == [] and not (tmp_path / argv[0]).exists(), argv
+
+    def test_a_profile_asked_for_twice_is_refused_before_any_backend_opens(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        opened = []
+        monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**json.loads((demo_dir / "run.json").read_text()),
+                                      "profile_names": ["demo", "demo"],
+                                      "out": str(tmp_path / "run")}))
+        assert main(["run", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and "profile 'demo' is asked for more" in err, err
+        assert opened == [] and not (tmp_path / "run").exists()
 
     def test_report_contains_full_matrix(self, demo_dir):
         assert main(["run", "--config", str(demo_dir / "run.json")]) == 0
@@ -1088,6 +1118,21 @@ class TestOnePathToReports:
                      "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and str(first) in err and str(second) in err, err
+        assert not (tmp_path / "eval").exists()
+
+    def test_evaluate_refuses_a_transcript_naming_a_record_the_gold_corpus_lacks(
+        self, tmp_path, capsys
+    ):
+        info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        corpus = read_jsonl(info["corpus"])
+        gold = tmp_path / "gold.jsonl"
+        write_jsonl(corpus[1:], gold)
+        capsys.readouterr()
+        assert main(["evaluate", "--transcripts", str(tmp_path / "out" / "transcripts"),
+                     "--gold", str(gold), "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"schema error: gold corpus lacks record {corpus[0].record_id}\n"
         assert not (tmp_path / "eval").exists()
 
     def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(

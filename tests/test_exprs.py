@@ -60,6 +60,14 @@ class TestParse:
             parse_expr("3 + x")
         assert err.value.position == 4
 
+    def test_a_bracket_not_closed_where_its_expression_ends_reports_position(self):
+        with pytest.raises(ExprSyntaxError, match=r"expected '\)' \(at position 3\)") as err:
+            parse_expr("(1 2)")
+        assert err.value.position == 3
+
+    def test_a_bracketed_literal_is_the_literal(self):
+        assert parse_expr("(5)") == Lit(5)
+
     def test_trailing_tokens_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("3 + 4 )")

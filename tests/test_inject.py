@@ -30,6 +30,7 @@ from askbd.records import (
     write_jsonl,
 )
 from askbd.exprs import DivisionByZero, eval_expr, eval_with_literal, format_value, parse_expr
+from conftest import LEAF_QUESTION, LEAF_SOLUTION
 
 # One seed reproduces all four appendix-style rows on the leaf problem;
 # frozen after a search over the deterministic per-category generators.
@@ -265,6 +266,41 @@ class TestLabelOracle:
             "Step 4: From the conditions, 48 - 11 = 37.",
             "Step 5: Therefore the answer is 37.",
         ]
+
+    def test_oracle_clean_holds_for_the_leaf_record(self, leaf_record):
+        assert oracle_clean(leaf_record)
+
+    @pytest.mark.parametrize("question, solution, answer, label", [
+        # the last result is not the answer, as after a calculation error there
+        (LEAF_QUESTION, LEAF_SOLUTION.replace("55 - 22 = 33", "55 - 22 = 34"), 33,
+         ErrorLabel(3, "calc")),
+        # a zero question value
+        ("A shelf holds 4 jars and 0 cans. Then 3 more jars come. How many jars?",
+         "Step 1. There are 4 + 3 = 7 jars.", 7, CORRECT_LABEL),
+        # a fractional question value, and a fractional result
+        ("A scoop holds 0.5 cups. How many cups do 6 scoops hold?",
+         "Step 1. Six scoops hold 6 * .5 = 3 cups.", 3, CORRECT_LABEL),
+        ("A scoop holds 3 cups. How many cups do 6 scoops hold?",
+         "Step 1. Six scoops hold 6 / 4 = 1.5 cups.", Fraction(3, 2), CORRECT_LABEL),
+        # an operand that is neither a question value nor an earlier result
+        (LEAF_QUESTION, LEAF_SOLUTION.replace("55 - 22 = 33", "55 - 9 = 46"), 46,
+         CORRECT_LABEL),
+    ])
+    def test_oracle_clean_fails_a_record_that_breaks_an_invariant(
+        self, question, solution, answer, label
+    ):
+        record = make_record(question=question, steps=parse_structured_solution(solution),
+                             answer=answer, label=label)
+        assert not oracle_clean(record)
+
+    def test_oracle_clean_fails_a_negative_result(self):
+        # the step parser reads no negative result, so the step is built whole
+        record = make_record(
+            question="A tank holds 3 liters and loses 5 liters. What is its level?",
+            steps=(SolutionStep(1, "The level is 3 - 5 = -2 liters.", "3 - 5", -2),),
+            answer=-2,
+        )
+        assert not oracle_clean(record)
 
     def test_verify_corpus_reports_mismatches(self, leaf_record):
         injected = inject(leaf_record, "calc", 3)
