@@ -55,13 +55,11 @@ from .records import (
     compute_stats,
     from_json,
     jsonl_line,
-    make_record,
     open_output,
-    parse_rational,
-    parse_structured_solution,
     read_json_file,
     read_jsonl,
     read_jsonl_lines,
+    record_from_raw,
     render_solution_text,
     render_step,
     write_jsonl,
@@ -80,32 +78,6 @@ _STRATEGY_FLAGS = {
 
 # --- ingest ---
 
-_ANNOTATION = re.compile(r"<<[^>]*>>")
-_FINAL_MARKER = "####"
-
-
-def _raw_to_record(obj: dict) -> SolutionRecord:
-    question = obj["question"]
-    if "rationale" in obj:
-        rationale, answer_text = obj["rationale"], str(obj["answer"])
-    else:
-        answer_field = obj["answer"]
-        if _FINAL_MARKER in answer_field:
-            rationale, answer_text = answer_field.split(_FINAL_MARKER, 1)
-        else:
-            raise SchemaViolation("no rationale/final-answer split found")
-    lines = [_ANNOTATION.sub("", line).strip() for line in rationale.strip().splitlines()]
-    lines = [line for line in lines if line]
-    numbered = []
-    for i, line in enumerate(lines, start=1):
-        if re.match(r"Step\s+\d+\s*[.:]", line):
-            numbered.append(line)
-        else:
-            numbered.append(f"Step {i}. {line}")
-    steps = parse_structured_solution(" ".join(numbered))
-    answer = parse_rational(answer_text.strip().replace(",", "").replace("$", ""))
-    return make_record(question=question, steps=steps, answer=answer)
-
 
 def cmd_ingest(args) -> int:
     raw = [obj for _, obj in read_jsonl_lines(args.infile, "raw ingest file")]
@@ -116,7 +88,7 @@ def cmd_ingest(args) -> int:
     records, skipped = [], 0
     for obj in raw:
         try:
-            records.append(_raw_to_record(obj))
+            records.append(record_from_raw(obj))
         except (RecordError, ValueError, KeyError, TypeError) as err:
             skipped += 1
             print(f"skipping record: {err}", file=sys.stderr)

@@ -33,8 +33,7 @@ from .exprs import eval_expr, format_value, parse_expr
 from .inject import InjectionError, inject
 from .label_oracle import oracle_clean
 from .records import (
-    CATEGORIES, SolutionRecord, make_record, open_output, parse_structured_solution,
-    write_jsonl,
+    CATEGORIES, SolutionRecord, make_record, open_output, step_from_statement, write_jsonl,
 )
 
 NAMES = ("Avery", "Brooke", "Casey", "Devin", "Elliot", "Frankie", "Harper", "Jordan")
@@ -124,10 +123,10 @@ _FAMILIES = (_family_trips, _family_crates, _family_fair, _family_share)
 
 def _build_record(question: str, statements: Sequence[str], answer: int) -> SolutionRecord:
     """A conventional record whose steps are read from their statements by
-    the rule `ingest` uses: each statement's one `a op b = c` is its step's
-    expression and stated result."""
-    text = " ".join(f"Step {i}. {s}" for i, s in enumerate(statements, start=1))
-    return make_record(question=question, steps=parse_structured_solution(text), answer=answer)
+    the rule `ingest` uses, `step_from_statement`: each statement's one
+    `a op b = c` is its step's expression and stated result."""
+    steps = [step_from_statement(i, s) for i, s in enumerate(statements, start=1)]
+    return make_record(question=question, steps=steps, answer=answer)
 
 
 def _injections(record: SolutionRecord, seed: int) -> list[SolutionRecord] | None:

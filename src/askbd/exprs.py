@@ -2,8 +2,10 @@
 
 Parsing, evaluation, canonical forms, and the value-preserving rewrite
 rules (commutation, reassociation, distribution, factoring) used to
-permute a solving expression into equivalent alternatives. The grammar
-is documented in docs/grammar.md.
+permute a solving expression into equivalent alternatives, and the
+readers of numbers and calculations in solution text, built from the
+parser's own number rule and operator table. The grammar is documented
+in docs/grammar.md.
 
 A value is a `Rational` in one normal form: an `int` exactly when it is
 a whole number, otherwise a `Fraction`. `rational` puts a value in that
@@ -29,8 +31,8 @@ Rational = int | Fraction
 # deepest tree and deepest bracket nesting any expression may have
 MAX_DEPTH = 16
 
-# an unsigned decimal literal (`12`, `2.5`, `.5`); `askbd.records` tokenizes
-# solution text with the same rule
+# an unsigned decimal literal (`12`, `2.5`, `.5`); solution text is
+# tokenized with the same rule (`number_tokens`, `last_equation`)
 NUMBER = r"(?:\d+(?:\.\d+)?|\.\d+)"
 
 OPS = ("+", "-", "*", "/")
@@ -180,8 +182,8 @@ def number_value(text: str) -> Rational:
     """Exact value of a `NUMBER` token, in normal form: `12` and `12.0` are
     the int 12, `2.5` is Fraction(5, 2), `.5` is Fraction(1, 2).
 
-    The one literal converter: the parser and `askbd.records`' number
-    tokens both read literals through it.
+    The one literal converter: the parser, `number_tokens` and
+    `stated_value` all read literals through it.
     """
     whole, point, decimals = text.partition(".")
     if not point:
@@ -303,6 +305,45 @@ def parse_expr(text: str) -> Expr:
     if tok is not None:
         raise ExprSyntaxError(f"unexpected trailing {tok[1]!r}", tok[2])
     return node
+
+
+# --- Solution text: numbers and calculations read by the parser's rules ---
+
+_OP_CLASS = "[" + re.escape("".join(OPS) + "".join(_OP_ALIASES)) + "]"
+# `-` and its aliases: a stated result may carry one, an expression literal not
+_MINUS = "-" + "".join(alias for alias, op in _OP_ALIASES.items() if op == "-")
+_EQUATION = re.compile(
+    rf"({NUMBER}(?:\s*{_OP_CLASS}\s*{NUMBER})+)\s*=\s*([{re.escape(_MINUS)}]?{NUMBER})"
+)
+
+
+def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
+    """(start, end, value) of every unsigned decimal number in `text`."""
+    return [(m.start(), m.end(), number_value(m.group())) for m in _NUMBER.finditer(text)]
+
+
+def last_equation(statement: str) -> re.Match | None:
+    """The statement's last `lhs = rhs` calculation: group 1 is the
+    left-hand expression, group 2 the stated result, which `stated_value`
+    reads."""
+    match = None
+    for match in _EQUATION.finditer(statement):
+        pass
+    return match
+
+
+def stated_value(text: str) -> Rational:
+    """Exact value of a stated result: a `NUMBER` token, maybe signed."""
+    if text[0] in _MINUS:
+        return -number_value(text[1:])
+    return number_value(text)
+
+
+def normalize_math_text(text: str) -> str:
+    """Strip $...$ markers and map LaTeX operators to plain ones."""
+    out = text.replace("\\times", "×").replace("\\div", "÷")
+    out = out.replace("\\cdot", "×")
+    return out.replace("$", "")
 
 
 # --- Rendering ---

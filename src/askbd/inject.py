@@ -22,6 +22,8 @@ from .exprs import (
     Rational,
     eval_with_literal,
     format_value,
+    last_equation,
+    number_tokens,
     parse_expr,
 )
 from .records import (
@@ -33,9 +35,7 @@ from .records import (
     SolutionRecord,
     SolutionStep,
     condition_values,
-    last_equation,
     make_record,
-    number_tokens,
 )
 
 # How far a wrong result or a wrong operand lies from the true one: a guess
@@ -100,10 +100,16 @@ def _prior_results(record: SolutionRecord, before_index: int) -> set[Rational]:
 
 
 def _calculation(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
-    """Replace one step's calculated result with a wrong value."""
-    eligible = [s for s in record.steps if s.expression is not None]
+    """Replace one step's calculated result with a wrong positive value."""
+    eligible = [
+        s for s in record.steps
+        if s.expression is not None and s.stated_result + max(OFFSETS) > 0
+    ]
     if not eligible:
-        raise NoExpressionStep(f"record {record.record_id} has no expression step")
+        raise NoExpressionStep(
+            f"record {record.record_id} has no expression step whose result an offset "
+            "keeps positive"
+        )
     step = eligible[rng.randrange(len(eligible))]
     true_value = step.stated_result
     valid = [o for o in OFFSETS if true_value + o > 0]

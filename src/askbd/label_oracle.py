@@ -12,7 +12,7 @@ expression text and question once per pass.
 
 from __future__ import annotations
 
-from .exprs import Rational, eval_expr, parse_expr
+from .exprs import Rational, eval_expr, number_tokens, parse_expr
 from .records import (
     CATEGORY_CALCULATION,
     CATEGORY_HALLUCINATION,
@@ -22,7 +22,6 @@ from .records import (
     ErrorLabel,
     SolutionRecord,
     condition_values,
-    number_tokens,
 )
 
 

@@ -1,4 +1,5 @@
-"""Question/solution records, step parsing, the JSONL codec, statistics.
+"""Question/solution records, step parsing, the raw `ingest` reader, the
+JSONL codec, statistics.
 
 Records hold expressions as source strings so files stay human-editable.
 A corpus read parse-validates each distinct expression text and converts
@@ -19,7 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from .exprs import NUMBER, Rational, format_value, number_value, parse_expr, rational
+from .exprs import (
+    Rational, format_value, last_equation, normalize_math_text, number_tokens, parse_expr,
+    rational, stated_value,
+)
 
 # built once: JSONL lines and record ids are sorted-key JSON, text left unescaped
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False)
@@ -184,42 +188,25 @@ def make_record(
 # --- Structured solution text ---
 
 _STEP_MARKER = re.compile(r"Step\s+(\d+)\s*[.:]\s*")
-_NUMBER = re.compile(NUMBER)
-_EXPRESSION_EQ = re.compile(
-    rf"({NUMBER}(?:\s*[+−×*/÷-]\s*{NUMBER})+)\s*=\s*({NUMBER})"
-)
 
 
-def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
-    """(start, end, value) of every unsigned decimal number in `text`."""
-    return [(m.start(), m.end(), number_value(m.group())) for m in _NUMBER.finditer(text)]
-
-
-def last_equation(statement: str) -> re.Match | None:
-    """The statement's last `lhs = rhs` calculation: group 1 is the
-    left-hand expression, group 2 the stated result."""
-    match = None
-    for match in _EXPRESSION_EQ.finditer(statement):
-        pass
-    return match
-
-
-def normalize_math_text(text: str) -> str:
-    """Strip $...$ markers and map LaTeX operators to plain ones."""
-    out = text.replace("\\times", "×").replace("\\div", "÷")
-    out = out.replace("\\cdot", "×")
-    return out.replace("$", "")
+def step_from_statement(index: int, statement: str) -> SolutionStep:
+    """Step `index` as `statement` states it: its last `a <op> b = c`, if
+    any, is the expression and stated result. The expression is
+    parse-validated, so an unreadable one (a division by zero) raises an
+    ExprError."""
+    equation = last_equation(statement)
+    if equation is None:
+        return SolutionStep(index=index, statement=statement)
+    expression = equation.group(1).strip()
+    parse_expr(expression)
+    return SolutionStep(index, statement, expression, stated_value(equation.group(2)))
 
 
 def parse_structured_solution(text: str) -> list[SolutionStep]:
-    """Split `Step n.`-marked solution text into steps.
-
-    Statements are preserved verbatim (after math-marker normalization);
-    a statement's last `a <op> b = c` calculation becomes the step's
-    expression and stated result.
-    Each expression is parse-validated, as `record_from_json` does, so an
-    unreadable one (a division by zero, say) raises an ExprError here.
-    """
+    """Split `Step n.`-marked solution text into steps, each read by
+    `step_from_statement`. Statements are preserved verbatim (after
+    math-marker normalization)."""
     normalized = normalize_math_text(text)
     markers = list(_STEP_MARKER.finditer(normalized))
     if not markers:
@@ -227,25 +214,39 @@ def parse_structured_solution(text: str) -> list[SolutionStep]:
     indices = [int(m.group(1)) for m in markers]
     if indices != list(range(1, len(indices) + 1)):
         raise NonContiguousIndices(f"step indices {indices} are not 1..{len(indices)}")
-    steps = []
-    for pos, marker in enumerate(markers):
-        end = markers[pos + 1].start() if pos + 1 < len(markers) else len(normalized)
-        statement = normalized[marker.end():end].strip()
-        equation = last_equation(statement)
-        if equation is None:
-            steps.append(SolutionStep(index=indices[pos], statement=statement))
+    ends = [m.start() for m in markers[1:]] + [len(normalized)]
+    return [
+        step_from_statement(index, normalized[marker.end():end].strip())
+        for index, marker, end in zip(indices, markers, ends)
+    ]
+
+
+_ANNOTATION = re.compile(r"<<[^>]*>>")
+_FINAL_MARKER = "####"
+
+
+def record_from_raw(obj: dict) -> SolutionRecord:
+    """The record a raw `ingest` line holds: a `question` with a `rationale`
+    and an `answer`, or with GSM8K's `answer`, `rationale #### answer`. Each
+    nonblank rationale line, `<<…>>` annotations dropped, is one step."""
+    question = _typed(obj["question"], str, "question")
+    if "rationale" in obj:
+        rationale, answer_text = _typed(obj["rationale"], str, "rationale"), str(obj["answer"])
+    else:
+        answer_field = _typed(obj["answer"], str, "answer")
+        if _FINAL_MARKER in answer_field:
+            rationale, answer_text = answer_field.split(_FINAL_MARKER, 1)
         else:
-            expression = equation.group(1).strip()
-            parse_expr(expression)
-            steps.append(
-                SolutionStep(
-                    index=indices[pos],
-                    statement=statement,
-                    expression=expression,
-                    stated_result=number_value(equation.group(2)),
-                )
-            )
-    return steps
+            raise SchemaViolation("no rationale/final-answer split found")
+    lines = [_ANNOTATION.sub("", line).strip() for line in rationale.strip().splitlines()]
+    lines = [line for line in lines if line]
+    numbered = [
+        line if _STEP_MARKER.match(line) else f"Step {i}. {line}"
+        for i, line in enumerate(lines, start=1)
+    ]
+    steps = parse_structured_solution(" ".join(numbered))
+    answer = parse_rational(answer_text.strip().replace(",", "").replace("$", ""))
+    return make_record(question=question, steps=steps, answer=answer)
 
 
 def condition_values(question: str) -> list[Rational]:
@@ -306,24 +307,30 @@ class LoadMemo:
         self.rationals: dict[str, Rational] = {}
 
     def validate_expression(self, text) -> None:
-        _require_string(text, "expression")
+        _typed(text, str, "expression")
         if text not in self.expressions:
             parse_expr(text)
             self.expressions.add(text)
 
     def rational(self, text, field: str) -> Rational:
-        _require_string(text, field)
+        _typed(text, str, field)
         value = self.rationals.get(text)
         if value is None:
             value = self.rationals[text] = parse_rational(text)
         return value
 
 
-def _require_string(value, field: str) -> None:
-    # `record_to_json` writes strings; a JSON number such as 0.3 would
-    # load as its binary double, not 3/10
-    if type(value) is not str:
-        raise SchemaViolation(f"{field!r} must be a string, got {value!r}")
+_TYPE_NAMES = {str: "a string", int: "an integer"}
+
+
+def _typed(value, kind: type, field: str, optional: bool = False):
+    """`value`, which must be of exactly the type `kind` (or None where
+    `optional`): JSON `true` is no integer, `1.0` is none either, and a
+    number is no string (`record_to_json` writes each value as a string,
+    since a JSON 0.3 would load as its binary double, not 3/10)."""
+    if type(value) is not kind and not (optional and value is None):
+        raise SchemaViolation(f"{field!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
 def record_from_json(obj: dict, memo: LoadMemo | None = None) -> SolutionRecord:
@@ -341,16 +348,13 @@ def record_from_json(obj: dict, memo: LoadMemo | None = None) -> SolutionRecord:
                 result = memo.rational(raw["result"], "result")
             else:
                 result = None
-            steps.append(
-                SolutionStep(
-                    index=raw["index"],
-                    statement=raw["statement"],
-                    expression=expression,
-                    stated_result=result,
-                )
-            )
+            steps.append(SolutionStep(
+                _typed(raw["index"], int, "index"), _typed(raw["statement"], str, "statement"),
+                expression, result,
+            ))
         raw_label = obj.get("label") or {}
-        label = ErrorLabel(raw_label.get("step"), raw_label.get("category"))
+        label = ErrorLabel(_typed(raw_label.get("step"), int, "label.step", optional=True),
+                           _typed(raw_label.get("category"), str, "label.category", optional=True))
         lineage = obj.get("lineage")
         if lineage is not None and not (
             isinstance(lineage, dict) and isinstance(lineage.get("source_id"), str)
@@ -359,16 +363,17 @@ def record_from_json(obj: dict, memo: LoadMemo | None = None) -> SolutionRecord:
                 f"lineage must be an object with a string source_id, got {lineage!r}"
             )
         return SolutionRecord(
-            record_id=obj["id"],
-            question=obj["question"],
+            record_id=_typed(obj["id"], str, "id"),
+            question=_typed(obj["question"], str, "question"),
             steps=tuple(steps),
             answer=memo.rational(obj["answer"], "answer"),
-            origin=obj["origin"],
+            origin=_typed(obj["origin"], str, "origin"),
             label=label,
             lineage=lineage,
-            candidate_rank=obj.get("candidate_rank"),
-            permuted_expression=obj.get("permuted_expression"),
-            route=obj.get("route"),
+            candidate_rank=_typed(obj.get("candidate_rank"), int, "candidate_rank", optional=True),
+            permuted_expression=_typed(obj.get("permuted_expression"), str,
+                                       "permuted_expression", optional=True),
+            route=_typed(obj.get("route"), str, "route", optional=True),
         )
     except SchemaViolation:
         raise

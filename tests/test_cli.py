@@ -120,6 +120,23 @@ class TestIngest:
         assert "zero denominator" in captured.err
         assert len(read_jsonl(out)) == 2
 
+    @pytest.mark.parametrize("field, raw", [
+        ("question", {"question": 7, "rationale": "He has 3 + 4 = 7 toys.", "answer": 7}),
+        ("rationale", {"question": "How many toys?", "rationale": 5, "answer": 5}),
+        ("answer", {"question": "How many toys?", "answer": 5}),
+    ])
+    def test_a_text_field_of_another_type_is_skipped(self, tmp_path, capsys, field, raw):
+        path = tmp_path / "raw.jsonl"
+        make_raw_gsm_file(path, n=2)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(raw) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(path), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "ingested 2 records (1 skipped)" in captured.out
+        assert f"'{field}' must be a string" in captured.err
+        assert len(read_jsonl(out)) == 2
+
     def test_a_rationale_already_in_steps_keeps_them(self, tmp_path, prose_record):
         raw = tmp_path / "raw.jsonl"
         rationale = PROSE_SOLUTION.replace(" Step ", "\nStep ")
@@ -288,17 +305,19 @@ def test_a_zero_denominator_in_a_corpus_exits_2_naming_the_file_and_line(
         assert str(corpus) in err and "(line 2)" in err and "zero denominator" in err
 
 
-@pytest.mark.parametrize("field, value", [("answer", 33), ("result", True), ("result", 0.5)])
-def test_a_numeric_result_or_answer_in_a_corpus_exits_2_naming_the_field(
-    tmp_path, capsys, field, value
-):
+def _refused_field(tmp_path, capsys, field, value, kind):
+    """gen-alt and inject on a corpus whose second record (a D′, with
+    every optional field) holds `value` at `field` exit 2 naming the file,
+    the line and the field."""
     info = build_demo(tmp_path / "demo", n_questions=1)
     lines = info["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
     bad = json.loads(lines[1])
-    if field == "answer":
-        bad["answer"] = value
+    if field in ("index", "statement", "result"):
+        bad["steps"][0][field] = value
+    elif field == "label.step":
+        bad["label"] = {"step": value, "category": "calc"}
     else:
-        bad["steps"][0]["result"] = value
+        bad[field] = value
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(lines[0] + json.dumps(bad) + "\n", encoding="utf-8")
     for command in (["gen-alt", "--k", "3"], ["inject", "--category", "all"]):
@@ -307,7 +326,34 @@ def test_a_numeric_result_or_answer_in_a_corpus_exits_2_naming_the_field(
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and "Traceback" not in err
         assert str(corpus) in err and "(line 2)" in err
-        assert f"'{field}' must be a string, got {value!r}" in err
+        assert f"'{field}' must be {kind}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("field, value", [("answer", 33), ("result", True), ("result", 0.5)])
+def test_a_numeric_result_or_answer_in_a_corpus_exits_2_naming_the_field(
+    tmp_path, capsys, field, value
+):
+    _refused_field(tmp_path, capsys, field, value, "a string")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("index", True), ("index", 1.0), ("label.step", True), ("label.step", 1.0),
+    ("candidate_rank", True), ("candidate_rank", 1.5),
+])
+def test_an_integer_field_in_a_corpus_refuses_a_bool_or_a_float(
+    tmp_path, capsys, field, value
+):
+    _refused_field(tmp_path, capsys, field, value, "an integer")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 5), ("question", 5), ("statement", ["Add them."]),
+    ("permuted_expression", 12), ("route", False),
+])
+def test_a_text_field_in_a_corpus_refuses_anything_but_a_string(
+    tmp_path, capsys, field, value
+):
+    _refused_field(tmp_path, capsys, field, value, "a string")
 
 
 def test_a_too_deep_expression_in_a_corpus_exits_2_naming_the_file_and_line(

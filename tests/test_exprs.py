@@ -18,6 +18,7 @@ from askbd.exprs import (
     eval_expr,
     eval_with_literal,
     format_value,
+    number_tokens,
     number_value,
     parse_expr,
     rational,
@@ -25,7 +26,7 @@ from askbd.exprs import (
     to_text,
 )
 from askbd.demo import build_labeled_corpus
-from askbd.records import number_tokens, parse_rational
+from askbd.records import parse_rational
 from conftest import random_expr
 
 

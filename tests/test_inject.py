@@ -24,12 +24,19 @@ from askbd.records import (
     SolutionStep,
     condition_values,
     make_record,
-    number_tokens,
     parse_structured_solution,
     read_jsonl,
+    step_from_statement,
     write_jsonl,
 )
-from askbd.exprs import DivisionByZero, eval_expr, eval_with_literal, format_value, parse_expr
+from askbd.exprs import (
+    DivisionByZero,
+    eval_expr,
+    eval_with_literal,
+    format_value,
+    number_tokens,
+    parse_expr,
+)
 from conftest import LEAF_QUESTION, LEAF_SOLUTION
 
 # One seed reproduces all four appendix-style rows on the leaf problem;
@@ -201,6 +208,55 @@ class TestInjectionProperties:
         with pytest.raises(NoExpressionStep):
             inject(record, "calc", 0)
 
+    def test_calc_rewrites_a_signed_stated_result_in_the_text(self):
+        record = make_record(
+            question="A tank holds 3 liters and loses 5 liters. What is its level?",
+            steps=parse_structured_solution("Step 1. Compute 3 - 5 = -2."),
+            answer=-2,
+        )
+        assert record.steps[0].stated_result == -2
+        for seed in range(3):
+            injected = inject(record, "calc", seed)
+            step = injected.steps[0]
+            assert step.statement == f"Compute 3 - 5 = {format_value(step.stated_result)}."
+            # the detector is shown the wrong result the label names
+            assert step_from_statement(1, step.statement) == step
+            assert scan_record(injected) == injected.label == ErrorLabel(1, "calc")
+
+    @pytest.mark.parametrize("loss, refused", [(15, True), (8, True), (7, False)])
+    def test_calc_refuses_a_result_no_offset_keeps_positive(self, loss, refused):
+        record = make_record(
+            question=f"A tank holds 3 liters and loses {loss} liters. What is its level?",
+            steps=parse_structured_solution(f"Step 1. The level is 3 - {loss} = {3 - loss}."),
+            answer=3 - loss,
+        )
+        if refused:
+            with pytest.raises(NoExpressionStep, match="an offset keeps positive"):
+                inject(record, "calc", 0)
+        else:
+            # +5 is the one offset that keeps -4 positive
+            assert inject(record, "calc", 0).steps[0].stated_result == 1
+
+    def test_the_cli_names_a_record_whose_results_no_offset_keeps_positive(
+        self, tmp_path, capsys
+    ):
+        record = make_record(
+            question="A tank holds 5 liters and loses 15 liters. What is its level?",
+            steps=parse_structured_solution("Step 1. The level is 5 - 15 = -10 liters."),
+            answer=-10,
+        )
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl([record], corpus)
+        argv = ["inject", "--category", "calc", "--in", str(corpus),
+                "--out", str(tmp_path / "out.jsonl")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"cannot inject calc into {record.record_id}: record {record.record_id} "
+            "has no expression step whose result an offset keeps positive\n"
+        )
+        assert "injected 0 records (1 skipped)" in captured.out
+
     def test_determinism(self, leaf_record):
         for category in CATEGORIES:
             first = inject(leaf_record, category, 42)
@@ -294,12 +350,13 @@ class TestLabelOracle:
         assert not oracle_clean(record)
 
     def test_oracle_clean_fails_a_negative_result(self):
-        # the step parser reads no negative result, so the step is built whole
         record = make_record(
             question="A tank holds 3 liters and loses 5 liters. What is its level?",
-            steps=(SolutionStep(1, "The level is 3 - 5 = -2 liters.", "3 - 5", -2),),
+            steps=parse_structured_solution("Step 1. The level is 3 - 5 = -2 liters."),
             answer=-2,
         )
+        assert record.steps[0] == SolutionStep(1, "The level is 3 - 5 = -2 liters.", "3 - 5", -2)
+        assert scan_record(record) == CORRECT_LABEL
         assert not oracle_clean(record)
 
     def test_verify_corpus_reports_mismatches(self, leaf_record):

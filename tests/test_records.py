@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from askbd import records
+from askbd.exprs import normalize_math_text
 from askbd.inject import inject
 from askbd.label_oracle import scan_record
 from askbd.records import (
@@ -21,7 +22,6 @@ from askbd.records import (
     condition_values,
     jsonl_line,
     make_record,
-    normalize_math_text,
     parse_structured_solution,
     read_jsonl,
     record_from_json,
@@ -63,6 +63,14 @@ class TestParseStructuredSolution:
     def test_non_contiguous(self):
         with pytest.raises(NonContiguousIndices):
             parse_structured_solution("Step 1. a. Step 3. b.")
+
+    @pytest.mark.parametrize("sign", ["-", "−"])
+    def test_a_signed_stated_result(self, sign):
+        # a stated result may carry a sign; expression literals stay unsigned
+        (step,) = parse_structured_solution(f"Step 1. The level is 3 - 5 = {sign}2 liters.")
+        assert (step.expression, step.stated_result) == ("3 - 5", -2)
+        (step,) = parse_structured_solution(f"Step 1. It is 3 - 5.5 = {sign}2.5.")
+        assert (step.expression, step.stated_result) == ("3 - 5.5", Fraction(-5, 2))
 
     def test_normalize_math_text(self):
         assert normalize_math_text("$5 \\times 11 = 55$") == "5 × 11 = 55"
