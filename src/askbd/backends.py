@@ -46,7 +46,6 @@ CAP_SCORE_TOKENS = "score_tokens"
 CAPABILITIES = frozenset({CAP_GENERATE, CAP_SCORE_TOKENS})
 
 API_KEY_ENV_PREFIX = "ASKBD_API_KEY_"
-CACHE_DIR_ENV = "ASKBD_CACHE_DIR"
 
 
 class BackendError(RuntimeError):
@@ -545,15 +544,6 @@ class MockScoreBackend:
 # --- Cassettes and profile files ---
 
 
-def resolve_cassette_path(path) -> Path:
-    """Relative cassette paths resolve against ASKBD_CACHE_DIR when set."""
-    path = Path(path)
-    cache_dir = os.environ.get(CACHE_DIR_ENV)
-    if cache_dir and not path.is_absolute():
-        return Path(cache_dir) / path
-    return path
-
-
 def cassette_line(key: str, entry: Mapping) -> str:
     """One cassette line: an exchange's fields and its `request_hash`."""
     return jsonl_line({**entry, "request_hash": key})
@@ -613,8 +603,7 @@ def open_backend(
     """
     endpoint = profile.endpoint
     if endpoint.startswith("scripted:"):
-        path = resolve_cassette_path(endpoint.split(":", 1)[1])
-        return ExchangeStore(load_cassette(path), profile.model)
+        return ExchangeStore(load_cassette(endpoint.split(":", 1)[1]), profile.model)
     if endpoint.startswith("mock:"):
         return MockScoreBackend(endpoint)
     if strict_scripted:
@@ -624,7 +613,7 @@ def open_backend(
     http = HttpBackend(profile, api_key=api_key, clock=clock, sleep=sleep)
     if profile.record_to is None:
         return http
-    path = resolve_cassette_path(profile.record_to)
+    path = Path(profile.record_to)
     entries = load_cassette(path) if path.exists() else {}
     return ExchangeStore(entries, profile.model, inner=http, path=path)
 

@@ -33,7 +33,7 @@ from .detect import (
     OUTCOME_STAGES,
     REFERENCE_STRATEGIES,
     STRATEGIES,
-    STRATEGY_REF_MATCHING,
+    STRATEGY_REF_CONVENTIONAL,
     DetectionOutcome,
     detect,
     outcome_of,
@@ -53,6 +53,7 @@ from .records import (
     SchemaViolation,
     SolutionRecord,
     compute_stats,
+    correct_ancestor,
     from_json,
     jsonl_line,
     open_output,
@@ -348,20 +349,21 @@ def _transcript_lines(record_id: str, strategy: str, exchanges,
     )
 
 
-# A record's last outcome in a cell: the (stage, response) of its last
-# `reg` or `failed` transcript line, or, for a record just detected, the
-# outcome `detect` parsed from that exchange.
-Outcome = tuple[str, str] | DetectionOutcome
+# A record's last outcome in a cell: the (stage, response, parsed) of its
+# last `reg` or `failed` exchange, `parsed` being the outcome `detect` made
+# of it for a record just detected, and None for one read from a transcript.
+Outcome = tuple[str, str, DetectionOutcome | None]
 
 
-def _scan_transcript(path: Path) -> tuple[dict[str, tuple[str, str]], int]:
-    """Reads the transcript at `path` forward once: the (stage, response) of
-    each record's last `reg` or `failed` line, in order of first appearance,
-    and the length in bytes up to the end of the last such line. `detect`
-    ends every record's lines with one, so what follows belongs to a record
-    a crash cut short: its earlier stage lines and a torn last line, one
-    with no newline. A whole line that is no transcript line is a SchemaViolation."""
-    outcomes: dict[str, tuple[str, str]] = {}
+def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
+    """Reads the transcript at `path` forward once: the (stage, response,
+    None) of each record's last `reg` or `failed` line, in order of first
+    appearance, and the length in bytes up to the end of the last such
+    line. `detect` ends every record's lines with one, so what follows
+    belongs to a record a crash cut short: its earlier stage lines and a
+    torn last line, one with no newline. A whole line that is no transcript
+    line is a SchemaViolation."""
+    outcomes: dict[str, Outcome] = {}
     finished = end = 0
     try:
         with open(path, "rb") as handle:
@@ -375,7 +377,7 @@ def _scan_transcript(path: Path) -> tuple[dict[str, tuple[str, str]], int]:
                     if stop + 1 < len(text):
                         raise ValueError(f"extra data at column {stop + 1}")
                     if entry["stage"] in OUTCOME_STAGES:
-                        outcomes[entry["record_id"]] = (entry["stage"], entry["response"])
+                        outcomes[entry["record_id"]] = (entry["stage"], entry["response"], None)
                         finished = end
                 except (ValueError, KeyError, TypeError) as err:
                     raise SchemaViolation(f"bad transcript line in {path}: {err!r}",
@@ -387,19 +389,15 @@ def _scan_transcript(path: Path) -> tuple[dict[str, tuple[str, str]], int]:
 
 def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord],
                     profile: str, strategy: str, seed: int) -> list[JudgedResult]:
-    """Judges one cell by each record's last outcome: a transcript line
-    through `outcome_of`, the judge `evaluate` applies, and a parsed one
-    as it is. A `failed` line is an invalid outcome, so it counts against
-    accuracy."""
+    """Judges one cell by each record's last outcome: the one `detect`
+    parsed, or else its stage and response through `outcome_of`. A `failed`
+    line is an invalid outcome, so it counts against accuracy."""
     judged = []
-    for record_id, last in outcomes.items():
+    for record_id, (stage, response, parsed) in outcomes.items():
         record = gold.get(record_id)
         if record is None:
             raise SchemaViolation(f"gold corpus lacks record {record_id}")
-        if isinstance(last, DetectionOutcome):
-            outcome = last
-        else:
-            outcome = outcome_of(*last, len(record.steps))
+        outcome = parsed or outcome_of(stage, response, len(record.steps))
         judged.append(
             JudgedResult(
                 record_id=record_id,
@@ -432,45 +430,25 @@ def _references(records: list[SolutionRecord], strategies,
                 corpus: str | None) -> dict[str, dict[str, str]]:
     """The reference text of every record for each reference strategy among
     `strategies`, by strategy and record id, resolved from the reference
-    corpus at `corpus` before any detection starts. A reference strategy
-    comes with a corpus; the callers check that."""
+    corpus at `corpus` before any detection starts: a record's nearest
+    correct ancestor there (itself when correct), and for ref_conventional
+    its nearest correct conventional one. A reference strategy comes with a
+    corpus; the callers check that."""
     if corpus is None:
         return {}
-    pool = {record.record_id: record for record in read_jsonl(corpus)}
+    pool = _by_id(read_jsonl(corpus), f"reference corpus {corpus}")
     try:
         return {
-            strategy: {r.record_id: _resolve_reference(r, strategy, pool) for r in records}
+            strategy: {
+                r.record_id: render_solution_text(correct_ancestor(
+                    r, pool, conventional=strategy == STRATEGY_REF_CONVENTIONAL))
+                for r in records
+            }
             for strategy in strategies
             if strategy in REFERENCE_STRATEGIES
         }
     except SchemaViolation as err:
         raise SchemaViolation(f"reference corpus {corpus}: {err}") from err
-
-
-def _resolve_reference(record: SolutionRecord, strategy: str,
-                       pool: dict[str, SolutionRecord]) -> str:
-    """ref_matching: the correct solution matching this record's structure
-    (itself when correct, its injection source otherwise). ref_conventional:
-    the correct conventional ancestor, via the lineage chain."""
-
-    def parent_of(rec: SolutionRecord) -> SolutionRecord:
-        parent = (rec.lineage or {}).get("source_id")
-        if parent is None or parent not in pool:
-            raise SchemaViolation(f"no reference ancestor for {record.record_id}")
-        return pool[parent]
-
-    base = record
-    if strategy == STRATEGY_REF_MATCHING:
-        if base.label.is_error:
-            base = parent_of(base)
-        return render_solution_text(base)
-    seen: set[str] = set()
-    while base.label.is_error or base.origin != "D":
-        if base.record_id in seen:
-            raise SchemaViolation(f"lineage cycle at {base.record_id}")
-        seen.add(base.record_id)
-        base = parent_of(base)
-    return render_solution_text(base)
 
 
 def _by_id(records: list[SolutionRecord], where: str) -> dict[str, SolutionRecord]:
@@ -512,7 +490,7 @@ def _run_detection(
     record at a time as each finishes, and returns the cell's outcomes, in
     the order `_scan_transcript` reads them from the finished transcript:
     a record kept from it by `resume` as the scan gives it, a record
-    detected now as the outcome `detect` parsed from its last `reg` or
+    detected now with the outcome `detect` parsed from its last `reg` or
     `failed` exchange. `references` holds each record's reference text for
     a reference strategy. With `resume`, a record whose last outcome is a
     `reg` line is kept; a `failed` one, or one whose lines a crash cut
@@ -527,17 +505,18 @@ def _run_detection(
     so the records are detected in the calling thread."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
     outcomes, finished = _scan_transcript(path) if resume and path.exists() else ({}, 0)
-    done = {rid for rid, (stage, _) in outcomes.items() if stage != FAILED_STAGE}
+    done = {rid for rid, (stage, _, _) in outcomes.items() if stage != FAILED_STAGE}
     pending = [r for r in records if r.record_id not in done]
 
-    def one(record: SolutionRecord) -> tuple[str, str, DetectionOutcome]:
+    def one(record: SolutionRecord) -> tuple[str, str, Outcome]:
         # Serialized here, so that on a pool it runs in the worker: a main
         # thread that only writes holds the interpreter lock briefly, and
         # detection keeps its pace.
         reference = references[record.record_id] if references else None
         exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
         lines = _transcript_lines(record.record_id, strategy, exchanges, escaped)
-        return record.record_id, lines, exchanges[-1].outcome
+        last = exchanges[-1]
+        return record.record_id, lines, (last.stage, last.response, last.outcome)
 
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
@@ -596,7 +575,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    gold = {r.record_id: r for r in read_jsonl(args.gold)}
+    gold = _by_id(read_jsonl(args.gold), f"--gold {args.gold}")
     cells: dict[tuple[str, str, int], Path] = {}
     for path in Path(args.transcripts).glob("*.jsonl"):
         name = _TRANSCRIPT_NAME.match(path.name)

@@ -11,8 +11,8 @@ invalid outcome, never an exception.
 
 from __future__ import annotations
 
-import functools
 import re
+import types
 from contextlib import suppress
 from dataclasses import dataclass, field
 from importlib import resources
@@ -92,18 +92,20 @@ class PromptTemplate:
             ) from err
 
 
-@functools.cache
+# every template, read from its file once, at import
+_TEMPLATES = types.MappingProxyType({
+    template_id: PromptTemplate(template_id, resources.files("askbd").joinpath(
+        "templates", f"{template_id}.txt").read_text(encoding="utf-8").rstrip("\n"))
+    for template_id in TEMPLATE_IDS
+})
+
+
 def load_template(template_id: str) -> PromptTemplate:
-    """The template `template_id`, read from its file on the first call
-    only. An unknown id raises ValueError, which is not cached."""
-    if template_id not in TEMPLATE_IDS:
-        raise ValueError(f"unknown template {template_id!r}")
-    text = (
-        resources.files("askbd")
-        .joinpath("templates", f"{template_id}.txt")
-        .read_text(encoding="utf-8")
-    )
-    return PromptTemplate(template_id=template_id, text=text.rstrip("\n"))
+    """The template `template_id`; an unknown id raises ValueError."""
+    try:
+        return _TEMPLATES[template_id]
+    except KeyError:
+        raise ValueError(f"unknown template {template_id!r}") from None
 
 
 @dataclass(frozen=True)

@@ -315,6 +315,10 @@ _MINUS = "-" + "".join(alias for alias, op in _OP_ALIASES.items() if op == "-")
 _EQUATION = re.compile(
     rf"({NUMBER}(?:\s*{_OP_CLASS}\s*{NUMBER})+)\s*=\s*([{re.escape(_MINUS)}]?{NUMBER})"
 )
+# a minus in unary position, matched on the reversed text before a left
+# side: the minus, then the text's start or anything but a digit, `.` or
+# `)`, spaces skipped
+_UNARY_MINUS_REVERSED = re.compile(rf"\s*[{re.escape(_MINUS)}]\s*(?:[^\d.)\s]|\Z)")
 
 
 def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
@@ -325,10 +329,14 @@ def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
 def last_equation(statement: str) -> re.Match | None:
     """The statement's last `lhs = rhs` calculation: group 1 is the
     left-hand expression, group 2 the stated result, which `stated_value`
-    reads."""
+    reads. None when a unary minus precedes the left side, as in
+    `-3 + 5 = 2`: expression literals are unsigned, so reading it would
+    drop the sign."""
     match = None
     for match in _EQUATION.finditer(statement):
         pass
+    if match is not None and _UNARY_MINUS_REVERSED.match(statement[:match.start()][::-1]):
+        return None
     return match
 
 

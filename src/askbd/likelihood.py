@@ -52,12 +52,13 @@ class ScoredSolution:
 def score_solution(
     record: SolutionRecord, profile: BackendProfile, backend
 ) -> ScoredSolution:
-    """Score the rendered solution text conditioned on the question."""
+    """Score the rendered solution text conditioned on the question. A
+    scorer that returns no token for it gave a MalformedResponse."""
     prefix = record.question + "\n"
     continuation = render_solution_text(record)
     scores = backends.score_tokens(profile, prefix, continuation, backend=backend)
     if not scores:
-        raise EmptyContinuation(f"record {record.record_id} scored zero tokens")
+        raise backends.MalformedResponse(f"record {record.record_id} scored zero tokens")
     return ScoredSolution(
         record_id=record.record_id,
         backend=profile.name,

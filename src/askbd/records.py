@@ -1,5 +1,5 @@
-"""Question/solution records, step parsing, the raw `ingest` reader, the
-JSONL codec, statistics.
+"""Question/solution records and their lineage walk, step parsing, the raw
+`ingest` reader, the JSONL codec, statistics.
 
 Records hold expressions as source strings so files stay human-editable.
 A corpus read parse-validates each distinct expression text and converts
@@ -131,6 +131,23 @@ class SolutionRecord:
             if step.expression is not None:
                 return step
         return None
+
+
+def correct_ancestor(record: SolutionRecord, by_id: Mapping[str, SolutionRecord], *,
+                     conventional: bool = False) -> SolutionRecord:
+    """`record` or its nearest ancestor along `lineage.source_id` in `by_id`
+    that is error-free and, with `conventional`, of origin D. A missing
+    ancestor or a lineage cycle is a SchemaViolation."""
+    start, seen = record, set()
+    while record.label.is_error or (conventional and record.origin != ORIGIN_CONVENTIONAL):
+        if record.record_id in seen:
+            raise SchemaViolation(f"lineage cycle at {record.record_id}")
+        seen.add(record.record_id)
+        parent = (record.lineage or {}).get("source_id")
+        if parent not in by_id:
+            raise SchemaViolation(f"no correct ancestor for {start.record_id}")
+        record = by_id[parent]
+    return record
 
 
 def render_step(step: SolutionStep) -> str:

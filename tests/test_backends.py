@@ -7,7 +7,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
@@ -929,19 +928,11 @@ class TestProfilesFile:
     def test_api_key_env_name(self):
         assert make_profile(name="My Prof-1").api_key_env() == "ASKBD_API_KEY_MY_PROF_1"
 
-    def test_cache_dir_resolves_relative_cassettes(self, tmp_path, monkeypatch):
-        from askbd.backends import resolve_cassette_path
-
-        monkeypatch.setenv("ASKBD_CACHE_DIR", str(tmp_path))
-        assert resolve_cassette_path("c.jsonl") == tmp_path / "c.jsonl"
-        assert resolve_cassette_path("/abs/c.jsonl") == Path("/abs/c.jsonl")
-        monkeypatch.delenv("ASKBD_CACHE_DIR")
-        assert resolve_cassette_path("c.jsonl") == Path("c.jsonl")
-
-    def test_a_relative_cache_dir_applies_once(self, tmp_path, monkeypatch, fake_transport):
+    def test_a_relative_cassette_path_resolves_against_the_working_directory(
+        self, tmp_path, monkeypatch, fake_transport
+    ):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("ASKBD_CACHE_DIR", "cache")
-        profile = make_profile(record_to="c.jsonl")
+        profile = make_profile(record_to="cache/c.jsonl")
         fake_transport([(200, chat_body("A"))])
         recorder = open_backend(profile, api_key="k")
         assert recorder.generate(MESSAGES, PARAMS) == "A"
@@ -949,5 +940,6 @@ class TestProfilesFile:
         # reopened, the cassette answers; so does a scripted endpoint on it
         fake_transport([])
         again = open_backend(profile, api_key="k")
-        replay = open_backend(make_profile(endpoint="scripted:c.jsonl"), strict_scripted=True)
+        replay = open_backend(make_profile(endpoint="scripted:cache/c.jsonl"),
+                              strict_scripted=True)
         assert again.generate(MESSAGES, PARAMS) == replay.generate(MESSAGES, PARAMS) == "A"

@@ -497,6 +497,29 @@ class TestScoreLikelihoodCli:
         header = analysis.read_text().splitlines()[0]
         assert header == "record_id,indicator,bucket,correct"
 
+    def test_a_scorer_that_returns_no_continuation_token_is_a_backend_error(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        def prompt_only(url, payload, headers, *, connections):
+            """Logprobs for one token at offset 0, inside the question."""
+            logprobs = {"tokens": ["A"], "token_logprobs": [None], "text_offset": [0]}
+            return 200, {"choices": [{"logprobs": logprobs}]}
+
+        monkeypatch.setattr(backends, "_urllib_transport", prompt_only)
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps({"profiles": [
+            {"name": "live", "endpoint": "http://127.0.0.1:9/v1", "model": "m",
+             "capabilities": ["score_tokens"]},
+        ]}))
+        scores = tmp_path / "scores.jsonl"
+        assert main(["score-likelihood", "--profiles", "live", "--profiles-file", str(profiles),
+                     "--in", str(demo_dir / "corpus.jsonl"), "--out", str(scores)]) == 3
+        first = read_jsonl(demo_dir / "corpus.jsonl")[0].record_id
+        assert capsys.readouterr().err == \
+            f"backend error: record {first} scored zero tokens\n"
+        # the output check before scoring made the file; no score reached it
+        assert scores.read_text() == ""
+
     def test_analysis_of_fewer_than_4_records_is_schema_error(
         self, demo_dir, tmp_path, capsys, monkeypatch
     ):
@@ -719,6 +742,33 @@ class TestDetectEvaluateRun:
             assert err.startswith("schema error:") and first in err, err
             assert opened == [] and not (tmp_path / argv[0]).exists(), argv
 
+    def test_a_record_id_twice_in_the_gold_or_reference_corpus_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        info = build_demo(tmp_path / "demo", n_questions=1, seeds=(1,))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        first = read_jsonl(info["corpus"])[0].record_id
+        twice = tmp_path / "twice.jsonl"
+        twice.write_text(info["corpus"].read_text() * 2)
+        config = tmp_path / "ref.json"
+        config.write_text(json.dumps({**json.loads(info["config"].read_text()),
+                                      "strategies": ["ref-matching"],
+                                      "reference_corpus": str(twice),
+                                      "out": str(tmp_path / "run")}))
+        opened = []
+        monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+        cases = [
+            (["evaluate", "--transcripts", str(tmp_path / "demo" / "out" / "transcripts"),
+              "--gold", str(twice), "--out", str(tmp_path / "eval")], f"--gold {twice}"),
+            (["run", "--config", str(config)], f"reference corpus {twice}"),
+        ]
+        for argv, where in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err == f"schema error: record {first} appears more than once in {where}\n"
+        assert opened == []
+        assert not (tmp_path / "eval").exists() and not (tmp_path / "run").exists()
+
     def test_a_profile_asked_for_twice_is_refused_before_any_backend_opens(
         self, demo_dir, tmp_path, capsys, monkeypatch
     ):
@@ -843,10 +893,9 @@ class TestDetectEvaluateRun:
         assert main(["run", "--config", str(demo_dir / "run.json")]) == 0
 
     def test_reference_resolution_semantics(self):
-        from askbd.cli import _resolve_reference
         from askbd.demo import build_labeled_corpus
         from askbd.inject import inject
-        from askbd.records import render_solution_text
+        from askbd.records import correct_ancestor
 
         d, dp, _ = build_labeled_corpus(1, seed=17)
         base_d, base_dp = d[0], dp[0]
@@ -854,15 +903,11 @@ class TestDetectEvaluateRun:
         pool = {r.record_id: r for r in (base_d, base_dp, erroneous)}
 
         # a correct alternative matches itself; its conventional reference is D
-        assert _resolve_reference(base_dp, "ref_matching", pool) == \
-            render_solution_text(base_dp)
-        assert _resolve_reference(base_dp, "ref_conventional", pool) == \
-            render_solution_text(base_d)
+        assert correct_ancestor(base_dp, pool) == base_dp
+        assert correct_ancestor(base_dp, pool, conventional=True) == base_d
         # an erroneous record matches its correct ancestor, never itself
-        assert _resolve_reference(erroneous, "ref_matching", pool) == \
-            render_solution_text(base_dp)
-        assert _resolve_reference(erroneous, "ref_conventional", pool) == \
-            render_solution_text(base_d)
+        assert correct_ancestor(erroneous, pool) == base_dp
+        assert correct_ancestor(erroneous, pool, conventional=True) == base_d
 
     def test_ref_matching_strategy(self, demo_dir, tmp_path):
         rc = main([
@@ -1021,19 +1066,21 @@ class TestOnePathToReports:
             path = cli._transcript_path(tmp_path / "out", "demo", strategy, seed)
             lines = cli._scan_transcript(path)[0]
             assert list(outcomes) == list(lines) == list(gold)
-            for record_id, outcome in outcomes.items():
-                assert isinstance(outcome, DetectionOutcome)
-                last = lines[record_id]
-                assert outcome == outcome_of(*last, len(gold[record_id].steps)), \
+            for record_id, (stage, response, parsed) in outcomes.items():
+                # detected now, so the outcome `detect` parsed rides along
+                assert isinstance(parsed, DetectionOutcome)
+                assert lines[record_id] == (stage, response, None)
+                assert parsed == outcome_of(stage, response, len(gold[record_id].steps)), \
                     (strategy, seed, record_id)
             stages = [json.loads(line)["stage"] for line in path.read_text().splitlines()]
             reasked = {"M0": 1, "M1": 1}.get(strategy, 0)
             assert stages.count("reg") == len(gold) + reasked - (strategy in ("M2", "M3"))
-            assert outcomes[garbled.record_id].valid
-            assert outcomes[twice.record_id].valid is (strategy != "M1")
-            assert outcomes[failing.record_id].valid is (strategy in ("M0", "M1"))
-        assert returned[("M1", 1)][twice.record_id].invalid_reason == "duplicate line for step 1"
-        assert returned[("M3", 2)][failing.record_id].invalid_reason.startswith(
+            assert outcomes[garbled.record_id][2].valid
+            assert outcomes[twice.record_id][2].valid is (strategy != "M1")
+            assert outcomes[failing.record_id][2].valid is (strategy in ("M0", "M1"))
+        assert returned[("M1", 1)][twice.record_id][2].invalid_reason == \
+            "duplicate line for step 1"
+        assert returned[("M3", 2)][failing.record_id][2].invalid_reason.startswith(
             "stage failure: ssi: UnscriptedRequest: ")
 
     def test_a_scripted_run_asks_every_stage_once(self, tmp_path):
@@ -1195,6 +1242,11 @@ class TestOnePathToReports:
                   "response": "stage failure: reg: RateLimited: still rate limited"}
         lines[first] = jsonl_line(failed)
         cell.write_bytes("".join(lines).encode()[:-40])
+        # the failed record and the torn one are detected again, the rest kept
+        kept = cli._scan_transcript(cell)[0]
+        redone = {rid for rid, (stage, _, _) in kept.items() if stage == "failed"}
+        redone |= {r.record_id for r in read_jsonl(info["corpus"])} - kept.keys()
+        assert len(redone) == 2
 
         returned = {}
         run_detection = cli._run_detection
@@ -1211,12 +1263,20 @@ class TestOnePathToReports:
         for path, outcomes in returned.items():
             finished = cli._scan_transcript(path)[0]
             assert list(outcomes) == list(finished), path.name
+            for record_id, (stage, response, parsed) in outcomes.items():
+                assert finished[record_id] == (stage, response, None)
+                # read from the transcript: no parsed outcome; detected now: one
+                if path == cell and record_id in redone:
+                    assert parsed == outcome_of(stage, response,
+                                                len(gold[record_id].steps)), record_id
+                else:
+                    assert parsed is None, (path.name, record_id)
             assert cli._judge_outcomes(outcomes, gold, "demo", "M2", 1) == \
                 cli._judge_outcomes(finished, gold, "demo", "M2", 1), path.name
         # the failed record was detected again and keeps its slot
         resumed = list(cli._scan_transcript(cell)[0].items())
         assert resumed[0][0] == failed["record_id"] and resumed[0][1][0] == "reg"
-        assert isinstance(returned[cell][failed["record_id"]], DetectionOutcome)
+        assert isinstance(returned[cell][failed["record_id"]][2], DetectionOutcome)
         assert _reports(tmp_path / "out") == reports
         assert _evaluate(info, tmp_path / "eval") == reports
 
@@ -1317,14 +1377,14 @@ class TestOnePathToReports:
         # a live profile's `record_to` cassette is an output path as well
         entries = load_cassette(info["cassette"])
 
-        def answering(url, payload, headers, timeout=60.0, *, connections=None):
+        def answering(url, payload, headers, *, connections):
             params = GenerationParams(payload["temperature"], payload["max_tokens"])
             key = generate_fingerprint(payload["model"], payload["messages"], params)
             return 200, {"choices": [{"message": {"content": entries[key]["response"]}}]}
 
         # a transport that cannot reach its endpoint raises an OSError too,
         # and stays a backend error
-        def unreachable(url, payload, headers, timeout=60.0, *, connections=None):
+        def unreachable(url, payload, headers, *, connections):
             raise urllib.error.URLError("connection refused")
 
         live = {"endpoint": "http://127.0.0.1:9/v1", "model": "demo-model",
@@ -1486,7 +1546,7 @@ def test_a_live_run_sends_every_exchange_and_a_recording_run_each_request_once(
     asked = Counter()
     lock = threading.Lock()
 
-    def endpoint(url, payload, headers, timeout=60.0, *, connections=None):
+    def endpoint(url, payload, headers, *, connections):
         """Answers from the demo cassette and counts each fingerprint asked."""
         params = GenerationParams(payload["temperature"], payload["max_tokens"])
         key = generate_fingerprint(payload["model"], payload["messages"], params)
@@ -1571,7 +1631,7 @@ def test_a_live_run_on_two_workers_keeps_two_connections_and_closes_them(
 def test_a_profile_in_the_retired_format_is_refused_before_any_request(
     demo_dir, tmp_path, monkeypatch, capsys
 ):
-    def endpoint(url, payload, headers, timeout=60.0, *, connections=None):
+    def endpoint(url, payload, headers, *, connections):
         raise AssertionError(f"sent a request to {url}")
 
     monkeypatch.setattr(backends, "_urllib_transport", endpoint)

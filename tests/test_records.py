@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from askbd import records
+from askbd.demo import build_labeled_corpus
 from askbd.exprs import normalize_math_text
 from askbd.inject import inject
 from askbd.label_oracle import scan_record
@@ -20,6 +21,7 @@ from askbd.records import (
     SolutionStep,
     compute_stats,
     condition_values,
+    correct_ancestor,
     jsonl_line,
     make_record,
     parse_structured_solution,
@@ -71,6 +73,31 @@ class TestParseStructuredSolution:
         assert (step.expression, step.stated_result) == ("3 - 5", -2)
         (step,) = parse_structured_solution(f"Step 1. It is 3 - 5.5 = {sign}2.5.")
         assert (step.expression, step.stated_result) == ("3 - 5.5", Fraction(-5, 2))
+
+    @pytest.mark.parametrize("sign", ["-", "−"])
+    @pytest.mark.parametrize("statement", [
+        "It is {}3 + 5 = 2 degrees.", "{}3 + 5 = 2", "It is {} 3 + 5 = 2.",
+        "It is 4 * {}3 + 5 = -7.", "It is 10 - {}3 + 5 = 18.", "x{}3 + 5 = 2",
+    ])
+    def test_a_left_side_with_a_unary_minus_is_prose(self, sign, statement):
+        # read unsigned, the first operand would lose its sign and label a
+        # correct step a calc error
+        (step,) = parse_structured_solution("Step 1. " + statement.format(sign))
+        assert (step.expression, step.stated_result) == (None, None)
+
+    def test_the_oracle_gives_a_unary_minus_step_no_calc_label(self):
+        steps = parse_structured_solution(
+            "Step 1. The low was 8 degrees. Step 2. It is -3 + 5 = 2 degrees now.")
+        record = make_record("It was 8 degrees; now?", steps, answer=2)
+        assert scan_record(record) == CORRECT_LABEL
+
+    @pytest.mark.parametrize("statement, expression", [
+        ("3 - 5 = -2", "3 - 5"), ("The level is 3 - 5 = -2 liters.", "3 - 5"),
+        ("Between 7-3 + 5 = 9 and more.", "7-3 + 5"), ("It is 2.5 - 3 + 1 = 0.5.", "2.5 - 3 + 1"),
+    ])
+    def test_a_binary_minus_keeps_its_reading(self, statement, expression):
+        (step,) = parse_structured_solution("Step 1. " + statement)
+        assert step.expression == expression
 
     def test_normalize_math_text(self):
         assert normalize_math_text("$5 \\times 11 = 55$") == "5 × 11 = 55"
@@ -251,6 +278,51 @@ class TestJsonl:
             label=ErrorLabel(1, "calc"),
         )
         assert record_to_json(erroneous)["label"] == {"step": 1, "category": "calc"}
+
+
+class TestLineage:
+    def test_every_demo_record_has_one_cell_under_its_conventional_root(self):
+        d, dp, injected = build_labeled_corpus(50, seed=2024)
+        corpus = d + dp + injected
+        by_id = {r.record_id: r for r in corpus}
+        cells = Counter()
+        for record in corpus:
+            root = correct_ancestor(record, by_id, conventional=True)
+            assert by_id[root.record_id] is root
+            assert root.origin == "D" and not root.label.is_error
+            cells[root.record_id, record.origin, record.label.category] += 1
+        assert len(corpus) == len(cells) == 500
+        assert set(cells.values()) == {1}
+
+    def test_the_walk_passes_an_erroneous_parent(self, leaf_record):
+        alternative = make_record(leaf_record.question, leaf_record.steps, leaf_record.answer,
+                                  origin="D1", lineage={"source_id": leaf_record.record_id})
+        first = make_record(leaf_record.question, leaf_record.steps, leaf_record.answer,
+                            origin="D1", label=ErrorLabel(1, "calc"),
+                            lineage={"source_id": alternative.record_id})
+        second = make_record(leaf_record.question, leaf_record.steps, leaf_record.answer,
+                             origin="D1", label=ErrorLabel(2, "ref"),
+                             lineage={"source_id": first.record_id})
+        by_id = {r.record_id: r for r in (leaf_record, alternative, first, second)}
+        assert correct_ancestor(second, by_id) == alternative
+        assert correct_ancestor(second, by_id, conventional=True) == leaf_record
+        assert correct_ancestor(leaf_record, {}, conventional=True) == leaf_record
+
+    def test_a_missing_ancestor_or_a_cycle_is_refused(self, leaf_record):
+        def erroneous(record_id, source_id):
+            return SolutionRecord(record_id, leaf_record.question, leaf_record.steps,
+                                  leaf_record.answer, label=ErrorLabel(1, "calc"),
+                                  lineage={"source_id": source_id})
+
+        loop = {"a": erroneous("a", "b"), "b": erroneous("b", "a")}
+        with pytest.raises(SchemaViolation, match="lineage cycle at a"):
+            correct_ancestor(loop["a"], loop)
+        with pytest.raises(SchemaViolation, match="no correct ancestor for c"):
+            correct_ancestor(erroneous("c", "gone"), loop)
+        alternative = SolutionRecord("d", leaf_record.question, leaf_record.steps,
+                                     leaf_record.answer, origin="D1")
+        with pytest.raises(SchemaViolation, match="no correct ancestor for d"):
+            correct_ancestor(alternative, loop, conventional=True)
 
 
 class TestConditionValues:
