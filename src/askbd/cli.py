@@ -46,6 +46,7 @@ from .evaluate import (
     render_report_markdown,
     render_results_csv,
 )
+from .exprs import signed_left_side
 from .inject import ErroneousSource, InjectionError, inject
 from .records import (
     CATEGORIES,
@@ -93,6 +94,10 @@ def cmd_ingest(args) -> int:
         except (RecordError, ValueError, KeyError, TypeError) as err:
             skipped += 1
             print(f"skipping record: {err}", file=sys.stderr)
+    signed = sum(signed_left_side(step.statement) for record in records for step in record.steps)
+    if signed:
+        print(f"{signed} steps read as prose: a unary minus precedes their left side, "
+              "and expression literals are unsigned", file=sys.stderr)
     written = write_jsonl(records, args.out)
     print(f"ingested {written} records ({skipped} skipped) -> {args.out}")
     return EXIT_OK
@@ -258,19 +263,28 @@ def cmd_score_likelihood(args) -> int:
             f"--analysis on --in {args.infile}: need at least 4 records, got {len(records)}"
         )
     results = _read_correctness(args.results, args.strategy) if args.results else {}
-    for path, what in ((args.analysis, "analysis file"), (args.out, "scores file")):
-        if path:
-            open_output(path, what, "a").close()
+    outputs = [(Path(path), what) for path, what in
+               ((args.analysis, "analysis file"), (args.out, "scores file")) if path]
+    made = [path for path, _ in outputs if not path.exists()]
+    for path, what in outputs:
+        open_output(path, what, "a").close()
     scored: list[likelihood.ScoredSolution] = []
     indicators: dict[str, float] = {}
-    with _open_backends(chosen, args.strict_scripted) as opened:
-        for record in records:
-            per_backend = [
-                likelihood.score_solution(record, profile, backend=opened[profile.name])
-                for profile in chosen
-            ]
-            scored.extend(per_backend)
-            indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
+    try:
+        with _open_backends(chosen, args.strict_scripted) as opened:
+            for record in records:
+                per_backend = [
+                    likelihood.score_solution(record, profile, backend=opened[profile.name])
+                    for profile in chosen
+                ]
+                scored.extend(per_backend)
+                indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
+    except (BackendError, KeyboardInterrupt):
+        # scoring stopped (exit 3 or 4): no empty file the check made stays
+        # behind, and a file that was there before is left as it was
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
     likelihood.write_scores_jsonl(scored, args.out)
     print(f"scored {len(records)} records with {len(chosen)} profiles -> {args.out}")
 
@@ -388,16 +402,27 @@ def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
 
 
 def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord],
-                    profile: str, strategy: str, seed: int) -> list[JudgedResult]:
+                    profile: str, strategy: str, seed: int,
+                    readings: dict | None = None) -> list[JudgedResult]:
     """Judges one cell by each record's last outcome: the one `detect`
     parsed, or else its stage and response through `outcome_of`. A `failed`
-    line is an invalid outcome, so it counts against accuracy."""
+    line is an invalid outcome, so it counts against accuracy. `readings`
+    maps each (stage, response, step count) already judged to its
+    `outcome_of`, and gains the ones judged here; a dict shared by several
+    cells reads each distinct reply once."""
+    if readings is None:
+        readings = {}
     judged = []
     for record_id, (stage, response, parsed) in outcomes.items():
         record = gold.get(record_id)
         if record is None:
             raise SchemaViolation(f"gold corpus lacks record {record_id}")
-        outcome = parsed or outcome_of(stage, response, len(record.steps))
+        outcome = parsed
+        if outcome is None:
+            key = (stage, response, len(record.steps))
+            outcome = readings.get(key)
+            if outcome is None:
+                outcome = readings[key] = outcome_of(*key)
         judged.append(
             JudgedResult(
                 record_id=record_id,
@@ -485,6 +510,7 @@ def _run_detection(
     resume: bool,
     workers: int,
     escaped: dict[str, str] | None = None,
+    readings: dict | None = None,
 ) -> dict[str, Outcome]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
     record at a time as each finishes, and returns the cell's outcomes, in
@@ -496,9 +522,11 @@ def _run_detection(
     `reg` line is kept; a `failed` one, or one whose lines a crash cut
     short, is detected again, and those lines are cut only once the whole
     transcript has been read. `escaped` is the memo of escaped texts that
-    `_transcript_lines` writes the lines from; `_detect_cells` shares one
-    among a (profile, strategy)'s seeds. A transcript that cannot be
-    written is a SchemaViolation naming it, raised before any detection.
+    `_transcript_lines` writes the lines from, and `readings` the memo of
+    stage readings that `detect` reads replies through; `_detect_cells`
+    shares one of each among a (profile, strategy)'s seeds. A transcript
+    that cannot be written is a SchemaViolation naming it, raised before
+    any detection.
 
     Detection runs on `workers` threads only when the backend may wait on
     I/O. Otherwise threads would only take turns at the interpreter lock,
@@ -513,7 +541,8 @@ def _run_detection(
         # thread that only writes holds the interpreter lock briefly, and
         # detection keeps its pace.
         reference = references[record.record_id] if references else None
-        exchanges = detect(record, profile, strategy, reference=reference, backend=backend)
+        exchanges = detect(record, profile, strategy, reference=reference, backend=backend,
+                           readings=readings)
         lines = _transcript_lines(record.record_id, strategy, exchanges, escaped)
         last = exchanges[-1]
         return record.record_id, lines, (last.stage, last.response, last.outcome)
@@ -535,11 +564,11 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
                   resume: bool) -> list[JudgedResult]:
     """Detects `records` in every (profile, strategy, integer seed) cell of
     `config`, in that order, and judges each cell by its outcomes. Each
-    (profile, strategy) gets a fresh memo of escaped texts, which its seeds
-    share: they ask the same prompts and get the same replies, so each
-    distinct text is escaped once for all of them. A record id that
-    appears twice is a SchemaViolation naming it, raised before any
-    backend is opened."""
+    (profile, strategy) gets a fresh memo of escaped texts and one of stage
+    readings, which its seeds share: they ask the same prompts and get the
+    same replies, so each distinct text is escaped once, and each distinct
+    reply read once, for all of them. A record id that appears twice is a
+    SchemaViolation naming it, raised before any backend is opened."""
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
@@ -550,10 +579,11 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
     with _open_backends(selected, config.strict_scripted) as opened:
         for (name, strategy), seeds in groupby(cells, key=lambda cell: cell[:2]):
             escaped: dict[str, str] = {}
+            readings: dict = {}
             for _, _, seed in seeds:
                 outcomes = _run_detection(
                     records, profiles[name], opened[name], strategy, seed, Path(config.out),
-                    references.get(strategy), resume, config.workers, escaped,
+                    references.get(strategy), resume, config.workers, escaped, readings,
                 )
                 judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
     return judged
@@ -587,11 +617,12 @@ def cmd_evaluate(args) -> int:
     if not cells:
         raise SchemaViolation(f"--transcripts {args.transcripts} holds no transcript file")
     judged: list[JudgedResult] = []
+    readings: dict = {}
     for (profile, strategy, seed), path in sorted(cells.items()):
         outcomes, finished = _scan_transcript(path)
         if finished < path.stat().st_size:
             raise SchemaViolation(f"transcript {path} was cut short; resume its run first")
-        judged.extend(_judge_outcomes(outcomes, gold, profile, strategy, seed))
+        judged.extend(_judge_outcomes(outcomes, gold, profile, strategy, seed, readings))
     _write_reports(Path(args.out), judged)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK

@@ -228,7 +228,7 @@ def _parse_cqe(text: str) -> tuple[str, str]:
     return conditions, inquiry
 
 
-def _parse_ssi(text: str, n_steps: int) -> list[str]:
+def _parse_ssi(text: str, n_steps: int) -> tuple[str, ...]:
     """One question per solution step, in step order."""
     numbered: dict[int, str] = {}
     for line in text.splitlines():
@@ -240,7 +240,7 @@ def _parse_ssi(text: str, n_steps: int) -> list[str]:
         raise UnparseableBackendOutput(
             f"expected questions 1..{n_steps}, got {sorted(numbered)}"
         )
-    return [numbered[i] for i in expected]
+    return tuple(numbered[i] for i in expected)
 
 
 def _parse_sqr(text: str) -> str:
@@ -277,6 +277,7 @@ def detect(
     reference: str | None = None,
     *,
     backend,
+    readings: dict | None = None,
 ) -> tuple[StageExchange, ...]:
     """Run one detection strategy and return every exchange it made, re-asks
     included. The last one is the `reg` or `failed` exchange that
@@ -285,11 +286,21 @@ def detect(
     ref_* strategies grade with the given `reference`. A grading reply
     that stays unparseable ends the exchanges. Any other per-record
     failure ends them with one `failed` line naming the stage and the
-    error class; other backend errors propagate."""
+    error class; other backend errors propagate.
+
+    `readings` maps each (stage, reply, step count) already read to what
+    its stage's parser made of it, and gains the replies read here; a dict
+    shared by several calls reads each distinct reply once. A reply the
+    parser rejects is never stored, so it is parsed, and asked again, each
+    time it comes back. Two threads sharing the dict may both read one
+    reply, and both store the same reading."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    if readings is None:
+        readings = {}
     transcript: list[StageExchange] = []
     stage = ""
+    n_steps = len(record.steps)
 
     def ask(this_stage: str, prompt: str, parse: Callable[[str], object]):
         """Send `prompt`, and once more as its own request (`attempt` 1)
@@ -300,13 +311,17 @@ def detect(
         for params in _ASK_THEN_REASK:
             response = backends.generate(profile, _user_message(prompt), params, backend=backend)
             transcript.append(StageExchange(stage, prompt, response))
+            key = (stage, response, n_steps)
+            reading = readings.get(key)
+            if reading is not None:
+                return reading
             try:
-                return parse(response)
+                reading = readings[key] = parse(response)
+                return reading
             except UnparseableBackendOutput:
                 if params.attempt:
                     raise
 
-    n_steps = len(record.steps)
     outcome = None
     try:
         if strategy in ASKBD_STRATEGIES:

@@ -326,18 +326,31 @@ def number_tokens(text: str) -> list[tuple[int, int, Rational]]:
     return [(m.start(), m.end(), number_value(m.group())) for m in _NUMBER.finditer(text)]
 
 
+def _last_calculation(statement: str) -> tuple[re.Match | None, bool]:
+    """The statement's last `lhs = rhs` match, if any, and whether a unary
+    minus precedes its left side."""
+    match = None
+    for match in _EQUATION.finditer(statement):
+        pass
+    signed = match is not None and bool(
+        _UNARY_MINUS_REVERSED.match(statement[:match.start()][::-1]))
+    return match, signed
+
+
 def last_equation(statement: str) -> re.Match | None:
     """The statement's last `lhs = rhs` calculation: group 1 is the
     left-hand expression, group 2 the stated result, which `stated_value`
     reads. None when a unary minus precedes the left side, as in
     `-3 + 5 = 2`: expression literals are unsigned, so reading it would
     drop the sign."""
-    match = None
-    for match in _EQUATION.finditer(statement):
-        pass
-    if match is not None and _UNARY_MINUS_REVERSED.match(statement[:match.start()][::-1]):
-        return None
-    return match
+    match, signed = _last_calculation(statement)
+    return None if signed else match
+
+
+def signed_left_side(statement: str) -> bool:
+    """Whether `last_equation` reads `statement` as prose because a unary
+    minus precedes its last calculation's left side."""
+    return _last_calculation(statement)[1]
 
 
 def stated_value(text: str) -> Rational:

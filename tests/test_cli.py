@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from askbd import backends, cli, likelihood
+from askbd import detect as detect_module
 from askbd.backends import (
     ExchangeStore,
     GenerationParams,
@@ -145,6 +146,26 @@ class TestIngest:
         out = tmp_path / "out.jsonl"
         assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
         assert read_jsonl(out) == [prose_record]
+
+    def test_steps_read_as_prose_for_a_unary_minus_are_counted_on_stderr(
+        self, tmp_path, capsys
+    ):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(json.dumps(row) + "\n" for row in (
+            {"question": "It was 8 degrees and rose 5. How warm is it?", "answer": 2,
+             "rationale": "The low was -3 degrees.\nIt is -3 + 5 = 2 degrees now."},
+            {"question": "A tank holds 3 liters and loses 5. What is its level?", "answer": -2,
+             "rationale": "The level is 3 - 5 = -2 liters."},
+        )))
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"ingested 2 records (0 skipped) -> {out}\n"
+        assert captured.err == ("1 steps read as prose: a unary minus precedes their left "
+                                "side, and expression literals are unsigned\n")
+        warm, tank = read_jsonl(out)
+        assert [step.expression for step in warm.steps] == [None, None]
+        assert [step.expression for step in tank.steps] == ["3 - 5"]
 
     def test_a_too_deep_expression_is_skipped(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
@@ -517,8 +538,34 @@ class TestScoreLikelihoodCli:
         first = read_jsonl(demo_dir / "corpus.jsonl")[0].record_id
         assert capsys.readouterr().err == \
             f"backend error: record {first} scored zero tokens\n"
-        # the output check before scoring made the file; no score reached it
-        assert scores.read_text() == ""
+        # the output check before scoring made the file, and removed it when
+        # scoring stopped
+        assert not scores.exists()
+
+    @pytest.mark.parametrize("stop, status", [
+        (backends.MalformedResponse("no logprobs"), 3), (KeyboardInterrupt(), 4),
+    ])
+    def test_scoring_that_stops_removes_the_outputs_it_made_and_keeps_the_others(
+        self, demo_dir, tmp_path, monkeypatch, stop, status
+    ):
+        calls = _count_scoring(monkeypatch)
+
+        def stopping(*args, **kwargs):
+            raise stop
+
+        monkeypatch.setattr(backends.MockScoreBackend, "score_tokens", stopping)
+        for existing in ("scores", "analysis"):
+            outdir = tmp_path / existing
+            outdir.mkdir()
+            paths = {"scores": outdir / "scores.jsonl", "analysis": outdir / "buckets.csv"}
+            paths[existing].write_bytes(b"kept\r\nas it was")
+            assert main(["score-likelihood", "--profiles", "scorer",
+                         "--profiles-file", str(demo_dir / "profiles.json"),
+                         "--in", str(demo_dir / "corpus.jsonl"), "--out", str(paths["scores"]),
+                         "--analysis", str(paths["analysis"])]) == status
+            assert [path.name for path in outdir.iterdir()] == [paths[existing].name]
+            assert paths[existing].read_bytes() == b"kept\r\nas it was"
+        assert len(calls) == 2
 
     def test_analysis_of_fewer_than_4_records_is_schema_error(
         self, demo_dir, tmp_path, capsys, monkeypatch
@@ -964,6 +1011,33 @@ def _evaluate(info, outdir):
     return _reports(outdir)
 
 
+def _ask_key(prompt, attempt=0):
+    messages = [{"role": "user", "content": prompt}]
+    return generate_fingerprint("demo-model", messages, GenerationParams(attempt=attempt))
+
+
+def _script(entries, prompt, *replies):
+    """Scripts `prompt`'s first ask with the first of `replies`, and its
+    re-ask with the second, if given."""
+    for attempt, reply in enumerate(replies):
+        entries[_ask_key(prompt, attempt)] = {"response": reply}
+
+
+def _results(reports):
+    """results.csv's rows by (record id, strategy, seed)."""
+    rows = csv.DictReader(io.StringIO(reports["results.csv"].decode()))
+    return {(row["record_id"], row["strategy"], row["seed"]): row for row in rows}
+
+
+def _stage_lines(path):
+    """Each record's (stage, response) pairs in the transcript at `path`."""
+    lines = {}
+    for line in path.read_text().splitlines():
+        entry = json.loads(line)
+        lines.setdefault(entry["record_id"], []).append((entry["stage"], entry["response"]))
+    return lines
+
+
 class TestOnePathToReports:
     """`run`, `evaluate` and `run --resume` judge the same transcripts the
     same way, so their reports agree byte for byte."""
@@ -1030,22 +1104,15 @@ class TestOnePathToReports:
         info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
         records = read_jsonl(info["corpus"])
         entries = load_cassette(info["cassette"])
-
-        def key(prompt, attempt=0):
-            messages = [{"role": "user", "content": prompt}]
-            return generate_fingerprint("demo-model", messages, GenerationParams(attempt=attempt))
-
         garbled, twice, failing = records[:3]
         # M0 on `garbled`: an invalid reply, then a valid one on the re-ask
         prompt = grading_prompt(garbled, "M0")
-        entries[key(prompt, 1)] = entries[key(prompt)]
-        entries[key(prompt)] = {"response": "no verdict"}
+        _script(entries, prompt, "no verdict", entries[_ask_key(prompt)]["response"])
         # M1 on `twice`: an invalid reply, and another on the re-ask
-        prompt = grading_prompt(twice, "M1")
-        entries[key(prompt)] = {"response": "no verdict"}
-        entries[key(prompt, 1)] = {"response": "Step 1: <correct>\nStep 1: <correct>"}
+        _script(entries, grading_prompt(twice, "M1"),
+                "no verdict", "Step 1: <correct>\nStep 1: <correct>")
         # M2 and M3 on `failing`: the ssi request is unscripted
-        del entries[key(ssi_prompt(failing))]
+        del entries[_ask_key(ssi_prompt(failing))]
         write_cassette(entries, info["cassette"])
 
         returned = {}
@@ -1082,6 +1149,98 @@ class TestOnePathToReports:
             "duplicate line for step 1"
         assert returned[("M3", 2)][failing.record_id][2].invalid_reason.startswith(
             "stage failure: ssi: UnscriptedRequest: ")
+
+    def test_one_reply_is_read_apart_for_records_of_different_step_counts(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        three, two = read_jsonl(info["corpus"])[:2]
+        assert (len(three.steps), len(two.steps)) == (3, 2)
+        # one grading reply, asked and asked again, for both records: its
+        # reading for the 3-step record, which comes first in every cell,
+        # is no reading for the 2-step one
+        reply = "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
+        entries = load_cassette(info["cassette"])
+        for strategy, record in itertools.product(("M0", "M1"), (three, two)):
+            _script(entries, grading_prompt(record, strategy), reply, reply)
+        write_cassette(entries, info["cassette"])
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        assert reports == _evaluate(info, tmp_path / "eval")
+        results = _results(reports)
+        for strategy, seed in itertools.product(("M0", "M1"), ("1", "2")):
+            assert results[(three.record_id, strategy, seed)]["valid"] == "1"
+            assert results[(two.record_id, strategy, seed)]["valid"] == "0"
+            path = cli._transcript_path(tmp_path / "out", "demo", strategy, int(seed))
+            lines = _stage_lines(path)
+            assert lines[three.record_id] == [("reg", reply)]
+            assert lines[two.record_id] == [("reg", reply), ("reg", reply)]
+
+    def test_a_reply_rejected_for_one_record_is_asked_again_for_the_next(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        records = read_jsonl(info["corpus"])
+        entries = load_cassette(info["cassette"])
+        # the first two records' first M0 grading reply is one rejected text
+        graded = {}
+        for record in records[:2]:
+            prompt = grading_prompt(record, "M0")
+            graded[record.record_id] = entries[_ask_key(prompt)]["response"]
+            _script(entries, prompt, "no verdict", graded[record.record_id])
+        write_cassette(entries, info["cassette"])
+        assert main(["run", "--config", str(info["config"])]) == 0
+        reports = _reports(tmp_path / "out")
+        assert reports == _evaluate(info, tmp_path / "eval")
+        results = _results(reports)
+        for seed in (1, 2):
+            lines = _stage_lines(cli._transcript_path(tmp_path / "out", "demo", "M0", seed))
+            for record_id, response in graded.items():
+                assert lines[record_id] == [("reg", "no verdict"), ("reg", response)]
+                assert results[(record_id, "M0", str(seed))]["valid"] == "1"
+
+    def test_seeds_that_share_their_readings_write_what_each_seed_writes_alone(self, tmp_path):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2, 3))
+        # stage failures, and rejected replies that are asked again
+        lines = info["cassette"].read_text().splitlines(keepends=True)
+        info["cassette"].write_text("".join(l for i, l in enumerate(lines, 1) if i % 7))
+        entries = load_cassette(info["cassette"])
+        for record in read_jsonl(info["corpus"])[:4]:
+            prompt = grading_prompt(record, "M1")
+            if _ask_key(prompt) in entries:
+                _script(entries, prompt, "no verdict", entries[_ask_key(prompt)]["response"])
+        write_cassette(entries, info["cassette"])
+        assert main(["run", "--config", str(info["config"])]) == 0
+        config = json.loads(info["config"].read_text())
+        for seed in (1, 2, 3):
+            alone = tmp_path / f"seed{seed}.json"
+            alone.write_text(json.dumps({**config, "seeds": [seed], "out": str(tmp_path / "alone")}))
+            assert main(["run", "--config", str(alone)]) == 0
+        shared = sorted((tmp_path / "out" / "transcripts").iterdir())
+        assert len(shared) == 4 * 3
+        for path in shared:
+            assert path.read_bytes() == (tmp_path / "alone" / "transcripts" / path.name).read_bytes()
+        detections = [lines for path in shared for lines in _stage_lines(path).values()]
+        assert any(stage == "failed" for lines in detections for stage, _ in lines)
+        assert any([stage for stage, _ in lines].count("reg") == 2 for lines in detections)
+
+    def test_a_later_seed_parses_no_reply_again_nor_a_later_cell_of_evaluate(
+        self, tmp_path, monkeypatch
+    ):
+        parsed = []
+        real_parse = detect_module.parse_detector_response
+
+        def noting(text, n_steps):
+            parsed.append((text, n_steps))
+            return real_parse(text, n_steps)
+
+        monkeypatch.setattr(detect_module, "parse_detector_response", noting)
+        counts = {}
+        for seeds in ((1,), (1, 2)):
+            info = build_demo(tmp_path / f"seeds{len(seeds)}", n_questions=2, seeds=seeds)
+            parsed.clear()
+            assert main(["run", "--config", str(info["config"])]) == 0
+            counts[seeds] = len(parsed)
+        assert counts[(1,)] == counts[(1, 2)] > 0
+        parsed.clear()
+        _evaluate(info, tmp_path / "eval")
+        assert parsed and len(parsed) == len(set(parsed))
 
     def test_a_scripted_run_asks_every_stage_once(self, tmp_path):
         info = build_demo(tmp_path, n_questions=2, seeds=(1,))
@@ -1435,6 +1594,34 @@ def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
     assert scripted.threads and set(scripted.threads) == {caller}
     assert recording.threads and caller not in recording.threads
     assert transcripts[0] == transcripts[1]
+
+
+def test_detections_on_more_threads_than_cores_share_readings_as_one_thread_does(tmp_path):
+    info = build_demo(tmp_path, n_questions=2, seeds=(1,))
+    records = read_jsonl(info["corpus"])
+    profile = load_profiles(info["profiles"])["demo"]
+    entries = load_cassette(info["cassette"])
+    outcomes = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        readings = {}
+        for seed in (1, 2):
+            # a store with an inner transport may wait on I/O, so it detects on threads
+            recording = ExchangeStore({}, profile.model, inner=ExchangeStore(entries, profile.model))
+            outcomes[("threads", seed)] = cli._run_detection(
+                records, profile, recording, "M3", seed, tmp_path / "threads", None, False, 8,
+                None, readings)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed in (1, 2):
+        outcomes[("alone", seed)] = cli._run_detection(
+            records, profile, ExchangeStore(entries, profile.model), "M3", seed,
+            tmp_path / "alone", None, False, 1)
+        assert outcomes[("threads", seed)] == outcomes[("alone", seed)]
+        transcripts = [cli._transcript_path(tmp_path / side, profile.name, "M3", seed)
+                       for side in ("threads", "alone")]
+        assert transcripts[0].read_bytes() == transcripts[1].read_bytes()
 
 
 # texts JSON escapes, or that an ASCII-only encoder would escape

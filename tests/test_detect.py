@@ -474,3 +474,36 @@ class TestDetect:
         )
         exchanges = detect(injected, PROFILE, "M0", backend=backend)
         assert outcome(injected, exchanges).predicted == injected.label
+
+
+def test_a_shared_readings_dict_parses_each_distinct_reply_once(tmp_path, monkeypatch):
+    from askbd import detect as detect_module
+    from askbd.backends import load_cassette, load_profiles
+    from askbd.demo import build_demo
+    from askbd.records import read_jsonl
+
+    info = build_demo(tmp_path, n_questions=2, seeds=(1,))
+    records = read_jsonl(info["corpus"])
+    profile = load_profiles(info["profiles"])["demo"]
+    backend = ExchangeStore(load_cassette(info["cassette"]), profile.model)
+    cells = [(record, strategy) for strategy in ("M0", "M2", "M3") for record in records]
+    alone = [detect(record, profile, strategy, backend=backend) for record, strategy in cells]
+
+    parsed = []
+    real_parse = detect_module.parse_detector_response
+
+    def noting(text, n_steps):
+        parsed.append((text, n_steps))
+        return real_parse(text, n_steps)
+
+    monkeypatch.setattr(detect_module, "parse_detector_response", noting)
+    readings = {}
+    for _ in range(2):  # two seeds that get the same replies
+        shared = [detect(record, profile, strategy, backend=backend, readings=readings)
+                  for record, strategy in cells]
+        assert shared == alone
+        assert [e[-1].outcome for e in shared] == [e[-1].outcome for e in alone]
+    graded = {(e[-1].response, len(record.steps)) for e, (record, _) in zip(alone, cells)}
+    assert sorted(parsed) == sorted(graded)
+    # what the seeds share cannot be changed by one of them
+    assert {type(reading) for reading in readings.values()} == {tuple, str, DetectionOutcome}

@@ -6,7 +6,7 @@ import pytest
 
 from askbd import records
 from askbd.demo import build_labeled_corpus
-from askbd.exprs import normalize_math_text
+from askbd.exprs import normalize_math_text, signed_left_side
 from askbd.inject import inject
 from askbd.label_oracle import scan_record
 from askbd.records import (
@@ -84,6 +84,7 @@ class TestParseStructuredSolution:
         # correct step a calc error
         (step,) = parse_structured_solution("Step 1. " + statement.format(sign))
         assert (step.expression, step.stated_result) == (None, None)
+        assert signed_left_side(step.statement)
 
     def test_the_oracle_gives_a_unary_minus_step_no_calc_label(self):
         steps = parse_structured_solution(
@@ -98,6 +99,7 @@ class TestParseStructuredSolution:
     def test_a_binary_minus_keeps_its_reading(self, statement, expression):
         (step,) = parse_structured_solution("Step 1. " + statement)
         assert step.expression == expression
+        assert not signed_left_side(step.statement)
 
     def test_normalize_math_text(self):
         assert normalize_math_text("$5 \\times 11 = 55$") == "5 × 11 = 55"
