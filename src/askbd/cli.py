@@ -252,6 +252,10 @@ def _select_profiles(path, names, capability: str) -> list[BackendProfile]:
 
 
 def cmd_score_likelihood(args) -> int:
+    if args.strategy and not args.results:
+        raise SchemaViolation("--strategy needs --results, whose rows it filters")
+    if args.results and not args.analysis:
+        raise SchemaViolation("--results needs --analysis, the file its rows are joined into")
     names = [n.strip() for n in args.profiles.split(",") if n.strip()]
     chosen = _select_profiles(args.profiles_file, names, backends.CAP_SCORE_TOKENS)
     records = read_jsonl(args.infile)
@@ -382,15 +386,16 @@ def _transcript_lines(record_id: str, strategy: str, exchanges,
     )
 
 
-# A record's last outcome in a cell: the (stage, response, parsed) of its
-# last `reg` or `failed` exchange, `parsed` being the outcome `detect` made
-# of it for a record just detected, and None for one read from a transcript.
-Outcome = tuple[str, str, DetectionOutcome | None]
+# A record's last outcome in a cell: the (stage, response) of its last
+# `reg` or `failed` exchange, which `outcome_of` judges.
+Outcome = tuple[str, str]
+# a cell by its (profile, strategy, seed)
+Cell = tuple[str, str, int]
 
 
 def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
-    """Reads the transcript at `path` forward once: the (stage, response,
-    None) of each record's last `reg` or `failed` line, in order of first
+    """Reads the transcript at `path` forward once: the (stage, response)
+    of each record's last `reg` or `failed` line, in order of first
     appearance, and the length in bytes up to the end of the last such
     line. `detect` ends every record's lines with one, so what follows
     belongs to a record a crash cut short: its earlier stage lines and a
@@ -410,7 +415,7 @@ def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
                     if stop + 1 < len(text):
                         raise ValueError(f"extra data at column {stop + 1}")
                     if entry["stage"] in OUTCOME_STAGES:
-                        outcomes[entry["record_id"]] = (entry["stage"], entry["response"], None)
+                        outcomes[entry["record_id"]] = (entry["stage"], entry["response"])
                         finished = end
                 except (ValueError, KeyError, TypeError) as err:
                     raise SchemaViolation(f"bad transcript line in {path}: {err!r}",
@@ -420,30 +425,25 @@ def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
     return outcomes, finished
 
 
-def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord],
-                    profile: str, strategy: str, seed: int,
-                    readings: dict | None = None) -> list[JudgedResult]:
-    """Judges one cell by each record's last outcome: the one `detect`
-    parsed, or else its stage and response through `outcome_of`. A `failed`
-    line is an invalid outcome, so it counts against accuracy. `readings`
-    maps each (stage, response, step count) already judged to its
-    `outcome_of`, and gains the ones judged here; a dict shared by several
-    cells reads each distinct reply once."""
-    if readings is None:
-        readings = {}
+def _judge_cells(outcomes_by_cell: dict[Cell, dict[str, Outcome]],
+                 gold: dict[str, SolutionRecord]) -> list[JudgedResult]:
+    """Judges every cell, in (profile, strategy, seed) order, by each
+    record's last outcome in it: `outcome_of` its stage and response, read
+    once per distinct (stage, response, step count). A `failed` line is an
+    invalid outcome, so it counts against accuracy. A record that `gold`
+    lacks is a SchemaViolation."""
+    readings: dict[tuple[str, str, int], DetectionOutcome] = {}
     judged = []
-    for record_id, (stage, response, parsed) in outcomes.items():
-        record = gold.get(record_id)
-        if record is None:
-            raise SchemaViolation(f"gold corpus lacks record {record_id}")
-        outcome = parsed
-        if outcome is None:
+    for (profile, strategy, seed), outcomes in sorted(outcomes_by_cell.items()):
+        for record_id, (stage, response) in outcomes.items():
+            record = gold.get(record_id)
+            if record is None:
+                raise SchemaViolation(f"gold corpus lacks record {record_id}")
             key = (stage, response, len(record.steps))
             outcome = readings.get(key)
             if outcome is None:
                 outcome = readings[key] = outcome_of(*key)
-        judged.append(
-            JudgedResult(
+            judged.append(JudgedResult(
                 record_id=record_id,
                 profile=profile,
                 strategy=strategy,
@@ -453,8 +453,7 @@ def _judge_outcomes(outcomes: dict[str, Outcome], gold: dict[str, SolutionRecord
                 predicted=outcome.predicted,
                 valid=outcome.valid,
                 correct=judge(record.label, outcome),
-            )
-        )
+            ))
     return judged
 
 
@@ -540,27 +539,30 @@ def _run_detection(
     memo: _ProfileMemo | None = None,
 ) -> dict[str, Outcome]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
-    record at a time as each finishes, and returns the cell's outcomes, in
-    the order `_scan_transcript` reads them from the finished transcript:
-    a record kept from it by `resume` as the scan gives it, a record
-    detected now with the outcome `detect` parsed from its last `reg` or
-    `failed` exchange. `references` holds each record's reference text for
-    a reference strategy. With `resume`, a record whose last outcome is a
-    `reg` line is kept; a `failed` one, or one whose lines a crash cut
-    short, is detected again, and those lines are cut only once the whole
-    transcript has been read. `memo` holds the prompts `detect` renders,
-    the stage readings it reads replies through and the escaped texts
-    `_transcript_lines` writes the lines from; `_detect_cells` shares one
-    per profile among all its cells. A transcript
-    that cannot be written is a SchemaViolation naming it, raised before
-    any detection.
+    record at a time as each finishes, and returns the cell's outcomes as
+    `_scan_transcript` reads them from the finished transcript, in its
+    order. `references` holds each record's reference text for a reference
+    strategy. With `resume`, a record whose last outcome is a `reg` line is
+    kept; a `failed` one, or one whose lines a crash cut short, is detected
+    again, and those lines are cut only once the whole transcript has been
+    read. A transcript holding a record that `records` lacks is refused
+    before anything is cut or detected. `memo` holds the prompts `detect`
+    renders, the stage readings it reads replies through and the escaped
+    texts `_transcript_lines` writes the lines from; `_detect_cells` shares
+    one per profile among all its cells. A transcript that cannot be
+    written, or a refused one, is a SchemaViolation naming it, raised
+    before any detection.
 
     Detection runs on `workers` threads only when the backend may wait on
     I/O. Otherwise threads would only take turns at the interpreter lock,
     so the records are detected in the calling thread."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
     outcomes, finished = _scan_transcript(path) if resume and path.exists() else ({}, 0)
-    done = {rid for rid, (stage, _, _) in outcomes.items() if stage != FAILED_STAGE}
+    ids = {r.record_id for r in records}
+    stale = next((rid for rid in outcomes if rid not in ids), None)
+    if stale is not None:
+        raise SchemaViolation(f"transcript {path} holds record {stale}, which the corpora lack")
+    done = {rid for rid, (stage, _) in outcomes.items() if stage != FAILED_STAGE}
     pending = [r for r in records if r.record_id not in done]
     if memo is None:
         memo = _ProfileMemo()
@@ -574,7 +576,7 @@ def _run_detection(
                            memo=memo)
         lines = _transcript_lines(record.record_id, strategy, exchanges, memo.escaped)
         last = exchanges[-1]
-        return record.record_id, lines, (last.stage, last.response, last.outcome)
+        return record.record_id, lines, (last.stage, last.response)
 
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
@@ -592,7 +594,7 @@ def _run_detection(
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],
                   resume: bool) -> list[JudgedResult]:
     """Detects `records` in every (profile, strategy, integer seed) cell of
-    `config`, in that order, and judges each cell by its outcomes. Each
+    `config`, in that order, then judges every cell by its outcomes. Each
     profile gets one fresh memo of prompts, stage readings and escaped
     texts, which all its cells share: a strategy's seeds ask the same
     prompts and get the same replies, and M3 builds its reference with the
@@ -605,18 +607,17 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
     gold = _by_id(records, f"corpora {', '.join(config.corpora)}")
     references = _references(records, strategies, config.reference_corpus)
-    judged: list[JudgedResult] = []
+    outcomes: dict[Cell, dict[str, Outcome]] = {}
     cells = sorted(set(product(profiles, strategies, config.seeds)))
     with _open_backends(selected, config.strict_scripted) as opened:
         for name, profile_cells in groupby(cells, key=lambda cell: cell[0]):
             memo = _ProfileMemo()
             for _, strategy, seed in profile_cells:
-                outcomes = _run_detection(
+                outcomes[name, strategy, seed] = _run_detection(
                     records, profiles[name], opened[name], strategy, seed, Path(config.out),
                     references.get(strategy), resume, config.workers, memo,
                 )
-                judged.extend(_judge_outcomes(outcomes, gold, name, strategy, seed))
-    return judged
+    return _judge_cells(outcomes, gold)
 
 
 def cmd_detect(args) -> int:
@@ -636,7 +637,7 @@ def cmd_detect(args) -> int:
 
 def cmd_evaluate(args) -> int:
     gold = _by_id(read_jsonl(args.gold), f"--gold {args.gold}")
-    cells: dict[tuple[str, str, int], Path] = {}
+    cells: dict[Cell, Path] = {}
     for path in Path(args.transcripts).glob("*.jsonl"):
         name = _TRANSCRIPT_NAME.match(path.name)
         if name:
@@ -646,13 +647,12 @@ def cmd_evaluate(args) -> int:
             cells[cell] = path
     if not cells:
         raise SchemaViolation(f"--transcripts {args.transcripts} holds no transcript file")
-    judged: list[JudgedResult] = []
-    readings: dict = {}
-    for (profile, strategy, seed), path in sorted(cells.items()):
-        outcomes, finished = _scan_transcript(path)
+    outcomes: dict[Cell, dict[str, Outcome]] = {}
+    for cell, path in sorted(cells.items()):
+        outcomes[cell], finished = _scan_transcript(path)
         if finished < path.stat().st_size:
             raise SchemaViolation(f"transcript {path} was cut short; resume its run first")
-        judged.extend(_judge_outcomes(outcomes, gold, profile, strategy, seed, readings))
+    judged = _judge_cells(outcomes, gold)
     _write_reports(Path(args.out), judged)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK

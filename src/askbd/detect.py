@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 import types
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
 
@@ -126,9 +126,6 @@ class StageExchange:
     stage: str
     prompt: str
     response: str
-    # set on the last exchange `detect` returns: what `outcome_of` makes of
-    # it, parsed once; a transcript line does not hold it
-    outcome: DetectionOutcome | None = field(default=None, compare=False, repr=False)
 
 
 # --- Response parsing ---
@@ -312,12 +309,12 @@ def detect(
 ) -> tuple[StageExchange, ...]:
     """Run one detection strategy and return every exchange it made, re-asks
     included. The last one is the `reg` or `failed` exchange that
-    `outcome_of` judges, and it carries that outcome. M2 and M3 build
-    their reference with the cqe, ssi and sqr stages before grading; the
-    ref_* strategies grade with the given `reference`. A grading reply
-    that stays unparseable ends the exchanges. Any other per-record
-    failure ends them with one `failed` line naming the stage and the
-    error class; other backend errors propagate.
+    `outcome_of` judges. M2 and M3 build their reference with the cqe, ssi
+    and sqr stages before grading; the ref_* strategies grade with the
+    given `reference`. A grading reply that stays unparseable ends the
+    exchanges. Any other per-record failure ends them with one `failed`
+    line naming the stage and the error class; other backend errors
+    propagate.
 
     `memo` gives the prompts already rendered and the replies already
     read, and gains the ones rendered and read here; a memo shared by
@@ -352,7 +349,6 @@ def detect(
                 if params.attempt:
                     raise
 
-    outcome = None
     try:
         if strategy in ASKBD_STRATEGIES:
             prompt = memo.prompt(("cqe", record.question), cqe_prompt, record)
@@ -364,13 +360,9 @@ def detect(
             reference = ask("sqr", prompt, _parse_sqr)
         prompt = memo.prompt((_GRADING_TEMPLATES[strategy], record.record_id, reference),
                              grading_prompt, record, strategy, reference)
-        with suppress(UnparseableBackendOutput):  # invalid; judged from its line below
-            outcome = ask(GRADING_STAGE, prompt, _parse_grading, n_steps)
+        with suppress(UnparseableBackendOutput):  # an invalid outcome, judged from its line
+            ask(GRADING_STAGE, prompt, _parse_grading, n_steps)
     except _RECORD_FAILURES as err:
         failure = f"stage failure: {stage}: {type(err).__name__}: {err}"
         transcript.append(StageExchange(FAILED_STAGE, "", failure))
-    last = transcript[-1]
-    if outcome is None:
-        outcome = outcome_of(last.stage, last.response, n_steps)
-    transcript[-1] = StageExchange(last.stage, last.prompt, last.response, outcome)
     return tuple(transcript)

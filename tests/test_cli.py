@@ -29,7 +29,6 @@ from askbd.cli import main
 from askbd.demo import build_demo, write_cassette
 from askbd.detect import (
     FAILED_STAGE,
-    DetectionOutcome,
     StageExchange,
     grading_prompt,
     outcome_of,
@@ -837,6 +836,32 @@ class TestScoreLikelihoodCli:
         assert self._score(demo_dir, tmp_path, agreeing, "--strategy", "M0") == 0
         assert "no result row" not in capsys.readouterr().err
 
+    def test_a_flag_without_the_one_it_feeds_is_refused_before_any_backend_opens(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        results = self._scoring_results(demo_dir, tmp_path)
+        scores, analysis = tmp_path / "s.jsonl", tmp_path / "a.csv"
+        opened = []
+        real_open = cli.open_backend
+        monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: (
+            opened.append(args) or real_open(*args, **kwargs)))
+        strategy_alone = "schema error: --strategy needs --results, whose rows it filters\n"
+        results_alone = ("schema error: --results needs --analysis, "
+                         "the file its rows are joined into\n")
+        cases = [(["--strategy", "M0"], strategy_alone),
+                 (["--strategy", "M0", "--analysis", str(analysis)], strategy_alone),
+                 (["--results", str(results)], results_alone),
+                 (["--results", str(results), "--strategy", "M0"], results_alone)]
+        for flags, err in cases:
+            capsys.readouterr()
+            assert main(["score-likelihood", "--profiles", "scorer",
+                         "--profiles-file", str(demo_dir / "profiles.json"),
+                         "--in", str(demo_dir / "corpus.jsonl"), "--out", str(scores),
+                         *flags]) == 2, flags
+            assert capsys.readouterr() == ("", err), flags
+            assert not scores.exists() and not analysis.exists(), flags
+        assert opened == []
+
 class TestDetectEvaluateRun:
     def test_run_is_byte_identical_across_directories(self, tmp_path):
         first = build_demo(tmp_path / "one", n_questions=3, seeds=(1, 2))
@@ -1215,26 +1240,26 @@ class TestOnePathToReports:
         assert _reports(tmp_path / "out") == _evaluate(info, tmp_path / "eval")
 
         gold = {r.record_id: r for r in records}
+        judged = {}
         assert len(returned) == 4 * 2
         for (strategy, seed), outcomes in returned.items():
             path = cli._transcript_path(tmp_path / "out", "demo", strategy, seed)
-            lines = cli._scan_transcript(path)[0]
-            assert list(outcomes) == list(lines) == list(gold)
-            for record_id, (stage, response, parsed) in outcomes.items():
-                # detected now, so the outcome `detect` parsed rides along
-                assert isinstance(parsed, DetectionOutcome)
-                assert lines[record_id] == (stage, response, None)
-                assert parsed == outcome_of(stage, response, len(gold[record_id].steps)), \
-                    (strategy, seed, record_id)
+            # the one shape: each record's last (stage, response), as read back
+            assert list(outcomes.items()) == list(cli._scan_transcript(path)[0].items())
+            assert list(outcomes) == list(gold)
+            judged[strategy, seed] = {
+                record_id: outcome_of(stage, response, len(gold[record_id].steps))
+                for record_id, (stage, response) in outcomes.items()
+            }
             stages = [json.loads(line)["stage"] for line in path.read_text().splitlines()]
             reasked = {"M0": 1, "M1": 1}.get(strategy, 0)
             assert stages.count("reg") == len(gold) + reasked - (strategy in ("M2", "M3"))
-            assert outcomes[garbled.record_id][2].valid
-            assert outcomes[twice.record_id][2].valid is (strategy != "M1")
-            assert outcomes[failing.record_id][2].valid is (strategy in ("M0", "M1"))
-        assert returned[("M1", 1)][twice.record_id][2].invalid_reason == \
-            "duplicate line for step 1"
-        assert returned[("M3", 2)][failing.record_id][2].invalid_reason.startswith(
+            outcome = judged[strategy, seed]
+            assert outcome[garbled.record_id].valid
+            assert outcome[twice.record_id].valid is (strategy != "M1")
+            assert outcome[failing.record_id].valid is (strategy in ("M0", "M1"))
+        assert judged["M1", 1][twice.record_id].invalid_reason == "duplicate line for step 1"
+        assert judged["M3", 2][failing.record_id].invalid_reason.startswith(
             "stage failure: ssi: UnscriptedRequest: ")
 
     def test_one_reply_is_read_apart_for_records_of_different_step_counts(self, tmp_path):
@@ -1328,6 +1353,37 @@ class TestOnePathToReports:
         parsed.clear()
         _evaluate(info, tmp_path / "eval")
         assert parsed and len(parsed) == len(set(parsed))
+
+    def test_the_judge_reads_each_distinct_last_line_once_over_all_cells(
+        self, tmp_path, monkeypatch
+    ):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        # stage failures and invalid outcomes, repeated in each seed's cell
+        lines = info["cassette"].read_text().splitlines(keepends=True)
+        info["cassette"].write_text("".join(l for i, l in enumerate(lines, 1) if i % 7))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        gold = {r.record_id: r for r in read_jsonl(info["corpus"])}
+        cells = list(itertools.product(["demo"], ["M0", "M1", "M2", "M3"], [1, 2]))
+        outcomes = {cell: cli._scan_transcript(cli._transcript_path(tmp_path / "out", *cell))[0]
+                    for cell in reversed(cells)}
+        read = Counter()
+
+        def noting(*key):
+            read[key] += 1
+            return outcome_of(*key)
+
+        monkeypatch.setattr(cli, "outcome_of", noting)
+        judged = cli._judge_cells(outcomes, gold)
+        last_lines = [(stage, response, len(gold[record_id].steps))
+                      for cell in outcomes.values()
+                      for record_id, (stage, response) in cell.items()]
+        assert len(judged) == len(last_lines) > len(set(last_lines))
+        assert read == Counter(set(last_lines))
+        assert {stage for stage, _, _ in read} == {"reg", "failed"}
+        assert any(not result.valid for result in judged)
+        # in (profile, strategy, seed) order, whatever order the cells come in
+        assert [(r.profile, r.strategy, r.seed, r.record_id) for r in judged] == \
+            [(*cell, record_id) for cell in cells for record_id in outcomes[cell]]
 
     def _askbd_run(self, tmp_path, **config):
         """A demo whose run config asks M2 and M3 over seeds 1 and 2, with
@@ -1620,6 +1676,40 @@ class TestOnePathToReports:
         assert err == f"schema error: gold corpus lacks record {corpus[0].record_id}\n"
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("command", ["run", "detect"])
+    def test_resume_refuses_a_transcript_holding_a_record_the_corpora_lack_before_detecting(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1,))
+        argv = {
+            "run": ["run", "--config", str(info["config"])],
+            "detect": ["detect", "--strategy", "M0", "--profile", "demo", "--seeds", "1",
+                       "--profiles-file", str(info["profiles"]), "--in", str(info["corpus"]),
+                       "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 0
+        # the corpus loses one record, and the first cell's transcript another,
+        # which a resume would detect again
+        corpus = read_jsonl(info["corpus"])
+        dropped, cut = corpus[0], corpus[-1]
+        write_jsonl(corpus[1:], info["corpus"])
+        transcripts = tmp_path / "out" / "transcripts"
+        cell = transcripts / "demo__M0__seed1.jsonl"
+        cell.write_text("".join(line for line in cell.read_text().splitlines(keepends=True)
+                                if json.loads(line)["record_id"] != cut.record_id))
+        before = {path: path.read_bytes() for path in transcripts.iterdir()}
+        detected = []
+        real_detect = cli.detect
+        monkeypatch.setattr(cli, "detect", lambda record, *args, **kwargs: (
+            detected.append(record.record_id) or real_detect(record, *args, **kwargs)))
+        capsys.readouterr()
+        assert main([*argv, "--resume"]) == 2
+        assert capsys.readouterr().err == (
+            f"schema error: transcript {cell} holds record {dropped.record_id}, "
+            "which the corpora lack\n")
+        assert detected == []
+        assert {path: path.read_bytes() for path in transcripts.iterdir()} == before
+
     def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(
         self, tmp_path, monkeypatch
     ):
@@ -1636,7 +1726,7 @@ class TestOnePathToReports:
         cell.write_bytes("".join(lines).encode()[:-40])
         # the failed record and the torn one are detected again, the rest kept
         kept = cli._scan_transcript(cell)[0]
-        redone = {rid for rid, (stage, _, _) in kept.items() if stage == "failed"}
+        redone = {rid for rid, (stage, _) in kept.items() if stage == "failed"}
         redone |= {r.record_id for r in read_jsonl(info["corpus"])} - kept.keys()
         assert len(redone) == 2
 
@@ -1651,24 +1741,13 @@ class TestOnePathToReports:
         monkeypatch.setattr(cli, "_run_detection", noting)
         assert main(["run", "--config", str(info["config"]), "--resume"]) == 0
         assert len(returned) == 4
-        gold = {r.record_id: r for r in read_jsonl(info["corpus"])}
         for path, outcomes in returned.items():
-            finished = cli._scan_transcript(path)[0]
-            assert list(outcomes) == list(finished), path.name
-            for record_id, (stage, response, parsed) in outcomes.items():
-                assert finished[record_id] == (stage, response, None)
-                # read from the transcript: no parsed outcome; detected now: one
-                if path == cell and record_id in redone:
-                    assert parsed == outcome_of(stage, response,
-                                                len(gold[record_id].steps)), record_id
-                else:
-                    assert parsed is None, (path.name, record_id)
-            assert cli._judge_outcomes(outcomes, gold, "demo", "M2", 1) == \
-                cli._judge_outcomes(finished, gold, "demo", "M2", 1), path.name
+            # records kept and records detected again alike, in transcript order
+            assert list(outcomes.items()) == list(cli._scan_transcript(path)[0].items()), \
+                path.name
         # the failed record was detected again and keeps its slot
-        resumed = list(cli._scan_transcript(cell)[0].items())
+        resumed = list(returned[cell].items())
         assert resumed[0][0] == failed["record_id"] and resumed[0][1][0] == "reg"
-        assert isinstance(returned[cell][failed["record_id"]][2], DetectionOutcome)
         assert _reports(tmp_path / "out") == reports
         assert _evaluate(info, tmp_path / "eval") == reports
 

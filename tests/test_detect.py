@@ -62,12 +62,9 @@ def stages(exchanges):
 
 
 def outcome(record, exchanges):
-    """What `outcome_of` makes of a detection's last exchange, which is the
-    outcome `detect` attached to that exchange."""
+    """What `outcome_of` makes of a detection's last exchange."""
     last = exchanges[-1]
-    judged = outcome_of(last.stage, last.response, len(record.steps))
-    assert last.outcome == judged
-    return judged
+    return outcome_of(last.stage, last.response, len(record.steps))
 
 
 # The published detector instructions, frozen for the golden comparison.
@@ -503,7 +500,6 @@ def test_a_shared_readings_dict_parses_each_distinct_reply_once(tmp_path, monkey
         shared = [detect(record, profile, strategy, backend=backend, memo=memo)
                   for record, strategy in cells]
         assert shared == alone
-        assert [e[-1].outcome for e in shared] == [e[-1].outcome for e in alone]
     graded = {(e[-1].response, len(record.steps)) for e, (record, _) in zip(alone, cells)}
     assert sorted(parsed) == sorted(graded)
     # what the seeds share cannot be changed by one of them
