@@ -549,15 +549,28 @@ def cassette_line(key: str, entry: Mapping) -> str:
     return jsonl_line({**entry, "request_hash": key})
 
 
+def _is_score_pair(value) -> bool:
+    """Whether `value` is a cassette's [token, logprob] pair."""
+    return (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
+            and isinstance(value[1], (int, float)) and not isinstance(value[1], bool))
+
+
 def load_cassette(path) -> dict[str, dict]:
     """Exchanges by request fingerprint, from the cassette file at `path`
     as given. A missing file or a malformed line is a SchemaViolation
-    naming the cassette (and the line)."""
+    naming the cassette (and the line); so is a `response` that is no
+    string and a `token_scores` that is no list of [token, number] pairs."""
     entries: dict[str, dict] = {}
     for number, entry in read_jsonl_lines(path, "cassette"):
         key = entry.get("request_hash") if isinstance(entry, dict) else None
         if not isinstance(key, str):
             raise SchemaViolation(f"no request_hash in cassette {path}", line=number)
+        if not isinstance(entry.get("response", ""), str):
+            raise SchemaViolation(f"response in cassette {path} is not a string", line=number)
+        scores = entry.get("token_scores", [])
+        if not (isinstance(scores, list) and all(map(_is_score_pair, scores))):
+            raise SchemaViolation(f"token_scores in cassette {path} is not a list of "
+                                  "[token, number] pairs", line=number)
         entries[key] = entry
     return entries
 

@@ -17,7 +17,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass, replace
-from itertools import groupby, product
+from itertools import product
 from json.encoder import encode_basestring
 from pathlib import Path
 
@@ -35,7 +35,6 @@ from .detect import (
     STRATEGIES,
     STRATEGY_REF_CONVENTIONAL,
     DetectionMemo,
-    DetectionOutcome,
     detect,
     outcome_of,
 )
@@ -311,8 +310,8 @@ def cmd_score_likelihood(args) -> int:
 
 def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
     """Each record's `correct` flag in the results file at `path`, from the
-    rows of `strategy` when one is given. A strategy with no rows there, or
-    a record whose rows disagree, is a SchemaViolation."""
+    rows of `strategy` when one is given. A flag other than 0 or 1, a
+    strategy with no rows, or a record whose rows disagree is a SchemaViolation."""
     rows: dict[str, list[tuple[str | None, bool]]] = {}
     strategies: set[str] = set()
     try:
@@ -322,6 +321,9 @@ def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
             if missing:
                 raise SchemaViolation(f"results file {path} lacks columns {sorted(missing)}")
             for row in reader:
+                if row["correct"] not in ("0", "1"):
+                    raise SchemaViolation(f"results file {path}: correct is {row['correct']!r}, "
+                                          "not 0 or 1", line=reader.line_num)
                 strategies.add(row["strategy"])
                 if strategy and row["strategy"] != strategy:
                     continue
@@ -393,14 +395,15 @@ Outcome = tuple[str, str]
 Cell = tuple[str, str, int]
 
 
-def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
+def _scan_transcript(path: Path, known: dict) -> tuple[dict[str, Outcome], int]:
     """Reads the transcript at `path` forward once: the (stage, response)
     of each record's last `reg` or `failed` line, in order of first
     appearance, and the length in bytes up to the end of the last such
     line. `detect` ends every record's lines with one, so what follows
     belongs to a record a crash cut short: its earlier stage lines and a
     torn last line, one with no newline. A whole line that is no transcript
-    line is a SchemaViolation."""
+    line, or an outcome line whose record is no string or is not in `known`
+    or whose response is no string, is a SchemaViolation naming the line."""
     outcomes: dict[str, Outcome] = {}
     finished = end = 0
     try:
@@ -414,35 +417,39 @@ def _scan_transcript(path: Path) -> tuple[dict[str, Outcome], int]:
                     entry, stop = _decode_json(text)
                     if stop + 1 < len(text):
                         raise ValueError(f"extra data at column {stop + 1}")
-                    if entry["stage"] in OUTCOME_STAGES:
-                        outcomes[entry["record_id"]] = (entry["stage"], entry["response"])
-                        finished = end
+                    if entry["stage"] not in OUTCOME_STAGES:
+                        continue
+                    record_id, response = entry["record_id"], entry["response"]
+                    if not (isinstance(record_id, str) and isinstance(response, str)):
+                        raise TypeError("record_id and response must be strings")
                 except (ValueError, KeyError, TypeError) as err:
                     raise SchemaViolation(f"bad transcript line in {path}: {err!r}",
                                           line=number) from err
+                if record_id not in known:
+                    raise SchemaViolation(f"transcript {path} holds record {record_id}, "
+                                          "which the corpora lack", line=number)
+                outcomes[record_id] = (entry["stage"], response)
+                finished = end
     except OSError as err:
         raise SchemaViolation(f"cannot read transcript {path}: {err}") from err
     return outcomes, finished
 
 
 def _judge_cells(outcomes_by_cell: dict[Cell, dict[str, Outcome]],
-                 gold: dict[str, SolutionRecord]) -> list[JudgedResult]:
+                 gold: dict[str, SolutionRecord],
+                 readings: dict[tuple, object]) -> list[JudgedResult]:
     """Judges every cell, in (profile, strategy, seed) order, by each
     record's last outcome in it: `outcome_of` its stage and response, read
-    once per distinct (stage, response, step count). A `failed` line is an
-    invalid outcome, so it counts against accuracy. A record that `gold`
-    lacks is a SchemaViolation."""
-    readings: dict[tuple[str, str, int], DetectionOutcome] = {}
+    only when `readings` (a memo's, keyed as `detect` keys a grading reply)
+    lacks its (stage, response, step count), and kept there, an invalid
+    one too: the judge runs after the last detection that reads `readings`.
+    A `failed` line is an invalid outcome, so it counts against accuracy."""
     judged = []
     for (profile, strategy, seed), outcomes in sorted(outcomes_by_cell.items()):
         for record_id, (stage, response) in outcomes.items():
-            record = gold.get(record_id)
-            if record is None:
-                raise SchemaViolation(f"gold corpus lacks record {record_id}")
+            record = gold[record_id]
             key = (stage, response, len(record.steps))
-            outcome = readings.get(key)
-            if outcome is None:
-                outcome = readings[key] = outcome_of(*key)
+            outcome = readings.get(key) or readings.setdefault(key, outcome_of(*key))
             judged.append(JudgedResult(
                 record_id=record_id,
                 profile=profile,
@@ -505,7 +512,7 @@ def _by_id(records: list[SolutionRecord], where: str) -> dict[str, SolutionRecor
     return by_id
 
 
-class _ProfileMemo(DetectionMemo):
+class _RunMemo(DetectionMemo):
     """A DetectionMemo that also keeps each stage, prompt and reply text's
     escape, which `_transcript_lines` writes the lines from."""
 
@@ -534,38 +541,28 @@ def _run_detection(
     seed: int,
     outdir: Path,
     references: dict[str, str] | None,
-    resume: bool,
+    scan: tuple[dict[str, Outcome], int],
     workers: int,
-    memo: _ProfileMemo | None = None,
+    memo: _RunMemo,
 ) -> dict[str, Outcome]:
     """Detects one (profile, strategy, seed) cell into its transcript, one
     record at a time as each finishes, and returns the cell's outcomes as
     `_scan_transcript` reads them from the finished transcript, in its
     order. `references` holds each record's reference text for a reference
-    strategy. With `resume`, a record whose last outcome is a `reg` line is
-    kept; a `failed` one, or one whose lines a crash cut short, is detected
-    again, and those lines are cut only once the whole transcript has been
-    read. A transcript holding a record that `records` lacks is refused
-    before anything is cut or detected. `memo` holds the prompts `detect`
-    renders, the stage readings it reads replies through and the escaped
-    texts `_transcript_lines` writes the lines from; `_detect_cells` shares
-    one per profile among all its cells. A transcript that cannot be
-    written, or a refused one, is a SchemaViolation naming it, raised
-    before any detection.
+    strategy. `scan` is `_scan_transcript` of the transcript to resume, or
+    `({}, 0)` for a fresh cell. The transcript is cut to the scan's end;
+    a record whose last outcome there is a `reg` line is kept, and the
+    rest are detected again. `memo` is the run's, as `_detect_cells` keeps
+    it. A transcript that cannot be written is a SchemaViolation naming
+    it, raised before any detection.
 
     Detection runs on `workers` threads only when the backend may wait on
     I/O. Otherwise threads would only take turns at the interpreter lock,
     so the records are detected in the calling thread."""
     path = _transcript_path(outdir, profile.name, strategy, seed)
-    outcomes, finished = _scan_transcript(path) if resume and path.exists() else ({}, 0)
-    ids = {r.record_id for r in records}
-    stale = next((rid for rid in outcomes if rid not in ids), None)
-    if stale is not None:
-        raise SchemaViolation(f"transcript {path} holds record {stale}, which the corpora lack")
+    outcomes, finished = scan
     done = {rid for rid, (stage, _) in outcomes.items() if stage != FAILED_STAGE}
     pending = [r for r in records if r.record_id not in done]
-    if memo is None:
-        memo = _ProfileMemo()
 
     def one(record: SolutionRecord) -> tuple[str, str, Outcome]:
         # Serialized here, so that on a pool it runs in the worker: a main
@@ -580,9 +577,8 @@ def _run_detection(
 
     # an executor starts no thread before its first task
     with ThreadPoolExecutor(max_workers=workers) as pool, \
-            open_output(path, "transcript", "a" if resume else "w") as handle:
-        if handle.tell() > finished:  # drop the lines of a record a crash cut short
-            handle.truncate(finished)
+            open_output(path, "transcript", "a") as handle:
+        handle.truncate(finished)
         detect_each = pool.map if workers > 1 and backends.waits_on_io(backend) else map
         for record_id, lines, outcome in detect_each(one, pending):
             handle.write(lines)
@@ -594,30 +590,32 @@ def _run_detection(
 def _detect_cells(config: RunConfig, records: list[SolutionRecord],
                   resume: bool) -> list[JudgedResult]:
     """Detects `records` in every (profile, strategy, integer seed) cell of
-    `config`, in that order, then judges every cell by its outcomes. Each
-    profile gets one fresh memo of prompts, stage readings and escaped
-    texts, which all its cells share: a strategy's seeds ask the same
-    prompts and get the same replies, and M3 builds its reference with the
-    cqe, ssi and sqr prompts M2 asks. So per profile each distinct prompt
-    is rendered once, each distinct reply read once and each distinct text
-    escaped once. A record id that appears twice is a SchemaViolation
-    naming it, raised before any backend is opened."""
+    `config`, in that order, then judges every cell by its outcomes. All
+    cells of one run, and the judge, share one memo of prompts, stage
+    readings and escaped texts, none of which depends on the profile: a
+    strategy's seeds ask the same prompts, and M3 builds its reference with
+    the cqe, ssi and sqr prompts M2 asks. So a run renders each distinct
+    prompt, reads each distinct reply and escapes each distinct text once.
+    With `resume` every cell's transcript is scanned, and a record id that
+    appears twice is a SchemaViolation, before any backend is opened."""
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
     gold = _by_id(records, f"corpora {', '.join(config.corpora)}")
     references = _references(records, strategies, config.reference_corpus)
-    outcomes: dict[Cell, dict[str, Outcome]] = {}
-    cells = sorted(set(product(profiles, strategies, config.seeds)))
+    outdir = Path(config.out)
+    scans = {}
+    for cell in sorted(set(product(profiles, strategies, config.seeds))):
+        path = _transcript_path(outdir, *cell)
+        scans[cell] = _scan_transcript(path, gold) if resume and path.exists() else ({}, 0)
+    memo, outcomes = _RunMemo(), {}
     with _open_backends(selected, config.strict_scripted) as opened:
-        for name, profile_cells in groupby(cells, key=lambda cell: cell[0]):
-            memo = _ProfileMemo()
-            for _, strategy, seed in profile_cells:
-                outcomes[name, strategy, seed] = _run_detection(
-                    records, profiles[name], opened[name], strategy, seed, Path(config.out),
-                    references.get(strategy), resume, config.workers, memo,
-                )
-    return _judge_cells(outcomes, gold)
+        for (name, strategy, seed), scan in scans.items():
+            outcomes[name, strategy, seed] = _run_detection(
+                records, profiles[name], opened[name], strategy, seed, outdir,
+                references.get(strategy), scan, config.workers, memo,
+            )
+    return _judge_cells(outcomes, gold, memo.readings)
 
 
 def cmd_detect(args) -> int:
@@ -649,10 +647,10 @@ def cmd_evaluate(args) -> int:
         raise SchemaViolation(f"--transcripts {args.transcripts} holds no transcript file")
     outcomes: dict[Cell, dict[str, Outcome]] = {}
     for cell, path in sorted(cells.items()):
-        outcomes[cell], finished = _scan_transcript(path)
+        outcomes[cell], finished = _scan_transcript(path, gold)
         if finished < path.stat().st_size:
             raise SchemaViolation(f"transcript {path} was cut short; resume its run first")
-    judged = _judge_cells(outcomes, gold)
+    judged = _judge_cells(outcomes, gold, {})
     _write_reports(Path(args.out), judged)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK

@@ -257,7 +257,7 @@ def _parse_grading(text: str, n_steps: int) -> DetectionOutcome:
 
 
 class DetectionMemo:
-    """What the detections of one profile share, filled as they go.
+    """What the detections of one run share, filled as they go.
 
     `prompts` holds each stage prompt by what it is rendered from: the cqe
     prompt by question text, the ssi prompt by record id, the sqr prompt by
@@ -268,8 +268,8 @@ class DetectionMemo:
 
     `readings` holds what each stage parser made of a reply, by (stage,
     reply), and the record's step count for the ssi and grading stages,
-    whose readings depend on it. A reply the parser rejects is never
-    stored, so it is parsed, and asked again, each time it comes back.
+    whose readings depend on it. `detect` never stores a reply the parser
+    rejects, so it is parsed, and asked again, each time it comes back.
 
     Two threads sharing a memo may both render one prompt or read one
     reply, and both store the same value."""

@@ -26,7 +26,7 @@ from askbd.backends import (
     load_profiles,
 )
 from askbd.cli import main
-from askbd.demo import build_demo, write_cassette
+from askbd.demo import build_cassette, build_demo, write_cassette
 from askbd.detect import (
     FAILED_STAGE,
     StageExchange,
@@ -1150,6 +1150,14 @@ def _stage_lines(path):
     return lines
 
 
+def _outcome_line(path, record_id):
+    """The number of `record_id`'s first `reg` or `failed` line in the
+    transcript at `path`."""
+    entries = enumerate(map(json.loads, path.read_text().splitlines()), start=1)
+    return next(number for number, entry in entries
+                if entry["record_id"] == record_id and entry["stage"] in ("reg", "failed"))
+
+
 class TestOnePathToReports:
     """`run`, `evaluate` and `run --resume` judge the same transcripts the
     same way, so their reports agree byte for byte."""
@@ -1245,7 +1253,7 @@ class TestOnePathToReports:
         for (strategy, seed), outcomes in returned.items():
             path = cli._transcript_path(tmp_path / "out", "demo", strategy, seed)
             # the one shape: each record's last (stage, response), as read back
-            assert list(outcomes.items()) == list(cli._scan_transcript(path)[0].items())
+            assert list(outcomes.items()) == list(cli._scan_transcript(path, gold)[0].items())
             assert list(outcomes) == list(gold)
             judged[strategy, seed] = {
                 record_id: outcome_of(stage, response, len(gold[record_id].steps))
@@ -1364,8 +1372,10 @@ class TestOnePathToReports:
         assert main(["run", "--config", str(info["config"])]) == 0
         gold = {r.record_id: r for r in read_jsonl(info["corpus"])}
         cells = list(itertools.product(["demo"], ["M0", "M1", "M2", "M3"], [1, 2]))
-        outcomes = {cell: cli._scan_transcript(cli._transcript_path(tmp_path / "out", *cell))[0]
-                    for cell in reversed(cells)}
+        outcomes = {
+            cell: cli._scan_transcript(cli._transcript_path(tmp_path / "out", *cell), gold)[0]
+            for cell in reversed(cells)
+        }
         read = Counter()
 
         def noting(*key):
@@ -1373,7 +1383,7 @@ class TestOnePathToReports:
             return outcome_of(*key)
 
         monkeypatch.setattr(cli, "outcome_of", noting)
-        judged = cli._judge_cells(outcomes, gold)
+        judged = cli._judge_cells(outcomes, gold, {})
         last_lines = [(stage, response, len(gold[record_id].steps))
                       for cell in outcomes.values()
                       for record_id, (stage, response) in cell.items()]
@@ -1429,7 +1439,7 @@ class TestOnePathToReports:
             read = {args[1] for args in calls if args[0] == name}
             assert read == {reply for found, reply in replies if found == stage}, name
 
-    def test_memos_shared_by_a_profile_write_what_fresh_memos_per_cell_write(
+    def test_one_memo_shared_by_a_run_writes_what_fresh_memos_per_cell_write(
         self, tmp_path, monkeypatch
     ):
         info = self._askbd_run(tmp_path, strict_scripted=False)
@@ -1448,8 +1458,8 @@ class TestOnePathToReports:
         run_detection = cli._run_detection
 
         def fresh(*args):
-            assert len(args) == 10 and isinstance(args[9], cli._ProfileMemo)
-            return run_detection(*args[:9])  # each cell makes its own memo
+            assert len(args) == 10 and isinstance(args[9], cli._RunMemo)
+            return run_detection(*args[:9], cli._RunMemo())  # each cell gets its own memo
 
         monkeypatch.setattr(cli, "_run_detection", fresh)
         config = json.loads(info["config"].read_text())
@@ -1464,6 +1474,80 @@ class TestOnePathToReports:
         detections = [lines for path in paths for lines in _stage_lines(path).values()]
         assert any(stage == "failed" for lines in detections for stage, _ in lines)
         assert any(("cqe", "no sections") in lines for lines in detections)
+
+    @pytest.mark.parametrize("own_replies", [False, True], ids=["one_cassette", "own_replies"])
+    def test_two_profiles_render_each_prompt_once_for_the_whole_run(
+        self, tmp_path, monkeypatch, own_replies
+    ):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        profiles = json.loads(info["profiles"].read_text())
+        demo = profiles["profiles"][0]
+        twin = {**demo, "name": "twin"}
+        if own_replies:
+            # another model whose cqe, ssi and grading replies all differ from
+            # the demo model's; its sqr replies stay, as the M3 prompts embed them
+            entries = build_cassette(read_jsonl(info["corpus"]), "other-model", seed=7)
+            for entry in entries.values():
+                if "<" in entry["response"] or entry["response"].startswith("Question"):
+                    entry["response"] = "Replies of the other model.\n" + entry["response"]
+            write_cassette(entries, tmp_path / "other.jsonl")
+            twin.update(endpoint=f"scripted:{tmp_path / 'other.jsonl'}", model="other-model")
+        profiles["profiles"].append(twin)
+        info["profiles"].write_text(json.dumps(profiles))
+        config = json.loads(info["config"].read_text())
+        rendered = Counter()
+        for name in ("cqe_prompt", "ssi_prompt", "sqr_prompt", "grading_prompt"):
+            real = getattr(detect_module, name)
+
+            def noting(*args, _name=name, _real=real):
+                key = [a.record_id if hasattr(a, "record_id") else a for a in args]
+                rendered[(_name, *map(repr, key))] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(detect_module, name, noting)
+        runs = {}
+        for names in (["demo"], ["twin"], ["demo", "twin"]):
+            out = tmp_path / "_".join(names)
+            path = tmp_path / f"{out.name}.json"
+            path.write_text(json.dumps({**config, "profile_names": names, "out": str(out)}))
+            rendered.clear()
+            assert main(["run", "--config", str(path)]) == 0
+            runs[out.name] = Counter(rendered)
+        # the second profile renders nothing the first rendered
+        assert set(runs["demo_twin"].values()) == {1}
+        assert runs["demo_twin"] == runs["demo"] == runs["twin"]
+        both = tmp_path / "demo_twin" / "transcripts"
+        assert len(list(both.iterdir())) == 2 * 4 * 2
+        for name in ("demo", "twin"):
+            alone = sorted((tmp_path / name / "transcripts").iterdir())
+            assert len(alone) == 4 * 2
+            for path in alone:
+                assert (both / path.name).read_bytes() == path.read_bytes(), path.name
+        replies = [{reply for lines in _stage_lines(path).values()
+                    for stage, reply in lines if stage != "sqr"}
+                   for path in (both / "demo__M2__seed1.jsonl", both / "twin__M2__seed1.jsonl")]
+        assert (replies[0] & replies[1] == set()) == own_replies
+
+    def test_a_run_parses_each_distinct_grading_reply_once_the_judge_included(
+        self, tmp_path, monkeypatch
+    ):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        parsed = Counter()
+        real_parse = detect_module.parse_detector_response
+
+        def noting(text, n_steps):
+            parsed[text, n_steps] += 1
+            return real_parse(text, n_steps)
+
+        monkeypatch.setattr(detect_module, "parse_detector_response", noting)
+        assert main(["run", "--config", str(info["config"])]) == 0
+        steps = {r.record_id: len(r.steps) for r in read_jsonl(info["corpus"])}
+        replies = set()
+        for path in (tmp_path / "out" / "transcripts").iterdir():
+            for record_id, lines in _stage_lines(path).items():
+                replies |= {(reply, steps[record_id]) for stage, reply in lines if stage == "reg"}
+        assert all(real_parse(*reply).valid for reply in replies)
+        assert parsed == Counter(replies)
 
     def test_records_that_share_a_question_get_their_own_ssi_and_grading_prompts(
         self, tmp_path
@@ -1673,7 +1757,9 @@ class TestOnePathToReports:
         assert main(["evaluate", "--transcripts", str(tmp_path / "out" / "transcripts"),
                      "--gold", str(gold), "--out", str(tmp_path / "eval")]) == 2
         err = capsys.readouterr().err
-        assert err == f"schema error: gold corpus lacks record {corpus[0].record_id}\n"
+        cell = tmp_path / "out" / "transcripts" / "demo__M0__seed1.jsonl"
+        assert err == (f"schema error: transcript {cell} holds record {corpus[0].record_id}, "
+                       f"which the corpora lack (line {_outcome_line(cell, corpus[0].record_id)})\n")
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("command", ["run", "detect"])
@@ -1706,8 +1792,38 @@ class TestOnePathToReports:
         assert main([*argv, "--resume"]) == 2
         assert capsys.readouterr().err == (
             f"schema error: transcript {cell} holds record {dropped.record_id}, "
-            "which the corpora lack\n")
+            f"which the corpora lack (line {_outcome_line(cell, dropped.record_id)})\n")
         assert detected == []
+        assert {path: path.read_bytes() for path in transcripts.iterdir()} == before
+
+    def test_resume_reads_every_transcript_before_any_backend_opens_or_any_detection(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+        assert main(["run", "--config", str(info["config"])]) == 0
+        # the corpus loses one record, which only the seed-2 transcripts keep,
+        # and the first cell's transcript loses another, which a resume of
+        # that clean cell alone would detect again and append
+        corpus = read_jsonl(info["corpus"])
+        dropped, cut = corpus[0], corpus[-1]
+        write_jsonl(corpus[1:], info["corpus"])
+        transcripts = tmp_path / "out" / "transcripts"
+        for path in transcripts.glob("*__seed1.jsonl"):
+            gone = {dropped.record_id, cut.record_id} if "__M0__" in path.name else \
+                {dropped.record_id}
+            path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                    if json.loads(line)["record_id"] not in gone))
+        before = {path: path.read_bytes() for path in transcripts.iterdir()}
+        detected, opened = [], []
+        monkeypatch.setattr(cli, "detect", lambda record, *args, **kwargs: detected.append(record))
+        monkeypatch.setattr(cli, "open_backend", lambda profile, **kwargs: opened.append(profile))
+        capsys.readouterr()
+        assert main(["run", "--config", str(info["config"]), "--resume"]) == 2
+        stale = transcripts / "demo__M0__seed2.jsonl"
+        assert capsys.readouterr().err == (
+            f"schema error: transcript {stale} holds record {dropped.record_id}, "
+            f"which the corpora lack (line {_outcome_line(stale, dropped.record_id)})\n")
+        assert detected == [] and opened == []
         assert {path: path.read_bytes() for path in transcripts.iterdir()} == before
 
     def test_a_resumed_run_judges_the_outcomes_of_its_finished_transcripts(
@@ -1725,9 +1841,10 @@ class TestOnePathToReports:
         lines[first] = jsonl_line(failed)
         cell.write_bytes("".join(lines).encode()[:-40])
         # the failed record and the torn one are detected again, the rest kept
-        kept = cli._scan_transcript(cell)[0]
+        corpus = {r.record_id: r for r in read_jsonl(info["corpus"])}
+        kept = cli._scan_transcript(cell, corpus)[0]
         redone = {rid for rid, (stage, _) in kept.items() if stage == "failed"}
-        redone |= {r.record_id for r in read_jsonl(info["corpus"])} - kept.keys()
+        redone |= corpus.keys() - kept.keys()
         assert len(redone) == 2
 
         returned = {}
@@ -1743,7 +1860,7 @@ class TestOnePathToReports:
         assert len(returned) == 4
         for path, outcomes in returned.items():
             # records kept and records detected again alike, in transcript order
-            assert list(outcomes.items()) == list(cli._scan_transcript(path)[0].items()), \
+            assert list(outcomes.items()) == list(cli._scan_transcript(path, corpus)[0].items()), \
                 path.name
         # the failed record was detected again and keeps its slot
         resumed = list(returned[cell].items())
@@ -1900,7 +2017,8 @@ def test_only_a_backend_that_waits_on_io_detects_on_threads(tmp_path):
     transcripts = []
     for backend, workers in ((scripted, 4), (recording, 2)):
         outdir = tmp_path / f"workers{workers}"
-        cli._run_detection(records, profile, backend, "M2", 1, outdir, None, False, workers)
+        cli._run_detection(records, profile, backend, "M2", 1, outdir, None, ({}, 0), workers,
+                           cli._RunMemo())
         transcripts.append(cli._transcript_path(outdir, profile.name, "M2", 1).read_bytes())
     caller = threading.get_ident()
     assert scripted.threads and set(scripted.threads) == {caller}
@@ -1918,19 +2036,19 @@ def test_detections_on_more_threads_than_cores_share_readings_as_one_thread_does
     sys.setswitchinterval(1e-6)
     cells = list(itertools.product(("M2", "M3"), (1, 2)))
     try:
-        memo = cli._ProfileMemo()  # one per profile, as `_detect_cells` keeps it
+        memo = cli._RunMemo()  # one per run, as `_detect_cells` keeps it
         for strategy, seed in cells:
             # a store with an inner transport may wait on I/O, so it detects on threads
             recording = ExchangeStore({}, profile.model, inner=ExchangeStore(entries, profile.model))
             outcomes[("threads", strategy, seed)] = cli._run_detection(
-                records, profile, recording, strategy, seed, tmp_path / "threads", None, False, 8,
-                memo)
+                records, profile, recording, strategy, seed, tmp_path / "threads", None, ({}, 0),
+                8, memo)
     finally:
         sys.setswitchinterval(interval)
     for strategy, seed in cells:
         outcomes[("alone", strategy, seed)] = cli._run_detection(
             records, profile, ExchangeStore(entries, profile.model), strategy, seed,
-            tmp_path / "alone", None, False, 1)
+            tmp_path / "alone", None, ({}, 0), 1, cli._RunMemo())
         assert outcomes[("threads", strategy, seed)] == outcomes[("alone", strategy, seed)]
         transcripts = [cli._transcript_path(tmp_path / side, profile.name, strategy, seed)
                        for side in ("threads", "alone")]
@@ -2194,3 +2312,67 @@ def test_profiles_that_share_an_api_key_variable_are_refused_before_any_backend_
         assert err.startswith("schema error:") and str(tmp_path / "profiles.json") in err, err
         assert repr(first) in err and repr(second) in err and "ASKBD_API_KEY_A_B" in err, err
         assert opened == [] and not (tmp_path / "out").exists()
+
+
+def _ran_demo(tmp_path, capsys):
+    info = build_demo(tmp_path, n_questions=1, seeds=(1,))
+    assert main(["run", "--config", str(info["config"])]) == 0
+    capsys.readouterr()
+    return info
+
+
+def test_a_transcript_outcome_whose_record_or_response_is_no_string_exits_2_naming_the_line(
+    tmp_path, capsys
+):
+    info = _ran_demo(tmp_path, capsys)
+    transcripts = tmp_path / "out" / "transcripts"
+    cell = transcripts / "demo__M0__seed1.jsonl"
+    whole = cell.read_bytes()
+    for field in ("response", "record_id"):
+        lines = whole.decode().splitlines(keepends=True)
+        lines[1] = jsonl_line({**json.loads(lines[1]), field: None})
+        cell.write_text("".join(lines))
+        assert main(["evaluate", "--transcripts", str(transcripts), "--gold", str(info["corpus"]),
+                     "--out", str(tmp_path / "eval")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: bad transcript line in {cell}:"), err
+        assert err.endswith("(line 2)\n") and "Traceback" not in err, err
+        assert not (tmp_path / "eval").exists()
+
+
+def test_a_cassette_response_or_token_scores_of_the_wrong_type_exit_2_naming_the_line(
+    tmp_path, capsys
+):
+    info = _ran_demo(tmp_path, capsys)
+    cassette = info["cassette"]
+    lines = cassette.read_text().splitlines(keepends=True)
+    entry = json.loads(lines[2])
+    bad = [{**entry, "response": 5}]
+    bad += [{**entry, "token_scores": scores}
+            for scores in ({"a": -1.0}, [["a"]], [["a", "-1"]], [[1, -1.0]], [["a", True]])]
+    for third in bad:
+        cassette.write_text("".join(lines[:2] + [json.dumps(third) + "\n"] + lines[3:]))
+        assert main(["run", "--config", str(info["config"])]) == 2, third
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:") and str(cassette) in err, err
+        assert err.endswith("(line 3)\n") and "Traceback" not in err, err
+
+
+def test_a_results_flag_other_than_0_or_1_exits_2_naming_the_row(tmp_path, capsys):
+    info = _ran_demo(tmp_path, capsys)
+    with open(tmp_path / "out" / "results.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    flagged = tmp_path / "flagged.csv"
+    for flag in ("true", "", "2"):
+        rows[1]["correct"] = flag  # on line 3, after the header
+        with open(flagged, "w", newline="") as handle:
+            writer = csv.DictWriter(handle, list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["score-likelihood", "--profiles", "scorer",
+                     "--profiles-file", str(info["profiles"]), "--in", str(info["corpus"]),
+                     "--out", str(tmp_path / "s.jsonl"), "--analysis", str(tmp_path / "a.csv"),
+                     "--results", str(flagged), "--strategy", "M0"]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: results file {flagged}:"), err
+        assert repr(flag) in err and err.endswith("(line 3)\n") and "Traceback" not in err, err
