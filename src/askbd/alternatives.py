@@ -9,8 +9,6 @@ evaluating to the gold answer is discarded.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .exprs import (
     MAX_DEPTH,
     Bin,
@@ -22,6 +20,7 @@ from .exprs import (
     enumerate_permutations,
     eval_expr,
     format_value,
+    grouped,
     parse_expr,
     to_text,
 )
@@ -65,58 +64,44 @@ class NoPermutationsAvailable(RuntimeError):
     pass
 
 
-def _as_grouped(e: Expr) -> Expr:
-    if isinstance(e, Bin):
-        return replace(e, grouped=True)
-    return e
-
-
 def compose_solving_expression(record: SolutionRecord) -> Expr:
     """Back-substitute each step's expression into its consumers.
 
-    Operands equal to a prior step's stated result are replaced by that
-    step's composed expression (most recent prior step wins); remaining
-    operands must match a question condition value. The composed value is
-    verified against the gold answer: what this returns evaluates to it,
-    and anything else raises a CompositionError.
+    One dict maps each value an operand may take to what replaces it: a
+    question condition value to its literal, then each step's stated
+    result to the step's composed expression, bracketed. A later step
+    overwrites an earlier entry, so a prior step's result wins over a
+    condition value and the most recent prior step wins. An operand with
+    no entry is unresolvable. The composed value is verified against the
+    gold answer: what this returns evaluates to it, and anything else
+    raises a CompositionError.
     """
-    conditions = set(condition_values(record.question))
-    composed: dict[int, Expr] = {}
-    prior: list[tuple[int, Rational]] = []
-    last_index: int | None = None
-
-    def substitute(node: Expr, step_index: int) -> Expr:
-        if isinstance(node, Lit):
-            for index, value in reversed(prior):
-                if value == node.value:
-                    return _as_grouped(composed[index])
-            if node.value in conditions:
-                return node
-            raise UnresolvableOperand(record.record_id, step_index, node.value)
-        return Bin(
-            node.op,
-            substitute(node.left, step_index),
-            substitute(node.right, step_index),
-            node.grouped,
-        )
-
+    resolved: dict[Rational, Expr] = {v: Lit(v) for v in condition_values(record.question)}
+    root: Expr | None = None
     for step in record.steps:
-        if step.expression is None:
-            continue
-        tree = substitute(parse_expr(step.expression), step.index)
-        composed[step.index] = tree
-        prior.append((step.index, step.stated_result))
-        last_index = step.index
-
-    if last_index is None:
+        if step.expression is not None:
+            root = _substitute(parse_expr(step.expression), resolved, record.record_id, step.index)
+            resolved[step.stated_result] = grouped(root)
+    if root is None:
         raise CompositionError(f"record {record.record_id}: no expression-bearing steps")
-    root = composed[last_index]
     if depth(root) > MAX_DEPTH:
         raise CompositionError(f"record {record.record_id}: composed tree too deep")
     value = eval_expr(root)
     if value != record.answer:
         raise VerificationFailed(record.record_id, value, record.answer)
     return root
+
+
+def _substitute(node: Expr, resolved: dict[Rational, Expr], record_id: str,
+                step_index: int) -> Expr:
+    """`node` with each literal replaced by `resolved`'s expression for its
+    value; a literal with none raises UnresolvableOperand."""
+    if isinstance(node, Lit):
+        if node.value not in resolved:
+            raise UnresolvableOperand(record_id, step_index, node.value)
+        return resolved[node.value]
+    return Bin(node.op, _substitute(node.left, resolved, record_id, step_index),
+               _substitute(node.right, resolved, record_id, step_index), node.grouped)
 
 
 def permute_solving_expression(
@@ -140,26 +125,28 @@ def explain_expression(e: Expr) -> list[SolutionStep]:
         return [SolutionStep(index=1, statement=f"The answer is {text}.",
                              expression=text, stated_result=e.value)]
     steps: list[SolutionStep] = []
-
-    def walk(node: Expr) -> Rational:
-        if isinstance(node, Lit):
-            return node.value
-        lv = walk(node.left)
-        rv = walk(node.right)
-        value = apply_op(node.op, lv, rv)
-        calculation = f"{format_value(lv)} {node.op} {format_value(rv)}"
-        steps.append(
-            SolutionStep(
-                index=len(steps) + 1,
-                statement=f"Compute {calculation} = {format_value(value)}.",
-                expression=calculation,
-                stated_result=value,
-            )
-        )
-        return value
-
-    walk(e)
+    _explain(e, steps)
     return steps
+
+
+def _explain(node: Expr, steps: list[SolutionStep]) -> Rational:
+    """The value of `node`, appending one step to `steps` for each binary
+    node under it, in evaluation order."""
+    if isinstance(node, Lit):
+        return node.value
+    lv = _explain(node.left, steps)
+    rv = _explain(node.right, steps)
+    value = apply_op(node.op, lv, rv)
+    calculation = f"{format_value(lv)} {node.op} {format_value(rv)}"
+    steps.append(
+        SolutionStep(
+            index=len(steps) + 1,
+            statement=f"Compute {calculation} = {format_value(value)}.",
+            expression=calculation,
+            stated_result=value,
+        )
+    )
+    return value
 
 
 def generate_alternatives(

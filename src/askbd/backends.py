@@ -475,6 +475,10 @@ class ExchangeStore:
                     if self.path is not None:
                         with open_output(self.path, "cassette", "a") as handle:
                             handle.write(cassette_line(key, entry))
+        # answered: a later miss finds the entry. A failed ask raised and
+        # kept the lock, so retries of its request still ask one at a time
+        with self._lock:
+            self._asking.pop(key, None)
         return entry[field]
 
     def close(self) -> None:
@@ -559,8 +563,11 @@ def load_cassette(path) -> dict[str, dict]:
     """Exchanges by request fingerprint, from the cassette file at `path`
     as given. A missing file or a malformed line is a SchemaViolation
     naming the cassette (and the line); so is a `response` that is no
-    string and a `token_scores` that is no list of [token, number] pairs."""
+    string and a `token_scores` that is no list of [token, number] pairs.
+    A request's first line is kept: a later equal line is skipped, and a
+    later different one is a SchemaViolation naming both lines."""
     entries: dict[str, dict] = {}
+    first_lines: dict[str, int] = {}
     for number, entry in read_jsonl_lines(path, "cassette"):
         key = entry.get("request_hash") if isinstance(entry, dict) else None
         if not isinstance(key, str):
@@ -571,7 +578,10 @@ def load_cassette(path) -> dict[str, dict]:
         if not (isinstance(scores, list) and all(map(_is_score_pair, scores))):
             raise SchemaViolation(f"token_scores in cassette {path} is not a list of "
                                   "[token, number] pairs", line=number)
-        entries[key] = entry
+        first = first_lines.setdefault(key, number)
+        if entries.setdefault(key, entry) != entry:
+            raise SchemaViolation(f"cassette {path} answers request {key[:12]} differently "
+                                  f"on line {first} and line {number}")
     return entries
 
 

@@ -361,8 +361,7 @@ def _transcript_path(outdir: Path, profile: str, strategy: str, seed: int) -> Pa
     return outdir / "transcripts" / f"{profile}__{strategy}__seed{seed}.jsonl"
 
 
-def _transcript_lines(record_id: str, strategy: str, exchanges,
-                      escaped: dict[str, str] | None = None) -> str:
+def _transcript_lines(record_id: str, strategy: str, exchanges, escaped: dict[str, str]) -> str:
     """One transcript line per exchange, each exactly the bytes `jsonl_line`
     writes for its `record_id`, `strategy`, `stage`, `prompt` and
     `response`: sorted keys, `jsonl_line`'s separators, and every text
@@ -370,8 +369,6 @@ def _transcript_lines(record_id: str, strategy: str, exchanges,
     `escaped` maps each stage, prompt and response text already escaped to
     its escaped form, and gains the texts escaped here; a memo shared by
     several calls escapes each distinct text once."""
-    if escaped is None:
-        escaped = {}
 
     def text(value: str) -> str:
         found = escaped.get(value)

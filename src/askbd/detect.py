@@ -287,10 +287,6 @@ class DetectionMemo:
         return found
 
 
-def _user_message(prompt: str) -> list[dict[str, str]]:
-    return [{"role": "user", "content": prompt}]
-
-
 # a first ask, then a re-ask, which is a request of its own
 _ASK_THEN_REASK = (backends.GenerationParams(), backends.GenerationParams(attempt=1))
 
@@ -335,8 +331,9 @@ def detect(
         raises. Every exchange joins the transcript."""
         nonlocal stage
         stage = this_stage
+        messages = [{"role": "user", "content": prompt}]
         for params in _ASK_THEN_REASK:
-            response = backends.generate(profile, _user_message(prompt), params, backend=backend)
+            response = backends.generate(profile, messages, params, backend=backend)
             transcript.append(StageExchange(stage, prompt, response))
             key = (stage, response, *steps)
             reading = readings.get(key)

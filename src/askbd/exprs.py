@@ -16,10 +16,9 @@ hash equal, so code that only reads values sees no difference.
 
 from __future__ import annotations
 
-import itertools
 import random
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Literal, Union
 
@@ -110,14 +109,20 @@ def rational(value) -> Rational:
     return value.numerator if value.denominator == 1 else value
 
 
-def make_bin(op: str, left: Expr, right: Expr, grouped: bool = False) -> Bin:
+def make_bin(op: str, left: Expr, right: Expr) -> Bin:
     """Build a binary node, rejecting division by an exactly-zero divisor."""
     if op not in OPS:
         raise ExprError(f"unknown operator {op!r}")
-    node = Bin(op, left, right, grouped)
+    node = Bin(op, left, right)
     if op == "/" and eval_expr(right) == 0:
         raise DivisionByZero()
     return node
+
+
+def grouped(e: Expr) -> Expr:
+    """`e` as written inside brackets: a binary node marked `grouped`, a
+    literal as it is. The one grouping rule, for parser and back-substitution."""
+    return Bin(e.op, e.left, e.right, True) if isinstance(e, Bin) else e
 
 
 def depth(e: Expr) -> int:
@@ -163,14 +168,17 @@ def eval_with_literal(e: Expr, k: int, value: Rational) -> Rational:
     for `format_value(value)`, without the re-parse: a divisor the swap
     makes zero raises DivisionByZero.
     """
-    leaves = itertools.count()
+    return _eval_with_literal(e, k, value)[0]
 
-    def walk(node: Expr) -> Rational:
-        if isinstance(node, Lit):
-            return value if next(leaves) == k else node.value
-        return apply_op(node.op, walk(node.left), walk(node.right))
 
-    return walk(e)
+def _eval_with_literal(e: Expr, k: int, value: Rational) -> tuple[Rational, int]:
+    """(value of `e` with its `k`-th literal set to `value`, number of
+    literals in `e`); a `k` outside `e` sets none."""
+    if isinstance(e, Lit):
+        return (value if k == 0 else e.value), 1
+    lv, seen = _eval_with_literal(e.left, k, value)
+    rv, right_seen = _eval_with_literal(e.right, k - seen, value)
+    return apply_op(e.op, lv, rv), seen + right_seen
 
 
 # --- Parsing ---
@@ -286,9 +294,7 @@ class _Parser:
             if kind != "rparen":
                 raise ExprSyntaxError("expected ')'", pos)
             self.nesting -= 1
-            if isinstance(inner, Bin):
-                return replace(inner, grouped=True), d
-            return inner, d
+            return grouped(inner), d
         raise ExprSyntaxError(f"expected a number or '('", pos)
 
 

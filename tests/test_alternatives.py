@@ -1,8 +1,12 @@
+import ast
+import gc
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import askbd
 from askbd.alternatives import (
     CompositionError,
     NoPermutationsAvailable,
@@ -13,8 +17,10 @@ from askbd.alternatives import (
     generate_alternatives,
     permute_solving_expression,
 )
+from askbd.demo import build_labeled_corpus
 from askbd.exprs import canonical_form, eval_expr, parse_expr, to_text
-from askbd.records import ErrorLabel, SolutionStep, make_record
+from askbd.inject import inject
+from askbd.records import CATEGORY_REFERENCE, ErrorLabel, SolutionStep, make_record
 
 
 def simple_record(statements, answer, question="A question mentioning 3 and 4 and 7."):
@@ -166,3 +172,35 @@ class TestGenerateAlternatives:
         assert record.lineage["source_id"] == leaf_record.record_id
         again = compose_solving_expression(record)
         assert eval_expr(again) == leaf_record.answer
+
+
+def test_no_function_nested_in_an_askbd_function_refers_to_its_own_name():
+    # a nested function that calls itself holds its own closure cell, a
+    # cycle that only the cycle collector frees, on every call of its parent
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    selfish = []
+    for path in sorted(Path(askbd.__file__).parent.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, functions):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, functions):
+                    continue
+                if any(isinstance(n, ast.Name) and n.id == inner.name for n in ast.walk(inner)):
+                    selfish.append(f"{path.name}: {outer.name}.{inner.name}")
+    assert selfish == []
+
+
+def test_composing_explaining_and_ref_injecting_leave_the_cycle_collector_nothing():
+    conventional, alternative, _ = build_labeled_corpus(4, seed=2024)
+    correct = [r for r in conventional + alternative if not r.label.is_error]
+    assert correct
+    gc.collect()
+    gc.disable()
+    try:
+        for record in correct:
+            explain_expression(compose_solving_expression(record))
+            inject(record, CATEGORY_REFERENCE, seed=0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

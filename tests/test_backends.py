@@ -673,8 +673,8 @@ class TestRecordReplay:
         assert [e.response for e in exchanges] == ["garbled", valid]
         assert outcome_of(exchanges[-1].stage, valid, len(leaf_record.steps)).valid
         replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
-        assert _transcript_lines(leaf_record.record_id, "M0", replayed) == \
-            _transcript_lines(leaf_record.record_id, "M0", exchanges)
+        assert _transcript_lines(leaf_record.record_id, "M0", replayed, {}) == \
+            _transcript_lines(leaf_record.record_id, "M0", exchanges, {})
 
     def test_a_cassette_without_its_reask_replays_it_as_unscripted(
         self, tmp_path, leaf_record, fake_transport
@@ -756,6 +756,19 @@ class TestStoreThreads:
         entries = [json.loads(line) for line in lines]
         assert {e["request_hash"] for e in entries} == set(store.entries)
         assert all(e["response"].startswith("answer to thread ") for e in entries)
+        assert store._asking == {}
+
+    def test_a_failed_ask_keeps_its_lock_until_a_retry_is_answered(self):
+        inner = CountingGenerator()
+        answer = inner.generate
+        inner.generate = lambda messages, params: 1 / 0
+        store = ExchangeStore({}, "test-model", inner=inner)
+        with pytest.raises(ZeroDivisionError):
+            store.generate(MESSAGES, PARAMS)
+        assert len(store._asking) == 1
+        inner.generate = answer
+        assert store.generate(MESSAGES, PARAMS) == "answer to naive-prompt request"
+        assert store._asking == {}
 
     def test_concurrent_misses_on_one_request_ask_once(self, tmp_path):
         cassette = tmp_path / "cassette.jsonl"

@@ -2085,7 +2085,6 @@ def test_transcript_lines_are_the_bytes_jsonl_line_writes():
     shared: dict[str, str] = {}
     for record_id, strategy, exchanges in cases:
         expected = _jsonl_lines(record_id, strategy, exchanges)
-        assert cli._transcript_lines(record_id, strategy, exchanges) == expected
         assert cli._transcript_lines(record_id, strategy, exchanges, {}) == expected
         # a memo shared across calls, already holding these texts the second time
         for _ in range(2):
@@ -2356,6 +2355,28 @@ def test_a_cassette_response_or_token_scores_of_the_wrong_type_exit_2_naming_the
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and str(cassette) in err, err
         assert err.endswith("(line 3)\n") and "Traceback" not in err, err
+
+
+def test_a_repeated_cassette_line_replays_and_a_conflicting_one_exits_2_naming_both_lines(
+    tmp_path, capsys
+):
+    info = _ran_demo(tmp_path, capsys)
+    out = tmp_path / "out"
+    names = ("report.md", "report.csv", "results.csv", "stats.txt")
+    reports = {name: (out / name).read_bytes() for name in names}
+    out.rename(tmp_path / "first")
+    cassette = info["cassette"]
+    lines = cassette.read_text().splitlines(keepends=True)
+    cassette.write_text("".join(lines + lines))
+    assert main(["run", "--config", str(info["config"])]) == 0
+    assert {name: (out / name).read_bytes() for name in names} == reports
+    first = json.loads(lines[0])
+    changed = json.dumps({**first, "response": first["response"] + " "})
+    cassette.write_text("".join(lines) + changed + "\n")
+    assert main(["run", "--config", str(info["config"])]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: cassette {cassette}"), err
+    assert f"on line 1 and line {len(lines) + 1}" in err and "Traceback" not in err, err
 
 
 def test_a_results_flag_other_than_0_or_1_exits_2_naming_the_row(tmp_path, capsys):
