@@ -20,7 +20,6 @@ from .exprs import (
     enumerate_permutations,
     eval_expr,
     format_value,
-    grouped,
     parse_expr,
     to_text,
 )
@@ -69,7 +68,7 @@ def compose_solving_expression(record: SolutionRecord) -> Expr:
 
     One dict maps each value an operand may take to what replaces it: a
     question condition value to its literal, then each step's stated
-    result to the step's composed expression, bracketed. A later step
+    result to the step's composed expression. A later step
     overwrites an earlier entry, so a prior step's result wins over a
     condition value and the most recent prior step wins. An operand with
     no entry is unresolvable. The composed value is verified against the
@@ -81,7 +80,7 @@ def compose_solving_expression(record: SolutionRecord) -> Expr:
     for step in record.steps:
         if step.expression is not None:
             root = _substitute(parse_expr(step.expression), resolved, record.record_id, step.index)
-            resolved[step.stated_result] = grouped(root)
+            resolved[step.stated_result] = root
     if root is None:
         raise CompositionError(f"record {record.record_id}: no expression-bearing steps")
     if depth(root) > MAX_DEPTH:
@@ -101,7 +100,7 @@ def _substitute(node: Expr, resolved: dict[Rational, Expr], record_id: str,
             raise UnresolvableOperand(record_id, step_index, node.value)
         return resolved[node.value]
     return Bin(node.op, _substitute(node.left, resolved, record_id, step_index),
-               _substitute(node.right, resolved, record_id, step_index), node.grouped)
+               _substitute(node.right, resolved, record_id, step_index))
 
 
 def permute_solving_expression(

@@ -256,6 +256,8 @@ def cmd_score_likelihood(args) -> int:
     if args.results and not args.analysis:
         raise SchemaViolation("--results needs --analysis, the file its rows are joined into")
     names = [n.strip() for n in args.profiles.split(",") if n.strip()]
+    if not names:
+        raise SchemaViolation(f"--profiles {args.profiles!r} names no profile")
     chosen = _select_profiles(args.profiles_file, names, backends.CAP_SCORE_TOKENS)
     records = read_jsonl(args.infile)
     # refuse a repeated record, too few records to bucket, a bad --results

@@ -79,18 +79,17 @@ class Lit:
 
 @dataclass(frozen=True)
 class Bin:
-    """A binary node; `grouped` marks an explicit bracket in the source text."""
+    """A binary node."""
 
     op: str
     left: "Expr"
     right: "Expr"
-    grouped: bool = False
     _hash = None  # not a field: set by __hash__
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.op, self.left, self.right, self.grouped))
+            h = hash((self.op, self.left, self.right))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -119,12 +118,6 @@ def make_bin(op: str, left: Expr, right: Expr) -> Bin:
     return node
 
 
-def grouped(e: Expr) -> Expr:
-    """`e` as written inside brackets: a binary node marked `grouped`, a
-    literal as it is. The one grouping rule, for parser and back-substitution."""
-    return Bin(e.op, e.left, e.right, True) if isinstance(e, Bin) else e
-
-
 def depth(e: Expr) -> int:
     if isinstance(e, Lit):
         return 1
@@ -132,7 +125,7 @@ def depth(e: Expr) -> int:
 
 
 def eval_expr(e: Expr) -> Rational:
-    """Exact rational value of the tree; independent of grouping flags."""
+    """Exact rational value of the tree."""
     return _eval(e)
 
 
@@ -294,7 +287,7 @@ class _Parser:
             if kind != "rparen":
                 raise ExprSyntaxError("expected ')'", pos)
             self.nesting -= 1
-            return grouped(inner), d
+            return inner, d
         raise ExprSyntaxError(f"expected a number or '('", pos)
 
 
@@ -437,8 +430,7 @@ def _render_minimal(e: Expr, parent_prec: int, parent_op: str, is_right: bool) -
 
 def canonical_form(e: Expr) -> Expr:
     """Deterministic normal form: associative chains flattened and rebuilt
-    left-leaning, commutative operands sorted by (value, structure) key,
-    grouping flags dropped."""
+    left-leaning, commutative operands sorted by (value, structure) key."""
     return _canonical(e, {})[0]
 
 
@@ -567,8 +559,8 @@ def _replace_at(e: Expr, path: tuple[int, ...], new: Expr) -> Expr:
         return new
     assert isinstance(e, Bin)
     if path[0] == 0:
-        return Bin(e.op, _replace_at(e.left, path[1:], new), e.right, e.grouped)
-    return Bin(e.op, e.left, _replace_at(e.right, path[1:], new), e.grouped)
+        return Bin(e.op, _replace_at(e.left, path[1:], new), e.right)
+    return Bin(e.op, e.left, _replace_at(e.right, path[1:], new))
 
 
 def rewrite_neighbors(e: Expr) -> Iterator[Expr]:

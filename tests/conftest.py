@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from askbd.exprs import DivisionByZero, Expr, Lit, grouped, make_bin
+from askbd.exprs import DivisionByZero, Expr, Lit, make_bin
 
 
 def _integer_leaf(rng: random.Random) -> Expr:
@@ -23,10 +23,8 @@ def random_expr(rng: random.Random, max_depth: int = 4, leaf=_integer_leaf) -> E
     op = rng.choice("++--**/")
     left = random_expr(rng, max_depth - 1, leaf)
     right = random_expr(rng, max_depth - 1, leaf)
-    bracketed = rng.random() < 0.2
     try:
-        node = make_bin(op, left, right)
-        return grouped(node) if bracketed else node
+        return make_bin(op, left, right)
     except DivisionByZero:
         return make_bin("+", left, right)
 

@@ -191,6 +191,18 @@ def test_no_function_nested_in_an_askbd_function_refers_to_its_own_name():
     assert selfish == []
 
 
+@pytest.mark.parametrize("n", [50, 200])
+def test_no_demo_alternative_restates_its_source(n):
+    conventional, alternative, _ = build_labeled_corpus(n, seed=2024)
+    sources = {r.record_id: r for r in conventional}
+    restated = [
+        r.record_id for r in alternative
+        if r.permuted_expression == to_text(
+            compose_solving_expression(sources[r.lineage["source_id"]]), "step_brackets")
+    ]
+    assert len(alternative) == n and restated == []
+
+
 def test_composing_explaining_and_ref_injecting_leave_the_cycle_collector_nothing():
     conventional, alternative, _ = build_labeled_corpus(4, seed=2024)
     correct = [r for r in conventional + alternative if not r.label.is_error]

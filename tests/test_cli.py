@@ -619,6 +619,21 @@ class TestScoreLikelihoodCli:
                        "more than once\n")
         assert calls == [] and not scores.exists()
 
+    @pytest.mark.parametrize("names", [",", " "])
+    def test_profiles_that_name_no_profile_are_refused_before_any_backend_opens(
+        self, demo_dir, tmp_path, capsys, monkeypatch, names
+    ):
+        opened = []
+        monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+        scores = tmp_path / "s.jsonl"
+        assert main([
+            "score-likelihood", "--profiles", names,
+            "--profiles-file", str(demo_dir / "profiles.json"),
+            "--in", str(demo_dir / "corpus.jsonl"), "--out", str(scores),
+        ]) == 2
+        assert capsys.readouterr().err == f"schema error: --profiles {names!r} names no profile\n"
+        assert opened == [] and not scores.exists()
+
     def test_unknown_profile_is_schema_error(self, demo_dir, tmp_path, capsys):
         corpus = str(demo_dir / "corpus.jsonl")
 

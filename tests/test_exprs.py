@@ -39,8 +39,10 @@ class TestParse:
         assert parse_expr("7") == Lit(7)
 
     def test_grouped_bracket(self):
+        # brackets shape the tree and leave no mark on it
         e = parse_expr("(5 - 2) * 11")
-        assert e == Bin("*", Bin("-", Lit(5), Lit(2), grouped=True), Lit(11))
+        assert e == Bin("*", Bin("-", Lit(5), Lit(2)), Lit(11))
+        assert parse_expr("((5 - 2)) * 11") == e
 
     def test_unicode_aliases(self):
         assert eval_expr(parse_expr("5 × 11 − 44 ÷ 2")) == 33
@@ -294,9 +296,8 @@ class TestCanonical:
             c = canonical_form(e)
             assert canonical_form(c) == c
 
-    def test_drops_grouping(self):
-        c = canonical_form(parse_expr("(3 + 4)"))
-        assert isinstance(c, Bin) and not c.grouped
+    def test_outer_brackets_change_nothing(self):
+        assert canonical_form(parse_expr("(4 + 3)")) == Bin("+", Lit(3), Lit(4))
 
     def test_flattens_and_sorts_chains(self):
         assert canonical_form(parse_expr("3 + (1 + 2)")) == canonical_form(
@@ -315,7 +316,7 @@ class TestHash:
             assert fresh in {hashed} and hashed in {fresh: None}
             # a new tree over a hashed subtree hashes as one built fresh
             if isinstance(hashed, Bin):
-                rebuilt = Bin(hashed.op, hashed.left, fresh.right, hashed.grouped)
+                rebuilt = Bin(hashed.op, hashed.left, fresh.right)
                 assert rebuilt == fresh and hash(rebuilt) == hash(fresh)
 
 
@@ -524,6 +525,19 @@ class TestEnumerate:
             assert o != e
         # the commuted surface form is a legitimate rearrangement
         assert parse_expr("4 * 3") in out
+
+    def test_a_bracketed_square_is_not_its_own_rearrangement(self):
+        # commuting 3 * 3 gives the source back, bracketed or not
+        assert enumerate_permutations(parse_expr("(3 * 3) / 2"), 3, 16, 0) == []
+
+    def test_no_output_restates_its_source(self):
+        # the trees test_rewrite_soundness_1000_expressions draws, each read
+        # back from its step-bracketed text as a composed solution is written
+        rng = random.Random(1234)
+        for i in range(1000):
+            text = to_text(random_expr(rng, max_depth=4), "step_brackets")
+            for out in enumerate_permutations(parse_expr(text), max_rewrites=2, limit=6, seed=i):
+                assert to_text(out, "step_brackets") != text
 
     def test_deterministic_given_seed(self, rng):
         for _ in range(50):

@@ -477,7 +477,7 @@ class TestReferenceDraw:
         records = read_jsonl(corpus) + read_jsonl(candidates)
         error_free = [r for r in records if not r.label.is_error]
         erroneous = [r for r in records if r.label.is_error]
-        assert (len(error_free), len(erroneous)) == (234, 400)
+        assert (len(error_free), len(erroneous)) == (231, 400)
         for record in error_free:
             _assert_lazy_draw_is_eager(record, range(20))
         # an erroneous record is no source, so there is no draw to compare
