@@ -109,6 +109,13 @@ class BackendProfile:
             raise ValueError(
                 f"rate_limit_per_min must be at least 1, got {self.rate_limit_per_min}"
             )
+        if self.endpoint.startswith("mock:"):
+            _mock_settings(self.endpoint)
+        elif not self.endpoint.startswith("scripted:"):
+            parts = urllib.parse.urlsplit(self.endpoint)
+            if parts.scheme not in ("http", "https") or not parts.netloc:
+                raise ValueError("endpoint must be scripted:<cassette>, mock:score or an "
+                                 f"http(s) URL, got {self.endpoint!r}")
 
     def api_key_env(self) -> str:
         slug = re.sub(r"[^A-Za-z0-9]", "_", self.name).upper()
@@ -513,6 +520,44 @@ def waits_on_io(backend) -> bool:
     return not (isinstance(backend, ExchangeStore) and backend.inner is None)
 
 
+def _mock_number(endpoint: str, query: Mapping[str, str], key: str, default: float) -> float:
+    try:
+        value = float(query.get(key, default))
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"endpoint {endpoint!r}: {key} must be a finite number, "
+                         f"got {query[key]!r}")
+    return value
+
+
+def _mock_settings(endpoint: str) -> tuple[str, float, float]:
+    """The (mode, logprob, scale) of a `mock:score?...` endpoint. Another
+    path, a repeated query key, one other than mode, logprob and scale, a
+    mode other than hash, a logprob or scale that is no finite number, and
+    a positive logprob or negative scale, which score a token above 0, are
+    each a ValueError naming the endpoint."""
+    parts = urllib.parse.urlsplit(endpoint)
+    pairs = urllib.parse.parse_qsl(parts.query, keep_blank_values=True)
+    query = dict(pairs)
+    if parts.path != "score":
+        raise ValueError(f"endpoint {endpoint!r}: a mock endpoint must be mock:score")
+    if len(query) < len(pairs):
+        raise ValueError(f"endpoint {endpoint!r}: a query key is given twice")
+    unknown = sorted(set(query) - {"mode", "logprob", "scale"})
+    if unknown:
+        raise ValueError(f"endpoint {endpoint!r}: unknown key {unknown[0]!r}; "
+                         "known keys are mode, logprob and scale")
+    if query.get("mode", "hash") != "hash":
+        raise ValueError(f"endpoint {endpoint!r}: mode must be hash, got {query['mode']!r}")
+    logprob = _mock_number(endpoint, query, "logprob", -1.0)
+    scale = _mock_number(endpoint, query, "scale", 2.0)
+    if logprob > 0 or scale < 0:
+        raise ValueError(f"endpoint {endpoint!r}: a positive logprob or a negative scale "
+                         "scores a token above log-probability 0")
+    return query.get("mode", "constant"), logprob, scale
+
+
 class MockScoreBackend:
     """Deterministic offline scorer; tokens are whitespace words.
 
@@ -521,11 +566,7 @@ class MockScoreBackend:
     """
 
     def __init__(self, endpoint: str):
-        query = urllib.parse.urlparse(endpoint).query
-        params = dict(urllib.parse.parse_qsl(query))
-        self.mode = params.get("mode", "constant")
-        self.logprob = float(params.get("logprob", "-1.0"))
-        self.scale = float(params.get("scale", "2.0"))
+        self.mode, self.logprob, self.scale = _mock_settings(endpoint)
 
     def close(self) -> None:
         pass

@@ -312,8 +312,9 @@ def cmd_score_likelihood(args) -> int:
 
 def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
     """Each record's `correct` flag in the results file at `path`, from the
-    rows of `strategy` when one is given. A flag other than 0 or 1, a
-    strategy with no rows, or a record whose rows disagree is a SchemaViolation."""
+    rows of `strategy` when one is given. An unreadable file, a row the csv
+    module rejects, a flag other than 0 or 1, a strategy with no rows, or a
+    record whose rows disagree is a SchemaViolation naming the file."""
     rows: dict[str, list[tuple[str | None, bool]]] = {}
     strategies: set[str] = set()
     try:
@@ -331,8 +332,11 @@ def _read_correctness(path, strategy: str | None) -> dict[str, bool]:
                     continue
                 rows.setdefault(row["record_id"], []).append(
                     (row.get("profile"), row["correct"] == "1"))
+    except csv.Error as err:  # a cell over the csv module's field limit, say
+        # a DictReader's own line_num is set only after a row is read
+        raise SchemaViolation(f"results file {path}: {err}", line=reader.reader.line_num) from err
     except (OSError, UnicodeDecodeError) as err:
-        raise SchemaViolation(f"cannot read results file: {err}") from err
+        raise SchemaViolation(f"cannot read results file {path}: {err}") from err
     if strategy and not rows:
         raise SchemaViolation(
             f"results file {path} has no rows for strategy {strategy}; "

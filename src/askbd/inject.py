@@ -13,6 +13,7 @@ the category.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from typing import Iterator
 
@@ -91,14 +92,6 @@ def _swap_mentions_outside_equation(statement: str, old: Rational, new: Rational
     return "".join(pieces) + statement[done:]
 
 
-def _prior_results(record: SolutionRecord, before_index: int) -> set[Rational]:
-    return {
-        s.stated_result
-        for s in record.steps
-        if s.expression is not None and s.index < before_index
-    }
-
-
 def _calculation(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
     """Replace one step's calculated result with a wrong positive value."""
     eligible = [
@@ -139,17 +132,6 @@ def _usable_swaps(
             yield new_value, result
 
 
-def _spots(
-    expression: str, tree: Expr, resolvable: set[Rational]
-) -> Iterator[tuple[int, int, Rational, int]]:
-    """(start, end, operand, k) of each resolvable operand with at least one
-    usable swap, in text order; the k-th number token of a valid
-    expression is its k-th literal."""
-    for k, (start, end, value) in enumerate(number_tokens(expression)):
-        if value in resolvable and any(_usable_swaps(tree, k, value, resolvable)):
-            yield start, end, value, k
-
-
 def _reference(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionStep], int]:
     """Point one operand at a wrong value and recompute the step correctly.
 
@@ -161,24 +143,38 @@ def _reference(record: SolutionRecord, rng: random.Random) -> tuple[list[Solutio
     it, then a uniform usable offset for that operand. An offset is usable
     when the swap meets the two rules above, an operand is eligible when it
     resolves and has a usable offset, and a step when it has an eligible
-    operand. Eligibility stops at the first usable offset found; only the
-    drawn operand's offsets are all priced.
+    operand. An operand resolves when the question states its value or an
+    earlier calculation its result. Eligibility stops at the first usable
+    offset found; only the drawn step's operands and the drawn operand's
+    offsets are all priced.
     """
-    conditions = set(condition_values(record.question))
-
-    choices: list[tuple[SolutionStep, Expr, set[Rational]]] = []
+    resolvable = set(condition_values(record.question))
+    # (step, tree, its resolvable set, its resolvable operands from the first
+    # eligible one); an operand is (start, end, value, k), since the k-th
+    # number token of a valid expression is its k-th literal
+    choices = []
     for step in record.steps:
         if step.expression is None:
             continue
         tree = parse_expr(step.expression)
-        resolvable = conditions | _prior_results(record, step.index)
-        if any(_spots(step.expression, tree, resolvable)):
-            choices.append((step, tree, resolvable))
+        operands = [
+            (start, end, value, k)
+            for k, (start, end, value) in enumerate(number_tokens(step.expression))
+            if value in resolvable
+        ]
+        for i, (_, _, value, k) in enumerate(operands):
+            if any(_usable_swaps(tree, k, value, resolvable)):
+                choices.append((step, tree, resolvable, operands[i:]))
+                break
+        resolvable = resolvable | {step.stated_result}
     if not choices:
         raise NoReferencingOperand(f"record {record.record_id} has no usable operand")
 
-    step, tree, resolvable = choices[rng.randrange(len(choices))]
-    spots = list(_spots(step.expression, tree, resolvable))
+    step, tree, resolvable, operands = choices[rng.randrange(len(choices))]
+    spots = operands[:1] + [
+        (start, end, value, k) for start, end, value, k in operands[1:]
+        if any(_usable_swaps(tree, k, value, resolvable))
+    ]
     start, end, old_value, k = spots[rng.randrange(len(spots))]
     usable = list(_usable_swaps(tree, k, old_value, resolvable))
     new_value, new_result = usable[rng.randrange(len(usable))]
@@ -204,28 +200,20 @@ def _missing(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionS
         raise NoDeletableStep(f"record {record.record_id} has a single step")
 
     conditions = set(condition_values(record.question))
+    stated = Counter()  # result -> how many calculations so far state it
+    unconsumed: dict[Rational, list[SolutionStep]] = {}  # result -> its calculations
     consumed = False
     deletable: list[tuple[SolutionStep, int]] = []  # (step, index of first consumer)
     for step in record.steps:
         if step.expression is None:
             continue
-        consumer = None
-        for later in record.steps:
-            if later.index <= step.index or later.expression is None:
-                continue
-            if any(v == step.stated_result for _, _, v in number_tokens(later.expression)):
-                consumer = later.index
-                break
-        if consumer is None:
-            continue
-        consumed = True
-        elsewhere = conditions | {
-            s.stated_result
-            for s in record.steps
-            if s.expression is not None and s.index < consumer and s.index != step.index
-        }
-        if step.stated_result not in elsewhere:
-            deletable.append((step, consumer))
+        for value in {v for _, _, v in number_tokens(step.expression)}:
+            for source in unconsumed.pop(value, ()):
+                consumed = True
+                if value not in conditions and stated[value] == 1:
+                    deletable.append((source, step.index))
+        stated[step.stated_result] += 1
+        unconsumed.setdefault(step.stated_result, []).append(step)
     if not deletable:
         if consumed:
             raise NoDeletableStep(
@@ -234,6 +222,7 @@ def _missing(record: SolutionRecord, rng: random.Random) -> tuple[list[SolutionS
             )
         raise NoDeletableStep(f"record {record.record_id}: no result is consumed later")
 
+    deletable.sort(key=lambda d: d[0].index)  # found in consumer order, drawn in step order
     step, consumer = deletable[rng.randrange(len(deletable))]
     kept = [s for s in record.steps if s.index != step.index]
     renumbered = [replace(s, index=i) for i, s in enumerate(kept, start=1)]

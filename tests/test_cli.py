@@ -393,12 +393,21 @@ def test_a_too_deep_expression_in_a_corpus_exits_2_naming_the_file_and_line(
 
 
 class TestDataConstructionIsPinned:
-    """gen-alt and inject outputs on the demo's conventional records, byte
-    for byte: composing, rewriting, explaining and injecting may be
-    restructured, but what they write may not change."""
+    """gen-alt and inject outputs, byte for byte: composing, rewriting,
+    explaining and injecting may be restructured, but what they write may
+    not change."""
 
-    CANDIDATES_SHA256 = "b225e0028905da948eaf0d4eb2fb1ffa2f86d57d461eb83fd42d98db267da4b4"
-    INJECTED_SHA256 = "aad931f02111d55813fcb8215e7e4358e9ddc8357b5fd9153421bc643bdc453f"
+    @staticmethod
+    def _gen_alt_then_inject(corpus, tmp_path) -> tuple[str, str]:
+        """sha256 of `gen-alt --k 3 --seed 0` on `corpus`, and of
+        `inject --category all --seed 0` on its candidates."""
+        candidates, injected = tmp_path / "cand.jsonl", tmp_path / "inj.jsonl"
+        assert main(["gen-alt", "--in", str(corpus), "--out", str(candidates),
+                     "--k", "3", "--seed", "0"]) == 0
+        assert main(["inject", "--category", "all", "--seed", "0",
+                     "--in", str(candidates), "--out", str(injected)]) == 0
+        return tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                     for path in (candidates, injected))
 
     def test_gen_alt_then_inject(self, tmp_path):
         info = build_demo(tmp_path / "demo", n_questions=4)
@@ -407,13 +416,19 @@ class TestDataConstructionIsPinned:
             [r for r in read_jsonl(info["corpus"]) if r.origin == "D" and not r.label.is_error],
             conventional,
         )
-        candidates, injected = tmp_path / "cand.jsonl", tmp_path / "inj.jsonl"
-        assert main(["gen-alt", "--in", str(conventional), "--out", str(candidates),
-                     "--k", "3", "--seed", "0"]) == 0
-        assert main(["inject", "--category", "all", "--seed", "0",
-                     "--in", str(candidates), "--out", str(injected)]) == 0
-        assert hashlib.sha256(candidates.read_bytes()).hexdigest() == self.CANDIDATES_SHA256
-        assert hashlib.sha256(injected.read_bytes()).hexdigest() == self.INJECTED_SHA256
+        assert self._gen_alt_then_inject(conventional, tmp_path) == (
+            "b225e0028905da948eaf0d4eb2fb1ffa2f86d57d461eb83fd42d98db267da4b4",
+            "aad931f02111d55813fcb8215e7e4358e9ddc8357b5fd9153421bc643bdc453f",
+        )
+
+    def test_gen_alt_then_inject_on_every_candidate_of_a_larger_demo(self, tmp_path):
+        # every category on 131 candidates, where the demo's selected records
+        # leave few to draw among
+        info = build_demo(tmp_path / "demo", n_questions=50)
+        assert self._gen_alt_then_inject(info["corpus"], tmp_path) == (
+            "5614c680dca90d2683aa941979bd3f5f770be3cecd42853f495550d06ed56131",
+            "2db70ca6c4c8417c6a24bcb8ae6fea0bf5d5a7a870599f1fc733a1eb7f7a70c7",
+        )
 
 
 def test_gen_alt_and_inject_take_only_error_free_sources(tmp_path, capsys):
@@ -684,6 +699,13 @@ class TestScoreLikelihoodCli:
             ("cassette", "c.jsonl"), ("rate_limit_per_min", 0),
             ("rate_limit_per_min", "60"), ("retry", {"max_attempts": 0}),
             ("retry", {"backoff": float("nan")}), ("cassete", "c.jsonl"),
+            # a mock scorer it could not score with, and a scheme with no transport
+            ("endpoint", "mock:score?logprob=abc"), ("endpoint", "mock:score?mode=hsah"),
+            ("endpoint", "mock:score?seed=1"), ("endpoint", "mock:score?scale=nan"),
+            ("endpoint", "mock:score?logprob=inf"), ("endpoint", "mock:score?logprob=0.5"),
+            ("endpoint", "mock:score?scale=-1"), ("endpoint", "mock:scores"),
+            ("endpoint", "mock:score?logprob=-1&logprob=-3"),
+            ("endpoint", "ftp://127.0.0.1:9"), ("endpoint", "example.org/v1"),
         )]
         for text, field in cases:
             if text is None:
@@ -695,12 +717,18 @@ class TestScoreLikelihoodCli:
                 err = capsys.readouterr().err
                 assert err.startswith("schema error:") and str(profiles) in err, err
                 assert field in err, (field, err)
+                assert not (tmp_path / "s.jsonl").exists()
 
     def test_missing_or_malformed_results_is_schema_error(self, demo_dir, tmp_path, capsys):
+        # a row the csv module rejects (a cell over its field limit) names its
+        # line too; no refusal makes an output
         results = tmp_path / "results.csv"
-        for text in (None, "a,b\n1,2\n", "record_id,correct\nx,1\n"):
+        rows = b"record_id,strategy,correct\nx,M0,1\n"
+        for text, where in ((None, ""), (b"a,b\n1,2\n", ""), (b"record_id,correct\nx,1\n", ""),
+                            (rows + b"y,M0," + b"1" * 200_000 + b"\n", " (line 3)"),
+                            (rows + b"\xff,M0,1\n", "")):
             if text is not None:
-                results.write_text(text)
+                results.write_bytes(text)
             rc = main([
                 "score-likelihood", "--profiles", "scorer",
                 "--profiles-file", str(demo_dir / "profiles.json"),
@@ -711,6 +739,8 @@ class TestScoreLikelihoodCli:
             assert rc == 2
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(results) in err, err
+            assert err.rstrip().endswith(where), err
+            assert not (tmp_path / "s.jsonl").exists() and not (tmp_path / "a.csv").exists()
 
     def test_bad_outputs_and_results_are_refused_before_any_scoring(
         self, demo_dir, tmp_path, capsys, monkeypatch

@@ -411,7 +411,9 @@ def _eager_reference_choices(record):
         if step.expression is None:
             continue
         tree = parse_expr(step.expression)
-        resolvable = conditions | inject_module._prior_results(record, step.index)
+        resolvable = conditions | {
+            s.stated_result for s in record.steps[:step.index - 1] if s.expression is not None
+        }
         spots = []
         for k, (start, end, value) in enumerate(number_tokens(step.expression)):
             if value not in resolvable:
