@@ -111,6 +111,9 @@ class BackendProfile:
             )
         if self.endpoint.startswith("mock:"):
             _mock_settings(self.endpoint)
+            if CAP_GENERATE in self.capabilities:
+                raise ValueError(f"capabilities of a mock: endpoint must not include "
+                                 f"{CAP_GENERATE!r}; it only scores tokens")
         elif not self.endpoint.startswith("scripted:"):
             parts = urllib.parse.urlsplit(self.endpoint)
             if parts.scheme not in ("http", "https") or not parts.netloc:

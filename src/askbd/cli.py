@@ -272,26 +272,21 @@ def cmd_score_likelihood(args) -> int:
     results = _read_correctness(args.results, strategy) if args.results else {}
     outputs = [(Path(path), what) for path, what in
                ((args.analysis, "analysis file"), (args.out, "scores file")) if path]
-    made = [path for path, _ in outputs if not path.exists()]
     for path, what in outputs:
+        made = not path.exists()
         open_output(path, what, "a").close()
+        if made:  # the check leaves no file behind
+            path.unlink()
     scored: list[likelihood.ScoredSolution] = []
     indicators: dict[str, float] = {}
-    try:
-        with _open_backends(chosen, args.strict_scripted) as opened:
-            for record in records:
-                per_backend = [
-                    likelihood.score_solution(record, profile, backend=opened[profile.name])
-                    for profile in chosen
-                ]
-                scored.extend(per_backend)
-                indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
-    except (BackendError, KeyboardInterrupt):
-        # scoring stopped (exit 3 or 4): no empty file the check made stays
-        # behind, and a file that was there before is left as it was
-        for path in made:
-            path.unlink(missing_ok=True)
-        raise
+    with _open_backends(chosen, args.strict_scripted) as opened:
+        for record in records:
+            per_backend = [
+                likelihood.score_solution(record, profile, backend=opened[profile.name])
+                for profile in chosen
+            ]
+            scored.extend(per_backend)
+            indicators[record.record_id] = likelihood.pseudo_indicator(per_backend)
     likelihood.write_scores_jsonl(scored, args.out)
     print(f"scored {len(records)} records with {len(chosen)} profiles -> {args.out}")
 
@@ -472,11 +467,17 @@ def _write_output(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _write_reports(outdir: Path, judged: list[JudgedResult]) -> None:
+def _write_reports(outdir: Path, judged: list[JudgedResult],
+                   gold: dict[str, SolutionRecord]) -> None:
+    """The one report writer, which `run`, `detect` and `evaluate` share:
+    the report of `judged` as CSV and as Markdown, its rows, and the
+    statistics of the distinct records judged, read from `gold`."""
     report = build_report(judged)
     _write_output(outdir / "report.csv", render_report_csv(report))
     _write_output(outdir / "report.md", render_report_markdown(report))
     _write_output(outdir / "results.csv", render_results_csv(judged))
+    stats = compute_stats(gold[record_id] for record_id in {r.record_id for r in judged})
+    _write_output(outdir / "stats.txt", stats.as_table() + "\n")
 
 
 def _references(records: list[SolutionRecord], strategies,
@@ -590,21 +591,26 @@ def _run_detection(
     return outcomes
 
 
-def _detect_cells(config: RunConfig, records: list[SolutionRecord],
-                  resume: bool) -> list[JudgedResult]:
-    """Detects `records` in every (profile, strategy, integer seed) cell of
-    `config`, in that order, then judges every cell by its outcomes. All
-    cells of one run, and the judge, share one memo of prompts, stage
-    readings and escaped texts, none of which depends on the profile: a
-    strategy's seeds ask the same prompts, and M3 builds its reference with
-    the cqe, ssi and sqr prompts M2 asks. So a run renders each distinct
-    prompt, reads each distinct reply and escapes each distinct text once.
-    With `resume` every cell's transcript is scanned, and a record id that
-    appears twice is a SchemaViolation, before any backend is opened."""
+def _detect_cells(config: RunConfig, resume: bool) -> list[JudgedResult]:
+    """Reads the corpora `config` names, detects their records in every
+    (profile, strategy, integer seed) cell of `config`, in that order,
+    judges every cell by its outcomes and writes the reports into
+    `config.out`. All cells of one run, and the judge, share one memo of
+    prompts, stage readings and escaped texts, none of which depends on the
+    profile: a strategy's seeds ask the same prompts, and M3 builds its
+    reference with the cqe, ssi and sqr prompts M2 asks. So a run renders
+    each distinct prompt, reads each distinct reply and escapes each
+    distinct text once. Corpora that hold no record, a record id that
+    appears twice and, with `resume`, any refusal of a cell's transcript
+    are SchemaViolations raised before any backend is opened."""
+    where = f"corpora {', '.join(config.corpora)}"
+    records = [record for corpus in config.corpora for record in read_jsonl(corpus)]
+    if not records:
+        raise SchemaViolation(f"{where} hold no record")
     selected = _select_profiles(config.profiles, config.profile_names, backends.CAP_GENERATE)
     profiles = {p.name: p for p in selected}
     strategies = [_STRATEGY_FLAGS[s] for s in config.strategies]
-    gold = _by_id(records, f"corpora {', '.join(config.corpora)}")
+    gold = _by_id(records, where)
     references = _references(records, strategies, config.reference_corpus)
     outdir = Path(config.out)
     scans = {}
@@ -618,7 +624,12 @@ def _detect_cells(config: RunConfig, records: list[SolutionRecord],
                 records, profiles[name], opened[name], strategy, seed, outdir,
                 references.get(strategy), scan, config.workers, memo,
             )
-    return _judge_cells(outcomes, gold, memo.readings)
+    judged = _judge_cells(outcomes, gold, memo.readings)
+    # the memo, the outcomes and the closed backends' stores are let go
+    # before the reports are rendered, which keeps them off the peak RSS
+    del memo, outcomes, scans, opened
+    _write_reports(outdir, judged, gold)
+    return judged
 
 
 def cmd_detect(args) -> int:
@@ -629,10 +640,8 @@ def cmd_detect(args) -> int:
         strategies=(args.strategy,), seeds=tuple(args.seeds), corpora=(args.infile,),
         out=args.out, strict_scripted=args.strict_scripted, reference_corpus=args.ref_corpus,
     )
-    outdir = Path(args.out)
-    judged = _detect_cells(config, read_jsonl(args.infile), args.resume)
-    _write_output(outdir / "results.csv", render_results_csv(judged))
-    print(f"detected {len(judged)} (record, seed) pairs -> {outdir}")
+    judged = _detect_cells(config, args.resume)
+    print(f"detected {len(judged)} (record, seed) pairs -> {Path(args.out)}")
     return EXIT_OK
 
 
@@ -653,8 +662,10 @@ def cmd_evaluate(args) -> int:
         outcomes[cell], finished = _scan_transcript(path, gold)
         if finished < path.stat().st_size:
             raise SchemaViolation(f"transcript {path} was cut short; resume its run first")
+        if not outcomes[cell]:
+            raise SchemaViolation(f"transcript {path} holds no finished record")
     judged = _judge_cells(outcomes, gold, {})
-    _write_reports(Path(args.out), judged)
+    _write_reports(Path(args.out), judged, gold)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK
 
@@ -676,10 +687,12 @@ class RunConfig:
     def __post_init__(self):
         if not set(self.strategies) <= _STRATEGY_FLAGS.keys():
             raise ValueError(f"strategies must be among {sorted(_STRATEGY_FLAGS)}")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        # a run with nothing to detect would write reports with no rows
+        for name in ("strategies", "seeds", "corpora"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be nonempty")
         for strategy in self.strategies:
             if _STRATEGY_FLAGS[strategy] in REFERENCE_STRATEGIES and self.reference_corpus is None:
                 raise ValueError(f"strategy {strategy} needs reference_corpus, which is null")
@@ -695,12 +708,8 @@ def cmd_run(args) -> int:
     config = load_run_config(args.config)
     if args.strict_scripted:
         config = replace(config, strict_scripted=True)
-    records = [record for corpus in config.corpora for record in read_jsonl(corpus)]
-    judged = _detect_cells(config, records, args.resume)
-    outdir = Path(config.out)
-    _write_reports(outdir, judged)
-    _write_output(outdir / "stats.txt", compute_stats(records).as_table() + "\n")
-    print(f"ran {len(judged)} (record, strategy, seed) detections -> {outdir}")
+    judged = _detect_cells(config, args.resume)
+    print(f"ran {len(judged)} (record, strategy, seed) detections -> {Path(config.out)}")
     return EXIT_OK
 
 

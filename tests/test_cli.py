@@ -120,6 +120,19 @@ class TestIngest:
         assert "zero denominator" in captured.err
         assert len(read_jsonl(out)) == 2
 
+    def test_a_gsm8k_answer_without_its_final_marker_is_skipped(self, tmp_path, capsys):
+        raw = tmp_path / "raw.jsonl"
+        make_raw_gsm_file(raw, n=2)
+        with open(raw, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"question": "How many?",
+                                     "answer": "He has 2 + 3 = 5 toys.\n5"}) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert main(["ingest", "--in", str(raw), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "ingested 2 records (1 skipped)" in captured.out
+        assert captured.err == "skipping record: no rationale/final-answer split found\n"
+        assert len(read_jsonl(out)) == 2
+
     @pytest.mark.parametrize("field, raw", [
         ("question", {"question": 7, "rationale": "He has 3 + 4 = 7 toys.", "answer": 7}),
         ("rationale", {"question": "How many toys?", "rationale": 5, "answer": 5}),
@@ -705,6 +718,7 @@ class TestScoreLikelihoodCli:
             ("endpoint", "mock:score?logprob=inf"), ("endpoint", "mock:score?logprob=0.5"),
             ("endpoint", "mock:score?scale=-1"), ("endpoint", "mock:scores"),
             ("endpoint", "mock:score?logprob=-1&logprob=-3"),
+            ("capabilities", ["generate", "score_tokens"]), ("capabilities", ["generate"]),
             ("endpoint", "ftp://127.0.0.1:9"), ("endpoint", "example.org/v1"),
         )]
         for text, field in cases:
@@ -981,6 +995,36 @@ class TestDetectEvaluateRun:
         assert err.startswith("schema error:") and "profile 'demo' is asked for more" in err, err
         assert opened == [] and not (tmp_path / "run").exists()
 
+    def test_a_run_with_nothing_to_judge_is_refused_before_any_backend_opens(
+        self, demo_dir, tmp_path, capsys, monkeypatch
+    ):
+        opened = []
+        monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        transcripts = tmp_path / "transcripts"
+        transcripts.mkdir()
+        (transcripts / "demo__M0__seed1.jsonl").write_text("")
+        config = json.loads((demo_dir / "run.json").read_text())
+        cases = []
+        for key, value in (("strategies", []), ("corpora", []), ("corpora", [str(empty)])):
+            path = tmp_path / f"{key}{len(value)}.json"
+            path.write_text(json.dumps({**config, key: value, "out": str(tmp_path / "out")}))
+            cases.append((["run", "--config", str(path)], key if value == [] else str(empty)))
+        cases += [
+            (["detect", "--strategy", "M0", "--profile", "demo",
+              "--profiles-file", str(demo_dir / "profiles.json"), "--in", str(empty),
+              "--out", str(tmp_path / "out")], str(empty)),
+            (["evaluate", "--transcripts", str(transcripts), "--gold", str(demo_dir / "corpus.jsonl"),
+              "--out", str(tmp_path / "out")], str(transcripts / "demo__M0__seed1.jsonl")),
+        ]
+        for argv, named in cases:
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and err.count("\n") == 1, err
+            assert named in err, (named, err)
+            assert opened == [] and not (tmp_path / "out").exists(), argv
+
     def test_report_contains_full_matrix(self, demo_dir):
         assert main(["run", "--config", str(demo_dir / "run.json")]) == 0
         report = (demo_dir / "out" / "report.md").read_text()
@@ -1149,7 +1193,7 @@ class TestDetectEvaluateRun:
                 assert not list(outdir.rglob("*.jsonl")), argv
 
 
-REPORTS = ("report.md", "report.csv", "results.csv")
+REPORTS = ("report.md", "report.csv", "results.csv", "stats.txt")
 
 
 def _reports(outdir):
@@ -1918,11 +1962,18 @@ class TestOnePathToReports:
         transcripts = tmp_path / "out" / "transcripts"
         transcripts.mkdir(parents=True)
         transcript = transcripts / "demo__M0__seed1.jsonl"
-        transcript.write_text('{"record_id": "x", "sta\n')
-        assert main(["evaluate", "--transcripts", str(transcripts),
-                     "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("schema error:") and str(transcript) in err, err
+        # a line that is not JSON, or an outcome line with data after its JSON value
+        outcome = jsonl_line({"record_id": read_jsonl(info["corpus"])[0].record_id,
+                              "strategy": "M0", "stage": "reg", "prompt": "",
+                              "response": "Step 1: <correct>"})
+        for text, where in (('{"record_id": "x", "sta\n', "(line 1)"),
+                            (outcome + outcome[:-1] + " {}\n", f"extra data at column {len(outcome)}') (line 2)")):
+            transcript.write_text(text)
+            assert main(["evaluate", "--transcripts", str(transcripts),
+                         "--gold", str(info["corpus"]), "--out", str(tmp_path / "eval")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("schema error:") and str(transcript) in err, err
+            assert err.endswith(f"{where}\n"), err
         # so is a transcripts directory that is missing or holds no transcript
         for directory in (tmp_path / "missing", info["cassette"].parent):
             assert main(["evaluate", "--transcripts", str(directory),
@@ -1969,6 +2020,11 @@ class TestOnePathToReports:
             assert main(argv) == 2, argv[0]
             err = capsys.readouterr().err
             assert err.startswith("schema error:") and str(path) in err, err
+        # an audit line that is JSON but names no source
+        audit.write_text('{"source_id": "a", "decision": "reject"}\n{"decision": "reject"}\n')
+        assert main(cases[-1][0]) == 2
+        err = capsys.readouterr().err
+        assert err == f"schema error: no source_id in audit log {audit} (line 2)\n", err
 
     def test_an_output_path_under_a_regular_file_exits_2_naming_it(
         self, tmp_path, capsys, monkeypatch
@@ -1981,7 +2037,10 @@ class TestOnePathToReports:
         bad_out.write_text(json.dumps({**config, "out": str(info["corpus"] / "out")}))
         transcripts = tmp_path / "t"
         transcripts.mkdir()
-        (transcripts / "demo__M0__seed1.jsonl").write_text("")
+        # one finished record, so evaluate reaches its output
+        (transcripts / "demo__M0__seed1.jsonl").write_text(jsonl_line({
+            "record_id": read_jsonl(info["corpus"])[0].record_id, "strategy": "M0",
+            "stage": "reg", "prompt": "", "response": "Step 1: <correct>"}))
         cases = [
             ["run", "--config", str(bad_out), "--strict-scripted"],
             ["detect", "--strategy", "M0", "--profile", "demo", "--profiles-file", profiles,
@@ -2165,7 +2224,7 @@ def test_seeds_on_threads_share_one_memo_and_write_the_scripted_transcripts(
     config = cli.RunConfig(profiles=str(info["profiles"]), profile_names=("demo",),
                            strategies=("M2",), seeds=(1, 2), corpora=(str(info["corpus"]),),
                            out=str(tmp_path / "scripted"), strict_scripted=True, workers=1)
-    cli._detect_cells(config, records, resume=False)
+    cli._detect_cells(config, resume=False)
 
     waiting = _Waiting(ExchangeStore(load_cassette(info["cassette"]), profile.model))
     monkeypatch.setattr(cli, "open_backend", lambda profile, strict_scripted: waiting)
@@ -2181,7 +2240,7 @@ def test_seeds_on_threads_share_one_memo_and_write_the_scripted_transcripts(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # threads take turns between almost every bytecode
     try:
-        cli._detect_cells(threaded, records, resume=False)
+        cli._detect_cells(threaded, resume=False)
     finally:
         sys.setswitchinterval(interval)
 

@@ -364,6 +364,17 @@ class TestStages:
         assert failed.response.startswith("stage failure: ssi: UnparseableBackendOutput: ")
         assert outcome(leaf_record, exchanges).invalid_reason == failed.response
 
+    def test_an_empty_sqr_reply_is_asked_again_then_ends_in_a_failed_line(self, leaf_record):
+        scripts = leaf_scripts(leaf_record)
+        asked = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        scripts[asked[2].prompt] = "  \n"
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
+        assert stages(exchanges) == ["cqe", "ssi", "sqr", "sqr", "failed"]
+        assert exchanges[-1].response == (
+            "stage failure: sqr: UnparseableBackendOutput: empty reference solution"
+        )
+        assert not outcome(leaf_record, exchanges).valid
+
     def test_backend_failure_names_the_stage_asked(self, leaf_record):
         # the leaf scripts grade with the M2 template only, so M3's grading
         # request is unscripted
