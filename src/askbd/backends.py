@@ -119,6 +119,9 @@ class BackendProfile:
             if parts.scheme not in ("http", "https") or not parts.netloc:
                 raise ValueError("endpoint must be scripted:<cassette>, mock:score or an "
                                  f"http(s) URL, got {self.endpoint!r}")
+        if self.record_to is not None and self.endpoint.startswith(("scripted:", "mock:")):
+            raise ValueError(f"record_to needs an http(s) endpoint; {self.endpoint!r} "
+                             "sends no request to record")
 
     def api_key_env(self) -> str:
         slug = re.sub(r"[^A-Za-z0-9]", "_", self.name).upper()
@@ -152,9 +155,6 @@ class TokenScore:
 class GenerationParams:
     temperature: float = 0.0
     max_tokens: int = 1024
-    # 1 on a re-ask: it tells the re-ask's fingerprint from the first ask's
-    # and never goes on the wire
-    attempt: int = 0
 
 
 Messages = Sequence[Mapping[str, str]]
@@ -172,15 +172,11 @@ def request_fingerprint(kind: str, model: str, payload: Mapping) -> str:
 
 
 def generate_fingerprint(model: str, messages: Messages, params: GenerationParams) -> str:
-    """A first ask (`attempt` 0) leaves `attempt` out, so a cassette
-    recorded without it still matches every first ask."""
     payload = {
         "messages": [dict(m) for m in messages],
         "temperature": params.temperature,
         "max_tokens": params.max_tokens,
     }
-    if params.attempt >= 1:
-        payload["attempt"] = params.attempt
     return request_fingerprint("generate", model, payload)
 
 
@@ -449,8 +445,8 @@ class ExchangeStore:
     cassette answers exactly as the recording run was answered.
 
     The store also remembers each generate request it answered, exactly as
-    it was asked (messages and params, `attempt` included), so asking it
-    again returns the same response without fingerprinting the request.
+    it was asked (messages and params), so asking it again returns the
+    same response without fingerprinting the request.
     A request that failed is not remembered. The memo lives as long as the
     store, which `open_backend` builds anew for each run.
     """
@@ -534,12 +530,13 @@ def _mock_number(endpoint: str, query: Mapping[str, str], key: str, default: flo
     return value
 
 
-def _mock_settings(endpoint: str) -> tuple[str, float, float]:
-    """The (mode, logprob, scale) of a `mock:score?...` endpoint. Another
-    path, a repeated query key, one other than mode, logprob and scale, a
-    mode other than hash, a logprob or scale that is no finite number, and
-    a positive logprob or negative scale, which score a token above 0, are
-    each a ValueError naming the endpoint."""
+def _mock_settings(endpoint: str) -> tuple[bool, float, float]:
+    """Whether a `mock:score?...` endpoint hashes (`mode=hash`), its logprob
+    and its scale. Another path, a repeated query key, one other than mode,
+    logprob and scale, a mode other than hash, a scale without mode=hash or
+    a logprob with it, which that mode would not read, a logprob or scale
+    that is no finite number, and a positive logprob or negative scale,
+    which score a token above 0, are each a ValueError naming the endpoint."""
     parts = urllib.parse.urlsplit(endpoint)
     pairs = urllib.parse.parse_qsl(parts.query, keep_blank_values=True)
     query = dict(pairs)
@@ -551,14 +548,19 @@ def _mock_settings(endpoint: str) -> tuple[str, float, float]:
     if unknown:
         raise ValueError(f"endpoint {endpoint!r}: unknown key {unknown[0]!r}; "
                          "known keys are mode, logprob and scale")
-    if query.get("mode", "hash") != "hash":
+    hashed = "mode" in query
+    if hashed and query["mode"] != "hash":
         raise ValueError(f"endpoint {endpoint!r}: mode must be hash, got {query['mode']!r}")
+    unread = "logprob" if hashed else "scale"
+    if unread in query:
+        raise ValueError(f"endpoint {endpoint!r}: {unread} is read only "
+                         f"{'without' if hashed else 'with'} mode=hash")
     logprob = _mock_number(endpoint, query, "logprob", -1.0)
     scale = _mock_number(endpoint, query, "scale", 2.0)
     if logprob > 0 or scale < 0:
         raise ValueError(f"endpoint {endpoint!r}: a positive logprob or a negative scale "
                          "scores a token above log-probability 0")
-    return query.get("mode", "constant"), logprob, scale
+    return hashed, logprob, scale
 
 
 class MockScoreBackend:
@@ -569,7 +571,7 @@ class MockScoreBackend:
     """
 
     def __init__(self, endpoint: str):
-        self.mode, self.logprob, self.scale = _mock_settings(endpoint)
+        self.hashed, self.logprob, self.scale = _mock_settings(endpoint)
 
     def close(self) -> None:
         pass
@@ -579,7 +581,7 @@ class MockScoreBackend:
 
     def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
         tokens = continuation.split()
-        if self.mode == "hash":
+        if self.hashed:
             scores = []
             for position, token in enumerate(tokens):
                 digest = hashlib.sha256(f"{prefix}|{position}|{token}".encode()).digest()

@@ -35,6 +35,7 @@ from .detect import (
     STRATEGIES,
     STRATEGY_REF_CONVENTIONAL,
     DetectionMemo,
+    DetectionOutcome,
     detect,
     outcome_of,
 )
@@ -177,7 +178,7 @@ def cmd_review(args) -> int:
             except ValueError:
                 rank = choice
             if rank not in {r.candidate_rank for r in group}:
-                print(f"no candidate ranked {rank}; rejecting nothing, try again")
+                print(f"no candidate ranked {rank}; quitting, source {source} stays undecided")
                 aborted = True
                 break
             entry = {"source_id": source, "decision": "select", "candidate_rank": rank}
@@ -434,14 +435,13 @@ def _scan_transcript(path: Path, known: dict) -> tuple[dict[str, Outcome], int]:
 
 
 def _judge_cells(outcomes_by_cell: dict[Cell, dict[str, Outcome]],
-                 gold: dict[str, SolutionRecord],
-                 readings: dict[tuple, object]) -> list[JudgedResult]:
+                 gold: dict[str, SolutionRecord]) -> list[JudgedResult]:
     """Judges every cell, in (profile, strategy, seed) order, by each
-    record's last outcome in it: `outcome_of` its stage and response, read
-    only when `readings` (a memo's, keyed as `detect` keys a grading reply)
-    lacks its (stage, response, step count), and kept there, an invalid
-    one too: the judge runs after the last detection that reads `readings`.
-    A `failed` line is an invalid outcome, so it counts against accuracy."""
+    record's last outcome in it: `outcome_of` its stage, response and step
+    count, read once per distinct (stage, response, step count) over all
+    cells. A `failed` line is an invalid outcome, so it counts against
+    accuracy."""
+    readings: dict[tuple[str, str, int], DetectionOutcome] = {}
     judged = []
     for (profile, strategy, seed), outcomes in sorted(outcomes_by_cell.items()):
         for record_id, (stage, response) in outcomes.items():
@@ -595,14 +595,14 @@ def _detect_cells(config: RunConfig, resume: bool) -> list[JudgedResult]:
     """Reads the corpora `config` names, detects their records in every
     (profile, strategy, integer seed) cell of `config`, in that order,
     judges every cell by its outcomes and writes the reports into
-    `config.out`. All cells of one run, and the judge, share one memo of
-    prompts, stage readings and escaped texts, none of which depends on the
-    profile: a strategy's seeds ask the same prompts, and M3 builds its
-    reference with the cqe, ssi and sqr prompts M2 asks. So a run renders
-    each distinct prompt, reads each distinct reply and escapes each
-    distinct text once. Corpora that hold no record, a record id that
-    appears twice and, with `resume`, any refusal of a cell's transcript
-    are SchemaViolations raised before any backend is opened."""
+    `config.out`. All cells of one run share one memo of prompts, stage
+    readings and escaped texts, none of which depends on the profile: a
+    strategy's seeds ask the same prompts, and M3 builds its reference with
+    the cqe, ssi and sqr prompts M2 asks. So a run renders each distinct
+    prompt, reads each distinct reply and escapes each distinct text once.
+    Corpora that hold no record, a record id that appears twice and, with
+    `resume`, any refusal of a cell's transcript are SchemaViolations
+    raised before any backend is opened."""
     where = f"corpora {', '.join(config.corpora)}"
     records = [record for corpus in config.corpora for record in read_jsonl(corpus)]
     if not records:
@@ -624,7 +624,7 @@ def _detect_cells(config: RunConfig, resume: bool) -> list[JudgedResult]:
                 records, profiles[name], opened[name], strategy, seed, outdir,
                 references.get(strategy), scan, config.workers, memo,
             )
-    judged = _judge_cells(outcomes, gold, memo.readings)
+    judged = _judge_cells(outcomes, gold)
     # the memo, the outcomes and the closed backends' stores are let go
     # before the reports are rendered, which keeps them off the peak RSS
     del memo, outcomes, scans, opened
@@ -664,7 +664,7 @@ def cmd_evaluate(args) -> int:
             raise SchemaViolation(f"transcript {path} was cut short; resume its run first")
         if not outcomes[cell]:
             raise SchemaViolation(f"transcript {path} holds no finished record")
-    judged = _judge_cells(outcomes, gold, {})
+    judged = _judge_cells(outcomes, gold)
     _write_reports(Path(args.out), judged, gold)
     print(f"evaluated {len(judged)} judged results -> {args.out}")
     return EXIT_OK

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 import types
-from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Sequence
@@ -206,7 +205,7 @@ def grading_prompt(
     return load_template(_GRADING_TEMPLATES[strategy]).render(**values)
 
 
-# --- Reply parsers: each raises UnparseableBackendOutput to ask again ---
+# --- Reply parsers: each raises UnparseableBackendOutput on a reply it rejects ---
 
 
 _CQE_RESPONSE = re.compile(
@@ -246,13 +245,6 @@ def _parse_sqr(text: str) -> str:
     return text.strip()
 
 
-def _parse_grading(text: str, n_steps: int) -> DetectionOutcome:
-    outcome = parse_detector_response(text, n_steps)
-    if not outcome.valid:
-        raise UnparseableBackendOutput(outcome.invalid_reason)
-    return outcome
-
-
 # --- Detection ---
 
 
@@ -266,10 +258,10 @@ class DetectionMemo:
     whose hash is cached. A record id names one record's content for as
     long as the memo lives, as it does within one run.
 
-    `readings` holds what each stage parser made of a reply, by (stage,
-    reply), and the record's step count for the ssi and grading stages,
-    whose readings depend on it. `detect` never stores a reply the parser
-    rejects, so it is parsed, and asked again, each time it comes back.
+    `readings` holds what the cqe, ssi and sqr parsers made of a reply, by
+    (stage, reply), and for ssi the record's step count, on which its
+    reading depends. A reply the parser rejects is not stored: it ends the
+    detection that got it.
 
     Two threads sharing a memo may both render one prompt or read one
     reply, and both store the same value."""
@@ -287,9 +279,6 @@ class DetectionMemo:
         return found
 
 
-# a first ask, then a re-ask, which is a request of its own
-_ASK_THEN_REASK = (backends.GenerationParams(), backends.GenerationParams(attempt=1))
-
 # failures confined to one record: the run records them and goes on
 _RECORD_FAILURES = (UnparseableBackendOutput, backends.MalformedResponse, backends.RateLimited)
 
@@ -303,14 +292,14 @@ def detect(
     backend,
     memo: DetectionMemo | None = None,
 ) -> tuple[StageExchange, ...]:
-    """Run one detection strategy and return every exchange it made, re-asks
-    included. The last one is the `reg` or `failed` exchange that
+    """Run one detection strategy and return every exchange it made, one per
+    stage asked. The last one is the `reg` or `failed` exchange that
     `outcome_of` judges. M2 and M3 build their reference with the cqe, ssi
     and sqr stages before grading; the ref_* strategies grade with the
-    given `reference`. A grading reply that stays unparseable ends the
-    exchanges. Any other per-record failure ends them with one `failed`
-    line naming the stage and the error class; other backend errors
-    propagate.
+    given `reference`. The grading reply is recorded, not read. A cqe, ssi
+    or sqr reply that its parser rejects, and any other per-record failure,
+    ends the exchanges with one `failed` line naming the stage and the
+    error class; other backend errors propagate.
 
     `memo` gives the prompts already rendered and the replies already
     read, and gains the ones rendered and read here; a memo shared by
@@ -323,42 +312,36 @@ def detect(
     readings = memo.readings
     transcript: list[StageExchange] = []
     stage = ""
-    n_steps = len(record.steps)
 
-    def ask(this_stage: str, prompt: str, parse: Callable[..., object], *steps: int):
-        """Send `prompt`, and once more as its own request (`attempt` 1)
-        if `parse(reply, *steps)` rejects the reply; a second rejection
-        raises. Every exchange joins the transcript."""
+    def ask(this_stage: str, prompt: str, parse: Callable[..., object] | None = None,
+            *steps: int):
+        """Send `prompt` once, add the exchange to the transcript and return
+        `parse(reply, *steps)`, if a parser is given."""
         nonlocal stage
         stage = this_stage
         messages = [{"role": "user", "content": prompt}]
-        for params in _ASK_THEN_REASK:
-            response = backends.generate(profile, messages, params, backend=backend)
-            transcript.append(StageExchange(stage, prompt, response))
-            key = (stage, response, *steps)
-            reading = readings.get(key)
-            if reading is not None:
-                return reading
-            try:
-                reading = readings[key] = parse(response, *steps)
-                return reading
-            except UnparseableBackendOutput:
-                if params.attempt:
-                    raise
+        response = backends.generate(profile, messages, backend=backend)
+        transcript.append(StageExchange(stage, prompt, response))
+        if parse is None:
+            return None
+        key = (stage, response, *steps)
+        reading = readings.get(key)
+        if reading is None:
+            reading = readings[key] = parse(response, *steps)
+        return reading
 
     try:
         if strategy in ASKBD_STRATEGIES:
             prompt = memo.prompt(("cqe", record.question), cqe_prompt, record)
             conditions, inquiry = ask("cqe", prompt, _parse_cqe)
             prompt = memo.prompt(("ssi", record.record_id), ssi_prompt, record)
-            questions = ask("ssi", prompt, _parse_ssi, n_steps)
+            questions = ask("ssi", prompt, _parse_ssi, len(record.steps))
             prompt = memo.prompt(("sqr", conditions, questions, inquiry),
                                  sqr_prompt, conditions, [*questions, inquiry])
             reference = ask("sqr", prompt, _parse_sqr)
         prompt = memo.prompt((_GRADING_TEMPLATES[strategy], record.record_id, reference),
                              grading_prompt, record, strategy, reference)
-        with suppress(UnparseableBackendOutput):  # an invalid outcome, judged from its line
-            ask(GRADING_STAGE, prompt, _parse_grading, n_steps)
+        ask(GRADING_STAGE, prompt)
     except _RECORD_FAILURES as err:
         failure = f"stage failure: {stage}: {type(err).__name__}: {err}"
         transcript.append(StageExchange(FAILED_STAGE, "", failure))

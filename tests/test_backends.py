@@ -1,6 +1,7 @@
 import base64
 import gc
 import json
+import re
 import socket
 import sys
 import threading
@@ -43,7 +44,6 @@ from askbd.detect import detect, outcome_of
 from conftest import JsonHandler, wait_until
 
 PARAMS = GenerationParams()
-REASK = GenerationParams(attempt=1)
 MESSAGES = [{"role": "user", "content": "naive-prompt request"}]
 
 
@@ -261,20 +261,14 @@ class TestHttp:
             server.server_close()
             serving.join()
 
-    def test_attempt_marks_the_fingerprint_of_a_reask_only(self, fake_transport):
-        first_ask = request_fingerprint("generate", "test-model", {
-            "messages": MESSAGES, "temperature": 0.0, "max_tokens": 1024,
-        })
-        assert generate_fingerprint("test-model", MESSAGES, PARAMS) == first_ask
-        assert generate_fingerprint("test-model", MESSAGES, REASK) != first_ask
-        # and never goes on the wire
-        transport = fake_transport([(200, chat_body("a")), (200, chat_body("b"))])
+    def test_a_generate_fingerprint_hashes_what_goes_on_the_wire(self, fake_transport):
+        transport = fake_transport([(200, chat_body("a"))])
         clock = VirtualClock()
         backend = HttpBackend(make_profile(), api_key="k", clock=clock, sleep=clock.sleep)
         backend.generate(MESSAGES, PARAMS)
-        backend.generate(MESSAGES, REASK)
-        assert transport.payloads[0] == transport.payloads[1]
-        assert "attempt" not in transport.payloads[1]
+        sent = {**transport.payloads[0]}
+        assert request_fingerprint("generate", sent.pop("model"), sent) == \
+            generate_fingerprint("test-model", MESSAGES, PARAMS)
 
     def test_score_tokens_selects_continuation_by_offset(self, fake_transport):
         prefix, continuation = "question: ", "a b"
@@ -407,8 +401,8 @@ class TestKeptAlive:
         backend = open_backend(make_profile(endpoint=server.url + "/v1"), api_key="k")
         assert backend.generate(MESSAGES, PARAMS) == "ok"
         assert backend.score_tokens("q", "ab") == [TokenScore("a", -0.5), TokenScore("b", -0.5)]
-        # a request of its own, which no store in front of the client could answer
-        assert backend.generate(MESSAGES, REASK) == "ok"
+        # with no store in front of it, the client sends a request asked again
+        assert backend.generate(MESSAGES, PARAMS) == "ok"
         backend.close()
         assert paths == ["/v1/chat/completions", "/v1/completions", "/v1/chat/completions"]
         assert server.accepted == 1
@@ -612,6 +606,19 @@ class TestMockScorer:
         assert first == second
         assert all(s.logprob < 0 for s in first)
 
+    def test_no_mode_scores_every_token_with_the_default_logprob(self):
+        assert MockScoreBackend("mock:score").score_tokens("q", "a b") == \
+            [TokenScore("a", -1.0), TokenScore("b", -1.0)]
+
+    @pytest.mark.parametrize("endpoint, unread", [
+        ("mock:score?scale=7", "scale is read only with mode=hash"),
+        ("mock:score?logprob=-1&scale=2", "scale is read only with mode=hash"),
+        ("mock:score?mode=hash&logprob=-5", "logprob is read only without mode=hash"),
+    ])
+    def test_a_key_the_mode_does_not_read_is_refused(self, endpoint, unread):
+        with pytest.raises(ValueError, match=re.escape(f"endpoint {endpoint!r}: {unread}")):
+            MockScoreBackend(endpoint)
+
 
 class TestRecordReplay:
     def test_replay_is_byte_identical(self, tmp_path, fake_transport):
@@ -648,52 +655,50 @@ class TestRecordReplay:
     def replay_of(self, cassette):
         return open_backend(make_profile(endpoint=f"scripted:{cassette}"), strict_scripted=True)
 
-    def test_record_then_replay_answers_alike_including_reasks(self, tmp_path, fake_transport):
+    def test_record_then_replay_answers_alike(self, tmp_path, fake_transport):
         cassette = tmp_path / "cassette.jsonl"
+        second = [{"role": "user", "content": "another request"}]
         transport = fake_transport([(200, chat_body(t)) for t in "ABCD"])
         recorder = self.open_recorder(cassette)
-        # ask, re-ask, then the same two for a second seed
-        asks = [PARAMS, REASK, PARAMS, REASK]
-        recorded = [recorder.generate(MESSAGES, params) for params in asks]
+        # two requests, then the same two for a second seed
+        asks = [MESSAGES, second, MESSAGES, second]
+        recorded = [recorder.generate(messages, PARAMS) for messages in asks]
         replay = self.replay_of(cassette)
-        assert [replay.generate(MESSAGES, params) for params in asks] == recorded == list("ABAB")
+        assert [replay.generate(messages, PARAMS) for messages in asks] == recorded == list("ABAB")
         assert transport.calls == 2
 
-    def test_a_recorded_reask_reaches_the_model_and_replays(
+    def test_a_garbled_grading_reply_is_recorded_once_and_replays(
         self, tmp_path, leaf_record, fake_transport
     ):
         cassette = tmp_path / "cassette.jsonl"
-        valid = "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
-        transport = fake_transport([(200, chat_body("garbled")), (200, chat_body(valid))])
+        transport = fake_transport([(200, chat_body("garbled")), (200, chat_body("x"))])
         profile = self.recording_profile(cassette)
-        exchanges = detect(
-            leaf_record, profile, "M0", backend=self.open_recorder(cassette)
-        )
-        assert transport.calls == 2
-        assert [e.response for e in exchanges] == ["garbled", valid]
-        assert outcome_of(exchanges[-1].stage, valid, len(leaf_record.steps)).valid
+        exchanges = detect(leaf_record, profile, "M0", backend=self.open_recorder(cassette))
+        assert transport.calls == 1
+        assert [(e.stage, e.response) for e in exchanges] == [("reg", "garbled")]
+        assert not outcome_of("reg", "garbled", len(leaf_record.steps)).valid
+        assert len(cassette.read_text().splitlines()) == 1
         replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
         assert _transcript_lines(leaf_record.record_id, "M0", replayed, {}) == \
             _transcript_lines(leaf_record.record_id, "M0", exchanges, {})
 
-    def test_a_cassette_without_its_reask_replays_it_as_unscripted(
+    def test_a_cassette_line_of_an_old_reask_is_loaded_and_never_asked_for(
         self, tmp_path, leaf_record, fake_transport
     ):
-        # a cassette recorded when a re-ask was answered from the store, as
-        # the first ask's fingerprint, holds no line of its own for it
+        # a re-ask was once a request of its own, whose fingerprint also
+        # hashed an `attempt` of 1 into its payload
         cassette = tmp_path / "cassette.jsonl"
-        transport = fake_transport([(200, chat_body("garbled")), (200, chat_body("x"))])
+        fake_transport([(200, chat_body("garbled"))])
         profile = self.recording_profile(cassette)
-        detect(leaf_record, profile, "M0", backend=self.open_recorder(cassette))
-        first_ask, reask = cassette.read_text().splitlines(keepends=True)
-        cassette.write_text(first_ask)
-        replayed = detect(leaf_record, profile, "M0", backend=self.replay_of(cassette))
-        assert [e.stage for e in replayed] == ["reg", "failed"]
-        assert replayed[0].response == "garbled"
-        key = json.loads(reask)["request_hash"]
-        assert replayed[1].response == (
-            f"stage failure: reg: UnscriptedRequest: no scripted response for request {key[:12]}"
-        )
+        first = detect(leaf_record, profile, "M0", backend=self.open_recorder(cassette))
+        payload = {"messages": [{"role": "user", "content": first[0].prompt}],
+                   "temperature": 0.0, "max_tokens": 1024, "attempt": 1}
+        reask = request_fingerprint("generate", profile.model, payload)
+        with open(cassette, "a") as handle:
+            handle.write(json.dumps({"request_hash": reask, "response": "valid"}) + "\n")
+        replay = self.replay_of(cassette)
+        assert reask in replay.entries
+        assert detect(leaf_record, profile, "M0", backend=replay) == first
 
     def test_reopened_cassette_sends_nothing_and_keeps_one_line_per_request(
         self, tmp_path, fake_transport
@@ -816,7 +821,6 @@ class TestStoreMemo:
         message = MESSAGES[0]
         requests = [
             (MESSAGES, PARAMS),
-            (MESSAGES, REASK),
             (MESSAGES, GenerationParams(temperature=0.7)),
             (MESSAGES, GenerationParams(max_tokens=10)),
             ([{**message, "role": "system"}], PARAMS),
@@ -938,6 +942,13 @@ class TestProfilesFile:
             make_profile(rate_limit_per_min=0)
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+    @pytest.mark.parametrize("endpoint", ["scripted:cassette.jsonl", "mock:score"])
+    def test_record_to_is_refused_on_an_endpoint_that_sends_no_request(self, endpoint):
+        refusal = f"record_to needs an http(s) endpoint; {endpoint!r}"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            make_profile(endpoint=endpoint, capabilities=frozenset({CAP_SCORE_TOKENS}),
+                         record_to="rec.jsonl")
 
     def test_api_key_env_name(self):
         assert make_profile(name="My Prof-1").api_key_env() == "ASKBD_API_KEY_MY_PROF_1"

@@ -258,6 +258,24 @@ class TestGenAltAndReview:
         assert rc == 4
         assert not audit.exists()  # nothing decided
 
+    def test_review_says_an_unknown_rank_quits_and_leaves_the_source_undecided(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        conventional, _ = _small_corpus(tmp_path)
+        candidates = tmp_path / "candidates.jsonl"
+        main(["gen-alt", "--in", str(conventional), "--out", str(candidates),
+              "--k", "2", "--seed", "5"])
+        source = read_jsonl(candidates)[0].lineage["source_id"]
+        answers = iter(["9"])  # no candidate has rank 9; a second prompt would raise
+        monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
+        capsys.readouterr()
+        rc = main(["review", "--candidates", str(candidates),
+                   "--out", str(tmp_path / "dprime.jsonl"), "--audit", str(tmp_path / "a.jsonl")])
+        assert rc == 4
+        out = capsys.readouterr().out
+        assert f"no candidate ranked 9; quitting, source {source} stays undecided" in out
+        assert "try again" not in out
+
     def test_review_quits_on_closed_input(self, tmp_path, monkeypatch):
         conventional, _ = _small_corpus(tmp_path)
         candidates = tmp_path / "candidates.jsonl"
@@ -714,10 +732,14 @@ class TestScoreLikelihoodCli:
             ("retry", {"backoff": float("nan")}), ("cassete", "c.jsonl"),
             # a mock scorer it could not score with, and a scheme with no transport
             ("endpoint", "mock:score?logprob=abc"), ("endpoint", "mock:score?mode=hsah"),
-            ("endpoint", "mock:score?seed=1"), ("endpoint", "mock:score?scale=nan"),
+            ("endpoint", "mock:score?seed=1"), ("endpoint", "mock:score?mode=hash&scale=nan"),
             ("endpoint", "mock:score?logprob=inf"), ("endpoint", "mock:score?logprob=0.5"),
-            ("endpoint", "mock:score?scale=-1"), ("endpoint", "mock:scores"),
+            ("endpoint", "mock:score?mode=hash&scale=-1"), ("endpoint", "mock:scores"),
             ("endpoint", "mock:score?logprob=-1&logprob=-3"),
+            # a key the mock scorer's mode would not read
+            ("endpoint", "mock:score?scale=7"), ("endpoint", "mock:score?mode=hash&logprob=-5"),
+            # a cassette to record into for an endpoint that sends no request
+            ("record_to", "rec.jsonl"),
             ("capabilities", ["generate", "score_tokens"]), ("capabilities", ["generate"]),
             ("endpoint", "ftp://127.0.0.1:9"), ("endpoint", "example.org/v1"),
         )]
@@ -1206,16 +1228,14 @@ def _evaluate(info, outdir):
     return _reports(outdir)
 
 
-def _ask_key(prompt, attempt=0):
+def _ask_key(prompt):
     messages = [{"role": "user", "content": prompt}]
-    return generate_fingerprint("demo-model", messages, GenerationParams(attempt=attempt))
+    return generate_fingerprint("demo-model", messages, GenerationParams())
 
 
-def _script(entries, prompt, *replies):
-    """Scripts `prompt`'s first ask with the first of `replies`, and its
-    re-ask with the second, if given."""
-    for attempt, reply in enumerate(replies):
-        entries[_ask_key(prompt, attempt)] = {"response": reply}
+def _script(entries, prompt, reply):
+    """Scripts `reply` as the answer to `prompt`."""
+    entries[_ask_key(prompt)] = {"response": reply}
 
 
 def _prompts(path, stage):
@@ -1314,12 +1334,10 @@ class TestOnePathToReports:
         records = read_jsonl(info["corpus"])
         entries = load_cassette(info["cassette"])
         garbled, twice, failing = records[:3]
-        # M0 on `garbled`: an invalid reply, then a valid one on the re-ask
-        prompt = grading_prompt(garbled, "M0")
-        _script(entries, prompt, "no verdict", entries[_ask_key(prompt)]["response"])
-        # M1 on `twice`: an invalid reply, and another on the re-ask
-        _script(entries, grading_prompt(twice, "M1"),
-                "no verdict", "Step 1: <correct>\nStep 1: <correct>")
+        # M0 on `garbled`: a reply with no verdict
+        _script(entries, grading_prompt(garbled, "M0"), "no verdict")
+        # M1 on `twice`: a reply that grades one step twice
+        _script(entries, grading_prompt(twice, "M1"), "Step 1: <correct>\nStep 1: <correct>")
         # M2 and M3 on `failing`: the ssi request is unscripted
         del entries[_ask_key(ssi_prompt(failing))]
         write_cassette(entries, info["cassette"])
@@ -1349,12 +1367,12 @@ class TestOnePathToReports:
                 for record_id, (stage, response) in outcomes.items()
             }
             stages = [json.loads(line)["stage"] for line in path.read_text().splitlines()]
-            reasked = {"M0": 1, "M1": 1}.get(strategy, 0)
-            assert stages.count("reg") == len(gold) + reasked - (strategy in ("M2", "M3"))
+            assert stages.count("reg") == len(gold) - (strategy in ("M2", "M3"))
             outcome = judged[strategy, seed]
-            assert outcome[garbled.record_id].valid
+            assert outcome[garbled.record_id].valid is (strategy != "M0")
             assert outcome[twice.record_id].valid is (strategy != "M1")
             assert outcome[failing.record_id].valid is (strategy in ("M0", "M1"))
+        assert judged["M0", 2][garbled.record_id].invalid_reason == "expected steps 1..3, got []"
         assert judged["M1", 1][twice.record_id].invalid_reason == "duplicate line for step 1"
         assert judged["M3", 2][failing.record_id].invalid_reason.startswith(
             "stage failure: ssi: UnscriptedRequest: ")
@@ -1363,13 +1381,13 @@ class TestOnePathToReports:
         info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
         three, two = read_jsonl(info["corpus"])[:2]
         assert (len(three.steps), len(two.steps)) == (3, 2)
-        # one grading reply, asked and asked again, for both records: its
-        # reading for the 3-step record, which comes first in every cell,
-        # is no reading for the 2-step one
+        # one grading reply for both records: its reading for the 3-step
+        # record, which comes first in every cell, is no reading for the
+        # 2-step one
         reply = "Step 1: <correct>\nStep 2: <correct>\nStep 3: <correct>"
         entries = load_cassette(info["cassette"])
         for strategy, record in itertools.product(("M0", "M1"), (three, two)):
-            _script(entries, grading_prompt(record, strategy), reply, reply)
+            _script(entries, grading_prompt(record, strategy), reply)
         write_cassette(entries, info["cassette"])
         assert main(["run", "--config", str(info["config"])]) == 0
         reports = _reports(tmp_path / "out")
@@ -1381,39 +1399,18 @@ class TestOnePathToReports:
             path = cli._transcript_path(tmp_path / "out", "demo", strategy, int(seed))
             lines = _stage_lines(path)
             assert lines[three.record_id] == [("reg", reply)]
-            assert lines[two.record_id] == [("reg", reply), ("reg", reply)]
-
-    def test_a_reply_rejected_for_one_record_is_asked_again_for_the_next(self, tmp_path):
-        info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
-        records = read_jsonl(info["corpus"])
-        entries = load_cassette(info["cassette"])
-        # the first two records' first M0 grading reply is one rejected text
-        graded = {}
-        for record in records[:2]:
-            prompt = grading_prompt(record, "M0")
-            graded[record.record_id] = entries[_ask_key(prompt)]["response"]
-            _script(entries, prompt, "no verdict", graded[record.record_id])
-        write_cassette(entries, info["cassette"])
-        assert main(["run", "--config", str(info["config"])]) == 0
-        reports = _reports(tmp_path / "out")
-        assert reports == _evaluate(info, tmp_path / "eval")
-        results = _results(reports)
-        for seed in (1, 2):
-            lines = _stage_lines(cli._transcript_path(tmp_path / "out", "demo", "M0", seed))
-            for record_id, response in graded.items():
-                assert lines[record_id] == [("reg", "no verdict"), ("reg", response)]
-                assert results[(record_id, "M0", str(seed))]["valid"] == "1"
+            assert lines[two.record_id] == [("reg", reply)]
 
     def test_seeds_that_share_their_readings_write_what_each_seed_writes_alone(self, tmp_path):
         info = build_demo(tmp_path, n_questions=2, seeds=(1, 2, 3))
-        # stage failures, and rejected replies that are asked again
+        # stage failures, and grading replies with no verdict
         lines = info["cassette"].read_text().splitlines(keepends=True)
         info["cassette"].write_text("".join(l for i, l in enumerate(lines, 1) if i % 7))
         entries = load_cassette(info["cassette"])
         for record in read_jsonl(info["corpus"])[:4]:
             prompt = grading_prompt(record, "M1")
             if _ask_key(prompt) in entries:
-                _script(entries, prompt, "no verdict", entries[_ask_key(prompt)]["response"])
+                _script(entries, prompt, "no verdict")
         write_cassette(entries, info["cassette"])
         assert main(["run", "--config", str(info["config"])]) == 0
         config = json.loads(info["config"].read_text())
@@ -1427,7 +1424,7 @@ class TestOnePathToReports:
             assert path.read_bytes() == (tmp_path / "alone" / "transcripts" / path.name).read_bytes()
         detections = [lines for path in shared for lines in _stage_lines(path).values()]
         assert any(stage == "failed" for lines in detections for stage, _ in lines)
-        assert any([stage for stage, _ in lines].count("reg") == 2 for lines in detections)
+        assert any(("reg", "no verdict") in lines for lines in detections)
 
     def test_a_later_seed_parses_no_reply_again_nor_a_later_cell_of_evaluate(
         self, tmp_path, monkeypatch
@@ -1472,7 +1469,7 @@ class TestOnePathToReports:
             return outcome_of(*key)
 
         monkeypatch.setattr(cli, "outcome_of", noting)
-        judged = cli._judge_cells(outcomes, gold, {})
+        judged = cli._judge_cells(outcomes, gold)
         last_lines = [(stage, response, len(gold[record_id].steps))
                       for cell in outcomes.values()
                       for record_id, (stage, response) in cell.items()]
@@ -1508,7 +1505,7 @@ class TestOnePathToReports:
 
             monkeypatch.setattr(detect_module, name, wrapper)
 
-        for name in ("cqe_prompt", "_parse_cqe", "_parse_ssi", "_parse_sqr", "_parse_grading"):
+        for name in ("cqe_prompt", "_parse_cqe", "_parse_ssi", "_parse_sqr"):
             noting(name)
         assert main(["run", "--config", str(info["config"])]) == 0
         # every call is one of its own: each prompt rendered, and each reply
@@ -1523,8 +1520,7 @@ class TestOnePathToReports:
         for path in (tmp_path / "out" / "transcripts").iterdir():
             for lines in _stage_lines(path).values():
                 replies.update(lines)
-        for name, stage in (("_parse_cqe", "cqe"), ("_parse_ssi", "ssi"),
-                            ("_parse_sqr", "sqr"), ("_parse_grading", "reg")):
+        for name, stage in (("_parse_cqe", "cqe"), ("_parse_ssi", "ssi"), ("_parse_sqr", "sqr")):
             read = {args[1] for args in calls if args[0] == name}
             assert read == {reply for found, reply in replies if found == stage}, name
 
@@ -1533,14 +1529,14 @@ class TestOnePathToReports:
     ):
         info = self._askbd_run(tmp_path, strict_scripted=False)
         records = read_jsonl(info["corpus"])
-        # stage failures, and rejected replies that are asked again
+        # stage failures, and cqe replies that their parser rejects
         lines = info["cassette"].read_text().splitlines(keepends=True)
         info["cassette"].write_text("".join(l for i, l in enumerate(lines, 1) if i % 7))
         entries = load_cassette(info["cassette"])
         for record in records[:4]:
             prompt = detect_module.cqe_prompt(record)
             if _ask_key(prompt) in entries:
-                _script(entries, prompt, "no sections", entries[_ask_key(prompt)]["response"])
+                _script(entries, prompt, "no sections")
         write_cassette(entries, info["cassette"])
         assert main(["run", "--config", str(info["config"])]) == 0
         shared = tmp_path / "out"
@@ -1687,22 +1683,28 @@ class TestOnePathToReports:
                 assert graded[record.record_id] == grading_prompt(record, strategy, reference)
                 assert reference in graded[record.record_id]
 
-    def test_a_cqe_reply_rejected_for_m2_is_asked_again_for_m3(self, tmp_path):
+    def test_a_rejected_cqe_reply_fails_each_record_that_asks_it_after_one_exchange(
+        self, tmp_path
+    ):
         info = self._askbd_run(tmp_path)
         records = read_jsonl(info["corpus"])
         entries = load_cassette(info["cassette"])
         record = records[0]
-        prompt = detect_module.cqe_prompt(record)
-        reply = entries[_ask_key(prompt)]["response"]
-        _script(entries, prompt, "no sections", reply)
+        _script(entries, detect_module.cqe_prompt(record), "no sections")
         write_cassette(entries, info["cassette"])
         assert main(["run", "--config", str(info["config"])]) == 0
+        results = _results(_reports(tmp_path / "out"))
         asking = [r.record_id for r in records if r.question == record.question]
+        assert len(asking) > 1
         for strategy, seed in itertools.product(("M2", "M3"), (1, 2)):
             lines = _stage_lines(cli._transcript_path(tmp_path / "out", "demo", strategy, seed))
             for record_id in asking:
-                assert lines[record_id][:2] == [("cqe", "no sections"), ("cqe", reply)]
-                assert [stage for stage, _ in lines[record_id][2:]] == ["ssi", "sqr", "reg"]
+                assert lines[record_id] == [
+                    ("cqe", "no sections"),
+                    ("failed", "stage failure: cqe: UnparseableBackendOutput: "
+                               "no <conditions>/<inquiry> sections in response"),
+                ]
+                assert results[(record_id, strategy, str(seed))]["valid"] == "0"
 
     def test_a_scripted_run_asks_every_stage_once(self, tmp_path):
         info = build_demo(tmp_path, n_questions=2, seeds=(1,))
@@ -2501,3 +2503,83 @@ def test_a_results_flag_other_than_0_or_1_exits_2_naming_the_row(tmp_path, capsy
         err = capsys.readouterr().err
         assert err.startswith(f"schema error: results file {flagged}:"), err
         assert repr(flag) in err and err.endswith("(line 3)\n") and "Traceback" not in err, err
+
+
+def test_a_recording_run_sends_an_unparseable_grading_reply_once_and_judges_it_invalid(
+    tmp_path, monkeypatch
+):
+    info = build_demo(tmp_path, n_questions=2, seeds=(1, 2))
+    entries = load_cassette(info["cassette"])
+    record = read_jsonl(info["corpus"])[0]
+    garbled = _ask_key(grading_prompt(record, "M0"))
+    entries[garbled] = {"response": "no verdict here"}
+    asked = Counter()
+
+    def endpoint(url, payload, headers, *, connections):
+        """Answers from the edited demo cassette and counts each fingerprint asked."""
+        params = GenerationParams(payload["temperature"], payload["max_tokens"])
+        key = generate_fingerprint(payload["model"], payload["messages"], params)
+        asked[key] += 1
+        return 200, {"choices": [{"message": {"content": entries[key]["response"]}}]}
+
+    monkeypatch.setattr(backends, "_urllib_transport", endpoint)
+    recorded = tmp_path / "recorded.jsonl"
+    profiles = json.loads(info["profiles"].read_text())
+    profiles["profiles"].append({"name": "rec", "endpoint": "http://127.0.0.1:9/v1",
+                                 "model": "demo-model", "rate_limit_per_min": 100_000,
+                                 "record_to": str(recorded)})
+    info["profiles"].write_text(json.dumps(profiles))
+    config = json.loads(info["config"].read_text())
+    info["config"].write_text(json.dumps({**config, "profile_names": ["rec"],
+                                          "strict_scripted": False}))
+    assert main(["run", "--config", str(info["config"])]) == 0
+    # one request for both seeds, and one cassette line
+    assert asked[garbled] == 1 and set(asked.values()) == {1}
+    hashes = [json.loads(line)["request_hash"] for line in recorded.read_text().splitlines()]
+    assert hashes.count(garbled) == 1
+    results = _results(_reports(tmp_path / "out"))
+    for seed in (1, 2):
+        lines = _stage_lines(cli._transcript_path(tmp_path / "out", "rec", "M0", seed))
+        assert lines[record.record_id] == [("reg", "no verdict here")]
+        assert results[(record.record_id, "M0", str(seed))]["valid"] == "0"
+
+
+def test_evaluate_judges_a_record_with_two_reg_lines_by_the_last(tmp_path):
+    # a transcript written when an unparseable reply was asked a second time
+    info = build_demo(tmp_path, n_questions=2, seeds=(1,))
+    assert main(["run", "--config", str(info["config"])]) == 0
+    path = cli._transcript_path(tmp_path / "out", "demo", "M0", 1)
+    lines = path.read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    garbled = jsonl_line({**first, "response": "no verdict"})
+    verdicts = {}
+    for name, edited in (("reasked", [garbled, *lines]),
+                         ("garbled_last", [lines[0], garbled, *lines[1:]])):
+        path.write_text("".join(edited))
+        verdicts[name] = _results(_evaluate(info, tmp_path / name))
+    key = (first["record_id"], "M0", "1")
+    assert verdicts["reasked"][key]["valid"] == "1"
+    assert verdicts["garbled_last"][key]["valid"] == "0"
+    path.write_text("".join(lines))
+    assert (tmp_path / "reasked" / "results.csv").read_bytes() == \
+        (tmp_path / "out" / "results.csv").read_bytes()
+
+
+def test_record_to_on_a_scripted_profile_is_refused_before_any_backend_opens(
+    demo_dir, tmp_path, capsys, monkeypatch
+):
+    opened = []
+    monkeypatch.setattr(cli, "open_backend", lambda *args, **kwargs: opened.append(args))
+    profiles = json.loads((demo_dir / "profiles.json").read_text())
+    profiles["profiles"][0]["record_to"] = str(tmp_path / "rec.jsonl")
+    (tmp_path / "profiles.json").write_text(json.dumps(profiles))
+    (tmp_path / "run.json").write_text(json.dumps({
+        **json.loads((demo_dir / "run.json").read_text()),
+        "profiles": str(tmp_path / "profiles.json"), "out": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(tmp_path / "run.json"), "--strict-scripted"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and str(tmp_path / "profiles.json") in err, err
+    assert "record_to" in err, err
+    assert opened == [] and not (tmp_path / "out").exists()
+    assert not (tmp_path / "rec.jsonl").exists()

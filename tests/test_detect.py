@@ -35,15 +35,12 @@ PROFILE = BackendProfile(
 
 
 def script_for(pairs):
-    """Build a scripted backend from {prompt: response} pairs. A re-ask is
-    its own request, scripted with the same response as the first ask."""
-    entries = {}
-    for prompt, response in pairs.items():
-        for attempt in (0, 1):
-            key = generate_fingerprint(
-                MODEL, [{"role": "user", "content": prompt}], GenerationParams(attempt=attempt)
-            )
-            entries[key] = {"response": response}
+    """Build a scripted backend from {prompt: response} pairs."""
+    entries = {
+        generate_fingerprint(MODEL, [{"role": "user", "content": prompt}], GenerationParams()):
+            {"response": response}
+        for prompt, response in pairs.items()
+    }
     return ExchangeStore(entries, MODEL)
 
 
@@ -277,11 +274,11 @@ class TestStages:
         assert "<conditions> Each gust blows the leaf 5 feet forward" in sqr.prompt
         assert f"Question 4: {LEAF_INQUIRY}" in sqr.prompt
 
-    def test_cqe_missing_delimiter_fails_after_reask(self, leaf_record):
+    def test_cqe_missing_delimiter_fails_after_one_exchange(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         scripts[cqe_prompt(leaf_record)] = "no sections here"
         exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(exchanges) == ["cqe", "cqe", "failed"]
+        assert stages(exchanges) == ["cqe", "failed"]
         assert exchanges[-1].response.startswith(
             "stage failure: cqe: UnparseableBackendOutput: no <conditions>"
         )
@@ -313,7 +310,7 @@ class TestStages:
         scripts = leaf_scripts(leaf_record)
         scripts[cqe_prompt(leaf_record)] = f"<conditions>   \n<inquiry> {LEAF_INQUIRY}"
         exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(exchanges) == ["cqe", "cqe", "failed"]
+        assert stages(exchanges) == ["cqe", "failed"]
         assert "empty conditions or inquiry section" in exchanges[-1].response
 
     def test_sqr_single_question(self):
@@ -338,38 +335,40 @@ class TestStages:
         assert outcome(leaf_record, exchanges) == DetectionOutcome(CORRECT_LABEL, valid=True)
         assert stages(exchanges) == ["reg"]
 
-    def test_reg_garbage_yields_invalid_outcome(self, leaf_record):
+    def test_reg_garbage_yields_invalid_outcome_after_one_exchange(self, leaf_record):
         reference = "Step 1: whatever."
         prompt = grading_prompt(leaf_record, "ref_matching", reference)
         backend = script_for({prompt: "I refuse to answer in the required format."})
         exchanges = detect(leaf_record, PROFILE, "ref_matching", reference, backend=backend)
         assert not outcome(leaf_record, exchanges).valid
-        assert stages(exchanges) == ["reg", "reg"]  # one re-ask, then an invalid outcome
+        assert stages(exchanges) == ["reg"]
 
-    def test_reasked_cqe_keeps_both_exchanges(self, leaf_record):
+    def test_a_rejected_cqe_reply_is_not_asked_again(self, leaf_record):
+        # a second cqe reply would parse, but only one is asked for
         scripts = {prompt: [response] for prompt, response in leaf_scripts(leaf_record).items()}
         scripts[cqe_prompt(leaf_record)].insert(0, "no sections here")
-        exchanges = detect(leaf_record, PROFILE, "M2", backend=SequenceBackend(scripts))
-        assert stages(exchanges) == ["cqe", "cqe", "ssi", "sqr", "reg"]
-        assert [e.response for e in exchanges[:2]] == ["no sections here", LEAF_CQE_RESPONSE]
-        assert outcome(leaf_record, exchanges).valid
+        backend = SequenceBackend(scripts)
+        exchanges = detect(leaf_record, PROFILE, "M2", backend=backend)
+        assert stages(exchanges) == ["cqe", "failed"]
+        assert exchanges[0].response == "no sections here"
+        assert backend.replies[cqe_prompt(leaf_record)] == [LEAF_CQE_RESPONSE]
 
     def test_unparseable_ssi_ends_in_a_failed_line(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         scripts[ssi_prompt(leaf_record)] = "no questions here"
         exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(exchanges) == ["cqe", "ssi", "ssi", "failed"]
+        assert stages(exchanges) == ["cqe", "ssi", "failed"]
         failed = exchanges[-1]
         assert failed.prompt == ""
         assert failed.response.startswith("stage failure: ssi: UnparseableBackendOutput: ")
         assert outcome(leaf_record, exchanges).invalid_reason == failed.response
 
-    def test_an_empty_sqr_reply_is_asked_again_then_ends_in_a_failed_line(self, leaf_record):
+    def test_an_empty_sqr_reply_ends_in_a_failed_line_after_one_exchange(self, leaf_record):
         scripts = leaf_scripts(leaf_record)
         asked = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
         scripts[asked[2].prompt] = "  \n"
         exchanges = detect(leaf_record, PROFILE, "M2", backend=script_for(scripts))
-        assert stages(exchanges) == ["cqe", "ssi", "sqr", "sqr", "failed"]
+        assert stages(exchanges) == ["cqe", "ssi", "sqr", "failed"]
         assert exchanges[-1].response == (
             "stage failure: sqr: UnparseableBackendOutput: empty reference solution"
         )
@@ -485,7 +484,9 @@ class TestDetect:
         assert outcome(injected, exchanges).predicted == injected.label
 
 
-def test_a_shared_readings_dict_parses_each_distinct_reply_once(tmp_path, monkeypatch):
+def test_a_shared_memo_reads_each_distinct_stage_reply_once_and_no_grading_reply(
+    tmp_path, monkeypatch
+):
     from askbd import detect as detect_module
     from askbd.backends import load_cassette, load_profiles
     from askbd.demo import build_demo
@@ -499,20 +500,19 @@ def test_a_shared_readings_dict_parses_each_distinct_reply_once(tmp_path, monkey
     alone = [detect(record, profile, strategy, backend=backend) for record, strategy in cells]
 
     parsed = []
-    real_parse = detect_module.parse_detector_response
+    for name, stage in (("parse_detector_response", "reg"), ("_parse_cqe", "cqe"),
+                        ("_parse_ssi", "ssi"), ("_parse_sqr", "sqr")):
+        def noting(text, *steps, stage=stage, real=getattr(detect_module, name)):
+            parsed.append((stage, text))
+            return real(text, *steps)
 
-    def noting(text, n_steps):
-        parsed.append((text, n_steps))
-        return real_parse(text, n_steps)
-
-    monkeypatch.setattr(detect_module, "parse_detector_response", noting)
+        monkeypatch.setattr(detect_module, name, noting)
     memo = DetectionMemo()
     for _ in range(2):  # two seeds that get the same replies
         shared = [detect(record, profile, strategy, backend=backend, memo=memo)
                   for record, strategy in cells]
         assert shared == alone
-    graded = {(e[-1].response, len(record.steps)) for e, (record, _) in zip(alone, cells)}
-    assert sorted(parsed) == sorted(graded)
+    read = {(e.stage, e.response) for exchanges in alone for e in exchanges if e.stage != "reg"}
+    assert sorted(parsed) == sorted(read)
     # what the seeds share cannot be changed by one of them
-    assert {type(reading) for reading in memo.readings.values()} == \
-        {tuple, str, DetectionOutcome}
+    assert {type(reading) for reading in memo.readings.values()} == {tuple, str}
