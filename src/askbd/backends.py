@@ -3,7 +3,7 @@
 One wire format (chat completions for generation, echoed completions for
 per-token log-probabilities) and one transport per endpoint scheme: an
 exchange store that replays a `scripted:` cassette; a deterministic
-offline `mock:` scorer; or, for an `http(s)` endpoint, an HTTP client
+offline `mock:score` scorer; or, for an `http(s)` endpoint, an HTTP client
 with retries, a sliding-window rate limiter and kept-alive connections,
 behind an exchange store that records into the profile's `record_to`
 cassette when it has one. Every backend has a `close` method, which
@@ -110,7 +110,9 @@ class BackendProfile:
                 f"rate_limit_per_min must be at least 1, got {self.rate_limit_per_min}"
             )
         if self.endpoint.startswith("mock:"):
-            _mock_settings(self.endpoint)
+            if self.endpoint != "mock:score":
+                raise ValueError(f"endpoint {self.endpoint!r}: the one mock endpoint is "
+                                 "mock:score, which takes no query")
             if CAP_GENERATE in self.capabilities:
                 raise ValueError(f"capabilities of a mock: endpoint must not include "
                                  f"{CAP_GENERATE!r}; it only scores tokens")
@@ -336,6 +338,21 @@ def _urllib_transport(url: str, payload: dict, headers: Mapping[str, str], *,
         raise MalformedResponse(f"{url} answered 200 with a body that is not JSON: {err}") from err
 
 
+def _is_number(value) -> bool:
+    """Whether `value` is a JSON number; a bool is not."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the parallel lists of a `/completions` reply's logprobs: name, what each
+# item is, and a test of one item
+_LOGPROB_COLUMNS = (
+    ("tokens", "strings", lambda item: isinstance(item, str)),
+    ("token_logprobs", "finite numbers or nulls",
+     lambda item: item is None or (_is_number(item) and math.isfinite(item))),
+    ("text_offset", "integers", lambda item: isinstance(item, int) and not isinstance(item, bool)),
+)
+
+
 class HttpBackend:
     """Client of one endpoint, with retry and rate limiting: `generate`
     posts to its `/chat/completions` and `score_tokens` to its
@@ -420,13 +437,16 @@ class HttpBackend:
         body = self._post("/completions", payload)
         try:
             info = body["choices"][0]["logprobs"]
-            tokens = info["tokens"]
-            logprobs = info["token_logprobs"]
-            offsets = info["text_offset"]
+            columns = [info[name] for name, _, _ in _LOGPROB_COLUMNS]
         except (KeyError, IndexError, TypeError) as err:
             raise MalformedResponse(f"no logprobs in response: {err}") from err
+        for (name, kind, valid), column in zip(_LOGPROB_COLUMNS, columns):
+            if not (isinstance(column, list) and len(column) == len(columns[0])
+                    and all(map(valid, column))):
+                raise MalformedResponse(f"logprobs field {name!r} is not a list of {kind}, "
+                                        "one for each token")
         scores = []
-        for token, logprob, offset in zip(tokens, logprobs, offsets):
+        for token, logprob, offset in zip(*columns):
             if offset < len(prefix):
                 continue
             if logprob is None:
@@ -519,76 +539,22 @@ def waits_on_io(backend) -> bool:
     return not (isinstance(backend, ExchangeStore) and backend.inner is None)
 
 
-def _mock_number(endpoint: str, query: Mapping[str, str], key: str, default: float) -> float:
-    try:
-        value = float(query.get(key, default))
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise ValueError(f"endpoint {endpoint!r}: {key} must be a finite number, "
-                         f"got {query[key]!r}")
-    return value
-
-
-def _mock_settings(endpoint: str) -> tuple[bool, float, float]:
-    """Whether a `mock:score?...` endpoint hashes (`mode=hash`), its logprob
-    and its scale. Another path, a repeated query key, one other than mode,
-    logprob and scale, a mode other than hash, a scale without mode=hash or
-    a logprob with it, which that mode would not read, a logprob or scale
-    that is no finite number, and a positive logprob or negative scale,
-    which score a token above 0, are each a ValueError naming the endpoint."""
-    parts = urllib.parse.urlsplit(endpoint)
-    pairs = urllib.parse.parse_qsl(parts.query, keep_blank_values=True)
-    query = dict(pairs)
-    if parts.path != "score":
-        raise ValueError(f"endpoint {endpoint!r}: a mock endpoint must be mock:score")
-    if len(query) < len(pairs):
-        raise ValueError(f"endpoint {endpoint!r}: a query key is given twice")
-    unknown = sorted(set(query) - {"mode", "logprob", "scale"})
-    if unknown:
-        raise ValueError(f"endpoint {endpoint!r}: unknown key {unknown[0]!r}; "
-                         "known keys are mode, logprob and scale")
-    hashed = "mode" in query
-    if hashed and query["mode"] != "hash":
-        raise ValueError(f"endpoint {endpoint!r}: mode must be hash, got {query['mode']!r}")
-    unread = "logprob" if hashed else "scale"
-    if unread in query:
-        raise ValueError(f"endpoint {endpoint!r}: {unread} is read only "
-                         f"{'without' if hashed else 'with'} mode=hash")
-    logprob = _mock_number(endpoint, query, "logprob", -1.0)
-    scale = _mock_number(endpoint, query, "scale", 2.0)
-    if logprob > 0 or scale < 0:
-        raise ValueError(f"endpoint {endpoint!r}: a positive logprob or a negative scale "
-                         "scores a token above log-probability 0")
-    return hashed, logprob, scale
-
-
 class MockScoreBackend:
-    """Deterministic offline scorer; tokens are whitespace words.
-
-    mock:score?logprob=-1.0      constant per-token score
-    mock:score?mode=hash&scale=2 per-token scores derived from a stable hash
-    """
-
-    def __init__(self, endpoint: str):
-        self.hashed, self.logprob, self.scale = _mock_settings(endpoint)
+    """Deterministic offline scorer behind `mock:score`. Tokens are the
+    continuation's whitespace words; each scores -(0.1 + 2.0·u), where u in
+    [0, 1) comes from a sha256 of the prefix, the word's position and the
+    word."""
 
     def close(self) -> None:
         pass
 
-    def generate(self, messages: Messages, params: GenerationParams) -> str:
-        raise CapabilityMissing("mock scorer cannot generate")
-
     def score_tokens(self, prefix: str, continuation: str) -> list[TokenScore]:
-        tokens = continuation.split()
-        if self.hashed:
-            scores = []
-            for position, token in enumerate(tokens):
-                digest = hashlib.sha256(f"{prefix}|{position}|{token}".encode()).digest()
-                unit = int.from_bytes(digest[:8], "big") / 2**64
-                scores.append(TokenScore(token, -(0.1 + unit * self.scale)))
-            return scores
-        return [TokenScore(token, self.logprob) for token in tokens]
+        scores = []
+        for position, token in enumerate(continuation.split()):
+            digest = hashlib.sha256(f"{prefix}|{position}|{token}".encode()).digest()
+            unit = int.from_bytes(digest[:8], "big") / 2**64
+            scores.append(TokenScore(token, -(0.1 + unit * 2.0)))
+        return scores
 
 
 # --- Cassettes and profile files ---
@@ -602,16 +568,16 @@ def cassette_line(key: str, entry: Mapping) -> str:
 def _is_score_pair(value) -> bool:
     """Whether `value` is a cassette's [token, logprob] pair."""
     return (isinstance(value, list) and len(value) == 2 and isinstance(value[0], str)
-            and isinstance(value[1], (int, float)) and not isinstance(value[1], bool))
+            and _is_number(value[1]) and math.isfinite(value[1]))
 
 
 def load_cassette(path) -> dict[str, dict]:
     """Exchanges by request fingerprint, from the cassette file at `path`
     as given. A missing file or a malformed line is a SchemaViolation
     naming the cassette (and the line); so is a `response` that is no
-    string and a `token_scores` that is no list of [token, number] pairs.
-    A request's first line is kept: a later equal line is skipped, and a
-    later different one is a SchemaViolation naming both lines."""
+    string and a `token_scores` that is no list of [token, finite number]
+    pairs. A request's first line is kept: a later equal line is skipped,
+    and a later different one is a SchemaViolation naming both lines."""
     entries: dict[str, dict] = {}
     first_lines: dict[str, int] = {}
     for number, entry in read_jsonl_lines(path, "cassette"):
@@ -623,7 +589,7 @@ def load_cassette(path) -> dict[str, dict]:
         scores = entry.get("token_scores", [])
         if not (isinstance(scores, list) and all(map(_is_score_pair, scores))):
             raise SchemaViolation(f"token_scores in cassette {path} is not a list of "
-                                  "[token, number] pairs", line=number)
+                                  "[token, finite number] pairs", line=number)
         first = first_lines.setdefault(key, number)
         if entries.setdefault(key, entry) != entry:
             raise SchemaViolation(f"cassette {path} answers request {key[:12]} differently "
@@ -631,24 +597,10 @@ def load_cassette(path) -> dict[str, dict]:
     return entries
 
 
-# keys of the older profile format, in which an http(s) profile with a
-# `cassette` and no `record: true` replayed it
-_RETIRED_PROFILE_KEYS = ("cassette", "record")
-
-
 def load_profiles(path) -> dict[str, BackendProfile]:
     """Profiles by name. A missing or malformed file, or one that does not
-    match `ProfilesFile`, is a SchemaViolation naming the file. So is a
-    profile with a retired key, which names the spelling that replaced it."""
+    match `ProfilesFile`, is a SchemaViolation naming the file."""
     data = read_json_file(path, "profiles file")
-    entries = data.get("profiles") if isinstance(data, dict) else None
-    for entry in entries if isinstance(entries, list) else ():
-        for key in _RETIRED_PROFILE_KEYS:
-            if isinstance(entry, dict) and key in entry:
-                raise SchemaViolation(
-                    f"profiles file {path}: profile key {key!r} is retired; replay a cassette "
-                    f'with "endpoint": "scripted:<cassette>", record one with "record_to"'
-                )
     loaded = from_json(ProfilesFile, data, f"profiles file {path}")
     return {profile.name: profile for profile in loaded.profiles}
 
@@ -674,7 +626,7 @@ def open_backend(
     if endpoint.startswith("scripted:"):
         return ExchangeStore(load_cassette(endpoint.split(":", 1)[1]), profile.model)
     if endpoint.startswith("mock:"):
-        return MockScoreBackend(endpoint)
+        return MockScoreBackend()
     if strict_scripted:
         raise StrictScriptedViolation(
             f"profile {profile.name!r} needs network endpoint {endpoint!r}"

@@ -333,7 +333,7 @@ def build_demo(outdir, n_questions: int = 4, seeds: Sequence[int] = (1, 2, 3)) -
                     },
                     {
                         "name": "scorer",
-                        "endpoint": "mock:score?mode=hash&scale=2.0",
+                        "endpoint": "mock:score",
                         "model": "mock-scorer",
                         "capabilities": ["score_tokens"],
                     },

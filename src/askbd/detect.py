@@ -130,25 +130,32 @@ class StageExchange:
 # --- Response parsing ---
 
 _TAG_ALTS = "|".join(sorted(_TAGS, key=len, reverse=True))
+# a step line may start with list, quote or heading markers (`-`, `*`, `>`,
+# `#`), and `**` or `__` may set off `Step k` and its tag. Each run of
+# spaces has one place to match, so a long line fails in linear time
+_EM = r"(?:(?:\*\*|__)\s*)*"
+_STEP = r"^\s*(?:(?:[-*>#]|__)\s*)*step\s*(\d+)\s*" + _EM
 _BRACKET_LINE = re.compile(
-    rf"^\s*step\s*(\d+)\s*[:.]?\s*<\s*({_TAG_ALTS})\s*>", re.IGNORECASE
+    rf"{_STEP}(?:[:.]\s*{_EM})?<\s*({_TAG_ALTS})\s*>", re.IGNORECASE
 )
 _BARE_LINE = re.compile(
-    rf"^\s*step\s*(\d+)\s*[:.]\s*({_TAG_ALTS})\s*[.!]?\s*$", re.IGNORECASE
+    rf"{_STEP}[:.]\s*{_EM}({_TAG_ALTS})\s*{_EM}(?:[.!]\s*{_EM})?$", re.IGNORECASE
 )
 
 
 def parse_detector_response(text: str, n_steps: int) -> DetectionOutcome:
     """Extract `Step k: <tag>` lines and derive the predicted label.
 
-    The first step tagged with a primary error wins; correct and
-    secondary tags never contribute. Missing or duplicate step lines, or
-    a step count mismatch, mark the outcome invalid instead of raising.
+    A reply with a `<response>` marker is read after its last one, so
+    step tags in the reasoning before it do not count. The first step
+    tagged with a primary error wins; correct and secondary tags never
+    contribute. Missing or duplicate step lines, or a step count
+    mismatch, mark the outcome invalid instead of raising.
     """
     if n_steps < 1:
         return DetectionOutcome.invalid_response("solution has no steps")
     found: dict[int, str] = {}
-    for line in text.splitlines():
+    for line in text.rpartition("<response>")[2].splitlines():
         match = _BRACKET_LINE.match(line) or _BARE_LINE.match(line)
         if not match:
             continue

@@ -58,23 +58,11 @@ class DivisionByZero(ExprError):
         super().__init__("division by zero")
 
 
-# Nodes are immutable, so each caches its hash when first asked: a set or
-# dict of trees would otherwise rehash every subtree on each lookup. The
-# cached hash is the one the dataclass computes, so equal nodes hash equal
-# whether or not either was hashed before.
 @dataclass(frozen=True)
 class Lit:
     """A literal leaf holding a finite rational value."""
 
     value: Rational
-    _hash = None  # not a field: set by __hash__
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.value,))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 @dataclass(frozen=True)
@@ -84,14 +72,6 @@ class Bin:
     op: str
     left: "Expr"
     right: "Expr"
-    _hash = None  # not a field: set by __hash__
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.op, self.left, self.right))
-            object.__setattr__(self, "_hash", h)
-        return h
 
 
 Expr = Union[Lit, Bin]

@@ -182,11 +182,11 @@ def test_likelihood_math(labeled_corpus):
 
         profile = BackendProfile(
             name="scorer",
-            endpoint="mock:score?mode=hash&scale=2.0",
+            endpoint="mock:score",
             model="mock",
             capabilities=frozenset({CAP_SCORE_TOKENS}),
         )
-        backend = MockScoreBackend(profile.endpoint)
+        backend = MockScoreBackend()
         indicators = {
             record.record_id: score_solution(record, profile, backend=backend).indicator
             for record in corpus
@@ -247,6 +247,30 @@ def test_deterministic_end_to_end_run(tmp_path):
         for strategy in ("M0", "M1", "M2", "M3"):
             for group in ("D", "D'", "Delta"):
                 assert f"{group} {strategy}" in report
+
+
+# sha256 of the scores and the quartile analysis of the same demo run, scored
+# offline by the demo's scorer profile and joined to its M2 results
+DEMO_SCORES_SHA256 = "e61959d42cfcd0c182d2cd27cc579e242f4217e120a27f9aef0d1baaa675e149"
+DEMO_ANALYSIS_SHA256 = "7afc5df8e858a7189b69f0a51fd2bb7a7bb18e7a93cde9fccff3901c98042f06"
+
+
+def test_deterministic_likelihood_analysis(tmp_path, capsys):
+    with criterion("deterministic-likelihood"):
+        info = build_demo(tmp_path, n_questions=4, seeds=(1, 2, 3))
+        assert main(["run", "--config", str(info["config"]), "--strict-scripted"]) == 0
+        scores, analysis = tmp_path / "scores.jsonl", tmp_path / "buckets.csv"
+        capsys.readouterr()
+        assert main([
+            "score-likelihood", "--profiles", "scorer", "--profiles-file", str(info["profiles"]),
+            "--in", str(info["corpus"]), "--out", str(scores), "--analysis", str(analysis),
+            "--results", str(tmp_path / "out" / "results.csv"), "--strategy", "M2",
+        ]) == 0
+        assert hashlib.sha256(scores.read_bytes()).hexdigest() == DEMO_SCORES_SHA256
+        assert hashlib.sha256(analysis.read_bytes()).hexdigest() == DEMO_ANALYSIS_SHA256
+        printed = capsys.readouterr().out.splitlines()
+        for line in ("Q1: 0.800", "Q2: 0.800", "Q3: 0.900", "Q4: 0.500"):
+            assert line in printed
 
 
 def test_parser_totality_and_metamorphic_properties():

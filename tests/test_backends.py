@@ -574,6 +574,39 @@ class TestKeptAlive:
         assert (server.accepted, proxy.accepted) == (1, 0)
 
 
+@pytest.mark.usefixtures("no_proxies")
+class TestScoreReplyShape:
+    @pytest.mark.parametrize("field, change", [
+        ("tokens", lambda column: "qab"),
+        ("tokens", lambda column: [*column[:-1], 5]),
+        ("token_logprobs", lambda column: column[:-1]),
+        ("token_logprobs", lambda column: [*column[:-1], "x"]),
+        ("token_logprobs", lambda column: [*column[:-1], True]),
+        # Python's json module reads the NaN that strict JSON lacks
+        ("token_logprobs", lambda column: [*column[:-1], float("nan")]),
+        ("token_logprobs", lambda column: None),
+        ("text_offset", lambda column: column[:-1]),
+        ("text_offset", lambda column: [*column, 3]),
+        ("text_offset", lambda column: [*column[:-1], None]),
+        ("text_offset", lambda column: [*column[:-1], 2.0]),
+        ("text_offset", lambda column: [*column[:-1], False]),
+    ])
+    def test_a_logprobs_list_that_cannot_be_read_is_malformed(
+        self, loopback, live_backend, field, change
+    ):
+        def answer(self):
+            body = echo_body(self.payload["prompt"])
+            logprobs = body["choices"][0]["logprobs"]
+            logprobs[field] = change(logprobs[field])
+            self.reply(200, json.dumps(body).encode())
+
+        backend, clock = live_backend(loopback(handler(answer)))
+        with pytest.raises(MalformedResponse, match=f"logprobs field '{field}' is not a list"):
+            backend.score_tokens("q", "ab")
+        # a reply that cannot be read is not sent again
+        assert clock.sleeps == []
+
+
 class TestRateLimiter:
     def test_window_never_exceeded(self):
         clock = VirtualClock()
@@ -589,35 +622,24 @@ class TestRateLimiter:
 
 
 class TestMockScorer:
-    def test_constant_seven_tokens(self):
-        backend = MockScoreBackend("mock:score?logprob=-1.0")
-        scores = backend.score_tokens("q", "one two three four five six seven")
-        assert len(scores) == 7
-        assert all(s.logprob == -1.0 for s in scores)
+    def test_each_word_scores_from_its_hash_in_minus_2_1_to_minus_0_1(self):
+        first = MockScoreBackend().score_tokens("q", "one two three four five six seven")
+        assert [s.token for s in first] == "one two three four five six seven".split()
+        assert all(-2.1 < s.logprob <= -0.1 for s in first)
+        assert len({s.logprob for s in first}) == 7
+        assert MockScoreBackend().score_tokens("q", "one two three four five six seven") == first
 
     def test_empty_continuation(self):
-        backend = MockScoreBackend("mock:score?logprob=-1.0")
-        assert backend.score_tokens("q", "") == []
+        assert MockScoreBackend().score_tokens("q", "") == []
 
-    def test_hash_mode_is_deterministic_and_negative(self):
-        backend = MockScoreBackend("mock:score?mode=hash&scale=2.0")
-        first = backend.score_tokens("q", "a b c")
-        second = backend.score_tokens("q", "a b c")
-        assert first == second
-        assert all(s.logprob < 0 for s in first)
-
-    def test_no_mode_scores_every_token_with_the_default_logprob(self):
-        assert MockScoreBackend("mock:score").score_tokens("q", "a b") == \
-            [TokenScore("a", -1.0), TokenScore("b", -1.0)]
-
-    @pytest.mark.parametrize("endpoint, unread", [
-        ("mock:score?scale=7", "scale is read only with mode=hash"),
-        ("mock:score?logprob=-1&scale=2", "scale is read only with mode=hash"),
-        ("mock:score?mode=hash&logprob=-5", "logprob is read only without mode=hash"),
+    @pytest.mark.parametrize("endpoint", [
+        "mock:score?mode=hash&scale=2.0", "mock:score?logprob=-1.0", "mock:score?",
+        "mock:scores", "mock:",
     ])
-    def test_a_key_the_mode_does_not_read_is_refused(self, endpoint, unread):
-        with pytest.raises(ValueError, match=re.escape(f"endpoint {endpoint!r}: {unread}")):
-            MockScoreBackend(endpoint)
+    def test_any_other_mock_endpoint_is_refused_naming_mock_score(self, endpoint):
+        refusal = f"endpoint {endpoint!r}: the one mock endpoint is mock:score"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
+            make_profile(endpoint=endpoint, capabilities=frozenset({CAP_SCORE_TOKENS}))
 
 
 class TestRecordReplay:

@@ -587,6 +587,32 @@ class TestScoreLikelihoodCli:
         # scoring stopped
         assert not scores.exists()
 
+    @pytest.mark.usefixtures("no_proxies")
+    def test_a_score_reply_that_cannot_be_read_is_a_backend_error_without_a_traceback(
+        self, demo_dir, tmp_path, capsys, loopback
+    ):
+        class ShortLogprobs(JsonHandler):
+            """Echoes the prompt one token a character, with one logprob too few."""
+
+            def do_POST(self):
+                prompt = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["prompt"]
+                logprobs = {"tokens": list(prompt), "token_logprobs": [-0.5] * (len(prompt) - 1),
+                            "text_offset": list(range(len(prompt)))}
+                self.reply(200, json.dumps({"choices": [{"logprobs": logprobs}]}).encode())
+
+        server = loopback(ShortLogprobs)
+        profiles = tmp_path / "profiles.json"
+        profiles.write_text(json.dumps({"profiles": [
+            {"name": "live", "endpoint": server.url + "/v1", "model": "m",
+             "capabilities": ["score_tokens"]},
+        ]}))
+        scores = tmp_path / "scores.jsonl"
+        assert main(["score-likelihood", "--profiles", "live", "--profiles-file", str(profiles),
+                     "--in", str(demo_dir / "corpus.jsonl"), "--out", str(scores)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("backend error: logprobs field 'token_logprobs' is not a list"), err
+        assert "Traceback" not in err and not scores.exists()
+
     @pytest.mark.parametrize("stop, status", [
         (backends.MalformedResponse("no logprobs"), 3), (KeyboardInterrupt(), 4),
     ])
@@ -730,14 +756,9 @@ class TestScoreLikelihoodCli:
             ("cassette", "c.jsonl"), ("rate_limit_per_min", 0),
             ("rate_limit_per_min", "60"), ("retry", {"max_attempts": 0}),
             ("retry", {"backoff": float("nan")}), ("cassete", "c.jsonl"),
-            # a mock scorer it could not score with, and a scheme with no transport
-            ("endpoint", "mock:score?logprob=abc"), ("endpoint", "mock:score?mode=hsah"),
-            ("endpoint", "mock:score?seed=1"), ("endpoint", "mock:score?mode=hash&scale=nan"),
-            ("endpoint", "mock:score?logprob=inf"), ("endpoint", "mock:score?logprob=0.5"),
-            ("endpoint", "mock:score?mode=hash&scale=-1"), ("endpoint", "mock:scores"),
-            ("endpoint", "mock:score?logprob=-1&logprob=-3"),
-            # a key the mock scorer's mode would not read
-            ("endpoint", "mock:score?scale=7"), ("endpoint", "mock:score?mode=hash&logprob=-5"),
+            # a mock endpoint other than mock:score, and a scheme with no transport
+            ("endpoint", "mock:score?mode=hash&scale=2.0"), ("endpoint", "mock:score?mode=hsah"),
+            ("endpoint", "mock:score?logprob=-1.0"), ("endpoint", "mock:scores"),
             # a cassette to record into for an endpoint that sends no request
             ("record_to", "rec.jsonl"),
             ("capabilities", ["generate", "score_tokens"]), ("capabilities", ["generate"]),
@@ -2372,7 +2393,7 @@ def test_a_profile_in_the_retired_format_is_refused_before_any_request(
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("schema error:") and str(profiles) in err, err
-        assert "'cassette'" in err and '"endpoint": "scripted:<cassette>"' in err, err
+        assert "'cassette'" in err, err
         assert not (tmp_path / "out").exists()
 
 
@@ -2454,7 +2475,8 @@ def test_a_cassette_response_or_token_scores_of_the_wrong_type_exit_2_naming_the
     entry = json.loads(lines[2])
     bad = [{**entry, "response": 5}]
     bad += [{**entry, "token_scores": scores}
-            for scores in ({"a": -1.0}, [["a"]], [["a", "-1"]], [[1, -1.0]], [["a", True]])]
+            for scores in ({"a": -1.0}, [["a"]], [["a", "-1"]], [[1, -1.0]], [["a", True]],
+                           [["a", float("nan")]])]
     for third in bad:
         cassette.write_text("".join(lines[:2] + [json.dumps(third) + "\n"] + lines[3:]))
         assert main(["run", "--config", str(info["config"])]) == 2, third

@@ -214,6 +214,38 @@ class TestParseDetectorResponse:
         text2 = "\n".join(f"Step {i}: {t}" for i, t in enumerate(edited, 1))
         assert parse_detector_response(text2, 3).predicted == predicted
 
+    @pytest.mark.parametrize("text", [
+        # the steps tagged in the reasoning and again in the response
+        "<thinking>\nStep 1: <correct>\nStep 2: <correct>\n</thinking>\n"
+        "<response>\nStep 1: <correct>\nStep 2: <calculation error>\n</response>",
+        # only the last marker opens the section read
+        "Mind the <response> format.\n<response>\nStep 1: <correct>\n"
+        "Step 2: <calculation error>",
+        "**Step 1**: <correct>\n**Step 2**: <calculation error>",
+        "**Step 1:** **<correct>**\n__Step 2__: __<calculation error>__",
+        "- Step 1: <correct>\n- Step 2: <calculation error>",
+        "* Step 1: <correct>\n* Step 2: <calculation error>",
+        "> Step 1: <correct>\n> Step 2: <calculation error>",
+        "## Step 1: <correct>\n## Step 2: <calculation error>",
+        "- **Step 1**: correct\n- **Step 2**: **calculation error**.",
+    ])
+    def test_the_verdict_section_is_read_past_markdown(self, text):
+        outcome = parse_detector_response(text, 2)
+        assert outcome == DetectionOutcome(ErrorLabel(2, "calc"), valid=True)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("<thinking>\nStep 1: <correct>\n</thinking>\n<response>\nStep 1: <correct>\n"
+         "Step 1: <correct>\nStep 2: <calculation error>", "duplicate line for step 1"),
+        ("<thinking>\nStep 1: <correct>\nStep 2: <correct>\n</thinking>\n"
+         "<response>\nStep 2: <calculation error>", "expected steps 1..2, got [2]"),
+        ("<response>\nStep 1: <correct>\nStep 2: <correct>\nStep 3: <correct>",
+         "expected steps 1..2, got [1, 2, 3]"),
+        ("<response>Step 1: <correct> Step 2: <calculation error></response>",
+         "expected steps 1..2, got [1]"),
+    ])
+    def test_the_verdict_section_read_keeps_ambiguity_invalid(self, text, reason):
+        assert parse_detector_response(text, 2) == DetectionOutcome.invalid_response(reason)
+
 
 LEAF_INQUIRY = "How far down the sidewalk has the leaf traveled after 11 gusts?"
 LEAF_CQE_RESPONSE = (

@@ -311,7 +311,7 @@ class TestHash:
             e = random_expr(rng)
             text = to_text(e, "step_brackets")
             hashed, fresh = parse_expr(text), parse_expr(text)
-            hash(hashed)  # caches the hash of every node of `hashed`
+            hash(hashed)
             assert hashed == fresh and hash(hashed) == hash(fresh)
             assert fresh in {hashed} and hashed in {fresh: None}
             # a new tree over a hashed subtree hashes as one built fresh

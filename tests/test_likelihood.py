@@ -3,12 +3,7 @@ from collections import Counter
 
 import pytest
 
-from askbd.backends import (
-    CAP_SCORE_TOKENS,
-    BackendProfile,
-    MockScoreBackend,
-    TokenScore,
-)
+from askbd.backends import CAP_SCORE_TOKENS, BackendProfile, TokenScore
 from askbd.likelihood import (
     EmptyContinuation,
     TooFewRecords,
@@ -73,21 +68,25 @@ class TestAverage:
             assert abs(indicator * len(sc) - sum_logprob(sc)) < 1e-9
 
 
-def scoring_profile(name, endpoint):
-    return BackendProfile(
-        name=name,
-        endpoint=endpoint,
-        model="scorer",
-        capabilities=frozenset({CAP_SCORE_TOKENS}),
-    )
+SCORER = BackendProfile(
+    name="scorer", endpoint="mock:score", model="scorer",
+    capabilities=frozenset({CAP_SCORE_TOKENS}),
+)
+
+
+class ConstantScorer:
+    """A scoring backend that scores each whitespace word `logprob`."""
+
+    def __init__(self, logprob):
+        self.logprob = logprob
+
+    def score_tokens(self, prefix, continuation):
+        return scores(*[self.logprob] * len(continuation.split()))
 
 
 class TestScoring:
     def test_score_solution_counts_words(self, leaf_record):
-        profile = scoring_profile("const", "mock:score?logprob=-1.0")
-        scored = score_solution(
-            leaf_record, profile, backend=MockScoreBackend(profile.endpoint)
-        )
+        scored = score_solution(leaf_record, SCORER, backend=ConstantScorer(-1.0))
         words = len("\n".join(
             f"Step {s.index}. {s.statement}" for s in leaf_record.steps
         ).split())
@@ -96,26 +95,19 @@ class TestScoring:
         assert scored.total == -1.0 * words
 
     def test_pseudo_indicator_is_mean(self, leaf_record):
-        a = scoring_profile("a", "mock:score?logprob=-1.0")
-        b = scoring_profile("b", "mock:score?logprob=-3.0")
-        assert pseudo_indicator(score_each(leaf_record, [a, b])) == -2.0
+        assert pseudo_indicator(score_each(leaf_record, [-1.0, -3.0])) == -2.0
 
     def test_pseudo_indicator_single_backend_identity(self, leaf_record):
-        a = scoring_profile("a", "mock:score?logprob=-1.5")
-        assert pseudo_indicator(score_each(leaf_record, [a])) == -1.5
+        assert pseudo_indicator(score_each(leaf_record, [-1.5])) == -1.5
 
     def test_four_backend_mean(self, leaf_record):
-        profiles = [
-            scoring_profile(name, f"mock:score?logprob=-{k}.0")
-            for k, name in enumerate(["w", "x", "y", "z"], start=1)
-        ]
-        value = pseudo_indicator(score_each(leaf_record, profiles))
+        value = pseudo_indicator(score_each(leaf_record, [-1.0, -2.0, -3.0, -4.0]))
         assert value == -(1 + 2 + 3 + 4) / 4
 
 
-def score_each(record, profiles):
+def score_each(record, logprobs):
     return [
-        score_solution(record, p, backend=MockScoreBackend(p.endpoint)) for p in profiles
+        score_solution(record, SCORER, backend=ConstantScorer(logprob)) for logprob in logprobs
     ]
 
 
